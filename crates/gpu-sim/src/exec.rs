@@ -270,6 +270,7 @@ impl PoolShared {
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
                     }
+                    fault::park_before_wait(&self.shutdown);
                     queue = self.available.wait(queue).unwrap_or_else(|e| e.into_inner());
                 }
             };
@@ -531,7 +532,15 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: an idle worker checks it and
+        // enters `wait` while holding that lock, so it either sees the
+        // flag or is already waiting when the notify lands. Stored
+        // without the lock, the flag and the notify could both fall
+        // between a worker's check and its wait, and `join` would hang.
+        {
+            let _queue = lock_unpoisoned(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         // lint: allow(cancel-coverage): joins a fixed set of workers after the shutdown flag is set above
         for handle in self.threads.drain(..) {
@@ -696,7 +705,7 @@ pub fn spawn_service(name: &str, body: impl FnOnce() + Send + 'static) -> Option
 /// cost is one relaxed atomic load per job.
 #[doc(hidden)]
 pub mod fault {
-    use super::AtomicI64;
+    use super::{AtomicBool, AtomicI64};
     use std::sync::atomic::Ordering;
 
     /// `< 0`: disarmed. `>= 0`: the job that decrements it to exactly
@@ -851,6 +860,42 @@ pub mod fault {
             cancel_after_diagonal,
             deadline_ms,
             worker_panic,
+        }
+    }
+
+    /// Park hook state: armed, and whether a worker has parked since.
+    static PARK_ARMED: AtomicBool = AtomicBool::new(false);
+    static PARKED: AtomicBool = AtomicBool::new(false);
+
+    /// Longest a parked worker holds its gap open, in 1 ms polls.
+    const PARK_POLLS: u32 = 200;
+
+    /// Arm the park hook: the next idle pool worker that has checked the
+    /// shutdown flag (and found it clear) parks *before* its `Condvar`
+    /// wait, still holding the queue lock, until shutdown is requested or
+    /// [`PARK_POLLS`] ms pass. That holds open the window in which a
+    /// shutdown signal sent without the queue lock is lost.
+    pub fn arm_park_before_wait() {
+        PARKED.store(false, Ordering::SeqCst);
+        PARK_ARMED.store(true, Ordering::SeqCst);
+    }
+
+    /// Has a worker parked since [`arm_park_before_wait`]?
+    pub fn parked() -> bool {
+        PARKED.load(Ordering::SeqCst)
+    }
+
+    /// Called by an idle worker between its shutdown check and its wait.
+    pub(crate) fn park_before_wait(shutdown: &AtomicBool) {
+        if !PARK_ARMED.load(Ordering::Relaxed) || !PARK_ARMED.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        PARKED.store(true, Ordering::SeqCst);
+        for _ in 0..PARK_POLLS {
+            if shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 

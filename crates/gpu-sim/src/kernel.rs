@@ -792,8 +792,9 @@ mod tests {
     /// band's bottom row, and re-seeding from it fed a wrong diagonal to
     /// the band's top row at every chunk boundary. Unit-test builds
     /// shrink JCHUNK/BAND (see `striped.rs`), so this tile crosses three
-    /// chunk boundaries and two band boundaries in the modes that chunk
-    /// (local and watch).
+    /// chunk boundaries and two band boundaries when watched (only the
+    /// watch tracker chunks; the unwatched local run streams the same
+    /// width in one pass and crosses the same bands).
     #[test]
     fn chunk_and_band_boundaries_match_scalar() {
         let a = lcg(19, 80); // > 2 * BAND(test)
@@ -1046,6 +1047,137 @@ mod tests {
         assert_eq!(t0, r0);
         assert_eq!(t1, r1);
         assert_eq!(left2, left_r2);
+    }
+
+    /// Run one local tile on the scalar kernel, the i16-first ladder and
+    /// the full ladder from the same borders; every striped run must
+    /// match scalar on `best`, both buses and `corner_out`. Returns the
+    /// (i16-first, full-ladder) paths.
+    fn local_paths_match_scalar(
+        a: &[u8],
+        b: &[u8],
+        top_0: &[CellHF],
+        left_0: &[CellHE],
+        corner: Score,
+        what: &str,
+    ) -> (KernelPath, KernelPath) {
+        let (mut top_s, mut left_s) = (top_0.to_vec(), left_0.to_vec());
+        let scal =
+            compute_tile_scalar(a, b, 1, 1, &SC, true, None, corner, &mut top_s, &mut left_s);
+        let mut paths = Vec::new();
+        for ladder in [false, true] {
+            let (mut top_v, mut left_v) = (top_0.to_vec(), left_0.to_vec());
+            let run = if ladder { compute_tile } else { compute_tile_i16 };
+            let vect = run(a, b, 1, 1, &SC, true, None, corner, &mut top_v, &mut left_v);
+            assert_ne!(vect.path, KernelPath::Scalar, "{what}: tile must try a striped rung");
+            assert_eq!(vect.best, scal.best, "{what}: best, ladder={ladder}");
+            assert_eq!(top_v, top_s, "{what}: hbus, ladder={ladder}");
+            assert_eq!(left_v, left_s, "{what}: vbus, ladder={ladder}");
+            assert_eq!(vect.corner_out, scal.corner_out, "{what}: corner, ladder={ladder}");
+            paths.push(vect.path);
+        }
+        (paths[0], paths[1])
+    }
+
+    /// The per-column local-best gate must pick the scalar scan's endpoint
+    /// among many equal maxima. Heights 90 and 120 leave scalar slivers
+    /// on both rungs (90 = 2*32 + 26 = 5*16 + 10) and, with the test
+    /// BAND = 32 and JCHUNK = 64, every tile crosses band and chunk
+    /// boundaries.
+    #[test]
+    fn local_best_gate_ties_match_scalar() {
+        let poly = |c: u8, n: usize| vec![c; n];
+        let repeat = |unit: &[u8], n: usize| unit.iter().copied().cycle().take(n).collect();
+        let mut cases: Vec<(&str, Vec<u8>, Vec<u8>)> = vec![
+            // Maximum min(h, w) tied along the whole bottom (sliver) row.
+            ("poly-A x poly-A", poly(b'A', 90), poly(b'A', 200)),
+            // A short period: equal scores on many diagonals, rows, columns.
+            ("tandem ACG x ACGT", repeat(b"ACG", 90), repeat(b"ACGT", 200)),
+            // Runs that restart at the same score after every C block.
+            ("A12C8 x poly-A", repeat(b"AAAAAAAAAAAACCCCCCCC", 120), poly(b'A', 150)),
+        ];
+        // Two distinct segments of one length planted on backgrounds that
+        // never match (T rows, G columns), so each scores exactly its
+        // length and the one streamed later holds the earlier
+        // anti-diagonal: across bands (rows 5..25 then 40..60, inside the
+        // striped rows of both rungs) and across columns of one band.
+        let planted = |len: usize, plants: [(usize, usize); 2]| {
+            let (mut a, mut b) = (poly(b'T', 90), poly(b'G', 200));
+            for (k, (i, j)) in plants.into_iter().enumerate() {
+                let seg = lcg(41 + k as u64, len);
+                a[i..i + len].copy_from_slice(&seg);
+                b[j..j + len].copy_from_slice(&seg);
+            }
+            (a, b)
+        };
+        let (a, b) = planted(20, [(5, 100), (40, 30)]);
+        cases.push(("equal scores in two bands", a, b));
+        let (a, b) = planted(8, [(23, 40), (2, 50)]);
+        cases.push(("equal scores in two columns", a, b));
+        // A match ending inside the scalar sliver rows (80..90 on i16).
+        let (a, mut b) = (lcg(44, 90), lcg(45, 200));
+        b[150..180].copy_from_slice(&a[60..90]);
+        cases.push(("maximum in the sliver", a, b));
+        for (what, a, b) in &cases {
+            let (top, left, corner) = local_borders(a.len(), b.len());
+            local_paths_match_scalar(a, b, &top, &left, corner, what);
+        }
+    }
+
+    /// Early escalation, overflow in the first column: a bias of 92 from
+    /// one top-border cell puts local zero at -92 (rebased) while the
+    /// other borders sit at 3. A mismatching column then drives F to
+    /// zero - gap_first = -97, below the i8 window, in column 0.
+    #[test]
+    fn i8_overflow_in_first_column_escalates() {
+        let a = vec![b'A'; 96];
+        let mut b = vec![b'A'; 96];
+        b[0] = b'C';
+        let (mut top, mut left, _) = local_borders(a.len(), b.len());
+        top.iter_mut().for_each(|c| c.h = 3);
+        left.iter_mut().for_each(|c| c.h = 3);
+        top[95].h = 92;
+        let (p16, ladder) = local_paths_match_scalar(&a, &b, &top, &left, 3, "first column");
+        assert_eq!(p16, KernelPath::Striped16);
+        assert_eq!(ladder, KernelPath::Striped8Fallback16);
+
+        // The i8 attempt stops in band 0 of 3 (test BAND = 32): only that
+        // band's profile is built, and the buses are untouched.
+        let (mut top_v, mut left_v) = (top.clone(), left.clone());
+        let mut cache = ProfileCache::new();
+        let part = striped8::compute_striped8_columns::<true, false>(
+            &a,
+            &b,
+            1,
+            1,
+            &SC,
+            None,
+            3,
+            &mut top_v,
+            &mut left_v,
+            &mut cache,
+        );
+        assert!(part.is_none(), "the i8 window is left in column 0");
+        assert_eq!(cache.misses(), 1, "no band after the first was streamed");
+        assert_eq!(top_v, top);
+        assert_eq!(left_v, left);
+    }
+
+    /// Early escalation, overflow in the last column: poly-A against
+    /// poly-A scores min(i, j) + 1, so only the last column of the last
+    /// band reaches 96, one past the i8 window.
+    #[test]
+    fn i8_overflow_in_last_column_escalates() {
+        let (a, b) = (vec![b'A'; 96], vec![b'A'; 96]);
+        let (top, left, corner) = local_borders(a.len(), b.len());
+        let (p16, ladder) = local_paths_match_scalar(&a, &b, &top, &left, corner, "last column");
+        assert_eq!(p16, KernelPath::Striped16);
+        assert_eq!(ladder, KernelPath::Striped8Fallback16);
+        // One column fewer stays inside the window and commits on i8.
+        let (mut t, mut l, c) = local_borders(96, 95);
+        let o = compute_tile(&a, &b[..95], 1, 1, &SC, true, None, c, &mut t, &mut l);
+        assert_eq!(o.path, KernelPath::Striped8);
+        assert_eq!(o.best, Some((95, 95, 95)));
     }
 
     #[test]

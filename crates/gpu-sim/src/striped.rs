@@ -36,6 +36,17 @@
 //!    `E = max(E - g_ext, H - g_first)`, overflow trackers, and the
 //!    local-best / watch trackers.
 //!
+//! # Local-best gate
+//!
+//! Local mode must report the scalar scan's best endpoint. Instead of a
+//! per-cell argmax, pass 3 folds the column's `H` into one max vector;
+//! only when that column maximum reaches the best score so far (ties
+//! included) is the column searched, and its first row at the maximum is
+//! offered to [`better_endpoint`]. That is exact: within one column a
+//! lower score never wins and, among equal scores, the smallest row has
+//! the earliest anti-diagonal; `better_endpoint` is a total order, so
+//! folding column candidates in band order matches the row-major scan.
+//!
 //! # Query profile
 //!
 //! Pass 1's substitution term is a per-band *query profile*: for every
@@ -112,9 +123,10 @@ pub(crate) const BAND: usize = 1024;
 #[cfg(test)]
 pub(crate) const BAND: usize = 32;
 
-/// Column-chunk width for the i16-indexed local-best/watch trackers;
-/// trackers are reduced and reset per chunk so a column index always
-/// fits an `i16`. Test builds shrink it — see [`BAND`].
+/// Column-chunk width for the i16-indexed watch tracker; it is reduced
+/// and reset per chunk so a column index always fits an `i16`. (The
+/// local-best tracker is gated per column and needs no chunking.) Test
+/// builds shrink it — see [`BAND`].
 #[cfg(not(test))]
 pub(crate) const JCHUNK: usize = 32_000;
 #[cfg(test)]
@@ -179,6 +191,24 @@ fn lane_carry(fl: V, hl: V, ge16: i16, gf16: i16) -> V {
         carry[l] = fl_sh[l].saturating_sub(ge16).max(hf.saturating_sub(gf16));
     }
     carry
+}
+
+/// Row (within the band) of the first cell of a striped column holding
+/// `v`: lane `l`, segment `s` is row `l * seg + s`, so the lowest hit lane
+/// and then its lowest segment give the smallest row. Within one column
+/// that is the cell [`better_endpoint`] prefers among equal scores. The
+/// local-best gate calls it only with the column's own maximum, which is
+/// always present.
+#[allow(clippy::needless_range_loop)] // lane-indexed like the kernel loops
+pub(crate) fn first_row_at<T: Copy + PartialEq, const N: usize>(col: &[[T; N]], v: T) -> usize {
+    let mut hit = [false; N];
+    for x in col {
+        for l in 0..N {
+            hit[l] |= x[l] == v;
+        }
+    }
+    let l = hit.iter().position(|&b| b).unwrap_or(0);
+    l * col.len() + col.iter().position(|x| x[l] == v).unwrap_or(0)
 }
 
 /// Run the striped kernel over the leading `height - height % LANES` rows.
@@ -304,6 +334,11 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     let mut mn = [i16::MAX; LANES];
     let mut mx = [i16::MIN; LANES];
     let mut best: Option<(Score, usize, usize)> = None;
+    // Local-best gate: a column is scanned for an endpoint only when its
+    // maximum reaches this (rebased) score — `best`'s score once one
+    // exists, else the smallest positive H. Equal scores are scanned too,
+    // since a tie can still win on better_endpoint's anti-diagonal order.
+    let mut gate = zero16 + 1;
     let mut watch_hit: Option<(usize, usize)> = None;
 
     let mut band_corner = corner16;
@@ -335,11 +370,9 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
             }
         }
 
-        let mut bh_: Vec<V> = vec![[zero16; LANES]; if LOCAL { seg } else { 0 }];
-        let mut bj_: Vec<V> = vec![[-1; LANES]; if LOCAL { seg } else { 0 }];
         let mut wj_: Vec<V> = vec![[-1; LANES]; if WATCH { seg } else { 0 }];
 
-        let jchunk = if LOCAL || WATCH { JCHUNK } else { width };
+        let jchunk = if WATCH { JCHUNK } else { width };
         // Lane-0 diagonal seed: the *pre-update* top-border H of the
         // previous column. Must be carried across chunk boundaries — by
         // the time a chunk ends, `th` already holds this band's bottom
@@ -348,10 +381,6 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
         let mut cbase = 0usize;
         while cbase < width {
             let clen = (width - cbase).min(jchunk);
-            if LOCAL {
-                bh_.iter_mut().for_each(|v| *v = [zero16; LANES]);
-                bj_.iter_mut().for_each(|v| *v = [-1; LANES]);
-            }
             if WATCH {
                 wj_.iter_mut().for_each(|v| *v = [-1; LANES]);
             }
@@ -445,6 +474,7 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
                 // Pass 3: finalize H, next-column E, trackers.
                 let jc16 = jc as i16;
                 let last_col = j + 1 == width;
+                let mut cmax = [i16::MIN; LANES];
                 for s in 0..seg {
                     let f = fcur[s];
                     let hp = hstore[s];
@@ -462,22 +492,14 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
                         ecur[s] = en;
                         for l in 0..LANES {
                             mn[l] = mn[l].min(en[l].min(f[l]));
-                            mx[l] = mx[l].max(h[l]);
                         }
                     } else {
                         for l in 0..LANES {
                             mn[l] = mn[l].min(f[l]);
-                            mx[l] = mx[l].max(h[l]);
                         }
                     }
-                    if LOCAL {
-                        let bh = &mut bh_[s];
-                        let bj = &mut bj_[s];
-                        for l in 0..LANES {
-                            let better = h[l] > bh[l];
-                            bh[l] = if better { h[l] } else { bh[l] };
-                            bj[l] = if better { jc16 } else { bj[l] };
-                        }
+                    for l in 0..LANES {
+                        cmax[l] = cmax[l].max(h[l]);
                     }
                     if WATCH {
                         let wj = &mut wj_[s];
@@ -487,32 +509,29 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
                         }
                     }
                 }
+                for l in 0..LANES {
+                    mx[l] = mx[l].max(cmax[l]);
+                }
+                if LOCAL {
+                    let top = cmax.iter().fold(i16::MIN, |m, &x| m.max(x));
+                    if top >= gate {
+                        let cand = (
+                            bias + top as Score,
+                            row_offset + base + first_row_at(&hstore, top),
+                            col_offset + j,
+                        );
+                        if best.is_none_or(|b| better_endpoint(cand, b)) {
+                            best = Some(cand);
+                            gate = top;
+                        }
+                    }
+                }
                 th[j] = hstore[seg - 1][LANES - 1];
                 tf[j] = fcur[seg - 1][LANES - 1];
                 prev_top = cur_top;
                 std::mem::swap(&mut hload, &mut hstore);
             }
 
-            // Per-chunk reductions. `bj_` keeps each row's *first* column
-            // achieving its chunk maximum; better_endpoint is a total
-            // order, so folding row candidates in any order matches the
-            // scalar scan.
-            if LOCAL {
-                for s in 0..seg {
-                    for l in 0..LANES {
-                        if bh_[s][l] > zero16 {
-                            let cand = (
-                                bias + bh_[s][l] as Score,
-                                row_offset + base + l * seg + s,
-                                col_offset + cbase + bj_[s][l] as usize,
-                            );
-                            if best.is_none_or(|b| better_endpoint(cand, b)) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                }
-            }
             if WATCH {
                 for s in 0..seg {
                     for l in 0..LANES {

@@ -20,7 +20,9 @@
 //! border bias); *global* borders walk away linearly with the gap
 //! penalty and overflow almost immediately, which this kernel detects in
 //! the cheap border-conversion scan before any column work. Overflow
-//! returns `None` with the buses untouched and the dispatcher in
+//! inside the tile is caught at the first column that leaves the window
+//! (not at the end of the tile), and either way the kernel returns
+//! `None` with the buses untouched and the dispatcher in
 //! [`crate::kernel`] escalates the tile: **i8 → i16 → scalar i32**, each
 //! rung bit-identical to the scalar recurrence whenever it commits.
 //!
@@ -46,7 +48,7 @@
 //! row skip the rebuild entirely.
 
 use crate::kernel::{CellHE, CellHF};
-use crate::striped::{ProfileCache, StripedColumns, BAND, JCHUNK};
+use crate::striped::{first_row_at, ProfileCache, StripedColumns, BAND, JCHUNK};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
 
@@ -73,9 +75,9 @@ const RAIL8: i8 = i8::MIN;
 /// One striped vector: lane `l` holds a row of chunk `l`.
 pub(crate) type V8 = [i8; LANES8];
 
-/// Per-lane column-index tracker vector. Column indices within a
-/// [`JCHUNK`] chunk exceed `i8` range, so the trackers ride in `i16`
-/// (they are bookkeeping, not DP state — the DP stays in `i8`).
+/// Per-lane column-index vector of the watch tracker. Column indices
+/// within a [`JCHUNK`] chunk exceed `i8` range, so the tracker rides in
+/// `i16` (it is bookkeeping, not DP state — the DP stays in `i8`).
 type J8 = [i16; LANES8];
 
 /// Can the i8 kernel attempt this tile? A strict subset of
@@ -115,15 +117,13 @@ fn lane_carry8(fl: V8, hl: V8, ge8: i8, gf8: i8) -> V8 {
 }
 
 /// Striped band state, allocated by [`compute_striped8_columns`] and
-/// lent to the allocation-free hot loop. `bh`/`bj`/`wj` are sized by the
-/// mode (empty unless LOCAL/WATCH), mirroring the i16 kernel.
+/// lent to the allocation-free hot loop. `wj` is empty unless WATCH,
+/// mirroring the i16 kernel.
 struct Band8 {
     hload: Vec<V8>,
     hstore: Vec<V8>,
     ecur: Vec<V8>,
     fcur: Vec<V8>,
-    bh: Vec<V8>,
-    bj: Vec<J8>,
     wj: Vec<J8>,
 }
 
@@ -146,9 +146,15 @@ struct Ctx8 {
 //
 // Stream every column of one band through the three striped sweeps.
 // Mirrors the i16 kernel's band loop line for line (see crate::striped
-// for the pass-by-pass commentary); kept allocation-free and
-// wallclock-free — enforced by the `hot-loop` analysis rule — so the
-// whole body is straight-line index arithmetic over [i8; 32] arrays.
+// for the pass-by-pass commentary, including the local-best gate); kept
+// allocation-free and wallclock-free — enforced by the `hot-loop`
+// analysis rule — so the whole body is straight-line index arithmetic
+// over [i8; 32] arrays.
+//
+// Returns `false` as soon as a column leaves the i8 window: the tile
+// will be discarded and escalated anyway, so streaming the rest of it
+// would be wasted work. Only `th`/`tf` scratch has been written by then;
+// the caller's buses are untouched.
 //
 // Indexed `for s in 0..seg` / `for l in 0..LANES8` loops over plain
 // slices are the shape LLVM reliably turns into packed i8 ops here; the
@@ -165,24 +171,25 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
     th: &mut [i8],
     tf: &mut [i8],
     mn: &mut V8,
-    mx: &mut V8,
     best: &mut Option<(Score, usize, usize)>,
     watch_hit: &mut Option<(usize, usize)>,
-) {
+) -> bool {
     let width = b_tile.len();
     let seg = cx.seg;
     let (ge8, gf8, zero8, watch8) = (cx.ge8, cx.gf8, cx.zero8, cx.watch8);
-    let jchunk = if LOCAL || WATCH { JCHUNK } else { width };
+    // Local-best gate (see crate::striped): the rebased score a column
+    // maximum must reach to be searched for an endpoint.
+    let mut gate = match *best {
+        Some((score, _, _)) => (score - cx.bias) as i8,
+        None => zero8 + 1,
+    };
+    let jchunk = if WATCH { JCHUNK } else { width };
     // Lane-0 diagonal seed: the *pre-update* top-border H of the previous
     // column, carried across chunk boundaries (see the i16 kernel).
     let mut prev_top = cx.band_corner;
     let mut cbase = 0usize;
     while cbase < width {
         let clen = (width - cbase).min(jchunk);
-        if LOCAL {
-            st.bh.iter_mut().for_each(|v| *v = [zero8; LANES8]);
-            st.bj.iter_mut().for_each(|v| *v = [-1; LANES8]);
-        }
         if WATCH {
             st.wj.iter_mut().for_each(|v| *v = [-1; LANES8]);
         }
@@ -268,6 +275,7 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
             // Pass 3: finalize H, next-column E, trackers.
             let jc16 = jc as i16;
             let last_col = j + 1 == width;
+            let mut cmax = [i8::MIN; LANES8];
             for s in 0..seg {
                 let f = st.fcur[s];
                 let hp = st.hstore[s];
@@ -285,22 +293,14 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
                     st.ecur[s] = en;
                     for l in 0..LANES8 {
                         mn[l] = mn[l].min(en[l].min(f[l]));
-                        mx[l] = mx[l].max(h[l]);
                     }
                 } else {
                     for l in 0..LANES8 {
                         mn[l] = mn[l].min(f[l]);
-                        mx[l] = mx[l].max(h[l]);
                     }
                 }
-                if LOCAL {
-                    let bh = &mut st.bh[s];
-                    let bj = &mut st.bj[s];
-                    for l in 0..LANES8 {
-                        let better = h[l] > bh[l];
-                        bh[l] = if better { h[l] } else { bh[l] };
-                        bj[l] = if better { jc16 } else { bj[l] };
-                    }
+                for l in 0..LANES8 {
+                    cmax[l] = cmax[l].max(h[l]);
                 }
                 if WATCH {
                     let wj = &mut st.wj[s];
@@ -310,29 +310,36 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
                     }
                 }
             }
+            // Window check, every column: H >= E and H >= F at every
+            // cell, so the max only needs H and the min only needs E/F.
+            let mut out = false;
+            for l in 0..LANES8 {
+                out |= (mn[l] as i32) < WIN8_LO || (cmax[l] as i32) > WIN8_HI;
+            }
+            if out {
+                return false;
+            }
+            if LOCAL {
+                let top = cmax.iter().fold(i8::MIN, |m, &x| m.max(x));
+                if top >= gate {
+                    let cand = (
+                        cx.bias + top as Score,
+                        cx.row_offset + cx.base + first_row_at(&st.hstore, top),
+                        cx.col_offset + j,
+                    );
+                    if best.is_none_or(|b| better_endpoint(cand, b)) {
+                        *best = Some(cand);
+                        gate = top;
+                    }
+                }
+            }
             th[j] = st.hstore[seg - 1][LANES8 - 1];
             tf[j] = st.fcur[seg - 1][LANES8 - 1];
             prev_top = cur_top;
             std::mem::swap(&mut st.hload, &mut st.hstore);
         }
 
-        // Per-chunk reductions, identical ordering to the i16 kernel.
-        if LOCAL {
-            for s in 0..seg {
-                for l in 0..LANES8 {
-                    if st.bh[s][l] > zero8 {
-                        let cand = (
-                            cx.bias + st.bh[s][l] as Score,
-                            cx.row_offset + cx.base + l * seg + s,
-                            cx.col_offset + cbase + st.bj[s][l] as usize,
-                        );
-                        if best.is_none_or(|b| better_endpoint(cand, b)) {
-                            *best = Some(cand);
-                        }
-                    }
-                }
-            }
-        }
+        // Per-chunk watch reduction, identical ordering to the i16 kernel.
         if WATCH {
             for s in 0..seg {
                 for l in 0..LANES8 {
@@ -350,6 +357,7 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
         }
         cbase += clen;
     }
+    true
 }
 
 /// Run the i8×32 striped kernel over the leading
@@ -457,7 +465,6 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
     };
 
     let mut mn = [i8::MAX; LANES8];
-    let mut mx = [i8::MIN; LANES8];
     let mut best: Option<(Score, usize, usize)> = None;
     let mut watch_hit: Option<(usize, usize)> = None;
 
@@ -479,8 +486,6 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
             hstore: vec![[0; LANES8]; seg],
             ecur: vec![[0; LANES8]; seg],
             fcur: vec![[RAIL8; LANES8]; seg],
-            bh: vec![[zero8; LANES8]; if LOCAL { seg } else { 0 }],
-            bj: vec![[-1; LANES8]; if LOCAL { seg } else { 0 }],
             wj: vec![[-1; LANES8]; if WATCH { seg } else { 0 }],
         };
         for s in 0..seg {
@@ -496,7 +501,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
 
         let cx =
             Ctx8 { seg, base, row_offset, col_offset, bias, ge8, gf8, zero8, watch8, band_corner };
-        band8_columns::<LOCAL, WATCH>(
+        let in_window = band8_columns::<LOCAL, WATCH>(
             &mut st,
             &cx,
             slot,
@@ -505,10 +510,12 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
             &mut th,
             &mut tf,
             &mut mn,
-            &mut mx,
             &mut best,
             &mut watch_hit,
         );
+        if !in_window {
+            return None;
+        }
 
         // Next band's lane-0 diagonal seed: this band's original
         // left-border H at its last row — capture before de-striping.
@@ -522,18 +529,6 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
         }
         band_corner = next_corner;
         base += band_h;
-    }
-
-    // Overflow check (H >= E and H >= F at every cell, so the max only
-    // needs H and the min only needs E/F).
-    let mut lo_seen = i8::MAX;
-    let mut hi_seen = i8::MIN;
-    for l in 0..LANES8 {
-        lo_seen = lo_seen.min(mn[l]);
-        hi_seen = hi_seen.max(mx[l]);
-    }
-    if (lo_seen as i32) < WIN8_LO || (hi_seen as i32) > WIN8_HI {
-        return None;
     }
 
     // Commit: rebase back to i32 and overwrite the buses exactly as the

@@ -181,7 +181,8 @@ fn striped_boundaries_match_scalar_at_production_sizes() {
     };
     let sc = Scoring::paper();
     // (height, width, modes): one shape crossing the column-chunk boundary
-    // in the modes that chunk — local borders only, since a global border
+    // (watched tiles chunk; the unwatched local run checks the best
+    // endpoint across the same width) — local borders only, since a global border
     // row spanning > 32k columns leaves the i16 window and (correctly)
     // falls back — and one shape crossing the band boundary in all modes.
     let wide: &[(bool, bool)] = &[(true, false), (true, true)];
@@ -239,6 +240,53 @@ fn striped_boundaries_match_scalar_at_production_sizes() {
             assert_eq!(vect.corner_out, scal.corner_out);
             assert_eq!(vect.best, scal.best);
             assert_eq!(vect.watch_hit, scal.watch_hit);
+        }
+    }
+}
+
+/// The per-column local-best gate at the *production* band height: tiles
+/// taller than one band (height > BAND = 1024, with a 12-row scalar
+/// sliver on both rungs) whose maxima tie across many rows, columns and
+/// both bands. The i16-first ladder and the full ladder must both match
+/// the scalar kernel on `best`, both buses and `corner_out`.
+#[test]
+fn local_best_gate_ties_match_scalar_at_production_sizes() {
+    use gpu_sim::kernel::{
+        compute_tile, compute_tile_i16, compute_tile_scalar, local_borders, KernelPath,
+    };
+    let sc = Scoring::paper();
+    let (height, width) = (1_100, 300);
+    let repeat =
+        |unit: &[u8], n: usize| -> Vec<u8> { unit.iter().copied().cycle().take(n).collect() };
+    // Two distinct 30-mers on never-matching backgrounds: equal scores,
+    // and the copy in band 1 holds the earlier anti-diagonal.
+    let (mut pa, mut pb) = (vec![b'T'; height], vec![b'G'; width]);
+    for (unit, i, j) in [
+        (&b"ACGGTCAATGCCATGAACGTTAGCAGTCCA"[..], 900, 200),
+        (b"GATTACAGCCGTAACTGGTCAAGCTTACGA", 1_040, 20),
+    ] {
+        pa[i..i + 30].copy_from_slice(unit);
+        pb[j..j + 30].copy_from_slice(unit);
+    }
+    let cases = [
+        ("poly-A x poly-A", vec![b'A'; height], vec![b'A'; width]),
+        ("A12C8 x poly-A", repeat(b"AAAAAAAAAAAACCCCCCCC", height), vec![b'A'; width]),
+        ("equal scores in two bands", pa, pb),
+    ];
+    for (what, a, b) in &cases {
+        let (top_0, left_0, corner) = local_borders(height, width);
+        let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
+        let scal =
+            compute_tile_scalar(a, b, 1, 1, &sc, true, None, corner, &mut top_s, &mut left_s);
+        for ladder in [false, true] {
+            let (mut top_v, mut left_v) = (top_0.clone(), left_0.clone());
+            let run = if ladder { compute_tile } else { compute_tile_i16 };
+            let vect = run(a, b, 1, 1, &sc, true, None, corner, &mut top_v, &mut left_v);
+            assert_ne!(vect.path, KernelPath::Scalar, "{what}");
+            assert_eq!(vect.best, scal.best, "{what}: best, ladder={ladder}");
+            assert_eq!(top_v, top_s, "{what}: hbus, ladder={ladder}");
+            assert_eq!(left_v, left_s, "{what}: vbus, ladder={ladder}");
+            assert_eq!(vect.corner_out, scal.corner_out, "{what}: corner, ladder={ladder}");
         }
     }
 }
