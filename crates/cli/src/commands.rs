@@ -195,14 +195,15 @@ pub fn align(args: &AlignArgs) -> Result<String, String> {
         .unwrap();
         writeln!(
             out,
-            "  kernel: {} cells updated ({} MCUPS), ladder i8/i8→i16/i16/scalar tiles {}/{}/{}/{}",
+            "  kernel: {} cells updated ({} MCUPS), tiles i8/i8→i16/i16/fallback/scalar {}/{}/{}/{}/{}",
             st.total_cells(),
             // `-` for degenerate durations instead of the old inf/NaN.
             st.mcups().map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
             st.kernel_striped8_tiles,
             st.kernel_striped8_fb16_tiles,
             st.kernel_striped16_tiles,
-            st.kernel_fallback_tiles
+            st.kernel_fallback_tiles,
+            st.kernel_scalar_tiles
         )
         .unwrap();
         writeln!(

@@ -311,6 +311,9 @@ pub enum Event {
         /// Tiles that re-ran on the scalar `i32` kernel after `i16`
         /// overflow.
         fallback: u64,
+        /// Tiles committed on the scalar `i32` kernel up front (too short
+        /// for the ladder, or no striped rung eligible).
+        scalar: u64,
         /// Query-profile cache hits during the stage.
         profile_hits: u64,
         /// Query-profile cache misses (profile bands built).
@@ -747,12 +750,13 @@ fn encode_record(t: Duration, ev: &Event) -> String {
             striped8_fb16,
             striped16,
             fallback,
+            scalar,
             profile_hits,
             profile_misses,
         } => {
             let _ = write!(
                 s,
-                ",\"ev\":\"kernel\",\"stage\":{stage},\"striped8\":{striped8},\"striped8_fb16\":{striped8_fb16},\"striped16\":{striped16},\"fallback\":{fallback},\"profile_hits\":{profile_hits},\"profile_misses\":{profile_misses}"
+                ",\"ev\":\"kernel\",\"stage\":{stage},\"striped8\":{striped8},\"striped8_fb16\":{striped8_fb16},\"striped16\":{striped16},\"fallback\":{fallback},\"scalar\":{scalar},\"profile_hits\":{profile_hits},\"profile_misses\":{profile_misses}"
             );
         }
         Event::Checkpoint { diagonal, ok } => {
@@ -1467,6 +1471,7 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
                 "striped8_fb16",
                 "striped16",
                 "fallback",
+                "scalar",
                 "profile_hits",
                 "profile_misses",
             ] {
@@ -1583,6 +1588,7 @@ mod tests {
                 striped8_fb16: 2,
                 striped16: 1,
                 fallback: 0,
+                scalar: 5,
                 profile_hits: 3,
                 profile_misses: 1,
             });
@@ -1597,6 +1603,7 @@ mod tests {
                 striped8_fb16: 1,
                 striped16: 0,
                 fallback: 1,
+                scalar: 0,
                 profile_hits: 0,
                 profile_misses: 2,
             });

@@ -354,6 +354,10 @@ pub struct PipelineStats {
     /// Tiles that exhausted the vector rungs and re-ran on the scalar
     /// `i32` kernel after `i16` overflow.
     pub kernel_fallback_tiles: u64,
+    /// Tiles that committed on the scalar `i32` kernel up front: shorter
+    /// than `gpu_sim::kernel::MIN_LADDER_ROWS` (the 16-row blocks of
+    /// scaled stage-2/3 grids), or no striped rung eligible.
+    pub kernel_scalar_tiles: u64,
     /// Query-profile cache hits across the engine-driven stages.
     pub kernel_profile_hits: u64,
     /// Query-profile cache misses (profile bands built) across the
@@ -851,6 +855,7 @@ fn record_kernel(
         striped8_fb16: paths.striped8_fb16,
         striped16: paths.striped16,
         fallback: paths.fallback,
+        scalar: paths.scalar,
         profile_hits,
         profile_misses,
     });
@@ -858,6 +863,7 @@ fn record_kernel(
     obs.metrics.inc("kernel.striped8_fb16_tiles", paths.striped8_fb16);
     obs.metrics.inc("kernel.striped16_tiles", paths.striped16);
     obs.metrics.inc("kernel.fallback_tiles", paths.fallback);
+    obs.metrics.inc("kernel.scalar_tiles", paths.scalar);
     obs.metrics.inc("kernel.profile_hits", profile_hits);
     obs.metrics.inc("kernel.profile_misses", profile_misses);
 }
@@ -905,6 +911,7 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
     stats.kernel_striped8_fb16_tiles = m.get("kernel.striped8_fb16_tiles");
     stats.kernel_striped16_tiles = m.get("kernel.striped16_tiles");
     stats.kernel_fallback_tiles = m.get("kernel.fallback_tiles");
+    stats.kernel_scalar_tiles = m.get("kernel.scalar_tiles");
     stats.kernel_profile_hits = m.get("kernel.profile_hits");
     stats.kernel_profile_misses = m.get("kernel.profile_misses");
     stats.binary_bytes = m.get("binary.bytes") as usize;

@@ -354,7 +354,10 @@ pub fn run_supervised(
             scoring: sc,
             mode: Mode::Global { origin },
             grid: cfg.grid23,
-            workers: cfg.workers,
+            workers: wavefront::region_workers(
+                &cfg.grid23.layout(a_view.len(), b_view.len()),
+                cfg.workers,
+            ),
             watch: Some(cur.score),
         };
         let res = wavefront::run_pooled(pool, &job, &mut strip_obs)?;

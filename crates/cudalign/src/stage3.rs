@@ -174,7 +174,10 @@ fn refine_partition(
             scoring: sc,
             mode: Mode::Global { origin },
             grid: cfg.grid23,
-            workers: cfg.workers,
+            workers: wavefront::region_workers(
+                &cfg.grid23.layout(a_band.len(), b_band.len()),
+                cfg.workers,
+            ),
             watch: None,
         };
         let res = wavefront::run_pooled(pool, &job, &mut obs)?;

@@ -6,8 +6,9 @@
 //! paper's performance rests on keeping every SM busy across millions of
 //! diagonals with nothing but a cheap in-device barrier between them. This
 //! module is the CPU analogue — a [`WorkerPool`] created once per pipeline
-//! run, whose threads live for the whole run and receive per-diagonal work
-//! through a queue/condvar handoff instead of `thread::spawn`.
+//! run, whose threads live for the whole run and receive work (strip
+//! runners, partition batches) through a queue/condvar handoff instead of
+//! `thread::spawn`.
 //!
 //! # Scoped execution
 //!

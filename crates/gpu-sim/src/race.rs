@@ -180,7 +180,7 @@ struct Inner {
     /// Last writer per corner cell, `(block_rows+1) x (block_cols+1)`.
     corners: Vec<WriteRec>,
     /// Column-strip plan boundaries when the strip scheduler drives this
-    /// session (empty = diagonal-barrier mode).
+    /// session (empty = serial diagonal mode).
     strip_bounds: Vec<usize>,
     /// Shadow of each strip's published-row counter. A read that crosses
     /// a strip boundary must be covered by the left strip's publish; the

@@ -634,7 +634,7 @@ impl QueryProfile {
 /// Entries the profile cache keeps before evicting least-recently-used
 /// bands. Tile schedules touch at most a handful of distinct query bands
 /// before returning to one (a strip runner sweeps one band row-major; the
-/// barrier engine interleaves the bands of one diagonal), so a small cap
+/// serial diagonal engine interleaves the bands of one diagonal), so a small cap
 /// bounds memory while still catching every reuse pattern we schedule.
 const CACHE_CAP: usize = 8;
 

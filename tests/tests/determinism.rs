@@ -108,3 +108,77 @@ fn disk_and_memory_backends_agree() {
     assert_eq!(mem.transcript.ops(), disk.transcript.ops());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Stages 2 and 3 on the scaled benchmark grid (`grid23 = {60, 8, 2}`,
+/// 16x16 blocks on strips a few hundred rows tall): regions whose blocks
+/// sit below `wavefront::HANDOFF_BREAK_EVEN_CELLS` run on one lane, so
+/// two workers and one give byte-identical crosspoint chains, special
+/// columns and transcripts. The short tiles commit on the scalar kernel,
+/// and the counters, the stats and the trace account for them.
+#[test]
+fn small_stage23_blocks_are_worker_count_independent() {
+    use cudalign::config::SraBackend;
+    use cudalign::obs::{parse_json, Json};
+    use cudalign::sra::LineStore;
+    use cudalign::{stage1, stage2, stage3, Obs, TraceWriter};
+    use gpu_sim::{CellHE, CellHF, WorkerPool};
+
+    let (a, b) = edited_pair(29, 1_600, 23);
+    let mut outs = Vec::new();
+    for workers in [1usize, 2] {
+        let mut cfg = PipelineConfig::for_tests();
+        cfg.grid23 = GridSpec { blocks: 60, threads: 8, alpha: 2 };
+        cfg.workers = workers;
+        // Four special rows: stage-2 strips ~320 rows tall, so the
+        // engine's view is 20 block columns of 16x16 blocks.
+        cfg.sra_bytes = 8 * (b.len() as u64 + 1) * 4;
+        let pool = WorkerPool::new(workers);
+        let mut rows =
+            LineStore::<CellHF>::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
+        let s1 = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let mut cols =
+            LineStore::<CellHE>::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
+        let s2 =
+            stage2::run(&a, &b, &cfg, &pool, s1.best_score, s1.end, &mut rows, &mut cols).unwrap();
+        let s3 = stage3::run(&a, &b, &cfg, &pool, &s2.chain, &cols).unwrap();
+        for (stage, paths) in [(2, s2.paths), (3, s3.paths)] {
+            assert!(paths.scalar > 0, "stage {stage} counts its scalar tiles: {paths:?}");
+            assert_eq!(paths.striped_total(), 0, "stage {stage}: 16-row tiles stay scalar");
+        }
+
+        let mut tracer = TraceWriter::new(Vec::new());
+        let res = {
+            let mut obs = Obs::new();
+            obs.add_recorder(&mut tracer);
+            Pipeline::new(cfg).align_observed(&a, &b, &mut obs).unwrap()
+        };
+        let text = String::from_utf8(tracer.finish().unwrap()).unwrap();
+        cudalign::obs::validate_trace(&text).expect("schema-valid trace");
+        let mut traced_scalar = 0u64;
+        for line in text.lines() {
+            let rec = parse_json(line).unwrap();
+            if rec.get("ev").and_then(Json::str_val) == Some("kernel") {
+                let stage = rec.get("stage").and_then(Json::num).unwrap();
+                let scalar = rec.get("scalar").and_then(Json::num).unwrap() as u64;
+                if stage >= 2.0 {
+                    assert!(scalar > 0, "stage {stage} kernel record counts scalar tiles");
+                }
+                traced_scalar += scalar;
+            }
+        }
+        assert_eq!(traced_scalar, res.stats.kernel_scalar_tiles, "trace and stats agree");
+        assert!(res.stats.kernel_scalar_tiles >= s2.paths.scalar + s3.paths.scalar);
+        outs.push((
+            s2.chain.points().to_vec(),
+            s2.special_columns,
+            s3.chain.points().to_vec(),
+            res,
+        ));
+    }
+    let (one, two) = (&outs[0], &outs[1]);
+    assert_eq!(one.0, two.0, "stage-2 chain");
+    assert_eq!(one.1, two.1, "special columns");
+    assert_eq!(one.2, two.2, "stage-3 chain");
+    assert_eq!(one.3.transcript.ops(), two.3.transcript.ops(), "transcript");
+    assert_eq!(one.3.binary.encode(), two.3.binary.encode(), "compact binary output");
+}
