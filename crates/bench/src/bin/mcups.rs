@@ -16,7 +16,9 @@
 //!                  the global i16 rung on the rowdp shape (the cost of
 //!                  local best-endpoint tracking), or (d) the ladder entry
 //!                  runs below 0.9x the scalar kernel on the 16x16 or
-//!                  32x32 global `smalltile` case
+//!                  32x32 global `smalltile` case, or (e) the one-strip
+//!                  `band` plan at `batch_rows` 4 runs below 1.0x the
+//!                  same plan at `batch_rows` 1
 //! ```
 //!
 //! Each case is timed by repeating the whole computation until a minimum
@@ -41,8 +43,8 @@ use gpu_sim::kernel::{
     compute_tile, compute_tile_i16, compute_tile_scalar, global_borders, local_borders,
     GlobalOrigin, KernelPath, PathCounts,
 };
-use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob};
-use gpu_sim::{striped, GridSpec, Mode, WorkerPool};
+use gpu_sim::wavefront::{run_pooled, run_pooled_with_plan, NoObserver, RegionJob};
+use gpu_sim::{striped, GridSpec, Mode, StripPlan, WorkerPool};
 use std::io::Write;
 use std::time::Instant;
 use sw_core::scoring::Scoring;
@@ -59,6 +61,17 @@ const SMALLTILE_SIDES: [usize; 3] = [16, 32, 64];
 /// 0.2-0.7x scalar on these tiles, so the ladder must commit them scalar
 /// (`kernel::MIN_LADDER_ROWS`).
 const SMALLTILE_FLOOR: f64 = 0.9;
+
+/// `(strips, batch_rows)` of the `band` case's plans: one strip (one
+/// runner, the calling thread) at four publish-batch heights, and two
+/// strips at one and four. A strip runner computes each batch of a block
+/// column as one kernel call, so `batch_rows` is the band height in
+/// blocks; `batch_rows = 1` is one block per call.
+const BAND_PLANS: [(usize, usize); 6] = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 1), (2, 4)];
+
+/// Least one-strip `batch_rows` 4 / `batch_rows` 1 MCUPS ratio
+/// `--check-scaling` accepts on the `band` case: banding must not cost.
+const BAND_FLOOR: f64 = 1.0;
 
 /// Least local/global i16 MCUPS ratio `--check-scaling` accepts on the
 /// rowdp shape. With per-cell argmax tracking the ratio was 0.39-0.46;
@@ -389,6 +402,67 @@ fn smallblock_case(
     }
 }
 
+/// A local `m x n` region on the stage-1 block shape (256-row blocks),
+/// run on explicit strip plans ([`BAND_PLANS`]) in interleaved rounds:
+/// MCUPS against band height inside the engine. Each entry's paired
+/// ratio is against the first plan (one strip, one block per call).
+fn band_case(m: usize, n: usize, rounds: usize, budget: f64, entries: &mut Vec<Entry>) {
+    let a = dna(5, m);
+    let b = dna(6, n);
+    let grid = GridSpec { blocks: 16, threads: 64, alpha: 4 };
+    let layout = grid.layout(m, n);
+    let bc = layout.block_cols;
+    let pools = [WorkerPool::new(1), WorkerPool::new(2)];
+    let mut slices = vec![Vec::new(); BAND_PLANS.len()];
+    let mut profile = vec![(0u64, 0u64); BAND_PLANS.len()];
+    let mut paths = PathCounts::default();
+    for _ in 0..rounds {
+        for (k, &(strips, batch_rows)) in BAND_PLANS.iter().enumerate() {
+            let bounds = if strips == 1 { vec![0, bc] } else { vec![0, bc / 2, bc] };
+            let plan = StripPlan { bounds, batch_rows };
+            let job = RegionJob {
+                a: &a,
+                b: &b,
+                scoring: Scoring::paper(),
+                mode: Mode::Local,
+                grid,
+                workers: strips,
+                watch: None,
+            };
+            let pool = &pools[strips - 1];
+            slices[k].push(time_case((m * n) as u64, budget / rounds as f64, || {
+                let res = run_pooled_with_plan(pool, &job, &mut NoObserver, &plan)
+                    .expect("no worker panic");
+                paths = res.paths;
+                profile[k] = (res.profile_hits, res.profile_misses);
+                res.best.map_or(0, |(s, _, _)| s)
+            }));
+        }
+    }
+    let path = dominant_path(&paths);
+    let rate = |&(cells, seconds): &(u64, f64)| cells as f64 / seconds;
+    let first: Vec<f64> = slices[0].iter().map(rate).collect();
+    for (k, runs) in slices.into_iter().enumerate() {
+        let (strips, batch_rows) = BAND_PLANS[k];
+        let mut ratios: Vec<f64> = runs.iter().map(rate).zip(&first).map(|(r, f)| r / f).collect();
+        ratios.sort_by(f64::total_cmp);
+        let (cells, seconds) = median_slice(runs);
+        entries.push(Entry {
+            bench: "band",
+            shape: format!("local_{m}x{n}_b{}x{}_batch{batch_rows}", layout.block_height, n / bc),
+            entry: "engine",
+            path: path.label(),
+            lanes: path.lanes(),
+            workers: strips,
+            cells,
+            seconds,
+            mcups: cells as f64 / seconds / 1e6,
+            profile: Some(profile[k]),
+            vs_first: ratios[ratios.len() / 2],
+        });
+    }
+}
+
 /// The slice of median throughput among `(cells, seconds)` slices.
 fn median_slice(mut runs: Vec<(u64, f64)>) -> (u64, f64) {
     runs.sort_by(|x, y| (x.0 as f64 / x.1).total_cmp(&(y.0 as f64 / y.1)));
@@ -563,6 +637,8 @@ fn main() {
     // End-to-end wavefront engine (the ladder is the default), swept
     // across worker counts to expose the strip scheduler's scaling.
     let (wm, wn) = if quick { (1024, 1024) } else { (4096, 4096) };
+    // MCUPS against band height inside the strip engine.
+    band_case(wm, wn, 9, small_budget, &mut entries);
     for workers in [1usize, 2, 4, 8] {
         wavefront_case(wm, wn, workers, budget, &mut entries);
     }
@@ -594,6 +670,10 @@ fn main() {
             );
         }
     }
+    // What each band plan gains over one block per call, paired per round.
+    for e in entries.iter().filter(|e| e.bench == "band") {
+        println!("band / one block per call {:<30} w{} {:>10.2}x", e.shape, e.workers, e.vs_first);
+    }
     // What a region gains on one lane, paired per round.
     for e in entries.iter().filter(|e| e.bench == "smallblock" && e.workers == 2) {
         println!("one lane / two strips {:<26} {:>18.2}x", e.shape, 1.0 / e.vs_first);
@@ -619,7 +699,11 @@ fn main() {
                 .unwrap_or_else(|| panic!("mcups: no wavefront entry for workers={w}"))
         };
         // Compare against the sweep point the host can actually run in
-        // parallel: more workers than CPUs only timeshares them.
+        // parallel: more workers than CPUs only timeshares them. Note that
+        // w=1 runs the serial diagonal engine (one block per kernel call)
+        // while w>1 runs strip runners that compute each publish batch of
+        // a block column as one band, so this also compares banded with
+        // unbanded kernel calls.
         let cpus = host_parallelism();
         let wn = cpus.min(4);
         let w1 = wavefront_mcups(1);
@@ -717,6 +801,22 @@ fn main() {
                     "mcups: check-scaling OK: ladder/scalar = {ladder:.2}x on the {shape} tile"
                 );
             }
+        }
+        // Bands are publish batches: on one strip, four block rows per
+        // kernel call must not run slower than one.
+        let batch4 = entries
+            .iter()
+            .find(|e| e.bench == "band" && e.workers == 1 && e.shape.ends_with("_batch4"))
+            .expect("mcups: no one-strip batch4 band entry")
+            .vs_first;
+        if batch4 < BAND_FLOOR {
+            eprintln!(
+                "mcups: check-scaling FAILED: one-strip batch_rows 4 runs at {batch4:.2}x \
+                 batch_rows 1 (below {BAND_FLOOR}x) on the band case"
+            );
+            failed = true;
+        } else {
+            eprintln!("mcups: check-scaling OK: band batch_rows 4/1 = {batch4:.2}x on one strip");
         }
         if failed {
             std::process::exit(1);

@@ -295,7 +295,7 @@ pub fn compute_tile(
 
 /// [`compute_tile`] with an engine-owned [`ProfileCache`]: the full
 /// precision ladder, reusing cached query profiles across tiles of the
-/// same band.
+/// same band. The zero-cut case of [`compute_band_cached`].
 #[allow(clippy::too_many_arguments)]
 pub fn compute_tile_cached(
     a_tile: &[u8],
@@ -310,18 +310,86 @@ pub fn compute_tile_cached(
     left: &mut [CellHE],
     cache: &mut ProfileCache,
 ) -> TileOutcome {
+    compute_band_cached(
+        a_tile,
+        b_tile,
+        row_offset,
+        col_offset,
+        scoring,
+        local,
+        watch,
+        corner,
+        top,
+        left,
+        cache,
+        &[],
+        &mut [],
+    )
+}
+
+/// Compute a *band*: several blocks of one block column stacked into one
+/// tile and run as one ladder call, so the striped rungs' per-column
+/// costs (lane shifts, lazy-F carries, window and best reductions) are
+/// paid once per band height instead of once per block.
+///
+/// `cuts` are the tile-relative last rows of every block but the last,
+/// ascending; `cut_rows` (`cuts.len() * b_tile.len()` cells) receives the
+/// `H`/`F` row at each cut, i.e. the bottom border each of those blocks
+/// would have left on `top`. Everything else follows [`compute_tile`]:
+/// `top`/`left` end as the band's last row and last column, and the
+/// outcome's `best`/`watch_hit` cover the whole band. The rung is chosen
+/// for the band as a whole (a band that overflows `i8` re-runs whole on
+/// `i16`, then on the scalar kernel), and the cut rows are bit-identical
+/// to stacking one [`compute_tile_cached`] call per block.
+#[allow(clippy::too_many_arguments)]
+pub fn compute_band_cached(
+    a_tile: &[u8],
+    b_tile: &[u8],
+    row_offset: usize,
+    col_offset: usize,
+    scoring: &Scoring,
+    local: bool,
+    watch: Option<Score>,
+    corner: Score,
+    top: &mut [CellHF],
+    left: &mut [CellHE],
+    cache: &mut ProfileCache,
+    cuts: &[usize],
+    cut_rows: &mut [CellHF],
+) -> TileOutcome {
+    debug_assert!(cuts.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(cuts.last().is_none_or(|&c| c < a_tile.len()));
+    debug_assert_eq!(cut_rows.len(), cuts.len() * b_tile.len());
+    let mut cuts = Cuts { rows: cuts, out: cut_rows };
     // Short tiles cannot pay the striped rungs' fixed costs (border
     // conversion, profile lookup, per-column lane shifts over one or two
     // segments): below `MIN_LADDER_ROWS` the scalar reference commits.
     if a_tile.len() < MIN_LADDER_ROWS {
-        return compute_tile_scalar(
+        return scalar_tile(
             a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
+            &mut cuts,
         );
     }
     ladder(
         a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        true,
+        true, &mut cuts,
     )
+}
+
+/// Inner block boundaries of a band ([`compute_band_cached`]) and the
+/// rows they are reported into.
+pub(crate) struct Cuts<'c> {
+    /// Tile-relative last row of every block but the last, ascending.
+    pub rows: &'c [usize],
+    /// `rows.len() * width` cells: the `H`/`F` row at each cut.
+    pub out: &'c mut [CellHF],
+}
+
+impl Cuts<'_> {
+    /// No inner boundaries: a plain tile.
+    fn none() -> Cuts<'static> {
+        Cuts { rows: &[], out: &mut [] }
+    }
 }
 
 /// The full precision ladder (`i8`, then `i16`, then the scalar
@@ -341,10 +409,10 @@ pub fn compute_tile_ladder(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
-    let cache = &mut ProfileCache::new();
+    let (cache, cuts) = (&mut ProfileCache::new(), &mut Cuts::none());
     ladder(
         a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        true,
+        true, cuts,
     )
 }
 
@@ -366,10 +434,10 @@ pub fn compute_tile_i16(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
-    let cache = &mut ProfileCache::new();
+    let (cache, cuts) = (&mut ProfileCache::new(), &mut Cuts::none());
     ladder(
         a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        false,
+        false, cuts,
     )
 }
 
@@ -392,23 +460,24 @@ fn ladder(
     left: &mut [CellHE],
     cache: &mut ProfileCache,
     allow8: bool,
+    cuts: &mut Cuts<'_>,
 ) -> TileOutcome {
     match (local, watch.is_some()) {
         (false, false) => dispatch_tile::<false, false>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8,
+            allow8, cuts,
         ),
         (false, true) => dispatch_tile::<false, true>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8,
+            allow8, cuts,
         ),
         (true, false) => dispatch_tile::<true, false>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8,
+            allow8, cuts,
         ),
         (true, true) => dispatch_tile::<true, true>(
             a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8,
+            allow8, cuts,
         ),
     }
 }
@@ -431,18 +500,39 @@ pub fn compute_tile_scalar(
     top: &mut [CellHF],
     left: &mut [CellHE],
 ) -> TileOutcome {
+    let cuts = &mut Cuts::none();
+    scalar_tile(
+        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cuts,
+    )
+}
+
+/// [`compute_tile_scalar`] reporting the rows at `cuts`.
+#[allow(clippy::too_many_arguments)]
+fn scalar_tile(
+    a_tile: &[u8],
+    b_tile: &[u8],
+    row_offset: usize,
+    col_offset: usize,
+    scoring: &Scoring,
+    local: bool,
+    watch: Option<Score>,
+    corner: Score,
+    top: &mut [CellHF],
+    left: &mut [CellHE],
+    cuts: &mut Cuts<'_>,
+) -> TileOutcome {
     match (local, watch.is_some()) {
         (false, false) => compute_tile_impl::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
         ),
         (false, true) => compute_tile_impl::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
         ),
         (true, false) => compute_tile_impl::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
         ),
         (true, true) => compute_tile_impl::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
         ),
     }
 }
@@ -453,7 +543,8 @@ pub fn compute_tile_scalar(
 /// i8 eligibility is a strict subset of i16 eligibility — and finally
 /// re-run the whole tile on the scalar `i32` kernel. Whichever striped
 /// rung commits, the `height % lanes` bottom sliver is stitched with the
-/// scalar kernel by [`finish_striped`].
+/// scalar kernel by [`finish_striped`]. A failed rung leaves the buses
+/// and `cuts` untouched.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     a_tile: &[u8],
@@ -467,11 +558,12 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     left: &mut [CellHE],
     cache: &mut ProfileCache,
     allow8: bool,
+    cuts: &mut Cuts<'_>,
 ) -> TileOutcome {
     let attempted8 = allow8 && striped8::eligible(a_tile.len(), b_tile.len(), scoring);
     if attempted8 {
         if let Some(part) = striped8::compute_striped8_columns::<LOCAL, WATCH>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, cuts,
         ) {
             return finish_striped::<LOCAL, WATCH>(
                 part,
@@ -484,41 +576,39 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
                 watch,
                 top,
                 left,
+                cuts,
             );
         }
         // i8 window overflow: buses untouched, escalate to the i16 rung.
     }
-    if striped::eligible(a_tile.len(), b_tile.len(), scoring) {
-        match striped::compute_striped_columns::<LOCAL, WATCH>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
+    let path = if striped::eligible(a_tile.len(), b_tile.len(), scoring) {
+        if let Some(part) = striped::compute_striped_columns::<LOCAL, WATCH>(
+            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, cuts,
         ) {
-            Some(part) => {
-                let path =
-                    if attempted8 { KernelPath::Striped8Fallback16 } else { KernelPath::Striped16 };
-                return finish_striped::<LOCAL, WATCH>(
-                    part, path, a_tile, b_tile, row_offset, col_offset, scoring, watch, top, left,
-                );
-            }
-            None => {
-                // Overflow on every striped rung: buses are untouched,
-                // re-run the whole tile scalar.
-                let mut out = compute_tile_impl::<LOCAL, WATCH>(
-                    a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-                );
-                out.path = KernelPath::StripedFallback;
-                return out;
-            }
+            let path =
+                if attempted8 { KernelPath::Striped8Fallback16 } else { KernelPath::Striped16 };
+            return finish_striped::<LOCAL, WATCH>(
+                part, path, a_tile, b_tile, row_offset, col_offset, scoring, watch, top, left, cuts,
+            );
         }
-    }
-    compute_tile_impl::<LOCAL, WATCH>(
-        a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left,
-    )
+        // Overflow on every striped rung: buses are untouched, re-run
+        // the whole tile scalar.
+        KernelPath::StripedFallback
+    } else {
+        KernelPath::Scalar
+    };
+    let mut out = compute_tile_impl::<LOCAL, WATCH>(
+        a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
+    );
+    out.path = path;
+    out
 }
 
 /// Stitch a committed striped result with its scalar bottom sliver (if
 /// the tile height is not a lane multiple): seed with the original
 /// left-border H at row `rows - 1` and reuse the (already updated)
-/// horizontal bus, exactly like a stitched lower tile.
+/// horizontal bus, exactly like a stitched lower tile. Cuts inside the
+/// sliver are reported by the scalar kernel.
 #[allow(clippy::too_many_arguments)]
 fn finish_striped<const LOCAL: bool, const WATCH: bool>(
     part: StripedColumns,
@@ -531,9 +621,13 @@ fn finish_striped<const LOCAL: bool, const WATCH: bool>(
     watch: Option<Score>,
     top: &mut [CellHF],
     left: &mut [CellHE],
+    cuts: &mut Cuts<'_>,
 ) -> TileOutcome {
     let height = a_tile.len();
     let (corner_out, best, watch_hit) = if part.rows < height {
+        let k = cuts.rows.partition_point(|&c| c < part.rows);
+        let sliver_cuts =
+            &mut Cuts { rows: &cuts.rows[k..], out: &mut cuts.out[k * b_tile.len()..] };
         let rem = compute_tile_impl::<LOCAL, WATCH>(
             &a_tile[part.rows..],
             b_tile,
@@ -544,6 +638,8 @@ fn finish_striped<const LOCAL: bool, const WATCH: bool>(
             part.rem_corner,
             top,
             &mut left[part.rows..],
+            sliver_cuts,
+            part.rows,
         );
         (
             rem.corner_out,
@@ -578,6 +674,9 @@ fn merge_watch(a: Option<(usize, usize)>, b: Option<(usize, usize)>) -> Option<(
     }
 }
 
+/// The scalar recurrence. `first_cut_row` is the cut-relative index of
+/// `a_tile`'s first row (non-zero for a striped tile's bottom sliver):
+/// the bus row is copied out after every row at a cut.
 #[allow(clippy::too_many_arguments)]
 fn compute_tile_impl<const LOCAL: bool, const WATCH: bool>(
     a_tile: &[u8],
@@ -589,6 +688,8 @@ fn compute_tile_impl<const LOCAL: bool, const WATCH: bool>(
     corner: Score,
     top: &mut [CellHF],
     left: &mut [CellHE],
+    cuts: &mut Cuts<'_>,
+    first_cut_row: usize,
 ) -> TileOutcome {
     debug_assert_eq!(top.len(), b_tile.len());
     debug_assert_eq!(left.len(), a_tile.len());
@@ -601,6 +702,8 @@ fn compute_tile_impl<const LOCAL: bool, const WATCH: bool>(
     // Hoist the substitution lookup out of the inner loop: one score row
     // per distinct query symbol, indexed in lockstep with the bus.
     let profile = QueryProfile::build(a_tile, b_tile, scoring);
+    let width = b_tile.len();
+    let mut cut = 0usize;
 
     for (i, &ai) in a_tile.iter().enumerate() {
         let left_cell = left[i];
@@ -634,6 +737,10 @@ fn compute_tile_impl<const LOCAL: bool, const WATCH: bool>(
         }
         prev_left_h = left_cell.h;
         left[i] = CellHE { h: h_left, e };
+        if cuts.rows.get(cut) == Some(&(first_cut_row + i)) {
+            cuts.out[cut * width..(cut + 1) * width].copy_from_slice(top);
+            cut += 1;
+        }
     }
 
     let corner_out = if b_tile.is_empty() {
@@ -1231,6 +1338,7 @@ mod tests {
             &mut top_v,
             &mut left_v,
             &mut cache,
+            &mut Cuts::none(),
         );
         assert!(part.is_none(), "the i8 window is left in column 0");
         assert_eq!(cache.misses(), 1, "no band after the first was streamed");
@@ -1253,6 +1361,121 @@ mod tests {
         let o = compute_tile(&a, &b[..95], 1, 1, &SC, true, None, c, &mut t, &mut l);
         assert_eq!(o.path, KernelPath::Striped8);
         assert_eq!(o.best, Some((95, 95, 95)));
+    }
+
+    /// Run `a` x `b` as one band cut at `cuts` and as one
+    /// `compute_tile_cached` call per block from the same borders. Cut
+    /// rows, both buses, the last block's corner and the band best against
+    /// the per-block merge must be identical. Returns the band's rung.
+    #[allow(clippy::too_many_arguments)]
+    fn band_equals_blocks(
+        a: &[u8],
+        b: &[u8],
+        top_0: &[CellHF],
+        left_0: &[CellHE],
+        corner: Score,
+        local: bool,
+        cuts: &[usize],
+        what: &str,
+    ) -> KernelPath {
+        let w = b.len();
+        let (mut top_b, mut left_b) = (top_0.to_vec(), left_0.to_vec());
+        let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * w];
+        let band = compute_band_cached(
+            a,
+            b,
+            1,
+            1,
+            &SC,
+            local,
+            None,
+            corner,
+            &mut top_b,
+            &mut left_b,
+            &mut ProfileCache::new(),
+            cuts,
+            &mut cut_rows,
+        );
+        let (mut top_r, mut left_r) = (top_0.to_vec(), left_0.to_vec());
+        let mut cache = ProfileCache::new();
+        let (mut best, mut corner_out, mut start) = (None, corner, 0);
+        for (k, end) in cuts.iter().map(|&c| c + 1).chain([a.len()]).enumerate() {
+            let block_corner = if start == 0 { corner } else { left_0[start - 1].h };
+            let out = compute_tile_cached(
+                &a[start..end],
+                b,
+                1 + start,
+                1,
+                &SC,
+                local,
+                None,
+                block_corner,
+                &mut top_r,
+                &mut left_r[start..end],
+                &mut cache,
+            );
+            best = merge_best(best, out.best);
+            corner_out = out.corner_out;
+            if k < cuts.len() {
+                assert_eq!(&cut_rows[k * w..(k + 1) * w], &top_r[..], "{what}: cut row {k}");
+            }
+            start = end;
+        }
+        assert_eq!(top_b, top_r, "{what}: hbus");
+        assert_eq!(left_b, left_r, "{what}: vbus");
+        assert_eq!(band.corner_out, corner_out, "{what}: corner");
+        assert_eq!(band.best, best, "{what}: best");
+        assert_eq!(band.cells, (a.len() * w) as u64, "{what}: cells");
+        band.path
+    }
+
+    /// A single cut at every row of bands 64-300 rows high, in both modes:
+    /// with the test BAND = 32 the cuts land on every lane and segment of
+    /// several internal bands on both striped rungs, and in the scalar
+    /// sliver (100 = 3 * 32 + 4 on i8; 90 = 5 * 16 + 10 on i16).
+    #[test]
+    fn band_cut_rows_match_blocks_at_every_row() {
+        let b = lcg(52, 40);
+        for height in [64usize, 90, 100, 300] {
+            let a = lcg(51 + height as u64, height);
+            for local in [false, true] {
+                let (top, left, corner) = if local {
+                    local_borders(height, b.len())
+                } else {
+                    global_borders(height, b.len(), &SC, GlobalOrigin::forward(ES::Diagonal))
+                };
+                for cut in 0..height - 1 {
+                    let what = format!("{height} rows, cut {cut}, local={local}");
+                    let path =
+                        band_equals_blocks(&a, &b, &top, &left, corner, local, &[cut], &what);
+                    let expect =
+                        if local { KernelPath::Striped8 } else { KernelPath::Striped8Fallback16 };
+                    assert_eq!(path, expect, "{what}");
+                }
+                let many: Vec<usize> = (0..height - 1).step_by(7).collect();
+                let what = format!("{height} rows, cuts every 7 rows, local={local}");
+                band_equals_blocks(&a, &b, &top, &left, corner, local, &many, &what);
+            }
+        }
+    }
+
+    /// Planted borders force whole-band escalation: past the i8 window the
+    /// band commits on i16, past the i16 window on the scalar kernel, and
+    /// either way every cut row is still the per-block one.
+    #[test]
+    fn band_escalation_keeps_cut_rows() {
+        let (a, b) = (lcg(53, 150), lcg(54, 96));
+        for (lift, expect) in
+            [(200, KernelPath::Striped8Fallback16), (100_000, KernelPath::StripedFallback)]
+        {
+            let (mut top, left, corner) = local_borders(a.len(), b.len());
+            top[0].h += lift;
+            for cuts in [vec![63], vec![31, 95, 127], vec![0, 1, 64, 143, 148]] {
+                let what = format!("lift {lift}, cuts {cuts:?}");
+                let path = band_equals_blocks(&a, &b, &top, &left, corner, true, &cuts, &what);
+                assert_eq!(path, expect, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! per-segment `block_reads`/`block_writes` records around the call (the
 //! granularity this detector tracks) describe striped execution exactly;
 //! intra-tile lane state lives in kernel-local arrays no other block can
-//! observe.
+//! observe. A strip runner's *band* (several blocks of one column in one
+//! kernel call) reports its blocks one at a time in row order — each
+//! block's reads, then its writes — exactly the records of one call per
+//! block.
 //!
 //! Violations accumulate in a process-global sink drained by
 //! [`take_report`]; tests that arm faults or assert on the report must

@@ -82,12 +82,23 @@
 //! not force a fallback. Unreachable *`H`* borders (reverse-origin gap
 //! seeds) cannot be tightened — those tiles take the scalar path.
 //!
+//! # Cut rows
+//!
+//! A *band* (several blocks of one block column computed as one tile, see
+//! [`crate::kernel::compute_band_cached`]) also reports the `H`/`F` row at
+//! each inner block boundary. Cut row `r` of the internal band starting at
+//! `base` sits in lane `(r - base) / seg` of segment `(r - base) % seg`,
+//! so after pass 3 of every column the kernel copies that element of
+//! `hstore`/`fcur` into narrow scratch rows (`CutTaps`), and commits them
+//! with the tile's bias alongside the buses. The window checks already
+//! cover those cells, so a committed cut row is exact.
+//!
 //! The kernel covers the leading `height - height % LANES` rows over the
 //! full tile width; the dispatcher finishes the remaining bottom sliver
 //! (at most `LANES - 1` rows) with the scalar kernel, stitched through
 //! the updated horizontal bus exactly like a vertically split tile pair.
 
-use crate::kernel::{CellHE, CellHF};
+use crate::kernel::{CellHE, CellHF, Cuts};
 use crate::striped8::{LANES8, V8};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
@@ -211,13 +222,73 @@ pub(crate) fn first_row_at<T: Copy + PartialEq, const N: usize>(col: &[[T; N]], 
     l * col.len() + col.iter().position(|x| x[l] == v).unwrap_or(0)
 }
 
+/// The cut rows that fall in one internal band: each cut's striped
+/// position `(segment, lane)`, and the narrow-score scratch rows (`width`
+/// cells per cut) its `H` and `F` are copied into column by column.
+pub(crate) struct CutTaps<'a, T> {
+    at: Vec<(usize, usize)>,
+    h: &'a mut [T],
+    f: &'a mut [T],
+}
+
+impl<'a, T: Copy> CutTaps<'a, T> {
+    /// The cuts among `rows` (tile-relative, ascending) that fall in the
+    /// internal band of `seg` segments covering rows `base..base + band_h`,
+    /// over `h`/`f`, the scratch rows of every striped cut of the tile.
+    pub fn new(
+        rows: &[usize],
+        (base, band_h, seg): (usize, usize, usize),
+        width: usize,
+        h: &'a mut [T],
+        f: &'a mut [T],
+    ) -> Self {
+        let k0 = rows.partition_point(|&c| c < base);
+        let k1 = rows.partition_point(|&c| c < base + band_h);
+        let at = rows[k0..k1].iter().map(|&r| ((r - base) % seg, (r - base) / seg)).collect();
+        CutTaps { at, h: &mut h[k0 * width..k1 * width], f: &mut f[k0 * width..k1 * width] }
+    }
+
+    /// True when no cut falls in this internal band.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// Copy column `j`'s finalized `H`/`F` at every cut of the band.
+    #[inline(always)]
+    pub fn tap<const N: usize>(
+        &mut self,
+        j: usize,
+        width: usize,
+        hstore: &[[T; N]],
+        fcur: &[[T; N]],
+    ) {
+        for (k, &(s, l)) in self.at.iter().enumerate() {
+            self.h[k * width + j] = hstore[s][l];
+            self.f[k * width + j] = fcur[s][l];
+        }
+    }
+}
+
+/// Commit the narrow cut rows of a striped tile's first `h.len() / width`
+/// cuts: rebase them to `i32` exactly like the buses.
+pub(crate) fn commit_cut_rows<T: Copy + Into<Score>>(
+    out: &mut [CellHF],
+    h: &[T],
+    f: &[T],
+    bias: Score,
+) {
+    for ((o, &h), &f) in out.iter_mut().zip(h).zip(f) {
+        *o = CellHF { h: bias + h.into(), f: bias + f.into() };
+    }
+}
+
 /// Run the striped kernel over the leading `height - height % LANES` rows.
 ///
-/// On success the affected bus segments are overwritten exactly as the
-/// scalar kernel would have (bit-identical), and the remaining sliver is
-/// the caller's job. On overflow returns `None` with `top`/`left`
-/// untouched, so the caller can re-run the scalar kernel on pristine
-/// borders.
+/// On success the affected bus segments, and the cut rows above row
+/// `rows`, are overwritten exactly as the scalar kernel would have
+/// (bit-identical), and the remaining sliver is the caller's job. On
+/// overflow returns `None` with `top`/`left`/`cuts` untouched, so the
+/// caller can re-run the scalar kernel on pristine borders.
 #[allow(clippy::too_many_arguments)]
 // mirror of the compute_tile signature
 // Indexed `for s in 0..seg` / `for l in 0..LANES` loops over plain slices
@@ -236,6 +307,7 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
+    cuts: &mut Cuts<'_>,
 ) -> Option<StripedColumns> {
     let height = a_tile.len();
     let width = b_tile.len();
@@ -341,12 +413,18 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     let mut gate = zero16 + 1;
     let mut watch_hit: Option<(usize, usize)> = None;
 
+    // Cuts in the striped rows; the scalar sliver reports the rest.
+    let ncut = cuts.rows.partition_point(|&c| c < rows);
+    let mut cut_h = vec![0i16; ncut * width];
+    let mut cut_f = vec![0i16; ncut * width];
+
     let mut band_corner = corner16;
     let mut base = 0usize;
     while base < rows {
         let band_h = (rows - base).min(BAND);
         let seg = band_h / LANES;
         let a_band = &a_tile[base..base + band_h];
+        let mut taps = CutTaps::new(cuts.rows, (base, band_h, seg), width, &mut cut_h, &mut cut_f);
 
         // Striped query profile, from the engine-owned cache:
         // prof[k*seg + s][l] = subst(a_band[l*seg + s], c) for slot[c] == k.
@@ -526,6 +604,7 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
                         }
                     }
                 }
+                taps.tap(j, width, &hstore, &fcur);
                 th[j] = hstore[seg - 1][LANES - 1];
                 tf[j] = fcur[seg - 1][LANES - 1];
                 prev_top = cur_top;
@@ -586,6 +665,7 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     for i in 0..rows {
         left[i] = CellHE { h: bias + lh[i] as Score, e: bias + le[i] as Score };
     }
+    commit_cut_rows(cuts.out, &cut_h, &cut_f, bias);
 
     Some(StripedColumns { rows, best, watch_hit, corner_out: top[width - 1].h, rem_corner })
 }
@@ -633,8 +713,9 @@ impl QueryProfile {
 
 /// Entries the profile cache keeps before evicting least-recently-used
 /// bands. Tile schedules touch at most a handful of distinct query bands
-/// before returning to one (a strip runner sweeps one band row-major; the
-/// serial diagonal engine interleaves the bands of one diagonal), so a small cap
+/// before returning to one (a strip runner sweeps one batch's band across
+/// its columns; the serial diagonal engine interleaves the bands of one
+/// diagonal), so a small cap
 /// bounds memory while still catching every reuse pattern we schedule.
 const CACHE_CAP: usize = 8;
 
@@ -672,8 +753,9 @@ impl CacheEntry {
 ///
 /// Both striped kernels spend `O(distinct_syms * band_rows)` per band
 /// rebuilding the striped substitution profile before streaming columns.
-/// Tiles of the same band row (strip runners walk row-major; stage-2/3
-/// re-runs revisit stage-1 bands) share identical query bands, so the
+/// Tiles of the same band row (strip runners sweep one batch across their
+/// columns; stage-2/3 re-runs revisit stage-1 bands) share identical
+/// query bands, so the
 /// engine owns one of these caches and threads it through
 /// [`crate::kernel::compute_tile_cached`]: a hit skips the rebuild and
 /// reuses the resident rows. Entries hold *both* the i8 and i16 variants,

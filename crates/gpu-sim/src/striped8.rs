@@ -47,8 +47,10 @@
 //! lazily materialized per database symbol), so tiles of the same band
 //! row skip the rebuild entirely.
 
-use crate::kernel::{CellHE, CellHF};
-use crate::striped::{first_row_at, ProfileCache, StripedColumns, BAND, JCHUNK};
+use crate::kernel::{CellHE, CellHF, Cuts};
+use crate::striped::{
+    commit_cut_rows, first_row_at, CutTaps, ProfileCache, StripedColumns, BAND, JCHUNK,
+};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
 
@@ -156,13 +158,17 @@ struct Ctx8 {
 // would be wasted work. Only `th`/`tf` scratch has been written by then;
 // the caller's buses are untouched.
 //
+// `TAPS` compiles the cut-row copies in only for bands with cuts in this
+// internal band: even an empty tap loop cost plain 1024-row i8 tiles
+// ~8 % of their throughput (2-CPU AVX-512 host).
+//
 // Indexed `for s in 0..seg` / `for l in 0..LANES8` loops over plain
 // slices are the shape LLVM reliably turns into packed i8 ops here; the
 // iterator forms clippy prefers have been observed to scalarize the lane
 // loops, so keep the index style.
 #[allow(clippy::needless_range_loop)]
 #[allow(clippy::too_many_arguments)]
-fn band8_columns<const LOCAL: bool, const WATCH: bool>(
+fn band8_columns<const LOCAL: bool, const WATCH: bool, const TAPS: bool>(
     st: &mut Band8,
     cx: &Ctx8,
     slot: &[u16; 256],
@@ -173,6 +179,7 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
     mn: &mut V8,
     best: &mut Option<(Score, usize, usize)>,
     watch_hit: &mut Option<(usize, usize)>,
+    taps: &mut CutTaps<'_, i8>,
 ) -> bool {
     let width = b_tile.len();
     let seg = cx.seg;
@@ -333,6 +340,9 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
                     }
                 }
             }
+            if TAPS {
+                taps.tap(j, width, &st.hstore, &st.fcur);
+            }
             th[j] = st.hstore[seg - 1][LANES8 - 1];
             tf[j] = st.fcur[seg - 1][LANES8 - 1];
             prev_top = cur_top;
@@ -364,11 +374,11 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool>(
 /// `height - height % LANES8` rows.
 ///
 /// Contract is identical to [`crate::striped::compute_striped_columns`]:
-/// on success the bus segments are overwritten bit-identically to the
-/// scalar kernel and the bottom sliver (at most `LANES8 - 1` rows) is the
-/// dispatcher's job; on window overflow returns `None` with `top`/`left`
-/// untouched so the dispatcher can escalate to the i16 rung on pristine
-/// borders.
+/// on success the bus segments and the striped rows' cuts are overwritten
+/// bit-identically to the scalar kernel and the bottom sliver (at most
+/// `LANES8 - 1` rows) is the dispatcher's job; on window overflow returns
+/// `None` with `top`/`left`/`cuts` untouched so the dispatcher can
+/// escalate to the i16 rung on pristine borders.
 #[allow(clippy::too_many_arguments)]
 // mirror of the compute_tile signature
 #[allow(clippy::needless_range_loop)]
@@ -384,6 +394,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
+    cuts: &mut Cuts<'_>,
 ) -> Option<StripedColumns> {
     let height = a_tile.len();
     let width = b_tile.len();
@@ -468,12 +479,18 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
     let mut best: Option<(Score, usize, usize)> = None;
     let mut watch_hit: Option<(usize, usize)> = None;
 
+    // Cuts in the striped rows; the scalar sliver reports the rest.
+    let ncut = cuts.rows.partition_point(|&c| c < rows);
+    let mut cut_h = vec![0i8; ncut * width];
+    let mut cut_f = vec![0i8; ncut * width];
+
     let mut band_corner = corner8;
     let mut base = 0usize;
     while base < rows {
         let band_h = (rows - base).min(BAND);
         let seg = band_h / LANES8;
         let a_band = &a_tile[base..base + band_h];
+        let mut taps = CutTaps::new(cuts.rows, (base, band_h, seg), width, &mut cut_h, &mut cut_f);
 
         // Striped query profile from the engine-owned cache:
         // prof[k*seg + s][l] = subst(a_band[l*seg + s], c) for slot[c] == k.
@@ -501,7 +518,12 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
 
         let cx =
             Ctx8 { seg, base, row_offset, col_offset, bias, ge8, gf8, zero8, watch8, band_corner };
-        let in_window = band8_columns::<LOCAL, WATCH>(
+        let columns = if taps.is_empty() {
+            band8_columns::<LOCAL, WATCH, false>
+        } else {
+            band8_columns::<LOCAL, WATCH, true>
+        };
+        let in_window = columns(
             &mut st,
             &cx,
             slot,
@@ -512,6 +534,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
             &mut mn,
             &mut best,
             &mut watch_hit,
+            &mut taps,
         );
         if !in_window {
             return None;
@@ -539,6 +562,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
     for i in 0..rows {
         left[i] = CellHE { h: bias + lh[i] as Score, e: bias + le[i] as Score };
     }
+    commit_cut_rows(cuts.out, &cut_h, &cut_f, bias);
 
     Some(StripedColumns { rows, best, watch_hit, corner_out: top[width - 1].h, rem_corner })
 }

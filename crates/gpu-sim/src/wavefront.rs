@@ -13,12 +13,14 @@
 //!
 //! * **Column-strip** (parallel runs): each worker *owns* a contiguous
 //!   strip of block-columns for the whole run ([`StripPlan`]), walking it
-//!   row-major so tiles stay hot in one worker's cache. The only
-//!   cross-strip dependence is the vertical bus / corner hand-off along
-//!   the strip boundary, signalled point-to-point by a published-row
-//!   counter per strip — several block rows are batched per publish
-//!   ([`StripPlan::batch_rows`]) to amortize signalling, and there is no
-//!   global barrier anywhere. When a plan has more strips than workers
+//!   one publish batch at a time so tiles stay hot in one worker's cache.
+//!   The only cross-strip dependence is the vertical bus / corner
+//!   hand-off along the strip boundary, signalled point-to-point by a
+//!   published-row counter per strip — several block rows are batched per
+//!   publish ([`StripPlan::batch_rows`]) to amortize signalling, and there
+//!   is no global barrier anywhere. Each block column's share of a batch
+//!   is one kernel call (a *band*, [`kernel::compute_band_cached`]), which
+//!   amortizes the striped rungs' per-column costs over the batch height. When a plan has more strips than workers
 //!   (ragged grids), runners that finish a strip steal the next
 //!   unclaimed one, in ascending column order. The calling thread runs
 //!   strip 0 and *delivers* finished blocks in canonical diagonal order,
@@ -133,8 +135,9 @@ impl WavefrontObserver for NoObserver {
 /// Default number of block rows batched per strip-border publish.
 ///
 /// Larger batches amortize the signalling (one lock + condvar notify per
-/// publish) over more rows; smaller batches let the right neighbour start
-/// sooner. The wavefront pipeline ramps in `batch_rows * strips` diagonals
+/// publish) and the striped kernel's per-column costs (one band per block
+/// column per batch) over more rows; smaller batches let the right
+/// neighbour start sooner. The wavefront pipeline ramps in `batch_rows * strips` diagonals
 /// — negligible against the tall grids stage 1 uses.
 pub const DEFAULT_BATCH_ROWS: usize = 4;
 
@@ -161,6 +164,12 @@ pub const DEFAULT_BATCH_ROWS: usize = 4;
 /// strips run 1.5-1.6x faster. The short region still favours one lane
 /// from 4 k cells on: its right strip waits out [`DEFAULT_BATCH_ROWS`]
 /// of only 3-6 block rows, which a rule on block size does not see.
+///
+/// The table times one block per kernel call on both sides, as stage 2's
+/// watched regions still run. Strip runners now compute unwatched regions
+/// in bands of [`StripPlan::batch_rows`] blocks, and the `smallblock`
+/// cases are unwatched, so in the checked-in `BENCH_kernel.json` two
+/// strips run faster from 64x64 blocks on both regions.
 pub const HANDOFF_BREAK_EVEN_CELLS: usize = 4096;
 
 /// Lanes to give a region: `1` when a full block of `layout` holds fewer
@@ -190,7 +199,9 @@ pub struct StripPlan {
     /// `bounds[s]..bounds[s + 1]`. Monotonically increasing, starting at
     /// 0 and ending at the grid's `block_cols`.
     pub bounds: Vec<usize>,
-    /// Block rows batched per border publish (at least 1).
+    /// Block rows batched per border publish (at least 1). A strip
+    /// runner also computes each block column's share of a batch as one
+    /// kernel call (a band), so this is the band height in blocks.
     pub batch_rows: usize,
 }
 
@@ -967,21 +978,27 @@ pub fn run_plain(job: &RegionJob<'_>) -> RegionResult {
 ///   strips are claimed — stolen — in ascending index order
 ///   (`next_strip` counter), so unclaimed strips always form a suffix of
 ///   the plan and a claimed strip's left neighbour is always claimed.
-/// * A runner walks its strip row-major. Before computing the strip's
-///   *first* column of block row `r` it waits until the left strip's
-///   published-row counter covers `r + 1` — that publish is the only
-///   cross-strip synchronisation (there is no global barrier).
-/// * A runner publishes after every `batch_rows`-th completed block row
-///   (and after its last row), under the coordination mutex; consumers
-///   re-check under the same mutex, so the lock's release/acquire pair is
-///   the happens-before edge that orders the producer's bus writes before
-///   the consumer's reads.
+/// * A runner walks its strip one publish batch (`batch_rows` block rows)
+///   at a time, column by column, computing each column's unrestored rows
+///   of the batch as one *band* — one kernel call that reports the bus
+///   row at every inner block boundary, parked as one result per block.
+///   Watched jobs and blocks shorter than [`kernel::MIN_LADDER_ROWS`] run
+///   one block per call. Before a band on the strip's *first* column it
+///   waits until the left strip's published-row counter covers the band's
+///   end — that publish is the only cross-strip synchronisation (there is
+///   no global barrier).
+/// * A runner publishes after every batch (`batch_rows` rows, or the
+///   last rows), under the coordination mutex; consumers re-check under
+///   the same mutex, so the lock's release/acquire pair is the
+///   happens-before edge that orders the producer's bus writes before the
+///   consumer's reads.
 /// * The calling thread is runner 0 *and* the deliverer: it drains
 ///   finished blocks in canonical diagonal order, applies them to shadow
 ///   ("checkpoint") buses, and invokes the observer — byte-identically to
 ///   the serial engine. Runners may race ahead of delivery only within a
-///   bounded lead window once every strip is claimed, which caps the
-///   memory held by finished-but-undelivered borders.
+///   bounded lead window (checked at a band's last block) once every
+///   strip is claimed, which caps the memory held by
+///   finished-but-undelivered borders.
 ///
 /// # Why the shadow buses
 ///
@@ -1125,36 +1142,72 @@ mod strip {
         }
     }
 
-    /// A runner's position inside its claimed strip.
+    /// A runner's position inside its claimed strip: the publish batch
+    /// starting at block row `r0`, its block column `c`, and the next
+    /// block row `r` of that column to compute.
     struct Cursor {
         s: usize,
         c0: usize,
         c1: usize,
-        r: usize,
+        r0: usize,
         c: usize,
+        r: usize,
+    }
+
+    impl Cursor {
+        /// The start of strip `s`. Runner `i`'s home strip (pre-claimed in
+        /// the engine's `Coord` init) is strip `i`.
+        fn new(sh: &Shared<'_, '_>, s: usize) -> Cursor {
+            let c0 = sh.plan.bounds[s];
+            Cursor { s, c0, c1: sh.plan.bounds[s + 1], r0: 0, c: c0, r: 0 }
+        }
+
+        /// One past the last block row of the current publish batch.
+        fn batch_end(&self, sh: &Shared<'_, '_>) -> usize {
+            (self.r0 + sh.plan.batch_rows).min(sh.layout.block_rows)
+        }
+
+        /// One past the last block row of the band that starts at `r`:
+        /// the rest of column `c`'s share of the batch, or `r + 1` alone
+        /// for a watched job (stage 2 needs each block's own first hit)
+        /// and for a block shorter than `kernel::MIN_LADDER_ROWS` (the
+        /// ladder would commit it scalar as a tile of its own). A band
+        /// stops before such a block, which then runs alone.
+        fn band_end(&self, sh: &Shared<'_, '_>) -> usize {
+            let layout = sh.layout;
+            let (cs, ce) = layout.col_range(self.c);
+            let tall = |k: usize| {
+                let (rs, re) = layout.row_range(k);
+                (re + 1).saturating_sub(rs) >= kernel::MIN_LADDER_ROWS
+            };
+            if sh.job.watch.is_some() || ce < cs || !tall(self.r) {
+                return self.r + 1;
+            }
+            let end = self.batch_end(sh);
+            (self.r + 1..end).find(|&k| !tall(k)).unwrap_or(end)
+        }
+
+        /// Must the band ending before row `end` wait? On the strip's
+        /// first column it consumes the left strip's border, so that
+        /// strip's publish must cover `end` (publishes land on batch ends,
+        /// so this is the per-block rule). Once every strip is claimed,
+        /// the band's last block must also sit inside the lead window.
+        fn blocked(&self, sh: &Shared<'_, '_>, co: &Coord, end: usize) -> bool {
+            let waits_left = self.c == self.c0 && self.s > 0 && co.published[self.s - 1] < end;
+            let leads = co.next_strip >= sh.strips && end - 1 + self.c >= co.front + sh.lead;
+            waits_left || leads
+        }
     }
 
     enum Step {
-        /// Computed one block.
+        /// Computed one band.
         Computed,
-        /// The next block is publish- or lead-blocked.
+        /// The next band is publish- or lead-blocked.
         Blocked,
         /// No strip left to claim.
         Idle,
         /// Cancellation observed.
         Cancelled,
-    }
-
-    /// The strip `runner` owns from launch (pre-claimed in the engine's
-    /// `Coord` init): strip index = runner index.
-    fn home_cursor(sh: &Shared<'_, '_>, runner: usize) -> Cursor {
-        Cursor {
-            s: runner,
-            c0: sh.plan.bounds[runner],
-            c1: sh.plan.bounds[runner + 1],
-            r: 0,
-            c: sh.plan.bounds[runner],
-        }
     }
 
     /// Claim the next unclaimed strip for `runner`, if any. Home strips
@@ -1178,13 +1231,7 @@ mod strip {
         // deliverer.
         sh.cv_work.notify_all();
         sh.cv_done.notify_all();
-        Some(Cursor {
-            s,
-            c0: sh.plan.bounds[s],
-            c1: sh.plan.bounds[s + 1],
-            r: 0,
-            c: sh.plan.bounds[s],
-        })
+        Some(Cursor::new(sh, s))
     }
 
     /// Publish strip `s`'s border progress: rows `0..rows` are complete.
@@ -1214,10 +1261,11 @@ mod strip {
         }
     }
 
-    /// Advance `cur` by at most one computed block (non-blocking).
-    /// `cache` is the calling runner's private profile cache — strips are
-    /// walked row-major (`r` fixed while `c` sweeps the strip), so
-    /// consecutive blocks share a query band and the cache pays off.
+    /// Advance `cur` by at most one computed band (non-blocking).
+    /// `cache` is the calling runner's private profile cache — a strip is
+    /// walked one publish batch at a time, column by column within the
+    /// batch, so consecutive bands share a query band and the cache pays
+    /// off.
     fn step(
         sh: &Shared<'_, '_>,
         runner: usize,
@@ -1235,60 +1283,58 @@ mod strip {
                     None => return Step::Idle,
                 }
             };
-            if cur.r == br {
+            if cur.r0 == br {
                 *cur_slot = None;
                 continue;
             }
+            let batch_end = cur.batch_end(sh);
             if cur.c == cur.c1 {
-                // Row finished: publish at batch boundaries (and at the
-                // last row) so the right neighbour can follow.
-                let done_rows = cur.r + 1;
-                if cur.s + 1 < sh.strips && (done_rows % sh.plan.batch_rows == 0 || done_rows == br)
-                {
-                    publish(sh, runner, cur.s, done_rows);
+                // Batch finished: publish it (batches end on multiples of
+                // `batch_rows` or at the last row) so the right neighbour
+                // can follow.
+                if cur.s + 1 < sh.strips {
+                    publish(sh, runner, cur.s, batch_end);
                 }
-                cur.r += 1;
+                cur.r0 = batch_end;
                 cur.c = cur.c0;
+                cur.r = batch_end;
                 continue;
             }
-            let (r, c) = (cur.r, cur.c);
-            if r + c < sh.first_diagonal {
-                // Restored from a checkpoint: nothing to compute.
+            if cur.r == batch_end {
                 cur.c += 1;
+                cur.r = cur.r0;
                 continue;
             }
+            if cur.r + cur.c < sh.first_diagonal {
+                // Restored from a checkpoint: nothing to compute.
+                cur.r += 1;
+                continue;
+            }
+            let end = cur.band_end(sh);
             {
                 let co = sh.lock();
                 if co.cancel {
                     return Step::Cancelled;
                 }
-                if c == cur.c0 && cur.s > 0 && co.published[cur.s - 1] <= r {
-                    return Step::Blocked;
-                }
-                // The lead window binds only once every strip is claimed:
-                // before that, throttling a runner could leave it unable
-                // to ever finish its strip and claim the one the frontier
-                // is stuck on.
-                if co.next_strip >= sh.strips && r + c >= co.front + sh.lead {
+                if cur.blocked(sh, &co, end) {
                     return Step::Blocked;
                 }
             }
-            let alive = compute_block(sh, runner, r, c, cache);
-            cur.c += 1;
+            let alive = compute_band(sh, runner, cur.r..end, cur.c, cache);
+            cur.r = end;
             return if alive { Step::Computed } else { Step::Cancelled };
         }
     }
 
     /// Park until the blocked condition of `cur` clears; false = cancel.
     fn wait_progress(sh: &Shared<'_, '_>, cur: &Cursor) -> bool {
+        let end = cur.band_end(sh);
         let mut co = sh.lock();
         loop {
             if co.cancel {
                 return false;
             }
-            let publish_ok = !(cur.c == cur.c0 && cur.s > 0 && co.published[cur.s - 1] <= cur.r);
-            let lead_ok = co.next_strip < sh.strips || cur.r + cur.c < co.front + sh.lead;
-            if publish_ok && lead_ok {
+            if !cur.blocked(sh, &co, end) {
                 return true;
             }
             co = sh.cv_work.wait(co).unwrap_or_else(|e| e.into_inner());
@@ -1298,7 +1344,7 @@ mod strip {
     /// Body of one pinned runner (runner indices 1..).
     fn runner_loop(sh: &Shared<'_, '_>, runner: usize) {
         let mut cache = crate::striped::ProfileCache::new();
-        let mut cur: Option<Cursor> = Some(home_cursor(sh, runner));
+        let mut cur: Option<Cursor> = Some(Cursor::new(sh, runner));
         'work: loop {
             match step(sh, runner, &mut cur, &mut cache) {
                 Step::Computed => {}
@@ -1319,50 +1365,42 @@ mod strip {
         co.profile_misses += cache.misses();
     }
 
-    /// Compute block `(r, c)` against the live buses and park the result
-    /// for the deliverer. Returns false when cancellation was observed.
-    fn compute_block(
+    /// Compute the band of block rows `rows` of column `c` as one kernel
+    /// call against the live buses, and park one result per block for the
+    /// deliverer. Returns false when cancellation was observed.
+    fn compute_band(
         sh: &Shared<'_, '_>,
         runner: usize,
-        r: usize,
+        rows: std::ops::Range<usize>,
         c: usize,
         cache: &mut crate::striped::ProfileCache,
     ) -> bool {
         let layout = sh.layout;
         let bc = layout.block_cols;
-        let (rs, re) = layout.row_range(r);
+        let (r0, r_last) = (rows.start, rows.end - 1);
+        let (rs, _) = layout.row_range(r0);
+        let (_, re) = layout.row_range(r_last);
         let (cs, ce) = layout.col_range(c);
         let width = (ce + 1).saturating_sub(cs);
         let height = (re + 1).saturating_sub(rs);
+        // Band-relative last row of every block but the last.
+        let cuts: Vec<usize> =
+            rows.clone().skip(1).map(|k| layout.row_range(k).0 - 1 - rs).collect();
 
         #[cfg(feature = "race-check")]
-        {
-            let d = r + c;
-            // Seeded early-publish fault: model the right neighbour
-            // consuming this block's border one publish early — its reads
-            // replayed before this block has written. Shadow-only; the
-            // real hand-off below is untouched.
-            if let Some((fr, fc)) = crate::exec::fault::early_publish_block() {
-                if fr == r && fc == c && c + 1 < bc {
-                    let (ncs, nce) = layout.col_range(c + 1);
-                    let nw = (nce + 1).saturating_sub(ncs);
-                    sh.race.block_reads(r, c + 1, d + 1, (ncs - 1, nw), (rs - 1, height));
-                }
-            }
-            sh.race.block_reads(r, c, d, (cs - 1, width), (rs - 1, height));
-        }
+        block_reads(sh, r0, c);
 
         // SAFETY: the strip protocol makes these raw views race-free.
         // - hbus `[cs-1, cs-1+width)`: horizontal-bus columns are
         //   partitioned by strip (strips own disjoint block-column
-        //   ranges), and within a strip one runner walks rows
+        //   ranges), and within a strip one runner walks its bands
         //   sequentially, so only this runner ever touches this segment
         //   while it owns the strip; strip hand-offs (steals) happen only
         //   after the previous owner finished the whole strip, ordered by
         //   the coordination mutex in try_claim/publish.
         // - vbus `[rs-1, rs-1+height)`: within a row the segment passes
         //   left-to-right between strips. The left strip stops touching
-        //   row `r`'s cells once it publishes `r + 1`; the right strip
+        //   a batch's cells once it publishes the batch; the right strip
         //   starts only after observing that publish under the same
         //   mutex (step's publish check), whose release/acquire orders
         //   the writes before the reads.
@@ -1378,8 +1416,9 @@ mod strip {
         };
         // SAFETY: corner reads/writes follow the corner ordering argument
         // above; indices are within the `(br+1)*(bc+1)` table.
-        let corner = unsafe { *sh.corners.at(r * (bc + 1) + c) };
-        let out = kernel::compute_tile_cached(
+        let corner = unsafe { *sh.corners.at(r0 * (bc + 1) + c) };
+        let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * width];
+        let out = kernel::compute_band_cached(
             &sh.job.a[rs - 1..re],
             &sh.job.b[cs - 1..ce],
             rs,
@@ -1391,18 +1430,51 @@ mod strip {
             hseg,
             vseg,
             cache,
+            &cuts,
+            &mut cut_rows,
         );
-        // SAFETY: as above — this block is the unique writer of corner
-        // `(r+1, c+1)`.
-        unsafe { *sh.corners.at((r + 1) * (bc + 1) + (c + 1)) = out.corner_out };
 
-        #[cfg(feature = "race-check")]
-        sh.race.block_writes(r, c, r + c, (cs - 1, width), (rs - 1, height), false);
+        // One parked result per block. A band commits all its blocks on
+        // one rung; its best (and watch hit) goes to the block whose rows
+        // hold it, which is enough for the region's result because
+        // `better_endpoint` is a total order.
+        let mut parked = Vec::with_capacity(rows.len());
+        // lint: allow(cancel-coverage): bounded by the batch_rows blocks of a band the kernel already computed
+        for k in rows.clone() {
+            let (brs, bre) = layout.row_range(k);
+            let block_height = (bre + 1).saturating_sub(brs);
+            let holds = |row: usize| (brs..=bre).contains(&row);
+            let (bottom, corner_out) = if k == r_last {
+                (hseg.to_vec(), out.corner_out)
+            } else {
+                let row = &cut_rows[(k - r0) * width..(k - r0 + 1) * width];
+                (row.to_vec(), row[width - 1].h)
+            };
+            let outcome = TileOutcome {
+                corner_out,
+                best: out.best.filter(|&(_, i, _)| holds(i)),
+                watch_hit: out.watch_hit.filter(|&(i, _)| holds(i)),
+                cells: (block_height * width) as u64,
+                path: out.path,
+            };
+            // SAFETY: as above — this block is the unique writer of corner
+            // `(k+1, c+1)`.
+            unsafe { *sh.corners.at((k + 1) * (bc + 1) + (c + 1)) = corner_out };
+            #[cfg(feature = "race-check")]
+            {
+                if k > r0 {
+                    block_reads(sh, k, c);
+                }
+                let v = (brs - 1, block_height);
+                sh.race.block_writes(k, c, k + c, (cs - 1, width), v, false);
+            }
+            let right = vseg[brs - rs..brs - rs + block_height].to_vec();
+            parked.push(((k, c), BlockDone { outcome, bottom, right }));
+        }
 
-        let parked = BlockDone { outcome: out, bottom: hseg.to_vec(), right: vseg.to_vec() };
         let mut co = sh.lock();
-        co.blocks[runner] += 1;
-        co.done.insert((r, c), parked);
+        co.blocks[runner] += parked.len() as u64;
+        co.done.extend(parked);
         let alive = !co.cancel;
         drop(co);
         if let Some(t) = sh.token {
@@ -1410,6 +1482,31 @@ mod strip {
         }
         sh.cv_done.notify_all();
         alive
+    }
+
+    /// Report the bus reads of block `(r, c)` to the race detector, one
+    /// block at a time in row order (a band's later blocks report after
+    /// the call, between their upper neighbour's writes and their own).
+    #[cfg(feature = "race-check")]
+    fn block_reads(sh: &Shared<'_, '_>, r: usize, c: usize) {
+        let layout = sh.layout;
+        let (rs, re) = layout.row_range(r);
+        let (cs, ce) = layout.col_range(c);
+        let width = (ce + 1).saturating_sub(cs);
+        let height = (re + 1).saturating_sub(rs);
+        let d = r + c;
+        // Seeded early-publish fault: model the right neighbour
+        // consuming this block's border one publish early — its reads
+        // replayed before this block has written. Shadow-only; the real
+        // hand-off is untouched.
+        if let Some((fr, fc)) = crate::exec::fault::early_publish_block() {
+            if fr == r && fc == c && c + 1 < layout.block_cols {
+                let (ncs, nce) = layout.col_range(c + 1);
+                let nw = (nce + 1).saturating_sub(ncs);
+                sh.race.block_reads(r, c + 1, d + 1, (ncs - 1, nw), (rs - 1, height));
+            }
+        }
+        sh.race.block_reads(r, c, d, (cs - 1, width), (rs - 1, height));
     }
 
     /// The deliverer's walk through the canonical (serial) block order.
@@ -1561,7 +1658,7 @@ mod strip {
             // runners must still be released before the scope can settle,
             // so catch, cancel, then re-raise.
             let body = catch_unwind(AssertUnwindSafe(|| {
-                let mut cur: Option<Cursor> = Some(home_cursor(sh, 0));
+                let mut cur: Option<Cursor> = Some(Cursor::new(sh, 0));
                 while dc.remaining > 0 {
                     // 0) Cancellation: flush the boundary snapshot so the
                     //    run stays resumable, then tear down (the scope

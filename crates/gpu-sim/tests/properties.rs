@@ -460,3 +460,175 @@ proptest! {
         prop_assert_eq!(resumed.cells, full.cells);
     }
 }
+
+/// Run `a` x `b` as one band cut at `cuts` ([`compute_band_cached`]) and
+/// as one `compute_tile_cached` call per block from the same borders. The
+/// cut rows, both final buses, the last block's corner and the band best
+/// against the per-block merge must be identical. Returns the band's rung.
+///
+/// [`compute_band_cached`]: gpu_sim::kernel::compute_band_cached
+#[allow(clippy::too_many_arguments)]
+fn band_equals_blocks(
+    a: &[u8],
+    b: &[u8],
+    top_0: &[gpu_sim::CellHF],
+    left_0: &[gpu_sim::CellHE],
+    corner: i32,
+    local: bool,
+    cuts: &[usize],
+    what: &str,
+) -> gpu_sim::kernel::KernelPath {
+    use gpu_sim::kernel::{compute_band_cached, compute_tile_cached};
+    use gpu_sim::striped::ProfileCache;
+    use gpu_sim::CellHF;
+    use sw_core::full::better_endpoint;
+    let sc = Scoring::paper();
+    let w = b.len();
+    let (mut top_b, mut left_b) = (top_0.to_vec(), left_0.to_vec());
+    let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * w];
+    let band = compute_band_cached(
+        a,
+        b,
+        1,
+        1,
+        &sc,
+        local,
+        None,
+        corner,
+        &mut top_b,
+        &mut left_b,
+        &mut ProfileCache::new(),
+        cuts,
+        &mut cut_rows,
+    );
+    let (mut top_r, mut left_r) = (top_0.to_vec(), left_0.to_vec());
+    let mut cache = ProfileCache::new();
+    let mut best: Option<(i32, usize, usize)> = None;
+    let (mut corner_out, mut start) = (corner, 0);
+    for (k, end) in cuts.iter().map(|&c| c + 1).chain([a.len()]).enumerate() {
+        let block_corner = if start == 0 { corner } else { left_0[start - 1].h };
+        let out = compute_tile_cached(
+            &a[start..end],
+            b,
+            1 + start,
+            1,
+            &sc,
+            local,
+            None,
+            block_corner,
+            &mut top_r,
+            &mut left_r[start..end],
+            &mut cache,
+        );
+        if let Some(cand) = out.best {
+            if best.is_none_or(|x| better_endpoint(cand, x)) {
+                best = Some(cand);
+            }
+        }
+        corner_out = out.corner_out;
+        if k < cuts.len() {
+            assert_eq!(&cut_rows[k * w..(k + 1) * w], &top_r[..], "{what}: cut row {k}");
+        }
+        start = end;
+    }
+    assert_eq!(top_b, top_r, "{what}: hbus");
+    assert_eq!(left_b, left_r, "{what}: vbus");
+    assert_eq!(band.corner_out, corner_out, "{what}: corner");
+    assert_eq!(band.best, best, "{what}: best");
+    band.path
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A band (several blocks of one block column in one kernel call) is
+    /// bit-identical to its blocks run one call each: heights 64..=300,
+    /// up to five cuts anywhere (lane and segment positions of both
+    /// striped rungs, and the scalar sliver), local and global, and
+    /// planted borders that force i8 -> i16 or i16 -> scalar escalation
+    /// of the whole band.
+    #[test]
+    fn band_cut_rows_equal_per_block_tiles(
+        a in dna_min(300, 301),
+        b in dna_min(32, 120),
+        height in 64usize..301,
+        knobs in proptest::collection::vec(0usize..300, 0..6),
+        local in any::<bool>(),
+        homologous in any::<bool>(),
+        lift in 0usize..3,
+    ) {
+        use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
+        let a = &a[..height];
+        let b: Vec<u8> = if homologous {
+            (0..b.len()).map(|j| if j % 13 == 4 { b[j] } else { a[j % height] }).collect()
+        } else {
+            b
+        };
+        let mut cuts: Vec<usize> = knobs.iter().map(|k| k % (height - 1)).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let (mut top, left, corner) = if local {
+            local_borders(height, b.len())
+        } else {
+            global_borders(height, b.len(), &Scoring::paper(), GlobalOrigin::forward(EdgeState::Diagonal))
+        };
+        top[0].h += [0, 200, 100_000][lift];
+        let what = format!("{height}x{} local={local} lift={lift} cuts={cuts:?}", b.len());
+        let path = band_equals_blocks(a, &b, &top, &left, corner, local, &cuts, &what);
+        if lift == 2 {
+            prop_assert_eq!(path, KernelPath::StripedFallback, "{}", what);
+        } else if !local || lift == 1 {
+            prop_assert_ne!(path, KernelPath::Striped8, "{}", what);
+        }
+    }
+}
+
+/// A single cut at every row of bands at the production constants, in
+/// both modes: heights around the i8 and i16 lane multiples put cuts in
+/// every lane and segment position and in the scalar sliver, and a band
+/// taller than one internal band (BAND = 1024) cuts across it at the
+/// stage-1 block height.
+#[test]
+fn band_cut_rows_match_blocks_at_every_row() {
+    use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
+    let dna = |seed: u64, len: usize| -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                b"ACGT"[(x >> 33) as usize & 3]
+            })
+            .collect()
+    };
+    let sc = Scoring::paper();
+    let b = dna(62, 48);
+    let borders = |local: bool, height: usize| {
+        if local {
+            local_borders(height, b.len())
+        } else {
+            global_borders(height, b.len(), &sc, GlobalOrigin::forward(EdgeState::Diagonal))
+        }
+    };
+    for height in [64usize, 65, 95, 96, 97, 300] {
+        let a = dna(61 + height as u64, height);
+        for local in [false, true] {
+            let (top, left, corner) = borders(local, height);
+            for cut in 0..height - 1 {
+                let what = format!("{height} rows, cut {cut}, local={local}");
+                let path = band_equals_blocks(&a, &b, &top, &left, corner, local, &[cut], &what);
+                let want =
+                    if local { KernelPath::Striped8 } else { KernelPath::Striped8Fallback16 };
+                assert_eq!(path, want, "{what}");
+            }
+        }
+    }
+    // Five 256-row blocks and a 4-row sliver: cuts on both sides of the
+    // internal band boundary at row 1024.
+    let a = dna(63, 1284);
+    for local in [false, true] {
+        let (top, left, corner) = borders(local, a.len());
+        let cuts = [255, 511, 767, 1023, 1279, 1281];
+        let what = format!("1284 rows, cuts {cuts:?}, local={local}");
+        band_equals_blocks(&a, &b, &top, &left, corner, local, &cuts, &what);
+    }
+}

@@ -159,6 +159,69 @@ fn seeded_early_publish_fault_is_caught_and_output_unchanged() {
     );
 }
 
+/// A job whose 64-row blocks take the ladder, so strip runners compute
+/// each publish batch of a block column (4 block rows) as one band: 8
+/// block rows over 4 single-column strips at `workers = 4`.
+fn banded_job<'a>(a: &'a [u8], b: &'a [u8]) -> RegionJob<'a> {
+    RegionJob { grid: GridSpec { blocks: 4, threads: 32, alpha: 2 }, ..job(a, b, 4) }
+}
+
+/// Bands report their blocks to the detector one at a time in row order,
+/// so a clean banded run is clean, and faults armed on a block *inside* a
+/// band — not its first — are still caught: the early publish at its
+/// consumer and the strip hand-off, the reorder at the phantom's reads.
+#[test]
+fn faults_inside_a_band_are_caught() {
+    let _g = isolated();
+    let (a, b) = (dna(131, 512), dna(137, 256));
+    let j = banded_job(&a, &b);
+    let clean = run_plain(&j);
+    assert!(clean.paths.striped_total() > 0, "blocks must take the ladder");
+    let report = race::take_report();
+    assert!(
+        report.is_empty(),
+        "clean banded run reported violations:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+
+    // Block (2,1) is the third block of column 1's first band (rows 0..4).
+    fault::arm_early_publish(2, 1);
+    let faulty = run_plain(&j);
+    fault::disarm();
+    let report = race::take_report();
+    assert_eq!(clean.hbus, faulty.hbus);
+    assert_eq!(clean.vbus, faulty.vbus);
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::WrongProducer && (v.r, v.c, v.diagonal) == (2, 2, 4)),
+        "no WrongProducer at the consumer (2,2)@d4:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::UnorderedRead && v.detail.contains("strip hand-off")),
+        "no strip hand-off UnorderedRead:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+
+    // Block (5,2) is the second block of column 2's second band.
+    fault::arm_reorder_block(5, 2);
+    let faulty = run_plain(&j);
+    fault::disarm();
+    let report = race::take_report();
+    assert_eq!(clean.hbus, faulty.hbus);
+    assert_eq!(clean.vbus, faulty.vbus);
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::WrongProducer && (v.r, v.c, v.diagonal) == (5, 2, 7)),
+        "no WrongProducer at the reordered block (5,2)@d7:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+}
+
 #[test]
 fn second_run_after_fault_is_clean_again() {
     let _g = isolated();

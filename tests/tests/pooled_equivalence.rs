@@ -7,7 +7,10 @@
 //! endpoints, buses and observer event stream (hence the same special
 //! rows) as the single-threaded run.
 
-use gpu_sim::wavefront::{run, run_pooled, run_pooled_with_plan, RegionJob};
+use gpu_sim::kernel::PathCounts;
+use gpu_sim::wavefront::{
+    run, run_pooled, run_pooled_with_plan, run_resumable_pooled, EngineState, RegionJob,
+};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -50,6 +53,12 @@ fn grids() -> impl Strategy<Value = GridSpec> {
         threads,
         alpha,
     })
+}
+
+/// Tiles counted on any rung: a band counts each of its blocks on the
+/// band's rung, so this is the block count whatever the banding.
+fn tiles(p: &PathCounts) -> u64 {
+    p.striped_total() + p.fallback + p.scalar
 }
 
 /// One observer event: block coordinates plus its bottom/right border
@@ -339,9 +348,15 @@ proptest! {
     /// engaged. Sequences here are long and grids coarse, so every full
     /// block clears the ladder's height rule and each strip publishes its
     /// border over several batches; we assert that striped tiles really
-    /// occurred, that the kernel-path counters are deterministic across
-    /// pool widths, and that results are identical between a serial run
-    /// and an 8-lane pool.
+    /// occurred and that results are identical between a serial run and
+    /// 1-, 2- and 8-lane pools.
+    ///
+    /// Kernel paths are compared as totals only against the serial
+    /// engine: a strip runner computes each publish batch of a block
+    /// column as one band, which commits all its blocks on one rung, so
+    /// a block can land on another rung than it does alone (results are
+    /// identical on every rung). The 2- and 8-lane runs cut identical
+    /// bands, so their per-rung counts must match exactly.
     #[test]
     fn pooled_equivalence_holds_with_striped_kernel(
         a in dna_tall(), b in dna_long(), grid in coarse_grids(),
@@ -362,20 +377,135 @@ proptest! {
         // i16 window at these lengths, so nothing should fall back.
         prop_assert_eq!(serial.paths.fallback, 0, "unexpected scalar fallback");
 
-        for lanes in [1usize, 8] {
+        let mut banded_paths = Vec::new();
+        for lanes in [1usize, 2, 8] {
             let pool = WorkerPool::new(lanes);
             let job = RegionJob { workers: lanes, ..serial_job };
             let mut obs = Recorder::default();
             let res = run_pooled(&pool, &job, &mut obs).expect("no worker panic");
             prop_assert_eq!(res.best, serial.best, "best, lanes={}", lanes);
             prop_assert_eq!(res.cells, serial.cells, "cells, lanes={}", lanes);
-            prop_assert_eq!(res.paths, serial.paths, "kernel paths, lanes={}", lanes);
+            prop_assert_eq!(tiles(&res.paths), tiles(&serial.paths), "path total, lanes={}", lanes);
+            if lanes == 1 {
+                prop_assert_eq!(res.paths, serial.paths, "kernel paths, lanes=1");
+            } else {
+                banded_paths.push(res.paths);
+            }
             prop_assert_eq!(&res.hbus, &serial.hbus, "hbus, lanes={}", lanes);
             prop_assert_eq!(&res.vbus, &serial.vbus, "vbus, lanes={}", lanes);
             prop_assert!(
                 obs.events == serial_obs.events,
                 "observer stream diverged with lanes={}", lanes
             );
+        }
+        prop_assert_eq!(banded_paths[0], banded_paths[1], "kernel paths, 2 vs 8 lanes");
+    }
+
+    /// Banding is invisible: a plan with `batch_rows = 1` (one block per
+    /// kernel call) and the default plan (one band per publish batch of a
+    /// block column) give byte-identical observer streams, buses, best and
+    /// cells at 2 and 8 lanes, on grids whose blocks all take the ladder.
+    #[test]
+    fn banded_plan_equals_one_block_per_call(
+        a in dna_tall(), b in dna_long(), grid in coarse_grids(),
+        local in any::<bool>(),
+    ) {
+        let mode = if local { Mode::Local } else { Mode::global(EdgeState::Diagonal) };
+        let bc = grid.layout(a.len(), b.len()).block_cols;
+        for lanes in [2usize, 8] {
+            let pool = WorkerPool::new(lanes);
+            let job = RegionJob {
+                a: &a, b: &b, scoring: Scoring::paper(), mode,
+                grid, workers: lanes, watch: None,
+            };
+            let banded = StripPlan::balanced(bc, lanes);
+            let unbanded = StripPlan { batch_rows: 1, ..banded.clone() };
+            let mut runs = Vec::new();
+            for plan in [&unbanded, &banded] {
+                let mut obs = Recorder::default();
+                let res = run_pooled_with_plan(&pool, &job, &mut obs, plan).expect("no worker panic");
+                runs.push((res, obs));
+            }
+            let ((one, one_obs), (band, band_obs)) = (&runs[0], &runs[1]);
+            prop_assert_eq!(band.best, one.best, "best, lanes={}", lanes);
+            prop_assert_eq!(band.cells, one.cells, "cells, lanes={}", lanes);
+            prop_assert_eq!(tiles(&band.paths), tiles(&one.paths), "path total, lanes={}", lanes);
+            prop_assert_eq!(&band.hbus, &one.hbus, "hbus, lanes={}", lanes);
+            prop_assert_eq!(&band.vbus, &one.vbus, "vbus, lanes={}", lanes);
+            prop_assert!(band_obs.events == one_obs.events, "observer stream, lanes={}", lanes);
+        }
+    }
+}
+
+/// Collects every checkpoint the engine offers, and the block stream.
+#[derive(Default)]
+struct Snapshots {
+    states: Vec<EngineState>,
+    events: Vec<BlockEvent>,
+}
+
+impl gpu_sim::WavefrontObserver for Snapshots {
+    fn on_block(
+        &mut self,
+        block: &BlockCoords,
+        _outcome: &TileOutcome,
+        bottom: &[CellHF],
+        right: &[CellHE],
+    ) -> ControlFlow<()> {
+        self.events.push(((block.r, block.c), bottom.to_vec(), right.to_vec()));
+        ControlFlow::Continue(())
+    }
+
+    fn on_checkpoint(&mut self, state: &EngineState) {
+        self.states.push(state.clone());
+    }
+}
+
+/// A checkpoint whose diagonal splits a band — some blocks of a publish
+/// batch of one block column restored, the rest still to compute — must
+/// resume at w=2 byte-identically to the uninterrupted run: the resumed
+/// runner bands only the unrestored rows. Every diagonal is tried, so the
+/// split falls before, inside and after the block holding a band's best.
+/// Local (with a planted match, so the best is carried across the split)
+/// and global.
+#[test]
+fn resume_inside_a_band_is_byte_identical() {
+    let a = dna_seeded(71, 1600);
+    let mut b = dna_seeded(72, 400);
+    b[100..300].copy_from_slice(&a[900..1100]);
+    // 64-row blocks: 25 block rows over 4 block columns.
+    let grid = GridSpec { blocks: 4, threads: 16, alpha: 4 };
+    let batch = gpu_sim::wavefront::DEFAULT_BATCH_ROWS;
+    for mode in [Mode::Local, Mode::global(EdgeState::Diagonal)] {
+        let job = RegionJob {
+            a: &a,
+            b: &b,
+            scoring: Scoring::paper(),
+            mode,
+            grid,
+            workers: 2,
+            watch: None,
+        };
+        let pool = WorkerPool::new(2);
+        let mut full = Snapshots::default();
+        let uninterrupted =
+            run_resumable_pooled(&pool, &job, &mut full, None, Some(1)).expect("no worker panic");
+        assert!(full.states.iter().any(|s| s.next_diagonal % batch != 0), "no band split");
+        for snap in &full.states {
+            let d = snap.next_diagonal;
+            let mut tail = Snapshots::default();
+            let resumed = run_resumable_pooled(&pool, &job, &mut tail, Some(snap.clone()), None)
+                .expect("no worker panic");
+            let what = format!("{mode:?}, resumed at d{d}");
+            assert_eq!(resumed.best, uninterrupted.best, "best, {what}");
+            assert_eq!(resumed.cells, uninterrupted.cells, "cells, {what}");
+            assert_eq!(resumed.busy_slots, uninterrupted.busy_slots, "busy slots, {what}");
+            assert_eq!(resumed.hbus, uninterrupted.hbus, "hbus, {what}");
+            assert_eq!(resumed.vbus, uninterrupted.vbus, "vbus, {what}");
+            let after: Vec<&BlockEvent> =
+                full.events.iter().filter(|((r, c), _, _)| r + c >= d).collect();
+            assert_eq!(tail.events.len(), after.len(), "resumed block count, {what}");
+            assert!(tail.events.iter().zip(after).all(|(x, y)| x == y), "resumed stream, {what}");
         }
     }
 }
