@@ -29,7 +29,9 @@
 //! # Report schema (version 3)
 //!
 //! Top level: `schema` (integer, currently 3), `host_parallelism`,
-//! `quick`, `entries`. Each entry carries `entry` — the entry point the
+//! `quick`, `wavefront_w2_over_w1` (the `wavefront` sweep's MCUPS at two
+//! workers over one: the host's measured two-thread scaling, banded on
+//! both sides), `entries`. Each entry carries `entry` — the entry point the
 //! case called (`scalar`, `i16`, `ladder`, or `engine` for a wavefront
 //! region) — `path`, the rung the case actually committed on, and
 //! `lanes`, that rung's SIMD width (1 scalar, 16 for `i16`, 32 for
@@ -493,6 +495,12 @@ fn to_json(quick: bool, entries: &[Entry], carried: &[String]) -> String {
     s.push_str(&format!("  \"schema\": {SCHEMA},\n"));
     s.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    let wavefront = |w: usize| {
+        entries.iter().find(|e| e.bench == "wavefront" && e.workers == w).map(|e| e.mcups)
+    };
+    if let (Some(w1), Some(w2)) = (wavefront(1), wavefront(2)) {
+        s.push_str(&format!("  \"wavefront_w2_over_w1\": {:.3},\n", w2 / w1));
+    }
     s.push_str("  \"entries\": [\n");
     let total = entries.len() + carried.len();
     for (i, line) in entries.iter().map(entry_json).chain(carried.iter().cloned()).enumerate() {
@@ -699,11 +707,11 @@ fn main() {
                 .unwrap_or_else(|| panic!("mcups: no wavefront entry for workers={w}"))
         };
         // Compare against the sweep point the host can actually run in
-        // parallel: more workers than CPUs only timeshares them. Note that
-        // w=1 runs the serial diagonal engine (one block per kernel call)
-        // while w>1 runs strip runners that compute each publish batch of
-        // a block column as one band, so this also compares banded with
-        // unbanded kernel calls.
+        // parallel: more workers than CPUs only timeshares them. Both
+        // sides band: w=1 runs the serial banded walk (each publish batch
+        // of a block column is one kernel call, as in a strip runner, with
+        // no hand-offs), so this compares two strips with one thread doing
+        // the same kernel calls.
         let cpus = host_parallelism();
         let wn = cpus.min(4);
         let w1 = wavefront_mcups(1);

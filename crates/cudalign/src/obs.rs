@@ -1209,6 +1209,8 @@ struct TraceState {
     job_done: bool,
     open_stage: Option<u8>,
     last_closed: u8,
+    /// `done` of the open stage span's last `diagonal` record.
+    last_done: Option<f64>,
     check: TraceCheck,
 }
 
@@ -1232,6 +1234,7 @@ pub fn validate_trace(text: &str) -> Result<TraceCheck, TraceError> {
         job_done: false,
         open_stage: None,
         last_closed: 0,
+        last_done: None,
         check: TraceCheck::default(),
     };
     for (lineno, line) in text.lines().enumerate() {
@@ -1373,6 +1376,7 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
                 return Err(format!("stage {stage} begins after stage {} closed", st.last_closed));
             }
             st.open_stage = Some(stage);
+            st.last_done = None;
             st.check.stages_seen[usize::from(stage) - 1] = true;
         }
         "stage_end" => {
@@ -1393,6 +1397,12 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
             if done > total {
                 return Err(format!("diagonal done {done} exceeds total {total}"));
             }
+            // Progress is the completed-diagonal frontier, which never
+            // moves back within one stage span.
+            if let Some(prev) = st.last_done.filter(|&prev| done < prev) {
+                return Err(format!("diagonal done {done} is below the previous {prev}"));
+            }
+            st.last_done = Some(done);
         }
         "strip_progress" => {
             let stage = req_stage(&obj)?;
@@ -1680,6 +1690,22 @@ mod tests {
         assert!(validate_trace("not json").is_err());
         // Empty trace.
         assert!(validate_trace("").unwrap_err().to_string().contains("run_begin"));
+    }
+
+    /// `diagonal` progress is a frontier: it may repeat or jump, but it
+    /// never moves back within one stage span.
+    #[test]
+    fn validator_rejects_diagonal_progress_that_moves_back() {
+        let ok = sample_trace(0);
+        let tick = |done: usize| format!("\"ev\":\"diagonal\",\"stage\":1,\"done\":{done},");
+        assert!(ok.contains(&tick(3)) && ok.contains(&tick(4)));
+        // Repeating a value is allowed.
+        let repeated = ok.replace(&tick(4), &tick(3));
+        validate_trace(&repeated).unwrap();
+        // Moving back is not.
+        let back = ok.replace(&tick(5), &tick(3));
+        let err = validate_trace(&back).unwrap_err().to_string();
+        assert!(err.contains("below the previous 4"), "{err}");
     }
 
     #[test]

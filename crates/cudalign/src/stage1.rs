@@ -71,9 +71,9 @@ struct Stage1Observer<'s, 'o> {
     ckpt_failures: u64,
     /// Total external diagonals in the grid (for progress ticks).
     total_diagonals: usize,
-    /// Last diagonal seen by `on_block` — a change means every earlier
-    /// diagonal is complete (the engine walks diagonals in order).
-    last_diagonal: Option<usize>,
+    /// Last completed-diagonal frontier seen by `on_block` — a change
+    /// means every diagonal below the new frontier is complete.
+    last_frontier: Option<usize>,
     /// Special rows begun in this run whose final segment has not landed
     /// yet (segments arrive over `B` external diagonals — Figure 5).
     inflight: std::collections::BTreeSet<usize>,
@@ -100,12 +100,16 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
         bottom: &[CellHF],
         _right: &[CellHE],
     ) -> ControlFlow<()> {
+        // Every trigger and tick below reads the completed-diagonal
+        // frontier, not `block.diagonal`: in the banded walk the diagonal
+        // is not monotone (in diagonal order the two are equal).
+        //
         // Simulated process kill (fault injection): abort the wavefront at
         // the armed external diagonal. run_resumable turns the aborted
         // result into a typed StageError::Interrupted — the torture tests
         // then resume from the last checkpoint like a restarted process.
         if let Some(k) = storage::fault::stage1_kill() {
-            if block.diagonal >= k {
+            if block.frontier >= k {
                 return ControlFlow::Break(());
             }
         }
@@ -113,23 +117,22 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
         // TOKEN instead of breaking, so the engine takes its unified
         // cancellation path — boundary checkpoint flush included.
         if let Some(k) = self.ctrl.cancel_after_diagonal() {
-            if block.diagonal >= k && !self.ctrl.is_cancelled() {
+            if block.frontier >= k && !self.ctrl.is_cancelled() {
                 self.ctrl.cancel();
             }
         }
-        // Per-external-diagonal progress tick: `on_block` runs on the
-        // caller thread after each diagonal's barrier, so a diagonal
-        // change means every earlier diagonal is complete. `done` is
-        // absolute (a resumed run starts ticking at the resumed diagonal).
-        if self.last_diagonal != Some(block.diagonal) {
-            if self.last_diagonal.is_some() {
+        // Progress tick: a frontier change means every diagonal below the
+        // new frontier is complete. `done` is absolute (a resumed run
+        // starts ticking at the resumed diagonal).
+        if self.last_frontier != Some(block.frontier) {
+            if self.last_frontier.is_some() {
                 self.obs.emit(Event::Diagonal {
                     stage: 1,
-                    done: block.diagonal,
+                    done: block.frontier,
                     total: self.total_diagonals,
                 });
             }
-            self.last_diagonal = Some(block.diagonal);
+            self.last_frontier = Some(block.frontier);
         }
         if !self.is_special_block_row(block) {
             return ControlFlow::Continue(());
@@ -154,6 +157,15 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
             });
         }
         ControlFlow::Continue(())
+    }
+
+    /// Stage 1 reads no delivery order: its best is a total order, a
+    /// special row is written by position and complete once its last
+    /// block column lands (each row's blocks still arrive left to right),
+    /// and its triggers and ticks read the frontier. Checkpointed or
+    /// resumed runs keep diagonal order anyway (the engine requires it).
+    fn needs_diagonal_order(&self) -> bool {
+        false
     }
 
     fn on_strip_event(&mut self, event: &gpu_sim::StripEvent) {
@@ -347,7 +359,7 @@ pub fn run_supervised(
         ckpt_dir: checkpoint.map(|(dir, _)| dir.to_path_buf()),
         ckpt_failures: 0,
         total_diagonals,
-        last_diagonal: None,
+        last_frontier: None,
         inflight: std::collections::BTreeSet::new(),
     };
     let res = wavefront::run_supervised(

@@ -591,7 +591,8 @@ pub mod fault {
     }
 
     /// Arm a simulated kill: Stage 1 aborts with a typed error at the
-    /// first block of external diagonal `>= diagonal`.
+    /// first block whose completed-diagonal frontier is `>= diagonal`
+    /// (in diagonal order, the first block of that diagonal).
     pub fn arm_stage1_kill(diagonal: usize) {
         STAGE1_KILL.store(diagonal as i64, Ordering::SeqCst);
     }

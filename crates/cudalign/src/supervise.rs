@@ -100,9 +100,10 @@ impl RunControl {
         self
     }
 
-    /// Cancel the run once the stage-1 wavefront reaches external
-    /// diagonal `d` (the CLI's `--cancel-after-diag`, and the chaos
-    /// harness's deterministic cancel point).
+    /// Cancel the run once the stage-1 wavefront's completed-diagonal
+    /// frontier reaches external diagonal `d` (the CLI's
+    /// `--cancel-after-diag`, and the chaos harness's deterministic
+    /// cancel point).
     pub fn with_cancel_after_diagonal(mut self, d: usize) -> Self {
         self.cancel_after_diagonal = Some(d);
         self

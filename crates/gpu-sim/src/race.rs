@@ -33,10 +33,12 @@
 //! per-segment `block_reads`/`block_writes` records around the call (the
 //! granularity this detector tracks) describe striped execution exactly;
 //! intra-tile lane state lives in kernel-local arrays no other block can
-//! observe. A strip runner's *band* (several blocks of one column in one
-//! kernel call) reports its blocks one at a time in row order — each
-//! block's reads, then its writes — exactly the records of one call per
-//! block.
+//! observe. A *band* (several blocks of one column in one kernel call,
+//! run by a strip runner or by the serial banded walk) reports its blocks
+//! one at a time in row order — each block's reads, then its writes —
+//! exactly the records of one call per block. The walk's order (a batch
+//! of block rows, column by column) satisfies the same epoch rule: a
+//! block's producers always sit on the diagonal below it.
 //!
 //! Violations accumulate in a process-global sink drained by
 //! [`take_report`]; tests that arm faults or assert on the report must

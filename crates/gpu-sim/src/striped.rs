@@ -713,9 +713,9 @@ impl QueryProfile {
 
 /// Entries the profile cache keeps before evicting least-recently-used
 /// bands. Tile schedules touch at most a handful of distinct query bands
-/// before returning to one (a strip runner sweeps one batch's band across
-/// its columns; the serial diagonal engine interleaves the bands of one
-/// diagonal), so a small cap
+/// before returning to one (a strip runner and the serial banded walk
+/// sweep one batch's band across their columns; the diagonal loop
+/// interleaves the bands of one diagonal), so a small cap
 /// bounds memory while still catching every reuse pattern we schedule.
 const CACHE_CAP: usize = 8;
 

@@ -27,16 +27,27 @@
 //!   so observers see exactly the event stream of the serial engine and
 //!   results are bit-identical to it.
 //!
-//! Either way, every completed block is reported — sequentially, on the
-//! calling thread, in diagonal order — to the caller's
-//! [`WavefrontObserver`], which is how the pipeline flushes special rows
-//! (Stage 1) and runs goal-based matching with early abort (Stages 2-3).
+//! Every completed block is reported, sequentially and on the calling
+//! thread, to the caller's [`WavefrontObserver`], which is how the
+//! pipeline flushes special rows (Stage 1) and runs goal-based matching
+//! with early abort (Stages 2-3). Both schedulers above deliver in
+//! canonical diagonal order. A serial run whose observer does not read
+//! that order ([`WavefrontObserver::needs_diagonal_order`]) takes a third
+//! schedule instead:
+//!
+//! * **Banded walk** (order-free serial runs without a watch, checkpoints
+//!   or resume): walk the grid one publish batch of
+//!   [`DEFAULT_BATCH_ROWS`] block rows at a time, column by column, each
+//!   column's share of the batch one band computed straight into the
+//!   live buses, and deliver each block right after its band. Blocks then
+//!   arrive in walk order; [`BlockCoords::frontier`] tells the observer
+//!   which diagonals are complete.
 
 use crate::ctrl::{CancelToken, StripDiag};
 use crate::exec::{ExecError, WorkerPool};
 use crate::grid::{GridLayout, GridSpec};
 use crate::kernel::{self, CellHE, CellHF, Mode, PathCounts, TileOutcome};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring};
 
@@ -49,6 +60,12 @@ pub struct BlockCoords {
     pub c: usize,
     /// External diagonal (`r + c`).
     pub diagonal: usize,
+    /// Completed-diagonal frontier: every block of every diagonal below
+    /// it was delivered before this one. It never decreases over a run.
+    /// In canonical diagonal order it equals [`BlockCoords::diagonal`];
+    /// in the banded walk, where `diagonal` is not monotone, progress,
+    /// kill and cancel triggers must read this instead.
+    pub frontier: usize,
     /// Inclusive 1-based DP row range `(start, end)` of the block.
     pub rows: (usize, usize),
     /// Inclusive 1-based DP column range `(start, end)` of the block.
@@ -59,8 +76,13 @@ pub struct BlockCoords {
     pub last_block_col: bool,
 }
 
-/// Observer invoked after each completed block (sequentially, in ascending
-/// block-column order within a diagonal).
+/// Observer invoked after each completed block, sequentially on the
+/// calling thread.
+///
+/// Blocks arrive in canonical diagonal order (ascending block column
+/// within a diagonal) unless [`WavefrontObserver::needs_diagonal_order`]
+/// returns `false`. Either way a block arrives after the blocks above it
+/// and to its left.
 pub trait WavefrontObserver {
     /// `bottom` is the block's last row (`H`/`F` per column — the
     /// horizontal-bus segment it just wrote, i.e. the special-row
@@ -85,6 +107,16 @@ pub trait WavefrontObserver {
     /// [`WavefrontObserver::on_block`] deliveries. Serial runs emit none.
     /// Default: ignore.
     fn on_strip_event(&mut self, _event: &StripEvent) {}
+
+    /// Does this observer depend on canonical diagonal order? Return
+    /// `false` only when its results do not depend on the order blocks
+    /// arrive in (beyond each block following its upper and left
+    /// neighbours) and it reads progress from [`BlockCoords::frontier`].
+    /// A serial run without a watch, checkpoints or resume then takes the
+    /// banded walk (see the module docs). Default: `true`.
+    fn needs_diagonal_order(&self) -> bool {
+        true
+    }
 }
 
 /// A protocol event of the column-strip scheduler, surfaced to observers
@@ -130,6 +162,10 @@ impl WavefrontObserver for NoObserver {
     ) -> ControlFlow<()> {
         ControlFlow::Continue(())
     }
+
+    fn needs_diagonal_order(&self) -> bool {
+        false
+    }
 }
 
 /// Default number of block rows batched per strip-border publish.
@@ -165,11 +201,13 @@ pub const DEFAULT_BATCH_ROWS: usize = 4;
 /// from 4 k cells on: its right strip waits out [`DEFAULT_BATCH_ROWS`]
 /// of only 3-6 block rows, which a rule on block size does not see.
 ///
-/// The table times one block per kernel call on both sides, as stage 2's
-/// watched regions still run. Strip runners now compute unwatched regions
-/// in bands of [`StripPlan::batch_rows`] blocks, and the `smallblock`
-/// cases are unwatched, so in the checked-in `BENCH_kernel.json` two
-/// strips run faster from 64x64 blocks on both regions.
+/// The table times one block per kernel call on both sides, in diagonal
+/// order, as stage 2's watched regions still run. The `smallblock` cases
+/// are unwatched, so in the checked-in `BENCH_kernel.json` both sides
+/// band: strip runners in bands of [`StripPlan::batch_rows`] blocks, one
+/// lane in the banded walk. There one lane runs faster at every block
+/// size on the short region, and two strips from 64x64 blocks on the
+/// tall one.
 pub const HANDOFF_BREAK_EVEN_CELLS: usize = 4096;
 
 /// Lanes to give a region: `1` when a full block of `layout` holds fewer
@@ -300,7 +338,10 @@ pub struct RegionResult {
     pub best: Option<(Score, usize, usize)>,
     /// Cells updated (excluding borders).
     pub cells: u64,
-    /// External diagonals executed.
+    /// External diagonals executed. On an aborted banded walk, the
+    /// completed-diagonal frontier ([`BlockCoords::frontier`]) instead:
+    /// the walk starts diagonals out of order, so only the count of
+    /// fully delivered ones means anything.
     pub diagonals_run: usize,
     /// True when an observer aborted the launch.
     pub aborted: bool,
@@ -322,8 +363,8 @@ pub struct RegionResult {
     pub profile_hits: u64,
     /// Query-profile cache lookups that built a fresh band (this run).
     pub profile_misses: u64,
-    /// Strip-scheduler counters; `None` when the serial diagonal engine
-    /// ran.
+    /// Strip-scheduler counters; `None` when a serial schedule (the
+    /// diagonal loop or the banded walk) ran.
     pub strip: Option<StripStats>,
 }
 
@@ -344,16 +385,6 @@ impl RegionResult {
         }
         self.busy_slots as f64 / slots as f64
     }
-}
-
-struct Task<'buf, 'seq> {
-    coords: BlockCoords,
-    a_tile: &'seq [u8],
-    b_tile: &'seq [u8],
-    corner: Score,
-    hseg: &'buf mut [CellHF],
-    vseg: &'buf mut [CellHE],
-    outcome: Option<TileOutcome>,
 }
 
 /// Serializable execution state between two external diagonals — the
@@ -571,10 +602,12 @@ pub fn run(job: &RegionJob<'_>, observer: &mut dyn WavefrontObserver) -> RegionR
 
 /// Run a region on a shared persistent [`WorkerPool`].
 ///
-/// Observationally identical to [`run`] for every pool size: the observer
-/// is notified on the calling thread in canonical diagonal order, so
-/// scheduling cannot change scores, endpoints, buses, or observer event
-/// order.
+/// Observationally identical to [`run`] for every pool size: scores,
+/// endpoints and buses never depend on scheduling, and an observer that
+/// asks for it ([`WavefrontObserver::needs_diagonal_order`], the default)
+/// is notified on the calling thread in canonical diagonal order, so its
+/// event stream is identical too. An order-free observer on a serial run
+/// sees the same blocks and borders in banded-walk order.
 pub fn run_pooled(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
@@ -626,9 +659,10 @@ pub fn run_resumable_pooled(
 
 /// [`run_resumable_pooled`] under a supervision token.
 ///
-/// Both schedulers poll `token` cooperatively: the serial engine between
-/// external diagonals, the strip engine in its delivery loop (which in
-/// turn wakes parked runners through the protocol condvars). A cancelled
+/// Every schedule polls `token` cooperatively: the diagonal loop between
+/// external diagonals, the banded walk between bands, the strip engine in
+/// its delivery loop (which in turn wakes parked runners through the
+/// protocol condvars). A cancelled
 /// launch first emits one final [`WavefrontObserver::on_checkpoint`] with
 /// the state at the last completed diagonal boundary (when checkpointing
 /// is enabled), so cancellation is always resumable, then returns with
@@ -676,7 +710,6 @@ fn run_engine(
 ) -> Result<RegionResult, ExecError> {
     let (m, n) = (job.a.len(), job.b.len());
     let layout = job.grid.layout(m, n);
-    let local = job.mode.is_local();
 
     let (mut hbus, mut vbus, origin_h) = match job.mode {
         Mode::Local => kernel::local_borders(m, n),
@@ -706,18 +739,10 @@ fn run_engine(
         w => w.min(pool.lanes()),
     };
 
-    let mut best: Option<(Score, usize, usize)> = None;
-    let mut cells = 0u64;
-    let mut aborted = false;
-    let mut diagonals_run = 0usize;
+    let mut totals = Totals::default();
     let mut busy_slots = 0u64;
-    let mut paths = kernel::PathCounts::default();
     let mut first_diagonal = 0usize;
-    // Serial execution walks a handful of band rows per diagonal and
-    // revisits them on the next, so one run-wide profile cache catches
-    // the reuse.
-    let mut profile_cache = crate::striped::ProfileCache::new();
-
+    let resumed = resume.is_some();
     if let Some(state) = resume {
         assert_eq!(
             state.fingerprint,
@@ -727,8 +752,8 @@ fn run_engine(
         hbus = state.hbus;
         vbus = state.vbus;
         corners = state.corners;
-        best = state.best;
-        cells = state.cells;
+        totals.best = state.best;
+        totals.cells = state.cells;
         busy_slots = state.busy_slots;
         first_diagonal = state.next_diagonal;
     }
@@ -765,8 +790,8 @@ fn run_engine(
             workers,
             first_diagonal,
             checkpoint_every,
-            init_best: best,
-            init_cells: cells,
+            init_best: totals.best,
+            init_cells: totals.cells,
             init_busy: busy_slots,
             token,
             #[cfg(feature = "race-check")]
@@ -775,192 +800,408 @@ fn run_engine(
         return strip::run(params, observer, hbus, vbus, corners);
     }
 
-    'diagonals: for d in first_diagonal..layout.diagonals() {
-        if token.is_some_and(CancelToken::is_cancelled) {
-            // Flush the boundary state (diagonals < d are complete, d has
-            // not started — a valid resume point) before stopping, so a
-            // cancelled run is always resumable.
-            if checkpoint_every.is_some() {
-                observer.on_checkpoint(&EngineState {
-                    fingerprint: EngineState::fingerprint_of(job),
-                    next_diagonal: d,
-                    hbus: hbus.clone(),
-                    vbus: vbus.clone(),
-                    corners: corners.clone(),
-                    best,
-                    cells,
-                    busy_slots,
-                    schedule: ScheduleInfo::Serial,
-                });
-            }
-            aborted = true;
-            break 'diagonals;
-        }
-        if let Some(every) = checkpoint_every {
-            if d > first_diagonal && (d - first_diagonal).is_multiple_of(every.max(1)) {
-                observer.on_checkpoint(&EngineState {
-                    fingerprint: EngineState::fingerprint_of(job),
-                    next_diagonal: d,
-                    hbus: hbus.clone(),
-                    vbus: vbus.clone(),
-                    corners: corners.clone(),
-                    best,
-                    cells,
-                    busy_slots,
-                    schedule: ScheduleInfo::Serial,
-                });
-            }
-        }
-        let blocks: Vec<(usize, usize)> = layout.diagonal_blocks(d).collect();
-
-        // Seeded reorder fault: perform the target block's bus reads and
-        // writes one diagonal EARLY — before the diagonal boundary that
-        // orders its neighbours' diagonal-d writes. The phantom touches only the
-        // detector's shadow state (engine output is byte-identical); the
-        // detector must flag its reads as wrong-producer.
-        #[cfg(feature = "race-check")]
-        if let Some((pr, pc)) = crate::exec::fault::reorder_block() {
-            if d + 1 == pr + pc && pr < br && pc < bc {
-                let (rs, re) = layout.row_range(pr);
-                let (cs, ce) = layout.col_range(pc);
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-                race_session.block_reads(pr, pc, d + 1, (cs - 1, width), (rs - 1, height));
-                race_session.block_writes(pr, pc, d + 1, (cs - 1, width), (rs - 1, height), true);
-            }
-        }
-
-        // Hand out disjoint bus segments. Blocks arrive in ascending `c`
-        // (descending `r`), so the horizontal bus is split left-to-right
-        // and the vertical bus back-to-front.
-        let mut tasks: Vec<Task<'_, '_>> = Vec::with_capacity(blocks.len());
-        {
-            let mut h_rest: &mut [CellHF] = &mut hbus;
-            let mut h_off = 0usize;
-            let mut v_rest: &mut [CellHE] = &mut vbus;
-
-            for &(r, c) in &blocks {
-                let (rs, re) = layout.row_range(r);
-                let (cs, ce) = layout.col_range(c);
-                // Ranges are inclusive; degenerate regions yield re < rs.
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-
-                // Horizontal segment [cs-1, cs-1+width) in absolute indices;
-                // block columns ascend along the diagonal, so split forward.
-                let skip = (cs - 1) - h_off;
-                let (_, rest) = h_rest.split_at_mut(skip);
-                let (hseg, rest) = rest.split_at_mut(width);
-                h_rest = rest;
-                h_off = cs - 1 + width;
-
-                // Vertical segment [rs-1, rs-1+height): block rows descend
-                // contiguously along the diagonal, so split from the back.
-                let (rest, _tail) = v_rest.split_at_mut(rs - 1 + height);
-                let (rest, vseg) = rest.split_at_mut(rs - 1);
-                v_rest = rest;
-
-                let coords = BlockCoords {
-                    r,
-                    c,
-                    diagonal: d,
-                    rows: (rs, re),
-                    cols: (cs, ce),
-                    last_block_row: r + 1 == br,
-                    last_block_col: c + 1 == bc,
-                };
-                tasks.push(Task {
-                    coords,
-                    a_tile: &job.a[rs - 1..re],
-                    b_tile: &job.b[cs - 1..ce],
-                    corner: corners[r * (bc + 1) + c],
-                    hseg,
-                    vseg,
-                    outcome: None,
-                });
-            }
-        }
-
-        // Execute the diagonal on the calling thread, threading the
-        // run-wide profile cache through.
-        for t in tasks.iter_mut() {
-            #[cfg(feature = "race-check")]
-            race_session.block_reads(
-                t.coords.r,
-                t.coords.c,
-                t.coords.diagonal,
-                (t.coords.cols.0 - 1, t.hseg.len()),
-                (t.coords.rows.0 - 1, t.vseg.len()),
-            );
-            let out = kernel::compute_tile_cached(
-                t.a_tile,
-                t.b_tile,
-                t.coords.rows.0,
-                t.coords.cols.0,
-                &job.scoring,
-                local,
-                job.watch,
-                t.corner,
-                t.hseg,
-                t.vseg,
-                &mut profile_cache,
-            );
-            #[cfg(feature = "race-check")]
-            race_session.block_writes(
-                t.coords.r,
-                t.coords.c,
-                t.coords.diagonal,
-                (t.coords.cols.0 - 1, t.hseg.len()),
-                (t.coords.rows.0 - 1, t.vseg.len()),
-                false,
-            );
-            t.outcome = Some(out);
-        }
-
-        diagonals_run += 1;
-        busy_slots += tasks.len() as u64;
-
-        // Commit results and notify the observer, in block order.
-        for t in tasks.iter_mut() {
-            // lint: allow(no-panics): the loop above ran every task of
-            // this diagonal to completion.
-            let out = t.outcome.expect("task executed");
-            cells += out.cells;
-            paths.count(out.path);
-            if let Some(cand) = out.best {
-                if best.is_none_or(|b| better_endpoint(cand, b)) {
-                    best = Some(cand);
-                }
-            }
-            let (r, c) = (t.coords.r, t.coords.c);
-            corners[(r + 1) * (bc + 1) + (c + 1)] = out.corner_out;
-            if let Some(tok) = token {
-                tok.beat();
-            }
-            if observer.on_block(&t.coords, &out, t.hseg, t.vseg).is_break() {
-                aborted = true;
-                break;
-            }
-        }
-        if aborted {
-            break 'diagonals;
-        }
-    }
-
-    Ok(RegionResult {
-        best,
-        cells,
-        diagonals_run,
-        aborted,
-        busy_slots,
+    let mut serial = Serial {
+        job,
+        layout,
         hbus,
         vbus,
+        corners,
+        totals,
+        busy_slots,
+        // One run-wide profile cache: consecutive bands share query rows.
+        bands: BandState::default(),
+        token,
+        #[cfg(feature = "race-check")]
+        race: &race_session,
+    };
+    // The walk needs nothing the diagonal order provides: no observer
+    // that reads the order, no watch (stage 2 breaks at the first hit in
+    // diagonal order), and no checkpoint or resume (both are diagonal
+    // boundaries).
+    let walk = !resumed
+        && checkpoint_every.is_none()
+        && job.watch.is_none()
+        && !observer.needs_diagonal_order();
+    let (diagonals_run, aborted) = if walk {
+        serial.walk(observer)
+    } else {
+        serial.diagonals(observer, first_diagonal, checkpoint_every)
+    };
+
+    Ok(RegionResult {
+        best: serial.totals.best,
+        cells: serial.totals.cells,
+        diagonals_run,
+        aborted,
+        busy_slots: serial.busy_slots,
+        hbus: serial.hbus,
+        vbus: serial.vbus,
         layout,
-        paths,
-        profile_hits: profile_cache.hits(),
-        profile_misses: profile_cache.misses(),
+        paths: serial.totals.paths,
+        profile_hits: serial.bands.cache.hits(),
+        profile_misses: serial.bands.cache.misses(),
         strip: None,
     })
+}
+
+/// Running totals over delivered blocks.
+#[derive(Default)]
+struct Totals {
+    best: Option<(Score, usize, usize)>,
+    cells: u64,
+    paths: PathCounts,
+}
+
+impl Totals {
+    fn add(&mut self, out: &TileOutcome) {
+        self.cells += out.cells;
+        self.paths.count(out.path);
+        if let Some(cand) = out.best {
+            if self.best.is_none_or(|b| better_endpoint(cand, b)) {
+                self.best = Some(cand);
+            }
+        }
+    }
+}
+
+/// One lane's reusable kernel state for [`compute_band`]: its query-profile
+/// cache, and the cut rows of a band with the bus rows reported at them.
+#[derive(Default)]
+struct BandState {
+    cache: crate::striped::ProfileCache,
+    cuts: Vec<usize>,
+    cut_rows: Vec<CellHF>,
+}
+
+/// Compute block rows `rows` of block column `c` as one kernel call (a
+/// *band*, [`kernel::compute_band_cached`]) against `hseg`, the column's
+/// horizontal-bus segment, and `vseg`, the vertical bus over the band's
+/// rows. Then hand each block to `each`, in row order, with its outcome,
+/// its bottom border (the cut row, or `hseg` for the last block) and its
+/// right border (its share of `vseg`). Stops at the first `Break` and
+/// returns the block row that broke.
+///
+/// A band commits all its blocks on one rung. Its best (and watch hit)
+/// goes to the block whose rows hold it, which is enough for the region's
+/// result because `better_endpoint` is a total order; that block's own
+/// best is the same cell.
+#[allow(clippy::too_many_arguments)]
+fn compute_band(
+    job: &RegionJob<'_>,
+    layout: &GridLayout,
+    rows: Range<usize>,
+    c: usize,
+    corner: Score,
+    hseg: &mut [CellHF],
+    vseg: &mut [CellHE],
+    st: &mut BandState,
+    mut each: impl FnMut(usize, &TileOutcome, &[CellHF], &[CellHE]) -> ControlFlow<()>,
+) -> ControlFlow<usize> {
+    let (r0, r_last) = (rows.start, rows.end - 1);
+    let (rs, _) = layout.row_range(r0);
+    let (_, re) = layout.row_range(r_last);
+    let (cs, ce) = layout.col_range(c);
+    let width = hseg.len();
+    st.cuts.clear();
+    st.cuts.extend((r0 + 1..rows.end).map(|k| layout.row_range(k).0 - 1 - rs));
+    st.cut_rows.clear();
+    st.cut_rows.resize(st.cuts.len() * width, CellHF::UNREACHABLE);
+    let out = kernel::compute_band_cached(
+        &job.a[rs - 1..re],
+        &job.b[cs - 1..ce],
+        rs,
+        cs,
+        &job.scoring,
+        job.mode.is_local(),
+        job.watch,
+        corner,
+        hseg,
+        vseg,
+        &mut st.cache,
+        &st.cuts,
+        &mut st.cut_rows,
+    );
+    for k in rows {
+        let (brs, bre) = layout.row_range(k);
+        let height = (bre + 1).saturating_sub(brs);
+        let holds = |row: usize| (brs..=bre).contains(&row);
+        let (bottom, corner_out) = if k == r_last {
+            (&*hseg, out.corner_out)
+        } else {
+            let row = &st.cut_rows[(k - r0) * width..(k - r0 + 1) * width];
+            (row, row[width - 1].h)
+        };
+        let outcome = TileOutcome {
+            corner_out,
+            best: out.best.filter(|&(_, i, _)| holds(i)),
+            watch_hit: out.watch_hit.filter(|&(i, _)| holds(i)),
+            cells: (height * width) as u64,
+            path: out.path,
+        };
+        if each(k, &outcome, bottom, &vseg[brs - rs..brs - rs + height]).is_break() {
+            return ControlFlow::Break(k);
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// One past the last block row of the band that starts at block row `r`
+/// of column `c`, in a publish batch ending before row `batch_end`: the
+/// rest of the column's share of the batch, or `r + 1` alone for a
+/// watched job (stage 2 needs each block's own first hit) and for a block
+/// shorter than `kernel::MIN_LADDER_ROWS` (the ladder would commit it
+/// scalar as a tile of its own). A band stops before such a block, which
+/// then runs alone.
+fn band_end(layout: &GridLayout, watched: bool, c: usize, r: usize, batch_end: usize) -> usize {
+    let (cs, ce) = layout.col_range(c);
+    let tall = |k: usize| {
+        let (rs, re) = layout.row_range(k);
+        (re + 1).saturating_sub(rs) >= kernel::MIN_LADDER_ROWS
+    };
+    if watched || ce < cs || !tall(r) {
+        return r + 1;
+    }
+    (r + 1..batch_end).find(|&k| !tall(k)).unwrap_or(batch_end)
+}
+
+/// The banded walk's completed-diagonal frontier when block `(r, c)` of
+/// the publish batch `batch` is the next to deliver: the lowest diagonal
+/// that still holds an undelivered block (rows `r..` of column `c`, the
+/// batch's rows right of `c`, every later batch), or `layout.diagonals()`
+/// when none is left.
+fn walk_frontier(layout: &GridLayout, batch: Range<usize>, r: usize, c: usize) -> usize {
+    let mut front = layout.diagonals();
+    if r < batch.end {
+        front = front.min(r + c);
+    }
+    if c + 1 < layout.block_cols {
+        front = front.min(batch.start + c + 1);
+    }
+    if batch.end < layout.block_rows {
+        front = front.min(batch.end);
+    }
+    front
+}
+
+/// The bus segments block `(r, c)` reads and writes, 0-based: `(first
+/// column, width)` of the horizontal bus and `(first row, height)` of the
+/// vertical bus.
+#[cfg(feature = "race-check")]
+fn block_segments(layout: &GridLayout, r: usize, c: usize) -> ((usize, usize), (usize, usize)) {
+    let (rs, re) = layout.row_range(r);
+    let (cs, ce) = layout.col_range(c);
+    ((cs - 1, (ce + 1).saturating_sub(cs)), (rs - 1, (re + 1).saturating_sub(rs)))
+}
+
+/// Report block `(r, c)`'s bus reads to the race detector.
+#[cfg(feature = "race-check")]
+fn race_reads(race: &crate::race::Session, layout: &GridLayout, r: usize, c: usize) {
+    let (h, v) = block_segments(layout, r, c);
+    race.block_reads(r, c, r + c, h, v);
+}
+
+/// Report block `(r, c)`'s bus writes to the race detector; `phantom`
+/// marks the reorder fault's replay.
+#[cfg(feature = "race-check")]
+fn race_writes(
+    race: &crate::race::Session,
+    layout: &GridLayout,
+    r: usize,
+    c: usize,
+    phantom: bool,
+) {
+    let (h, v) = block_segments(layout, r, c);
+    race.block_writes(r, c, r + c, h, v, phantom);
+}
+
+/// The armed reorder fault's block, when it lies inside `layout`'s grid.
+#[cfg(feature = "race-check")]
+fn reorder_fault(layout: &GridLayout) -> Option<(usize, usize)> {
+    crate::exec::fault::reorder_block()
+        .filter(|&(r, c)| r < layout.block_rows && c < layout.block_cols)
+}
+
+/// Replay block `(r, c)`'s bus reads and writes early: the seeded reorder
+/// fault. It touches only the detector's shadow state (engine output is
+/// byte-identical); the detector must flag the reads as wrong-producer.
+#[cfg(feature = "race-check")]
+fn replay_phantom(race: &crate::race::Session, layout: &GridLayout, r: usize, c: usize) {
+    race_reads(race, layout, r, c);
+    race_writes(race, layout, r, c, true);
+}
+
+/// The serial schedules' state: live buses, corners and totals, on the
+/// calling thread.
+struct Serial<'r, 'j> {
+    job: &'r RegionJob<'j>,
+    layout: GridLayout,
+    hbus: Vec<CellHF>,
+    vbus: Vec<CellHE>,
+    corners: Vec<Score>,
+    totals: Totals,
+    busy_slots: u64,
+    bands: BandState,
+    token: Option<&'r CancelToken>,
+    #[cfg(feature = "race-check")]
+    race: &'r crate::race::Session,
+}
+
+impl Serial<'_, '_> {
+    /// The canonical schedule: external diagonals in order, each
+    /// diagonal's blocks in ascending column, one block per band. Polls
+    /// the token and offers checkpoints between diagonals. Returns
+    /// `(diagonals run, aborted)`.
+    fn diagonals(
+        &mut self,
+        observer: &mut dyn WavefrontObserver,
+        first_diagonal: usize,
+        checkpoint_every: Option<usize>,
+    ) -> (usize, bool) {
+        let layout = self.layout;
+        let mut diagonals_run = 0usize;
+        for d in first_diagonal..layout.diagonals() {
+            if self.token.is_some_and(CancelToken::is_cancelled) {
+                // Flush the boundary state (diagonals < d are complete, d
+                // has not started — a valid resume point) before stopping,
+                // so a cancelled run is always resumable.
+                if checkpoint_every.is_some() {
+                    observer.on_checkpoint(&self.snapshot(d));
+                }
+                return (diagonals_run, true);
+            }
+            if let Some(every) = checkpoint_every {
+                if d > first_diagonal && (d - first_diagonal).is_multiple_of(every.max(1)) {
+                    observer.on_checkpoint(&self.snapshot(d));
+                }
+            }
+            // Seeded reorder fault: replay the target block's bus reads
+            // and writes one diagonal EARLY — before the diagonal boundary
+            // that orders its neighbours' diagonal-d writes.
+            #[cfg(feature = "race-check")]
+            if let Some((pr, pc)) = reorder_fault(&layout) {
+                if d + 1 == pr + pc {
+                    replay_phantom(self.race, &layout, pr, pc);
+                }
+            }
+            diagonals_run += 1;
+            self.busy_slots += layout.diagonal_blocks(d).count() as u64;
+            for (r, c) in layout.diagonal_blocks(d) {
+                if self.band(observer, r..r + 1, c, |_| d).is_break() {
+                    return (diagonals_run, true);
+                }
+            }
+        }
+        (diagonals_run, false)
+    }
+
+    /// The banded walk: one publish batch of [`DEFAULT_BATCH_ROWS`] block
+    /// rows at a time, column by column, each column's share of the batch
+    /// one band on the live buses (split by [`band_end`], as a strip
+    /// runner splits it). Polls the token per band. Returns `(diagonals
+    /// run, aborted)`; an abort reports the completed-diagonal frontier.
+    fn walk(&mut self, observer: &mut dyn WavefrontObserver) -> (usize, bool) {
+        let layout = self.layout;
+        // The walk's analogue of running the armed block one diagonal
+        // early: replay it before any block has run.
+        #[cfg(feature = "race-check")]
+        if let Some((pr, pc)) = reorder_fault(&layout) {
+            replay_phantom(self.race, &layout, pr, pc);
+        }
+        let mut r0 = 0;
+        while r0 < layout.block_rows {
+            let batch = r0..(r0 + DEFAULT_BATCH_ROWS).min(layout.block_rows);
+            for c in 0..layout.block_cols {
+                let mut r = r0;
+                while r < batch.end {
+                    if self.token.is_some_and(CancelToken::is_cancelled) {
+                        return (walk_frontier(&layout, batch, r, c), true);
+                    }
+                    // The walk never runs watched jobs.
+                    let end = band_end(&layout, false, c, r, batch.end);
+                    self.busy_slots += (end - r) as u64;
+                    let front = |k: usize| walk_frontier(&layout, batch.clone(), k, c);
+                    if let ControlFlow::Break(k) = self.band(observer, r..end, c, front) {
+                        return (walk_frontier(&layout, batch, k + 1, c), true);
+                    }
+                    r = end;
+                }
+            }
+            r0 = batch.end;
+        }
+        (layout.diagonals(), false)
+    }
+
+    /// Compute block rows `rows` of column `c` as one band on the live
+    /// buses and commit each block: its corner, the totals, the race
+    /// detector's records, a heartbeat, then the observer, which sees
+    /// `frontier(k)` as block row `k`'s frontier. Returns the block row at
+    /// which the observer broke.
+    fn band(
+        &mut self,
+        observer: &mut dyn WavefrontObserver,
+        rows: Range<usize>,
+        c: usize,
+        frontier: impl Fn(usize) -> usize,
+    ) -> ControlFlow<usize> {
+        let layout = self.layout;
+        let (br, bc) = (layout.block_rows, layout.block_cols);
+        let r0 = rows.start;
+        let (rs, _) = layout.row_range(r0);
+        let (_, re) = layout.row_range(rows.end - 1);
+        let cols = layout.col_range(c);
+        let width = (cols.1 + 1).saturating_sub(cols.0);
+        let height = (re + 1).saturating_sub(rs);
+        #[cfg(feature = "race-check")]
+        race_reads(self.race, &layout, r0, c);
+        let corner = self.corners[r0 * (bc + 1) + c];
+        let Serial { job, hbus, vbus, corners, totals, bands, token, .. } = self;
+        #[cfg(feature = "race-check")]
+        let race = self.race;
+        let hseg = &mut hbus[cols.0 - 1..cols.0 - 1 + width];
+        let vseg = &mut vbus[rs - 1..rs - 1 + height];
+        compute_band(job, &layout, rows, c, corner, hseg, vseg, bands, |k, out, bottom, right| {
+            corners[(k + 1) * (bc + 1) + c + 1] = out.corner_out;
+            totals.add(out);
+            #[cfg(feature = "race-check")]
+            {
+                // A band's later blocks report their reads after the call,
+                // between their upper neighbour's writes and their own.
+                if k > r0 {
+                    race_reads(race, &layout, k, c);
+                }
+                race_writes(race, &layout, k, c, false);
+            }
+            if let Some(t) = token {
+                t.beat();
+            }
+            let coords = BlockCoords {
+                r: k,
+                c,
+                diagonal: k + c,
+                frontier: frontier(k),
+                rows: layout.row_range(k),
+                cols,
+                last_block_row: k + 1 == br,
+                last_block_col: c + 1 == bc,
+            };
+            observer.on_block(&coords, out, bottom, right)
+        })
+    }
+
+    /// The state between diagonals `< next_diagonal` and the rest.
+    fn snapshot(&self, next_diagonal: usize) -> EngineState {
+        EngineState {
+            fingerprint: EngineState::fingerprint_of(self.job),
+            next_diagonal,
+            hbus: self.hbus.clone(),
+            vbus: self.vbus.clone(),
+            corners: self.corners.clone(),
+            best: self.totals.best,
+            cells: self.totals.cells,
+            busy_slots: self.busy_slots,
+            schedule: ScheduleInfo::Serial,
+        }
+    }
 }
 
 /// Convenience: run without an observer.
@@ -1109,7 +1350,6 @@ mod strip {
         job: &'a RegionJob<'j>,
         layout: &'a GridLayout,
         plan: &'a StripPlan,
-        local: bool,
         first_diagonal: usize,
         /// Max diagonals a runner may lead the delivery frontier once all
         /// strips are claimed (bounds undelivered-border memory).
@@ -1167,24 +1407,11 @@ mod strip {
             (self.r0 + sh.plan.batch_rows).min(sh.layout.block_rows)
         }
 
-        /// One past the last block row of the band that starts at `r`:
-        /// the rest of column `c`'s share of the batch, or `r + 1` alone
-        /// for a watched job (stage 2 needs each block's own first hit)
-        /// and for a block shorter than `kernel::MIN_LADDER_ROWS` (the
-        /// ladder would commit it scalar as a tile of its own). A band
-        /// stops before such a block, which then runs alone.
+        /// One past the last block row of the band that starts at `r`
+        /// (see [`super::band_end`]).
         fn band_end(&self, sh: &Shared<'_, '_>) -> usize {
-            let layout = sh.layout;
-            let (cs, ce) = layout.col_range(self.c);
-            let tall = |k: usize| {
-                let (rs, re) = layout.row_range(k);
-                (re + 1).saturating_sub(rs) >= kernel::MIN_LADDER_ROWS
-            };
-            if sh.job.watch.is_some() || ce < cs || !tall(self.r) {
-                return self.r + 1;
-            }
-            let end = self.batch_end(sh);
-            (self.r + 1..end).find(|&k| !tall(k)).unwrap_or(end)
+            let watched = sh.job.watch.is_some();
+            super::band_end(sh.layout, watched, self.c, self.r, self.batch_end(sh))
         }
 
         /// Must the band ending before row `end` wait? On the strip's
@@ -1262,15 +1489,15 @@ mod strip {
     }
 
     /// Advance `cur` by at most one computed band (non-blocking).
-    /// `cache` is the calling runner's private profile cache — a strip is
+    /// `bands` is the calling runner's private kernel state — a strip is
     /// walked one publish batch at a time, column by column within the
-    /// batch, so consecutive bands share a query band and the cache pays
-    /// off.
+    /// batch, so consecutive bands share a query band and its profile
+    /// cache pays off.
     fn step(
         sh: &Shared<'_, '_>,
         runner: usize,
         cur_slot: &mut Option<Cursor>,
-        cache: &mut crate::striped::ProfileCache,
+        bands: &mut BandState,
     ) -> Step {
         let br = sh.layout.block_rows;
         loop {
@@ -1320,7 +1547,7 @@ mod strip {
                     return Step::Blocked;
                 }
             }
-            let alive = compute_band(sh, runner, cur.r..end, cur.c, cache);
+            let alive = compute_band(sh, runner, cur.r..end, cur.c, bands);
             cur.r = end;
             return if alive { Step::Computed } else { Step::Cancelled };
         }
@@ -1343,10 +1570,10 @@ mod strip {
 
     /// Body of one pinned runner (runner indices 1..).
     fn runner_loop(sh: &Shared<'_, '_>, runner: usize) {
-        let mut cache = crate::striped::ProfileCache::new();
+        let mut bands = BandState::default();
         let mut cur: Option<Cursor> = Some(Cursor::new(sh, runner));
         'work: loop {
-            match step(sh, runner, &mut cur, &mut cache) {
+            match step(sh, runner, &mut cur, &mut bands) {
                 Step::Computed => {}
                 Step::Blocked => {
                     // `cur` is Some whenever step returns Blocked.
@@ -1361,8 +1588,8 @@ mod strip {
         // Fold this runner's cache traffic into the shared counters on
         // the way out, under the coordination mutex.
         let mut co = sh.lock();
-        co.profile_hits += cache.hits();
-        co.profile_misses += cache.misses();
+        co.profile_hits += bands.cache.hits();
+        co.profile_misses += bands.cache.misses();
     }
 
     /// Compute the band of block rows `rows` of column `c` as one kernel
@@ -1373,19 +1600,16 @@ mod strip {
         runner: usize,
         rows: std::ops::Range<usize>,
         c: usize,
-        cache: &mut crate::striped::ProfileCache,
+        bands: &mut BandState,
     ) -> bool {
         let layout = sh.layout;
         let bc = layout.block_cols;
-        let (r0, r_last) = (rows.start, rows.end - 1);
+        let r0 = rows.start;
         let (rs, _) = layout.row_range(r0);
-        let (_, re) = layout.row_range(r_last);
+        let (_, re) = layout.row_range(rows.end - 1);
         let (cs, ce) = layout.col_range(c);
         let width = (ce + 1).saturating_sub(cs);
         let height = (re + 1).saturating_sub(rs);
-        // Band-relative last row of every block but the last.
-        let cuts: Vec<usize> =
-            rows.clone().skip(1).map(|k| layout.row_range(k).0 - 1 - rs).collect();
 
         #[cfg(feature = "race-check")]
         block_reads(sh, r0, c);
@@ -1417,60 +1641,33 @@ mod strip {
         // SAFETY: corner reads/writes follow the corner ordering argument
         // above; indices are within the `(br+1)*(bc+1)` table.
         let corner = unsafe { *sh.corners.at(r0 * (bc + 1) + c) };
-        let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * width];
-        let out = kernel::compute_band_cached(
-            &sh.job.a[rs - 1..re],
-            &sh.job.b[cs - 1..ce],
-            rs,
-            cs,
-            &sh.job.scoring,
-            sh.local,
-            sh.job.watch,
+        let mut parked = Vec::with_capacity(rows.len());
+        let _ = super::compute_band(
+            sh.job,
+            layout,
+            rows,
+            c,
             corner,
             hseg,
             vseg,
-            cache,
-            &cuts,
-            &mut cut_rows,
-        );
-
-        // One parked result per block. A band commits all its blocks on
-        // one rung; its best (and watch hit) goes to the block whose rows
-        // hold it, which is enough for the region's result because
-        // `better_endpoint` is a total order.
-        let mut parked = Vec::with_capacity(rows.len());
-        // lint: allow(cancel-coverage): bounded by the batch_rows blocks of a band the kernel already computed
-        for k in rows.clone() {
-            let (brs, bre) = layout.row_range(k);
-            let block_height = (bre + 1).saturating_sub(brs);
-            let holds = |row: usize| (brs..=bre).contains(&row);
-            let (bottom, corner_out) = if k == r_last {
-                (hseg.to_vec(), out.corner_out)
-            } else {
-                let row = &cut_rows[(k - r0) * width..(k - r0 + 1) * width];
-                (row.to_vec(), row[width - 1].h)
-            };
-            let outcome = TileOutcome {
-                corner_out,
-                best: out.best.filter(|&(_, i, _)| holds(i)),
-                watch_hit: out.watch_hit.filter(|&(i, _)| holds(i)),
-                cells: (block_height * width) as u64,
-                path: out.path,
-            };
-            // SAFETY: as above — this block is the unique writer of corner
-            // `(k+1, c+1)`.
-            unsafe { *sh.corners.at((k + 1) * (bc + 1) + (c + 1)) = corner_out };
-            #[cfg(feature = "race-check")]
-            {
-                if k > r0 {
-                    block_reads(sh, k, c);
+            bands,
+            |k, outcome, bottom, right| {
+                // SAFETY: as above — this block is the unique writer of
+                // corner `(k+1, c+1)`.
+                unsafe { *sh.corners.at((k + 1) * (bc + 1) + (c + 1)) = outcome.corner_out };
+                #[cfg(feature = "race-check")]
+                {
+                    if k > r0 {
+                        block_reads(sh, k, c);
+                    }
+                    race_writes(sh.race, layout, k, c, false);
                 }
-                let v = (brs - 1, block_height);
-                sh.race.block_writes(k, c, k + c, (cs - 1, width), v, false);
-            }
-            let right = vseg[brs - rs..brs - rs + block_height].to_vec();
-            parked.push(((k, c), BlockDone { outcome, bottom, right }));
-        }
+                let done =
+                    BlockDone { outcome: *outcome, bottom: bottom.to_vec(), right: right.to_vec() };
+                parked.push(((k, c), done));
+                ControlFlow::Continue(())
+            },
+        );
 
         let mut co = sh.lock();
         co.blocks[runner] += parked.len() as u64;
@@ -1490,23 +1687,18 @@ mod strip {
     #[cfg(feature = "race-check")]
     fn block_reads(sh: &Shared<'_, '_>, r: usize, c: usize) {
         let layout = sh.layout;
-        let (rs, re) = layout.row_range(r);
-        let (cs, ce) = layout.col_range(c);
-        let width = (ce + 1).saturating_sub(cs);
-        let height = (re + 1).saturating_sub(rs);
-        let d = r + c;
         // Seeded early-publish fault: model the right neighbour
         // consuming this block's border one publish early — its reads
         // replayed before this block has written. Shadow-only; the real
         // hand-off is untouched.
         if let Some((fr, fc)) = crate::exec::fault::early_publish_block() {
             if fr == r && fc == c && c + 1 < layout.block_cols {
-                let (ncs, nce) = layout.col_range(c + 1);
-                let nw = (nce + 1).saturating_sub(ncs);
-                sh.race.block_reads(r, c + 1, d + 1, (ncs - 1, nw), (rs - 1, height));
+                let (_, (v0, height)) = block_segments(layout, r, c);
+                let (h, _) = block_segments(layout, r, c + 1);
+                sh.race.block_reads(r, c + 1, r + c + 1, h, (v0, height));
             }
         }
-        sh.race.block_reads(r, c, d, (cs - 1, width), (rs - 1, height));
+        race_reads(sh.race, layout, r, c);
     }
 
     /// The deliverer's walk through the canonical (serial) block order.
@@ -1545,16 +1737,11 @@ mod strip {
 
         // Seeded reorder fault (race-check): replay the armed block's bus
         // transactions before any runner has written anything — the strip
-        // analogue of running it one diagonal early. Shadow-only.
+        // analogue of running it one diagonal early.
         #[cfg(feature = "race-check")]
-        if let Some((pr, pc)) = crate::exec::fault::reorder_block() {
-            if pr < br && pc < bc && pr + pc > fd {
-                let (rs, re) = layout.row_range(pr);
-                let (cs, ce) = layout.col_range(pc);
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-                p.race.block_reads(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height));
-                p.race.block_writes(pr, pc, pr + pc, (cs - 1, width), (rs - 1, height), true);
+        if let Some((pr, pc)) = reorder_fault(&layout) {
+            if pr + pc > fd {
+                replay_phantom(p.race, &layout, pr, pc);
             }
         }
 
@@ -1590,7 +1777,6 @@ mod strip {
             job: p.job,
             layout: &layout,
             plan: p.plan,
-            local: p.job.mode.is_local(),
             first_diagonal: fd,
             lead: bc + 8 * p.plan.batch_rows,
             strips,
@@ -1624,15 +1810,15 @@ mod strip {
             race: p.race,
         };
 
-        let mut best = p.init_best;
-        let mut cells = p.init_cells;
+        let mut totals =
+            Totals { best: p.init_best, cells: p.init_cells, paths: PathCounts::default() };
         let mut busy_slots = p.init_busy;
         let mut diagonals_run = 0usize;
-        let mut paths = kernel::PathCounts::default();
         let mut aborted = false;
-        // The calling thread is runner 0; its profile cache lives out
-        // here so its traffic can be folded in after the scope settles.
-        let mut cache0 = crate::striped::ProfileCache::new();
+        // The calling thread is runner 0; its kernel state lives out here
+        // so its profile-cache traffic can be folded in after the scope
+        // settles.
+        let mut bands0 = BandState::default();
 
         let remaining: usize =
             (fd..total_diagonals).map(|d| layout.diagonal_blocks(d).count()).sum();
@@ -1679,11 +1865,9 @@ mod strip {
                         &mut ck_hbus,
                         &mut ck_vbus,
                         &mut ck_corners,
-                        &mut best,
-                        &mut cells,
+                        &mut totals,
                         &mut busy_slots,
                         &mut diagonals_run,
-                        &mut paths,
                         &mut cancel_snap,
                     );
                     if flow.is_break() {
@@ -1699,7 +1883,7 @@ mod strip {
                         break;
                     }
                     // 2) Advance the caller's own strip by one block.
-                    match step(sh, 0, &mut cur, &mut cache0) {
+                    match step(sh, 0, &mut cur, &mut bands0) {
                         Step::Computed => continue,
                         Step::Blocked | Step::Idle | Step::Cancelled => {}
                     }
@@ -1747,8 +1931,8 @@ mod strip {
         // Fold the pooled runners' cache traffic (deposited by each
         // `runner_loop` on exit) with runner 0's own cache, which lives in
         // this frame and was never routed through the coordinator.
-        let profile_hits = co.profile_hits + cache0.hits();
-        let profile_misses = co.profile_misses + cache0.misses();
+        let profile_hits = co.profile_hits + bands0.cache.hits();
+        let profile_misses = co.profile_misses + bands0.cache.misses();
         // Cancelled teardown: park a diagnostic snapshot of the protocol
         // counters in the token, so a stalled run can report where each
         // strip was stuck.
@@ -1765,15 +1949,15 @@ mod strip {
         drop(co);
 
         Ok(RegionResult {
-            best,
-            cells,
+            best: totals.best,
+            cells: totals.cells,
             diagonals_run,
             aborted,
             busy_slots,
             hbus: ck_hbus,
             vbus: ck_vbus,
             layout,
-            paths,
+            paths: totals.paths,
             profile_hits,
             profile_misses,
             strip: Some(stats),
@@ -1792,11 +1976,9 @@ mod strip {
         ck_hbus: &mut [CellHF],
         ck_vbus: &mut [CellHE],
         ck_corners: &mut [Score],
-        best: &mut Option<(Score, usize, usize)>,
-        cells: &mut u64,
+        totals: &mut Totals,
         busy_slots: &mut u64,
         diagonals_run: &mut usize,
-        paths: &mut kernel::PathCounts,
         cancel_snap: &mut Option<EngineState>,
     ) -> ControlFlow<()> {
         let layout = sh.layout;
@@ -1844,8 +2026,8 @@ mod strip {
                             hbus: ck_hbus.to_vec(),
                             vbus: ck_vbus.to_vec(),
                             corners: ck_corners.to_vec(),
-                            best: *best,
-                            cells: *cells,
+                            best: totals.best,
+                            cells: totals.cells,
                             busy_slots: *busy_slots,
                             schedule: ScheduleInfo::Strips {
                                 strips: sh.strips as u32,
@@ -1862,8 +2044,8 @@ mod strip {
                     snap.hbus.copy_from_slice(ck_hbus);
                     snap.vbus.copy_from_slice(ck_vbus);
                     snap.corners.copy_from_slice(ck_corners);
-                    snap.best = *best;
-                    snap.cells = *cells;
+                    snap.best = totals.best;
+                    snap.cells = totals.cells;
                     snap.busy_slots = *busy_slots;
                 }
                 *diagonals_run += 1;
@@ -1876,17 +2058,12 @@ mod strip {
             ck_hbus[cs - 1..cs - 1 + width].copy_from_slice(&done.bottom);
             ck_vbus[rs - 1..rs - 1 + height].copy_from_slice(&done.right);
             ck_corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
-            *cells += done.outcome.cells;
-            paths.count(done.outcome.path);
-            if let Some(cand) = done.outcome.best {
-                if best.is_none_or(|b| better_endpoint(cand, b)) {
-                    *best = Some(cand);
-                }
-            }
+            totals.add(&done.outcome);
             let coords = BlockCoords {
                 r,
                 c,
                 diagonal: dc.d,
+                frontier: dc.d,
                 rows: (rs, re),
                 cols: (cs, ce),
                 last_block_row: r + 1 == br,

@@ -2,9 +2,9 @@
 //!
 //! Three claims, per DESIGN.md "Enforced invariants":
 //!
-//! 1. Clean runs — parallel wavefront, resumed wavefront, multi-device
-//!    pipeline — report *zero* violations: the scope-per-diagonal barrier
-//!    really does order every cross-block bus hand-off.
+//! 1. Clean runs — parallel wavefront, the one-lane banded walk, resumed
+//!    wavefront, multi-device pipeline — report *zero* violations: every
+//!    schedule orders each cross-block bus hand-off.
 //! 2. A seeded scheduling fault ([`exec::fault::arm_reorder_block`]) is
 //!    provably caught: the detector reports `WrongProducer` for the
 //!    reordered block while the engine's *output stays bit-identical*
@@ -70,6 +70,20 @@ fn clean_parallel_run_reports_nothing() {
             report.iter().map(|v| format!("  {v}\n")).collect::<String>()
         );
     }
+    // The w=1 run above (the banded walk, since `run_plain` reads no
+    // order) really reaches the detector: with block (1,1) replayed
+    // early, the walk's own write of that block lands on the phantom's
+    // corner within one barrier interval.
+    fault::arm_reorder_block(1, 1);
+    let _ = run_plain(&job(&a, &b, 1));
+    fault::disarm();
+    let report = race::take_report();
+    assert!(
+        report.iter().any(|v| v.kind == ViolationKind::WriteOverlap
+            && v.detail.contains("PHANTOM (1,1)@d2 and block (1,1)@d2")),
+        "w=1 run never reached the detector:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
 }
 
 #[test]
@@ -218,6 +232,50 @@ fn faults_inside_a_band_are_caught() {
             .iter()
             .any(|v| v.kind == ViolationKind::WrongProducer && (v.r, v.c, v.diagonal) == (5, 2, 7)),
         "no WrongProducer at the reordered block (5,2)@d7:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+}
+
+/// The banded walk on one lane: 64-row blocks, 8 block rows over 4
+/// block columns, each column's share of a publish batch one band. A
+/// clean walk is clean, and the reorder fault armed on a block inside a
+/// band is caught with the output unchanged.
+#[test]
+fn walk_fault_inside_a_band_is_caught() {
+    let _g = isolated();
+    let (a, b) = (dna(139, 512), dna(149, 256));
+    let j = RegionJob { workers: 1, ..banded_job(&a, &b) };
+    let clean = run_plain(&j);
+    assert!(clean.strip.is_none(), "one lane runs no strips");
+    assert!(clean.paths.striped_total() > 0, "blocks must take the ladder");
+    let report = race::take_report();
+    assert!(
+        report.is_empty(),
+        "clean walk reported violations:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+
+    // Block (6,1) is the third block of column 1's second band.
+    fault::arm_reorder_block(6, 1);
+    let faulty = run_plain(&j);
+    fault::disarm();
+    let report = race::take_report();
+    assert_eq!(clean.best, faulty.best);
+    assert_eq!(clean.cells, faulty.cells);
+    assert_eq!(clean.hbus, faulty.hbus);
+    assert_eq!(clean.vbus, faulty.vbus);
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::WrongProducer && (v.r, v.c, v.diagonal) == (6, 1, 7)),
+        "no WrongProducer at the reordered block (6,1)@d7:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+    // The band's own record of the block reached the detector too.
+    assert!(
+        report.iter().any(|v| v.kind == ViolationKind::WriteOverlap
+            && v.detail.contains("PHANTOM (6,1)@d7 and block (6,1)@d7")),
+        "the walk's write of (6,1) never reached the detector:\n{}",
         report.iter().map(|v| format!("  {v}\n")).collect::<String>()
     );
 }

@@ -509,3 +509,224 @@ fn resume_inside_a_band_is_byte_identical() {
         }
     }
 }
+
+/// One delivered block: coordinates, outcome and borders.
+type Delivered = (BlockCoords, TileOutcome, Vec<CellHF>, Vec<CellHE>);
+
+/// Records every delivered block in delivery order. `ordered` is its
+/// answer to `needs_diagonal_order`: `false` lets a serial run take the
+/// banded walk. It breaks the launch once `stop_after` blocks arrived.
+struct BlockLog {
+    ordered: bool,
+    stop_after: usize,
+    blocks: Vec<Delivered>,
+}
+
+impl BlockLog {
+    fn new(ordered: bool, stop_after: usize) -> BlockLog {
+        BlockLog { ordered, stop_after, blocks: Vec::new() }
+    }
+
+    fn order(&self) -> Vec<(usize, usize)> {
+        self.blocks.iter().map(|(b, ..)| (b.r, b.c)).collect()
+    }
+}
+
+impl gpu_sim::WavefrontObserver for BlockLog {
+    fn on_block(
+        &mut self,
+        block: &BlockCoords,
+        outcome: &TileOutcome,
+        bottom: &[CellHF],
+        right: &[CellHE],
+    ) -> ControlFlow<()> {
+        self.blocks.push((*block, *outcome, bottom.to_vec(), right.to_vec()));
+        if self.blocks.len() == self.stop_after {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn needs_diagonal_order(&self) -> bool {
+        self.ordered
+    }
+}
+
+/// The banded walk's delivery order: publish batches of
+/// `DEFAULT_BATCH_ROWS` block rows, column by column within a batch, rows
+/// ascending within a column. A band that crossed a batch end would
+/// deliver a later batch's rows before the next column of this one.
+fn walk_order(block_rows: usize, block_cols: usize) -> Vec<(usize, usize)> {
+    let batch = gpu_sim::wavefront::DEFAULT_BATCH_ROWS;
+    let mut order = Vec::with_capacity(block_rows * block_cols);
+    for r0 in (0..block_rows).step_by(batch) {
+        for c in 0..block_cols {
+            order.extend((r0..(r0 + batch).min(block_rows)).map(|r| (r, c)));
+        }
+    }
+    order
+}
+
+/// Lowest diagonal holding a block of `all` not in `seen`, or `none`.
+fn lowest_open_diagonal(
+    all: &[(usize, usize)],
+    seen: &std::collections::HashSet<(usize, usize)>,
+    none: usize,
+) -> usize {
+    all.iter().filter(|rc| !seen.contains(rc)).map(|&(r, c)| r + c).min().unwrap_or(none)
+}
+
+/// The delivery contract of any schedule: every block arrives after its
+/// upper and left neighbours; the frontier never decreases, and when a
+/// block arrives every block of every diagonal below its frontier has
+/// arrived before it.
+fn check_delivery(
+    blocks: &[Delivered],
+    layout: &gpu_sim::grid::GridLayout,
+) -> Result<(), TestCaseError> {
+    let all = walk_order(layout.block_rows, layout.block_cols);
+    let mut seen = std::collections::HashSet::new();
+    let mut last_front = 0;
+    for (b, ..) in blocks {
+        let (r, c) = (b.r, b.c);
+        prop_assert!(r == 0 || seen.contains(&(r - 1, c)), "({},{}) before its upper block", r, c);
+        prop_assert!(c == 0 || seen.contains(&(r, c - 1)), "({},{}) before its left block", r, c);
+        prop_assert!(b.frontier >= last_front, "frontier fell to {} at ({},{})", b.frontier, r, c);
+        let open = lowest_open_diagonal(&all, &seen, layout.diagonals());
+        prop_assert!(
+            b.frontier <= open,
+            "frontier {} at ({},{}) passes undelivered diagonal {}",
+            b.frontier,
+            r,
+            c,
+            open
+        );
+        last_front = b.frontier;
+        prop_assert!(seen.insert((r, c)), "({},{}) delivered twice", r, c);
+    }
+    Ok(())
+}
+
+/// `(threads, alpha)` of the walk property's grids: 16- and 32-row
+/// blocks, which run alone on the scalar kernel, and 64- to 120-row
+/// blocks, which band.
+const WALK_BLOCKS: [(usize, usize); 6] = [(8, 2), (8, 4), (16, 4), (12, 6), (16, 6), (12, 10)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The banded walk (an order-free observer on one lane) against the
+    /// diagonal loop (an ordered observer on the same job), local and
+    /// global, on grids of short and tall blocks whose last block row is
+    /// often shorter and whose block-row count is often not a multiple of
+    /// the batch. Each block's record matches, the buses and totals match,
+    /// the walk delivers in walk order under the frontier contract, and an
+    /// abort at any block reports the frontier as `diagonals_run`.
+    #[test]
+    fn banded_walk_equals_diagonal_order(
+        seed in any::<u64>(),
+        shape in 0usize..6,
+        full_rows in 1usize..14,
+        tail in 0usize..120,
+        width in 40usize..400,
+        blocks in 1usize..5,
+        local in any::<bool>(),
+        stop_knob in any::<u64>(),
+    ) {
+        let (threads, alpha) = WALK_BLOCKS[shape];
+        let a = dna_seeded(seed, threads * alpha * full_rows + tail % (threads * alpha));
+        let b = dna_seeded(seed.rotate_left(29) ^ 0x5A, width);
+        let mode = if local { Mode::Local } else { Mode::global(EdgeState::Diagonal) };
+        let job = RegionJob {
+            a: &a, b: &b, scoring: Scoring::paper(), mode,
+            grid: GridSpec { blocks, threads, alpha }, workers: 1, watch: None,
+        };
+        let mut walk = BlockLog::new(false, 0);
+        let walked = run(&job, &mut walk);
+        let mut canon = BlockLog::new(true, 0);
+        let canonical = run(&job, &mut canon);
+        let layout = canonical.layout;
+
+        prop_assert!(!walked.aborted && !canonical.aborted);
+        prop_assert_eq!(walked.best, canonical.best, "best");
+        prop_assert_eq!(walked.cells, canonical.cells, "cells");
+        prop_assert_eq!(walked.diagonals_run, canonical.diagonals_run, "diagonals_run");
+        prop_assert_eq!(walked.busy_slots, canonical.busy_slots, "busy_slots");
+        prop_assert_eq!(tiles(&walked.paths), tiles(&canonical.paths), "path total");
+        prop_assert_eq!(&walked.hbus, &canonical.hbus, "hbus");
+        prop_assert_eq!(&walked.vbus, &canonical.vbus, "vbus");
+
+        let order = walk_order(layout.block_rows, layout.block_cols);
+        prop_assert_eq!(walk.order(), order.clone(), "walk order");
+        check_delivery(&walk.blocks, &layout)?;
+        check_delivery(&canon.blocks, &layout)?;
+        for (bc, ..) in &canon.blocks {
+            prop_assert_eq!(bc.frontier, bc.diagonal, "diagonal order's frontier");
+        }
+
+        let by_block: std::collections::HashMap<(usize, usize), &Delivered> =
+            canon.blocks.iter().map(|d| ((d.0.r, d.0.c), d)).collect();
+        for (coords, out, bottom, right) in &walk.blocks {
+            let (c2, o2, bottom2, right2) = by_block[&(coords.r, coords.c)];
+            let at = (coords.r, coords.c);
+            prop_assert_eq!(BlockCoords { frontier: c2.frontier, ..*coords }, *c2, "coords {:?}", at);
+            prop_assert_eq!(out.corner_out, o2.corner_out, "corner {:?}", at);
+            prop_assert_eq!(out.cells, o2.cells, "cells {:?}", at);
+            prop_assert_eq!(out.watch_hit, o2.watch_hit, "watch hit {:?}", at);
+            // A band reports its best on the block that holds it, where it
+            // is that block's own best too.
+            if out.best.is_some() {
+                prop_assert_eq!(out.best, o2.best, "best {:?}", at);
+            }
+            prop_assert!(bottom == bottom2, "bottom {:?}", at);
+            prop_assert!(right == right2, "right {:?}", at);
+        }
+
+        // Abort at any block: the walk stops there and reports the lowest
+        // diagonal that still holds an undelivered block.
+        let stop = 1 + (stop_knob % order.len() as u64) as usize;
+        let mut cut = BlockLog::new(false, stop);
+        let aborted = run(&job, &mut cut);
+        prop_assert!(aborted.aborted, "abort at block {}", stop);
+        prop_assert_eq!(cut.order(), order[..stop].to_vec(), "aborted stream");
+        let seen = order[..stop].iter().copied().collect();
+        let front = lowest_open_diagonal(&order, &seen, layout.diagonals());
+        prop_assert_eq!(aborted.diagonals_run, front, "diagonals_run at abort {}", stop);
+    }
+}
+
+/// An observer abort in the middle of a publish batch: 10 block rows of
+/// 64 over 3 block columns, stopped at block (5, 1), the second block of
+/// the second batch's band in column 1. The run reports the abort and the
+/// frontier (diagonal 6: block (4, 2) is the lowest undelivered), and
+/// every block it delivered matches the uninterrupted walk.
+#[test]
+fn walk_abort_mid_batch_reports_the_frontier() {
+    let a = dna_seeded(91, 640);
+    let b = dna_seeded(92, 300);
+    for mode in [Mode::Local, Mode::global(EdgeState::Diagonal)] {
+        let job = RegionJob {
+            a: &a,
+            b: &b,
+            scoring: Scoring::paper(),
+            mode,
+            grid: GridSpec { blocks: 3, threads: 16, alpha: 4 },
+            workers: 1,
+            watch: None,
+        };
+        let mut full = BlockLog::new(false, 0);
+        let _ = run(&job, &mut full);
+        let order = walk_order(10, 3);
+        let stop = order.iter().position(|&rc| rc == (5, 1)).expect("block (5, 1)") + 1;
+        let mut cut = BlockLog::new(false, stop);
+        let res = run(&job, &mut cut);
+        assert!(res.aborted, "{mode:?}");
+        assert_eq!(res.diagonals_run, 6, "{mode:?}");
+        assert_eq!(cut.blocks.len(), stop, "{mode:?}");
+        for (x, y) in cut.blocks.iter().zip(&full.blocks) {
+            assert_eq!(x.0, y.0, "{mode:?}");
+            assert!(x.2 == y.2 && x.3 == y.3, "borders of ({}, {}), {mode:?}", x.0.r, x.0.c);
+        }
+    }
+}

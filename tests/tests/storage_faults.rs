@@ -350,3 +350,41 @@ fn injected_write_and_read_faults_degrade_never_wrong() {
         );
     }
 }
+
+/// Without checkpoints a one-lane stage 1 takes the banded walk, which
+/// delivers blocks out of diagonal order (64-row blocks: 16 block rows
+/// over 3 block columns). The kill hook and the cancel-after-diagonal
+/// trigger read the completed-diagonal frontier, so each still stops the
+/// run with a typed interruption at or after its diagonal, and no result.
+#[test]
+fn walk_interrupts_on_the_frontier() {
+    let _guard = fault::test_guard();
+    let _disarm = Disarm;
+    let (a, b) = edited_pair(53, 1000, 11);
+    let mut cfg = PipelineConfig::for_tests();
+    cfg.workers = 1;
+    cfg.grid1 = gpu_sim::GridSpec { blocks: 3, threads: 16, alpha: 4 };
+    let total = cfg.grid1.layout(a.len(), b.len()).diagonals();
+    for k in [1usize, 5, 9, 12] {
+        fault::arm_stage1_kill(k);
+        let err = Pipeline::new(cfg.clone()).align(&a, &b).expect_err("armed kill must interrupt");
+        fault::disarm_all();
+        match err {
+            PipelineError::Interrupted { diagonal } => {
+                assert!((k..=total).contains(&diagonal), "kill at {k} reported {diagonal}");
+            }
+            other => panic!("kill at {k}: expected Interrupted, got {other}"),
+        }
+
+        let ctrl = RunControl::unlimited().with_cancel_after_diagonal(k);
+        let err = Pipeline::new(cfg.clone())
+            .align_supervised(&a, &b, &mut Obs::new(), &ctrl)
+            .expect_err("cancelled run must not return a result");
+        match err {
+            PipelineError::Cancelled { diagonal } => {
+                assert!((k..=total).contains(&diagonal), "cancel at {k} reported {diagonal}");
+            }
+            other => panic!("cancel at {k}: expected Cancelled, got {other}"),
+        }
+    }
+}

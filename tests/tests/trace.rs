@@ -126,6 +126,35 @@ fn immediately_cancelled_run_traces_run_begin_plus_interrupt() {
     assert_eq!(rec.get("ev").and_then(|v| v.str_val()), Some("run_begin"));
 }
 
+/// A one-lane run without checkpoints on 64-row stage-1 blocks takes the
+/// banded walk, which delivers blocks out of diagonal order (16 block
+/// rows over 3 block columns). Its stage-1 progress ticks read the
+/// completed-diagonal frontier: they never move back, they end at the
+/// grid's diagonal count, and the trace validates.
+#[test]
+fn walk_progress_ticks_are_monotone_and_complete() {
+    let (a, b) = edited_pair(74, 1000, 13);
+    let mut cfg = PipelineConfig::for_tests();
+    cfg.workers = 1;
+    cfg.grid1 = gpu_sim::GridSpec { blocks: 3, threads: 16, alpha: 4 };
+    let total = cfg.grid1.layout(a.len(), b.len()).diagonals();
+    let (text, res) = traced_run(cfg, &a, &b);
+    assert!(res.best_score > 0, "pair must align");
+    validate_trace(&text).expect("schema-valid trace");
+    let ticks: Vec<f64> = text
+        .lines()
+        .map(|l| cudalign::obs::parse_json(l).expect("record parses"))
+        .filter(|r| {
+            r.get("ev").and_then(|v| v.str_val()) == Some("diagonal")
+                && r.get("stage").and_then(|v| v.num()) == Some(1.0)
+        })
+        .map(|r| r.get("done").and_then(|v| v.num()).expect("done"))
+        .collect();
+    assert!(ticks.len() > 1, "stage 1 must tick: {ticks:?}");
+    assert!(ticks.windows(2).all(|w| w[0] <= w[1]), "ticks move back: {ticks:?}");
+    assert_eq!(ticks.last().copied(), Some(total as f64), "ticks: {ticks:?}");
+}
+
 /// CI hook: when `CUDALIGN_TRACE_FILE` points at a trace written by the
 /// CLI (`align --trace`), validate it against the same schema checker.
 /// Skipped (trivially passing) when the variable is unset.
