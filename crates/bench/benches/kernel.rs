@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::kernel::{compute_tile, compute_tile_scalar, global_borders, GlobalOrigin};
-use gpu_sim::wavefront::{run_plain, run_pooled, NoObserver, RegionJob};
+use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob};
 use gpu_sim::{GridSpec, Mode, WorkerPool};
 use sw_core::linear::RowDp;
 use sw_core::scoring::Scoring;
@@ -121,7 +121,8 @@ fn bench_wavefront(c: &mut Criterion) {
                 workers: w,
                 watch: None,
             };
-            bench.iter(|| run_plain(&job).best)
+            let pool = WorkerPool::new(w);
+            bench.iter(|| run_pooled(&pool, &job, &mut NoObserver).expect("no worker panic").best)
         });
     }
     g.finish();

@@ -45,7 +45,7 @@ use gpu_sim::kernel::{
     compute_tile, compute_tile_i16, compute_tile_scalar, global_borders, local_borders,
     GlobalOrigin, KernelPath, PathCounts,
 };
-use gpu_sim::wavefront::{run_pooled, run_pooled_with_plan, NoObserver, RegionJob};
+use gpu_sim::wavefront::{launch, run_pooled, Launch, NoObserver, RegionJob};
 use gpu_sim::{striped, GridSpec, Mode, StripPlan, WorkerPool};
 use std::io::Write;
 use std::time::Instant;
@@ -433,8 +433,8 @@ fn band_case(m: usize, n: usize, rounds: usize, budget: f64, entries: &mut Vec<E
             };
             let pool = &pools[strips - 1];
             slices[k].push(time_case((m * n) as u64, budget / rounds as f64, || {
-                let res = run_pooled_with_plan(pool, &job, &mut NoObserver, &plan)
-                    .expect("no worker panic");
+                let opts = Launch { plan: Some(plan.clone()), ..Launch::default() };
+                let res = launch(pool, &job, &mut NoObserver, opts).expect("no worker panic");
                 paths = res.paths;
                 profile[k] = (res.profile_hits, res.profile_misses);
                 res.best.map_or(0, |(s, _, _)| s)

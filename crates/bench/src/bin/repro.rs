@@ -3,7 +3,9 @@
 //! ```text
 //! repro <experiment>... | all | list
 //!
-//! experiments: table1..table10, fig11, fig12, ablation-split, ablation-blocks
+//! experiments: table1..table10, fig11, fig12, ablation-split,
+//!              ablation-blocks, ablation-utilization, ablation-linear-space,
+//!              ablation-multigpu
 //! env: REPRO_SCALE (default 1000)  REPRO_SEED (default 42)
 //!      REPRO_JSON=FILE (append each report as a JSON line)
 //! ```

@@ -674,6 +674,7 @@ pub fn ablation_utilization() {
     );
     let a = w.s0.bases();
     let b = w.s1.bases();
+    let pool = WorkerPool::new(0);
     for grid in [
         gpu_sim::GridSpec { blocks: 4, threads: 8, alpha: 2 }, // tall
         gpu_sim::GridSpec { blocks: 16, threads: 8, alpha: 2 },
@@ -689,7 +690,8 @@ pub fn ablation_utilization() {
             workers: 0,
             watch: None,
         };
-        let res = gpu_sim::wavefront::run_plain(&job);
+        let res = gpu_sim::wavefront::run_pooled(&pool, &job, &mut gpu_sim::NoObserver)
+            .expect("no worker panic");
         r.row(&[
             format!("{}x{}x{}", grid.blocks, grid.threads, grid.alpha),
             res.layout.block_rows.to_string(),
@@ -775,11 +777,12 @@ pub fn ablation_multigpu() {
         workers: 0,
         watch: None,
     };
+    let pool = WorkerPool::new(0);
     let mut base_model = 0.0f64;
     let mut reference: Option<Option<(sw_core::Score, usize, usize)>> = None;
     for cards in [1usize, 2, 4] {
         let t = Instant::now();
-        let res = gpu_sim::multi::run_split(&job, cards);
+        let res = gpu_sim::multi::run_split(&pool, &job, cards).expect("no worker panic");
         let dt = t.elapsed().as_secs_f64();
         match &reference {
             None => reference = Some(res.best),

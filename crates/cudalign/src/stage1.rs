@@ -362,14 +362,9 @@ pub fn run_supervised(
         last_frontier: None,
         inflight: std::collections::BTreeSet::new(),
     };
-    let res = wavefront::run_supervised(
-        pool,
-        &job,
-        &mut observer,
-        resume,
-        checkpoint_every,
-        Some(ctrl.token()),
-    )?;
+    let opts =
+        wavefront::Launch { resume, checkpoint_every, token: Some(ctrl.token()), plan: None };
+    let res = wavefront::launch(pool, &job, &mut observer, opts)?;
     let checkpoint_failures = observer.ckpt_failures;
 
     if res.aborted {

@@ -46,19 +46,35 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Failure surfaced by [`WorkerPool::scope`].
+/// Failure surfaced by [`WorkerPool::scope`] and the engine entry
+/// [`crate::wavefront::launch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExecError {
     /// A job panicked; the payload is the panic message of the first
     /// panicking job (later jobs in the same scope were cancelled).
     WorkerPanic(String),
+    /// A resume snapshot belongs to another job
+    /// ([`crate::wavefront::EngineState::matches`]).
+    ForeignCheckpoint,
+    /// A strip plan does not cover the grid
+    /// ([`crate::StripPlan::is_valid_for`]).
+    PlanMismatch {
+        /// The plan's strip boundaries.
+        bounds: Vec<usize>,
+        /// Block columns of the grid it was launched on.
+        block_cols: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
+            ExecError::ForeignCheckpoint => write!(f, "checkpoint belongs to a different job"),
+            ExecError::PlanMismatch { bounds, block_cols } => {
+                write!(f, "strip plan {bounds:?} does not cover {block_cols} block column(s)")
+            }
         }
     }
 }
@@ -294,8 +310,7 @@ pub struct Scope<'pool, 'env> {
 
 impl<'env> Scope<'_, 'env> {
     /// Queue `job` for execution on the pool. Jobs run in FIFO spawn
-    /// order across lanes (the order guarantee stage pipelines such as
-    /// [`crate::multi`] rely on for deadlock freedom).
+    /// order across lanes.
     pub fn spawn<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'env,

@@ -28,16 +28,21 @@
 //!   (cancel flag + cause + heartbeat) polled cooperatively by every
 //!   scheduler, with the deadline/stall watchdog living in [`exec`],
 //! * [`exec`] — the persistent worker-pool executor (the CPU analogue of
-//!   a persistent-kernel GPU design): long-lived threads, a queue/condvar
-//!   handoff per external diagonal, panic capture instead of process
-//!   aborts, and busy-lane utilization counters,
-//! * [`wavefront`] — the external-diagonal scheduler (one [`exec`] scope
-//!   per diagonal as the barrier) with observer hooks used by the
-//!   pipeline to flush special rows and run matching procedures,
+//!   a persistent-kernel GPU design): long-lived threads that take strip
+//!   runners and partition batches through a queue/condvar handoff, panic
+//!   capture instead of process aborts, and busy-lane utilization
+//!   counters,
+//! * [`wavefront`] — the block scheduler behind one entry,
+//!   [`wavefront::launch`]: serial runs walk the grid on the calling
+//!   thread, parallel runs give each worker a strip of block columns that
+//!   hands its right border to the next strip point to point, with no
+//!   global barrier. Observer hooks let the pipeline flush special rows
+//!   and run matching procedures,
 //! * [`device`] — the calibrated GTX 285 time model used to project
 //!   paper-scale runtimes from cell counts,
 //! * [`multi`] — column-split execution across several simulated cards
-//!   with counted border exchange (the paper's dual-GPU future work).
+//!   (the paper's dual-GPU future work): a strip run with one strip per
+//!   card, its border exchange counted from the layout.
 //!
 //! What is *not* simulated: warp-level mechanics (the short/long phase
 //! kernel split and the `alpha`-row memory access design) — these affect
@@ -65,6 +70,6 @@ pub use exec::{ExecError, PoolStats, Watchdog, WorkerPool};
 pub use grid::GridSpec;
 pub use kernel::{CellHE, CellHF, GlobalOrigin, KernelPath, Mode, TileOutcome};
 pub use wavefront::{
-    BlockCoords, NoObserver, RegionJob, RegionResult, ScheduleInfo, StripEvent, StripPlan,
+    BlockCoords, Launch, NoObserver, RegionJob, RegionResult, ScheduleInfo, StripEvent, StripPlan,
     StripStats, WavefrontObserver,
 };

@@ -3,9 +3,9 @@
 //! Compiled only with the `race-check` feature. The wavefront engine's
 //! correctness rests on one ordering argument: blocks of external
 //! diagonal `d` read bus cells written by blocks of diagonal `d - 1`, and
-//! the [`crate::exec::WorkerPool::scope`] drain between diagonals is the
-//! barrier that orders those writes before the reads. This module turns
-//! the argument into a runtime check:
+//! every schedule orders those writes before the reads — the serial ones
+//! by running the producers first on one thread, the strip engine by its
+//! border publishes. This module turns the argument into a runtime check:
 //!
 //! * Every bus cell (horizontal `H`/`F` bus, vertical `H`/`E` bus, and
 //!   the corner table) carries a *last-writer record* — which block (or
@@ -21,9 +21,9 @@
 //!   reader's is a [`ViolationKind::UnorderedRead`].
 //! * Two blocks writing one cell within the same barrier interval is a
 //!   [`ViolationKind::WriteOverlap`] (the segment-splitting invariant).
-//! * The multi-device pipeline tags every border message with its
-//!   `(device, chunk)` provenance; a receiver observing the wrong tag
-//!   reports a [`ViolationKind::ChannelTag`].
+//! * A multi-device split ([`crate::multi`]) is a strip run with one
+//!   strip per card, so its card-to-card border hand-offs are checked by
+//!   the strip hand-off shadow counter like any other strip boundary.
 //!
 //! Striped-kernel writes need no special modelling: the lane-striped
 //! kernel (see [`crate::striped`]) is an implementation detail *inside*
@@ -97,9 +97,6 @@ pub enum ViolationKind {
     UnorderedRead,
     /// Two blocks wrote one cell within the same barrier interval.
     WriteOverlap,
-    /// A multi-device border message arrived with the wrong
-    /// `(device, chunk)` provenance tag.
-    ChannelTag,
 }
 
 /// One detected violation, with a human-readable account.
@@ -107,11 +104,11 @@ pub enum ViolationKind {
 pub struct Violation {
     /// What rule was broken.
     pub kind: ViolationKind,
-    /// Block row of the reader (or receiving device).
+    /// Block row of the reader.
     pub r: usize,
-    /// Block column of the reader (or chunk index).
+    /// Block column of the reader.
     pub c: usize,
-    /// External diagonal of the reader (0 for channel violations).
+    /// External diagonal of the reader.
     pub diagonal: usize,
     /// Full account: cell, expected producer, observed record.
     pub detail: String,
@@ -135,26 +132,6 @@ fn sink() -> std::sync::MutexGuard<'static, Vec<Violation>> {
 /// Drain and return every violation recorded since the last call.
 pub fn take_report() -> Vec<Violation> {
     std::mem::take(&mut *sink())
-}
-
-/// Record a multi-device border tag mismatch (receiver expected the
-/// border of `(expect_device, expect_chunk)`, got `(got_device, got_chunk)`).
-pub fn report_channel_tag(
-    expect_device: usize,
-    expect_chunk: usize,
-    got_device: usize,
-    got_chunk: usize,
-) {
-    sink().push(Violation {
-        kind: ViolationKind::ChannelTag,
-        r: expect_device,
-        c: expect_chunk,
-        diagonal: 0,
-        detail: format!(
-            "border message tagged (device {got_device}, chunk {got_chunk}), \
-             expected (device {expect_device}, chunk {expect_chunk})"
-        ),
-    });
 }
 
 /// Last-writer record of one bus cell.
@@ -195,7 +172,7 @@ struct Inner {
 }
 
 /// Per-engine-run detector state. Create one per
-/// `wavefront::run_resumable_pooled` invocation; blocks report their bus
+/// [`crate::wavefront::launch`]; blocks report their bus
 /// reads and writes through it and violations land in the global sink.
 pub struct Session {
     inner: Mutex<Inner>,

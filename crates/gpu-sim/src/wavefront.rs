@@ -42,6 +42,12 @@
 //!   live buses, and deliver each block right after its band. Blocks then
 //!   arrive in walk order; [`BlockCoords::frontier`] tells the observer
 //!   which diagonals are complete.
+//!
+//! Every region launch goes through one entry, [`launch`]: the pool, the
+//! job, the observer, and a [`Launch`] with the resume snapshot,
+//! checkpoint cadence, explicit strip plan and supervision token, all off
+//! by default. [`run_pooled`] is its default-options shorthand. Neither
+//! panics on caller input or a worker panic: each is an [`ExecError`].
 
 use crate::ctrl::{CancelToken, StripDiag};
 use crate::exec::{ExecError, WorkerPool};
@@ -97,9 +103,9 @@ pub trait WavefrontObserver {
         right: &[CellHE],
     ) -> ControlFlow<()>;
 
-    /// Called between external diagonals at the cadence configured via
-    /// [`run_resumable`]'s `checkpoint_every`, with a snapshot the
-    /// observer may persist. Default: ignore.
+    /// Called between external diagonals at the cadence configured by
+    /// [`Launch::checkpoint_every`], with a snapshot the observer may
+    /// persist. Default: ignore.
     fn on_checkpoint(&mut self, _state: &EngineState) {}
 
     /// Called for strip-scheduler protocol events (claims, steals, border
@@ -414,7 +420,8 @@ pub struct EngineState {
 
 impl EngineState {
     /// Does this snapshot belong to `job`? Callers should check before
-    /// resuming; [`run_resumable`] panics on a mismatch.
+    /// resuming; [`launch`] returns [`ExecError::ForeignCheckpoint`] on a
+    /// mismatch.
     pub fn matches(&self, job: &RegionJob<'_>) -> bool {
         self.fingerprint == Self::fingerprint_of(job)
     }
@@ -591,53 +598,55 @@ impl EngineState {
     }
 }
 
-/// Run a region to completion (or until an observer aborts).
-///
-/// Convenience wrapper that builds a transient [`WorkerPool`] sized by
-/// `job.workers` and panics if a worker panics (the pre-executor
-/// behaviour). Pipelines should prefer [`run_pooled`] with a shared pool.
-pub fn run(job: &RegionJob<'_>, observer: &mut dyn WavefrontObserver) -> RegionResult {
-    run_resumable(job, observer, None, None)
+/// How a [`launch`] runs, beyond its job. `Launch::default()` is a fresh,
+/// unsupervised run without checkpoints on the schedule the worker count
+/// picks — what [`run_pooled`] runs.
+#[derive(Debug, Default)]
+pub struct Launch<'t> {
+    /// Resume from this snapshot instead of the region's borders. It must
+    /// belong to the job ([`EngineState::matches`]).
+    pub resume: Option<EngineState>,
+    /// Offer [`WavefrontObserver::on_checkpoint`] a snapshot every this
+    /// many external diagonals.
+    pub checkpoint_every: Option<usize>,
+    /// Run the column-strip scheduler on this plan, including ragged
+    /// plans with more strips than workers (whole-strip work stealing).
+    /// It must cover the grid ([`StripPlan::is_valid_for`]). `None`
+    /// derives the schedule from the worker count.
+    pub plan: Option<StripPlan>,
+    /// Supervision token, polled cooperatively by every schedule: the
+    /// diagonal loop between external diagonals, the banded walk between
+    /// bands, the strip engine in its delivery loop (which in turn wakes
+    /// parked runners through the protocol condvars). A cancelled launch
+    /// first emits one final [`WavefrontObserver::on_checkpoint`] with the
+    /// state at the last completed diagonal boundary (when checkpointing
+    /// is enabled), so cancellation is always resumable, then returns
+    /// with [`RegionResult::aborted`] set. Workers bump the token's
+    /// heartbeat on every computed block / published border, which is
+    /// what the stall watchdog observes — no clock is read anywhere in
+    /// here.
+    pub token: Option<&'t CancelToken>,
 }
 
-/// Run a region on a shared persistent [`WorkerPool`].
+/// Run a region on a shared persistent [`WorkerPool`] with default
+/// [`Launch`] options.
 ///
-/// Observationally identical to [`run`] for every pool size: scores,
-/// endpoints and buses never depend on scheduling, and an observer that
-/// asks for it ([`WavefrontObserver::needs_diagonal_order`], the default)
-/// is notified on the calling thread in canonical diagonal order, so its
-/// event stream is identical too. An order-free observer on a serial run
-/// sees the same blocks and borders in banded-walk order.
+/// Scores, endpoints and buses never depend on the pool size or the
+/// schedule, and an observer that asks for it
+/// ([`WavefrontObserver::needs_diagonal_order`], the default) is notified
+/// on the calling thread in canonical diagonal order, so its event stream
+/// is identical too. An order-free observer on a serial run sees the same
+/// blocks and borders in banded-walk order.
 pub fn run_pooled(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
     observer: &mut dyn WavefrontObserver,
 ) -> Result<RegionResult, ExecError> {
-    run_resumable_pooled(pool, job, observer, None, None)
+    launch(pool, job, observer, Launch::default())
 }
 
-/// Like [`run`], but optionally resuming from a previous [`EngineState`]
-/// and/or delivering snapshots to the observer's
-/// [`WavefrontObserver::on_checkpoint`] every `checkpoint_every`
-/// external diagonals.
-///
-/// # Panics
-/// Panics when `resume` carries a fingerprint for a different job, or
-/// when a worker panics (transient-pool wrapper; see [`run`]).
-pub fn run_resumable(
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-) -> RegionResult {
-    let pool = WorkerPool::new(job.workers);
-    run_resumable_pooled(&pool, job, observer, resume, checkpoint_every)
-        // lint: allow(no-panics): documented panicking wrapper (see `# Panics`
-        // above); error-returning callers use `run_resumable_pooled`.
-        .unwrap_or_else(|e| panic!("wavefront worker panicked: {e}"))
-}
-
-/// [`run_resumable`] on a shared persistent [`WorkerPool`].
+/// Run a region on a shared persistent [`WorkerPool`] under `opts`: the
+/// one engine entry every region launch goes through.
 ///
 /// The effective parallelism is `min(pool.lanes(), job.workers)` (with
 /// `job.workers == 0` meaning "no extra cap"), so a job built with
@@ -645,71 +654,29 @@ pub fn run_resumable(
 /// to keep per-partition engines single-lane while partitions fan out,
 /// and stages 2-3 size `workers` with [`region_workers`].
 ///
-/// # Panics
-/// Panics when `resume` carries a fingerprint for a different job.
-pub fn run_resumable_pooled(
+/// # Errors
+/// [`ExecError::ForeignCheckpoint`] when `opts.resume` belongs to another
+/// job and [`ExecError::PlanMismatch`] when `opts.plan` does not cover the
+/// grid, both before any block runs; [`ExecError::WorkerPanic`] when a
+/// worker panics.
+pub fn launch(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
     observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
+    opts: Launch<'_>,
 ) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, resume, checkpoint_every, None, None)
-}
-
-/// [`run_resumable_pooled`] under a supervision token.
-///
-/// Every schedule polls `token` cooperatively: the diagonal loop between
-/// external diagonals, the banded walk between bands, the strip engine in
-/// its delivery loop (which in turn wakes parked runners through the
-/// protocol condvars). A cancelled
-/// launch first emits one final [`WavefrontObserver::on_checkpoint`] with
-/// the state at the last completed diagonal boundary (when checkpointing
-/// is enabled), so cancellation is always resumable, then returns with
-/// [`RegionResult::aborted`] set. Workers bump the token's heartbeat on
-/// every computed block / published border, which is what the stall
-/// watchdog observes — no clock is read anywhere in here.
-///
-/// # Panics
-/// Panics when `resume` carries a fingerprint for a different job.
-pub fn run_supervised(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-    token: Option<&CancelToken>,
-) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, resume, checkpoint_every, None, token)
-}
-
-/// Run a region on the column-strip scheduler with an explicit
-/// [`StripPlan`] — including ragged plans whose strip count exceeds the
-/// worker count, which exercises whole-strip work stealing.
-///
-/// # Panics
-/// Panics when `plan` does not cover the job's grid
-/// ([`StripPlan::is_valid_for`]).
-pub fn run_pooled_with_plan(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    plan: &StripPlan,
-) -> Result<RegionResult, ExecError> {
-    run_engine(pool, job, observer, None, None, Some(plan.clone()), None)
-}
-
-fn run_engine(
-    pool: &WorkerPool,
-    job: &RegionJob<'_>,
-    observer: &mut dyn WavefrontObserver,
-    resume: Option<EngineState>,
-    checkpoint_every: Option<usize>,
-    plan: Option<StripPlan>,
-    token: Option<&CancelToken>,
-) -> Result<RegionResult, ExecError> {
+    let Launch { resume, checkpoint_every, plan, token } = opts;
     let (m, n) = (job.a.len(), job.b.len());
     let layout = job.grid.layout(m, n);
+    if resume.as_ref().is_some_and(|state| !state.matches(job)) {
+        return Err(ExecError::ForeignCheckpoint);
+    }
+    if let Some(p) = plan.as_ref().filter(|p| !p.is_valid_for(layout.block_cols)) {
+        return Err(ExecError::PlanMismatch {
+            bounds: p.bounds.clone(),
+            block_cols: layout.block_cols,
+        });
+    }
 
     let (mut hbus, mut vbus, origin_h) = match job.mode {
         Mode::Local => kernel::local_borders(m, n),
@@ -744,11 +711,6 @@ fn run_engine(
     let mut first_diagonal = 0usize;
     let resumed = resume.is_some();
     if let Some(state) = resume {
-        assert_eq!(
-            state.fingerprint,
-            EngineState::fingerprint_of(job),
-            "checkpoint belongs to a different job"
-        );
         hbus = state.hbus;
         vbus = state.vbus;
         corners = state.corners;
@@ -768,18 +730,10 @@ fn run_engine(
     // one block column (the only shape where scheduling matters). The
     // serial fallback below also covers resume-at-end, which has no work.
     let strip_plan = match plan {
-        Some(p) => {
-            assert!(
-                p.is_valid_for(bc),
-                "strip plan {:?} does not cover {bc} block column(s)",
-                p.bounds
-            );
-            Some(p)
-        }
         None if workers > 1 && bc > 1 && first_diagonal < layout.diagonals() => {
             Some(StripPlan::balanced(bc, workers))
         }
-        None => None,
+        plan => plan,
     };
     if let Some(plan) = strip_plan {
         let params = strip::Params {
@@ -1202,11 +1156,6 @@ impl Serial<'_, '_> {
             schedule: ScheduleInfo::Serial,
         }
     }
-}
-
-/// Convenience: run without an observer.
-pub fn run_plain(job: &RegionJob<'_>) -> RegionResult {
-    run(job, &mut NoObserver)
 }
 
 /// The column-strip scheduler: persistent strip ownership, point-to-point
@@ -2078,6 +2027,22 @@ mod strip {
     }
 }
 
+/// Launch `job` on a pool of its own, `job.workers` lanes wide.
+#[cfg(test)]
+fn launch_alone(
+    job: &RegionJob<'_>,
+    observer: &mut dyn WavefrontObserver,
+    opts: Launch<'_>,
+) -> RegionResult {
+    launch(&WorkerPool::new(job.workers), job, observer, opts).expect("no worker panic")
+}
+
+/// [`launch_alone`] with no observer and default options.
+#[cfg(test)]
+fn plain(job: &RegionJob<'_>) -> RegionResult {
+    launch_alone(job, &mut NoObserver, Launch::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2112,7 +2077,7 @@ mod tests {
         let a = lcg(1, 113);
         let b = lcg(2, 97);
         for start in [ES::Diagonal, ES::GapS0, ES::GapS1] {
-            let res = run_plain(&job(&a, &b, Mode::global(start), GridSpec::small(), 2));
+            let res = plain(&job(&a, &b, Mode::global(start), GridSpec::small(), 2));
             assert!(!res.aborted);
             assert_eq!(res.cells, (a.len() * b.len()) as u64);
             let (h, f) = forward_vectors(&a, &b, &SC, start);
@@ -2130,7 +2095,7 @@ mod tests {
         for i in (0..200).step_by(17) {
             b[i] = b"ACGT"[(i / 17) % 4];
         }
-        let res = run_plain(&job(&a, &b, Mode::Local, GridSpec::small(), 3));
+        let res = plain(&job(&a, &b, Mode::Local, GridSpec::small(), 3));
         let (score, end) = sw_local_score(&a, &b, &SC);
         let (s, i, j) = res.best.expect("positive score expected");
         assert_eq!(s, score);
@@ -2141,10 +2106,8 @@ mod tests {
     fn worker_count_does_not_change_results() {
         let a = lcg(5, 301);
         let b = lcg(6, 257);
-        let r1 =
-            run_plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 1));
-        let r4 =
-            run_plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 4));
+        let r1 = plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 1));
+        let r4 = plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 4));
         assert_eq!(r1.best, r4.best);
         assert_eq!(r1.cells, r4.cells);
         for j in 0..b.len() {
@@ -2162,9 +2125,9 @@ mod tests {
             GridSpec { blocks: 7, threads: 2, alpha: 5 },
             GridSpec { blocks: 240, threads: 64, alpha: 4 }, // reduced at runtime
         ];
-        let reference = run_plain(&job(&a, &b, Mode::global(ES::Diagonal), grids[0], 2));
+        let reference = plain(&job(&a, &b, Mode::global(ES::Diagonal), grids[0], 2));
         for g in &grids[1..] {
-            let r = run_plain(&job(&a, &b, Mode::global(ES::Diagonal), *g, 2));
+            let r = plain(&job(&a, &b, Mode::global(ES::Diagonal), *g, 2));
             assert_eq!(r.hbus, reference.hbus, "grid {g:?}");
         }
     }
@@ -2194,7 +2157,7 @@ mod tests {
         let b = lcg(10, 48);
         let grid = GridSpec { blocks: 3, threads: 2, alpha: 4 };
         let mut obs = Collect { seen: Vec::new() };
-        let res = run(&job(&a, &b, Mode::Local, grid, 2), &mut obs);
+        let res = launch_alone(&job(&a, &b, Mode::Local, grid, 2), &mut obs, Launch::default());
         assert_eq!(obs.seen.len(), res.layout.block_rows * res.layout.block_cols);
         // Diagonals are non-decreasing.
         for w in obs.seen.windows(2) {
@@ -2227,7 +2190,7 @@ mod tests {
         let b = lcg(12, 128);
         let grid = GridSpec { blocks: 4, threads: 2, alpha: 2 };
         let mut obs = StopAfter { n: 3 };
-        let res = run(&job(&a, &b, Mode::Local, grid, 2), &mut obs);
+        let res = launch_alone(&job(&a, &b, Mode::Local, grid, 2), &mut obs, Launch::default());
         assert!(res.aborted);
         assert!(res.cells < (a.len() * b.len()) as u64);
     }
@@ -2250,19 +2213,19 @@ mod tests {
 
     #[test]
     fn degenerate_empty_region() {
-        let res = run_plain(&job(b"", b"ACG", Mode::global(ES::Diagonal), GridSpec::small(), 2));
+        let res = plain(&job(b"", b"ACG", Mode::global(ES::Diagonal), GridSpec::small(), 2));
         assert_eq!(res.cells, 0);
         assert!(!res.aborted);
         // hbus keeps the init row.
         assert_eq!(res.hbus[0].h, -5);
-        let res2 = run_plain(&job(b"ACG", b"", Mode::Local, GridSpec::small(), 2));
+        let res2 = plain(&job(b"ACG", b"", Mode::Local, GridSpec::small(), 2));
         assert_eq!(res2.cells, 0);
         assert!(res2.best.is_none());
     }
 
     #[test]
     fn single_cell_region() {
-        let res = run_plain(&job(b"A", b"A", Mode::Local, GridSpec::small(), 2));
+        let res = plain(&job(b"A", b"A", Mode::Local, GridSpec::small(), 2));
         assert_eq!(res.best, Some((1, 1, 1)));
         assert_eq!(res.cells, 1);
     }
@@ -2299,7 +2262,7 @@ mod utilization_tests {
             workers: 1,
             watch: None,
         };
-        let res = run_plain(&job);
+        let res = plain(&job);
         assert!(res.utilization() > 0.99, "utilization {}", res.utilization());
         assert_eq!(res.busy_slots, res.layout.block_rows as u64 * res.layout.block_cols as u64);
     }
@@ -2319,7 +2282,7 @@ mod utilization_tests {
             workers: 1,
             watch: None,
         };
-        let res = run_plain(&job);
+        let res = plain(&job);
         let (r, c) = (res.layout.block_rows as f64, res.layout.block_cols as f64);
         let expected = (r * c) / ((r + c - 1.0) * c);
         assert!((res.utilization() - expected).abs() < 1e-9);
@@ -2379,11 +2342,12 @@ mod resume_tests {
             b[i] = b"ACGT"[i % 4];
         }
         let j = job(&a, &b);
-        let full = run_plain(&j);
+        let full = plain(&j);
 
         // Capture checkpoints every 5 diagonals.
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(5));
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(5), ..Launch::default() });
         let snapshots = obs.0;
         assert!(snapshots.len() >= 2, "expected several checkpoints");
         let mid = snapshots[snapshots.len() / 2].clone();
@@ -2393,7 +2357,11 @@ mod resume_tests {
         let restored = EngineState::decode(&bytes).expect("decode");
         assert_eq!(restored, mid);
 
-        let resumed = run_resumable(&j, &mut NoObserver, Some(restored), None);
+        let resumed = launch_alone(
+            &j,
+            &mut NoObserver,
+            Launch { resume: Some(restored), ..Launch::default() },
+        );
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
         assert_eq!(resumed.vbus, full.vbus);
@@ -2407,15 +2375,33 @@ mod resume_tests {
         let b = lcg(3, 100);
         let j = job(&a, &b);
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(3));
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(3), ..Launch::default() });
         let mut snaps = obs.0;
         let other_a = lcg(4, 120);
         let j2 = job(&other_a, &b);
         let snap = snaps.pop().expect("have a snapshot");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_resumable(&j2, &mut NoObserver, Some(snap), None)
-        }));
+        let pool = WorkerPool::new(2);
+        let opts = Launch { resume: Some(snap), ..Launch::default() };
+        let result = launch(&pool, &j2, &mut NoObserver, opts);
         assert!(result.is_err(), "foreign checkpoint must be rejected");
+        assert_eq!(result.err(), Some(ExecError::ForeignCheckpoint));
+    }
+
+    /// A plan that does not cover the grid is refused before any block
+    /// runs.
+    #[test]
+    fn launch_rejects_a_plan_off_the_grid() {
+        let a = lcg(4, 100);
+        let b = lcg(5, 100);
+        let j = job(&a, &b); // 3 block columns
+        let pool = WorkerPool::new(2);
+        let mut obs = Snapshots(Vec::new());
+        let short = StripPlan { bounds: vec![0, 2], batch_rows: 1 };
+        let opts = Launch { plan: Some(short), checkpoint_every: Some(1), ..Launch::default() };
+        let err = launch(&pool, &j, &mut obs, opts).err();
+        assert_eq!(err, Some(ExecError::PlanMismatch { bounds: vec![0, 2], block_cols: 3 }));
+        assert!(obs.0.is_empty(), "a refused launch must not run");
     }
 
     /// Strip-scheduled checkpoints carry their schedule provenance in a
@@ -2426,10 +2412,11 @@ mod resume_tests {
         let a = lcg(7, 260);
         let b = lcg(9, 240);
         let j = job(&a, &b); // workers: 2 -> strip scheduler
-        let full = run_plain(&j);
+        let full = plain(&j);
 
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(4));
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(4), ..Launch::default() });
         let snap = obs.0.into_iter().next().expect("have a checkpoint");
         let ScheduleInfo::Strips { strips, batch_rows } = snap.schedule else {
             panic!("strip-scheduled run must stamp Strips provenance, got {:?}", snap.schedule);
@@ -2454,7 +2441,8 @@ mod resume_tests {
         assert_eq!(legacy.corners, snap.corners);
 
         // ... and resuming from it reproduces the uninterrupted run.
-        let resumed = run_resumable(&j, &mut NoObserver, Some(legacy), None);
+        let resumed =
+            launch_alone(&j, &mut NoObserver, Launch { resume: Some(legacy), ..Launch::default() });
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
         assert_eq!(resumed.cells, full.cells);
@@ -2470,17 +2458,22 @@ mod resume_tests {
         let a = lcg(11, 280);
         let b = lcg(13, 300);
         let j4 = RegionJob { workers: 4, ..job(&a, &b) };
-        let full = run_plain(&j4);
+        let full = plain(&j4);
 
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j4, &mut obs, None, Some(3));
+        let _ =
+            launch_alone(&j4, &mut obs, Launch { checkpoint_every: Some(3), ..Launch::default() });
         let snapshots = obs.0;
         assert!(snapshots.len() >= 2, "expected several checkpoints");
         let mid = snapshots[snapshots.len() / 2].clone();
 
         for workers in [1usize, 2, 3, 8] {
             let j = RegionJob { workers, ..j4 };
-            let resumed = run_resumable(&j, &mut NoObserver, Some(mid.clone()), None);
+            let resumed = launch_alone(
+                &j,
+                &mut NoObserver,
+                Launch { resume: Some(mid.clone()), ..Launch::default() },
+            );
             assert_eq!(resumed.best, full.best, "workers={workers}");
             assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
             assert_eq!(resumed.vbus, full.vbus, "workers={workers}");
@@ -2527,19 +2520,32 @@ mod resume_tests {
         let b = lcg(22, 300);
         for workers in [1usize, 4] {
             let j = RegionJob { workers, ..job(&a, &b) };
-            let full = run_plain(&j);
+            let full = plain(&j);
             let pool = WorkerPool::new(workers);
             for cancel_after in [1usize, 7, 25] {
                 let token = crate::ctrl::CancelToken::new();
                 let mut obs = CancelAfter { countdown: cancel_after, token: &token, snaps: vec![] };
                 // Cadence 10_000 never fires on this grid: every recorded
                 // snapshot below is the cancellation flush itself.
-                let res =
-                    run_supervised(&pool, &j, &mut obs, None, Some(10_000), Some(&token)).unwrap();
+                let res = launch(
+                    &pool,
+                    &j,
+                    &mut obs,
+                    Launch {
+                        checkpoint_every: Some(10_000),
+                        token: Some(&token),
+                        ..Launch::default()
+                    },
+                )
+                .unwrap();
                 assert!(res.aborted, "workers={workers} cancel_after={cancel_after}");
                 let snap = obs.snaps.pop().expect("cancel must flush a checkpoint");
                 assert!(obs.snaps.is_empty(), "exactly one flush per cancel");
-                let resumed = run_resumable(&j, &mut NoObserver, Some(snap), None);
+                let resumed = launch_alone(
+                    &j,
+                    &mut NoObserver,
+                    Launch { resume: Some(snap), ..Launch::default() },
+                );
                 assert_eq!(resumed.best, full.best, "workers={workers}");
                 assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
                 assert_eq!(resumed.vbus, full.vbus, "workers={workers}");
@@ -2556,17 +2562,24 @@ mod resume_tests {
         let a = lcg(23, 150);
         let b = lcg(24, 140);
         let j = job(&a, &b);
-        let full = run_plain(&j);
+        let full = plain(&j);
         let pool = WorkerPool::new(2);
         let token = crate::ctrl::CancelToken::new();
         token.cancel(crate::ctrl::CancelCause::Requested);
         let mut obs = CancelAfter { countdown: 0, token: &token, snaps: vec![] };
-        let res = run_supervised(&pool, &j, &mut obs, None, Some(10_000), Some(&token)).unwrap();
+        let res = launch(
+            &pool,
+            &j,
+            &mut obs,
+            Launch { checkpoint_every: Some(10_000), token: Some(&token), ..Launch::default() },
+        )
+        .unwrap();
         assert!(res.aborted);
         assert_eq!(res.cells, 0, "no partial work should be committed");
         let snap = obs.snaps.pop().expect("flush");
         assert_eq!(snap.next_diagonal, 0);
-        let resumed = run_resumable(&j, &mut NoObserver, Some(snap), None);
+        let resumed =
+            launch_alone(&j, &mut NoObserver, Launch { resume: Some(snap), ..Launch::default() });
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
     }
@@ -2579,10 +2592,16 @@ mod resume_tests {
         let b = lcg(26, 180);
         for workers in [1usize, 3] {
             let j = RegionJob { workers, ..job(&a, &b) };
-            let full = run_plain(&j);
+            let full = plain(&j);
             let pool = WorkerPool::new(workers);
             let token = crate::ctrl::CancelToken::new();
-            let res = run_supervised(&pool, &j, &mut NoObserver, None, None, Some(&token)).unwrap();
+            let res = launch(
+                &pool,
+                &j,
+                &mut NoObserver,
+                Launch { token: Some(&token), ..Launch::default() },
+            )
+            .unwrap();
             assert!(!res.aborted);
             assert_eq!(res.best, full.best, "workers={workers}");
             assert_eq!(res.hbus, full.hbus, "workers={workers}");
@@ -2607,7 +2626,8 @@ mod resume_tests {
             watch: None,
         };
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&j, &mut obs, None, Some(1));
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(1), ..Launch::default() });
         let snaps = obs.0;
         let bytes = snaps[0].encode();
         assert!(EngineState::decode(&bytes[..bytes.len() - 3]).is_none());

@@ -1,13 +1,27 @@
 //! Property tests: the wavefront engine is equivalent to the sequential
 //! reference DP for every grid shape and worker count.
 
-use gpu_sim::wavefront::{run_plain, RegionJob};
-use gpu_sim::{GridSpec, Mode};
+use gpu_sim::wavefront::{launch, Launch, NoObserver, RegionJob, RegionResult, WavefrontObserver};
+use gpu_sim::{GridSpec, Mode, WorkerPool};
 use proptest::prelude::*;
 use sw_core::full::sw_local_score;
 use sw_core::linear::forward_vectors;
 use sw_core::scoring::Scoring;
 use sw_core::transcript::EdgeState;
+
+/// Launch `job` on a pool of its own, `job.workers` lanes wide.
+fn launch_alone(
+    job: &RegionJob<'_>,
+    observer: &mut dyn WavefrontObserver,
+    opts: Launch<'_>,
+) -> RegionResult {
+    launch(&WorkerPool::new(job.workers), job, observer, opts).expect("no worker panic")
+}
+
+/// [`launch_alone`] with no observer and default options.
+fn plain(job: &RegionJob<'_>) -> RegionResult {
+    launch_alone(job, &mut NoObserver, Launch::default())
+}
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), 0..max_len)
@@ -36,7 +50,7 @@ proptest! {
     #[test]
     fn global_mode_equals_rowdp(a in dna(120), b in dna(120), grid in grids(), start in edge(), workers in 1usize..5) {
         let job = RegionJob { a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::global(start), grid, workers, watch: None };
-        let res = run_plain(&job);
+        let res = plain(&job);
         prop_assert_eq!(res.cells, (a.len() * b.len()) as u64);
         let (h, f) = forward_vectors(&a, &b, &Scoring::paper(), start);
         for j in 0..b.len() {
@@ -53,7 +67,7 @@ proptest! {
         use sw_core::linear::RowDp;
         let sc = Scoring::paper();
         let job = RegionJob { a: &a, b: &b, scoring: sc, mode: Mode::global_reverse(end, &sc), grid, workers, watch: None };
-        let res = run_plain(&job);
+        let res = plain(&job);
         let mut dp = RowDp::new_reverse(b.len(), sc, end);
         for &ch in &a {
             dp.step(ch, &b);
@@ -67,7 +81,7 @@ proptest! {
     #[test]
     fn local_mode_equals_reference(a in dna(150), b in dna(150), grid in grids(), workers in 1usize..5) {
         let job = RegionJob { a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::Local, grid, workers, watch: None };
-        let res = run_plain(&job);
+        let res = plain(&job);
         let (score, end) = sw_local_score(&a, &b, &Scoring::paper());
         match res.best {
             Some((s, i, j)) => {
@@ -86,11 +100,11 @@ proptest! {
         prop_assume!(!a.is_empty() && !b.is_empty());
         let sc = Scoring::paper();
         let job = RegionJob { a: &a, b: &b, scoring: sc, mode: Mode::global(EdgeState::Diagonal), grid, workers: 2, watch: None };
-        let res = run_plain(&job);
+        let res = plain(&job);
         // Transposed run: the final hbus of (b x a) is the last row of the
         // transposed matrix = last column of the original, with E <-> F.
         let job_t = RegionJob { a: &b, b: &a, scoring: sc, mode: Mode::global(EdgeState::Diagonal), grid, workers: 2, watch: None };
-        let res_t = run_plain(&job_t);
+        let res_t = plain(&job_t);
         for i in 0..a.len() {
             prop_assert_eq!(res.vbus[i].h, res_t.hbus[i].h);
             prop_assert_eq!(res.vbus[i].e, res_t.hbus[i].f);
@@ -426,7 +440,7 @@ proptest! {
         a in dna(150), b in dna(150), grid in grids(), every in 1usize..8, pick in any::<u32>()
     ) {
         prop_assume!(!a.is_empty() && !b.is_empty());
-        use gpu_sim::wavefront::{run_resumable, EngineState, NoObserver};
+        use gpu_sim::wavefront::EngineState;
         use gpu_sim::{BlockCoords, CellHE, CellHF, TileOutcome};
         use std::ops::ControlFlow;
         struct Snapshots(Vec<EngineState>);
@@ -447,14 +461,16 @@ proptest! {
             workers: 2,
             watch: None,
         };
-        let full = run_plain(&job);
+        let full = plain(&job);
         let mut obs = Snapshots(Vec::new());
-        let _ = run_resumable(&job, &mut obs, None, Some(every));
+        let every = Launch { checkpoint_every: Some(every), ..Launch::default() };
+        let _ = launch_alone(&job, &mut obs, every);
         let snaps = obs.0;
         prop_assume!(!snaps.is_empty());
         let snap = snaps[pick as usize % snaps.len()].clone();
         let restored = EngineState::decode(&snap.encode()).expect("roundtrip");
-        let resumed = run_resumable(&job, &mut NoObserver, Some(restored), None);
+        let resume = Launch { resume: Some(restored), ..Launch::default() };
+        let resumed = launch_alone(&job, &mut NoObserver, resume);
         prop_assert_eq!(resumed.best, full.best);
         prop_assert_eq!(resumed.hbus, full.hbus);
         prop_assert_eq!(resumed.cells, full.cells);

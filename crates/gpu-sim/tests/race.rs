@@ -3,13 +3,16 @@
 //! Three claims, per DESIGN.md "Enforced invariants":
 //!
 //! 1. Clean runs — parallel wavefront, the one-lane banded walk, resumed
-//!    wavefront, multi-device pipeline — report *zero* violations: every
+//!    wavefront, multi-device split — report *zero* violations: every
 //!    schedule orders each cross-block bus hand-off.
 //! 2. A seeded scheduling fault ([`exec::fault::arm_reorder_block`]) is
 //!    provably caught: the detector reports `WrongProducer` for the
 //!    reordered block while the engine's *output stays bit-identical*
 //!    (the fault lives only in the detector's shadow state).
-//! 3. The multi-device border channel's provenance tags round-trip.
+//! 3. A multi-device split is a strip run with one strip per card, so a
+//!    card-to-card border published early
+//!    ([`exec::fault::arm_early_publish`]) is caught by the strip
+//!    hand-off model, again with the output unchanged.
 //!
 //! The violation sink is process-global, so every test serializes behind
 //! one lock and drains the sink before running.
@@ -18,8 +21,8 @@
 
 use gpu_sim::exec::fault;
 use gpu_sim::race::{self, ViolationKind};
-use gpu_sim::wavefront::{run_plain, RegionJob};
-use gpu_sim::{multi, GridSpec, Mode};
+use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob, RegionResult};
+use gpu_sim::{multi, GridSpec, Mode, WorkerPool};
 use std::sync::{Mutex, MutexGuard};
 use sw_core::scoring::Scoring;
 
@@ -44,6 +47,11 @@ fn dna(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Run `job` on a pool of its own, `job.workers` lanes wide.
+fn plain(job: &RegionJob<'_>) -> RegionResult {
+    run_pooled(&WorkerPool::new(job.workers), job, &mut NoObserver).expect("no worker panic")
+}
+
 fn job<'a>(a: &'a [u8], b: &'a [u8], workers: usize) -> RegionJob<'a> {
     RegionJob {
         a,
@@ -61,7 +69,7 @@ fn clean_parallel_run_reports_nothing() {
     let _g = isolated();
     let (a, b) = (dna(11, 96), dna(23, 96));
     for workers in [1, 4] {
-        let res = run_plain(&job(&a, &b, workers));
+        let res = plain(&job(&a, &b, workers));
         assert!(res.cells > 0);
         let report = race::take_report();
         assert!(
@@ -70,12 +78,12 @@ fn clean_parallel_run_reports_nothing() {
             report.iter().map(|v| format!("  {v}\n")).collect::<String>()
         );
     }
-    // The w=1 run above (the banded walk, since `run_plain` reads no
+    // The w=1 run above (the banded walk, since `NoObserver` reads no
     // order) really reaches the detector: with block (1,1) replayed
     // early, the walk's own write of that block lands on the phantom's
     // corner within one barrier interval.
     fault::arm_reorder_block(1, 1);
-    let _ = run_plain(&job(&a, &b, 1));
+    let _ = plain(&job(&a, &b, 1));
     fault::disarm();
     let report = race::take_report();
     assert!(
@@ -92,13 +100,13 @@ fn seeded_reorder_fault_is_caught_and_output_unchanged() {
     let (a, b) = (dna(41, 96), dna(59, 96));
     let j = job(&a, &b, 4);
 
-    let clean = run_plain(&j);
+    let clean = plain(&j);
     assert!(race::take_report().is_empty(), "baseline run must be clean");
 
     // Run block (1,1) one external diagonal early — before the barrier
     // that seals its producers' writes.
     fault::arm_reorder_block(1, 1);
-    let faulty = run_plain(&j);
+    let faulty = plain(&j);
     fault::disarm();
     let report = race::take_report();
 
@@ -133,14 +141,14 @@ fn seeded_early_publish_fault_is_caught_and_output_unchanged() {
     // single-column strips and point-to-point publishes between them.
     let j = job(&a, &b, 4);
 
-    let clean = run_plain(&j);
+    let clean = plain(&j);
     assert!(race::take_report().is_empty(), "baseline strip run must be clean");
 
     // Publish block (2,1)'s border one block early: the fault replays the
     // right neighbour (2,2)'s bus reads at the moment (2,1) is *about* to
     // compute — i.e. before the border it consumes exists.
     fault::arm_early_publish(2, 1);
-    let faulty = run_plain(&j);
+    let faulty = plain(&j);
     fault::disarm();
     let report = race::take_report();
 
@@ -189,7 +197,7 @@ fn faults_inside_a_band_are_caught() {
     let _g = isolated();
     let (a, b) = (dna(131, 512), dna(137, 256));
     let j = banded_job(&a, &b);
-    let clean = run_plain(&j);
+    let clean = plain(&j);
     assert!(clean.paths.striped_total() > 0, "blocks must take the ladder");
     let report = race::take_report();
     assert!(
@@ -200,7 +208,7 @@ fn faults_inside_a_band_are_caught() {
 
     // Block (2,1) is the third block of column 1's first band (rows 0..4).
     fault::arm_early_publish(2, 1);
-    let faulty = run_plain(&j);
+    let faulty = plain(&j);
     fault::disarm();
     let report = race::take_report();
     assert_eq!(clean.hbus, faulty.hbus);
@@ -222,7 +230,7 @@ fn faults_inside_a_band_are_caught() {
 
     // Block (5,2) is the second block of column 2's second band.
     fault::arm_reorder_block(5, 2);
-    let faulty = run_plain(&j);
+    let faulty = plain(&j);
     fault::disarm();
     let report = race::take_report();
     assert_eq!(clean.hbus, faulty.hbus);
@@ -245,7 +253,7 @@ fn walk_fault_inside_a_band_is_caught() {
     let _g = isolated();
     let (a, b) = (dna(139, 512), dna(149, 256));
     let j = RegionJob { workers: 1, ..banded_job(&a, &b) };
-    let clean = run_plain(&j);
+    let clean = plain(&j);
     assert!(clean.strip.is_none(), "one lane runs no strips");
     assert!(clean.paths.striped_total() > 0, "blocks must take the ladder");
     let report = race::take_report();
@@ -257,7 +265,7 @@ fn walk_fault_inside_a_band_is_caught() {
 
     // Block (6,1) is the third block of column 1's second band.
     fault::arm_reorder_block(6, 1);
-    let faulty = run_plain(&j);
+    let faulty = plain(&j);
     fault::disarm();
     let report = race::take_report();
     assert_eq!(clean.best, faulty.best);
@@ -287,12 +295,12 @@ fn second_run_after_fault_is_clean_again() {
     let j = job(&a, &b, 4);
 
     fault::arm_reorder_block(1, 1);
-    let _ = run_plain(&j);
+    let _ = plain(&j);
     fault::disarm();
     assert!(!race::take_report().is_empty());
 
     // Sessions are per-run: the next run starts from fresh shadow state.
-    let _ = run_plain(&j);
+    let _ = plain(&j);
     let report = race::take_report();
     assert!(
         report.is_empty(),
@@ -306,8 +314,8 @@ fn multi_device_clean_run_reports_nothing() {
     let _g = isolated();
     let (a, b) = (dna(77, 128), dna(91, 128));
     let j = job(&a, &b, 3);
-    let single = run_plain(&j);
-    let split = multi::run_split(&j, 3);
+    let single = plain(&j);
+    let split = multi::run_split(&WorkerPool::new(3), &j, 3).expect("no worker panic");
     assert_eq!(single.hbus, split.hbus);
     assert!(split.exchanged_cells > 0, "pipeline must actually exchange borders");
     let report = race::take_report();
@@ -318,13 +326,38 @@ fn multi_device_clean_run_reports_nothing() {
     );
 }
 
+/// Three cards over four block columns: card 0 owns columns 0-1, so the
+/// border of block (2,1) crosses from card 0 to card 1. Publishing it
+/// early is caught at the consumer and by the strip hand-off, and the
+/// output stays bit-identical.
 #[test]
-fn channel_tag_mismatch_is_reported() {
+fn multi_device_early_border_is_caught() {
     let _g = isolated();
-    race::report_channel_tag(2, 7, 1, 7);
+    let (a, b) = (dna(77, 128), dna(91, 128));
+    let j = job(&a, &b, 3);
+    let pool = WorkerPool::new(3);
+    let clean = multi::run_split(&pool, &j, 3).expect("no worker panic");
+    assert!(race::take_report().is_empty(), "baseline split must be clean");
+
+    fault::arm_early_publish(2, 1);
+    let faulty = multi::run_split(&pool, &j, 3).expect("no worker panic");
+    fault::disarm();
     let report = race::take_report();
-    assert_eq!(report.len(), 1);
-    assert_eq!(report[0].kind, ViolationKind::ChannelTag);
-    assert!(report[0].detail.contains("device 1"));
-    assert!(race::take_report().is_empty(), "take_report must drain the sink");
+    assert_eq!(clean.best, faulty.best);
+    assert_eq!(clean.cells, faulty.cells);
+    assert_eq!(clean.hbus, faulty.hbus);
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::WrongProducer && (v.r, v.c, v.diagonal) == (2, 2, 4)),
+        "no WrongProducer at card 1's first block (2,2)@d4:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
+    assert!(
+        report
+            .iter()
+            .any(|v| v.kind == ViolationKind::UnorderedRead && v.detail.contains("strip hand-off")),
+        "no strip hand-off UnorderedRead at the card boundary:\n{}",
+        report.iter().map(|v| format!("  {v}\n")).collect::<String>()
+    );
 }

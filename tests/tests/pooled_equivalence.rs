@@ -9,13 +9,19 @@
 
 use gpu_sim::kernel::PathCounts;
 use gpu_sim::wavefront::{
-    run, run_pooled, run_pooled_with_plan, run_resumable_pooled, EngineState, RegionJob,
+    launch, run_pooled, EngineState, Launch, RegionJob, RegionResult, WavefrontObserver,
 };
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
 use sw_core::transcript::EdgeState;
+
+/// Launch `job` with default options on a pool of its own, `job.workers`
+/// lanes wide.
+fn run_alone(job: &RegionJob<'_>, observer: &mut dyn WavefrontObserver) -> RegionResult {
+    run_pooled(&WorkerPool::new(job.workers), job, observer).expect("no worker panic")
+}
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), 0..max_len)
@@ -98,7 +104,7 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run_alone(&serial_job, &mut serial_obs);
 
         for lanes in [1usize, 2, 8] {
             let pool = WorkerPool::new(lanes);
@@ -131,7 +137,7 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run_alone(&serial_job, &mut serial_obs);
 
         for lanes in [2usize, 8] {
             let pool = WorkerPool::new(lanes);
@@ -276,7 +282,7 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run_alone(&serial_job, &mut serial_obs);
 
         for workers in [1usize, 2, 3, 4, 8] {
             let pool = WorkerPool::new(workers);
@@ -305,7 +311,7 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run_alone(&serial_job, &mut serial_obs);
         let bc = serial.layout.block_cols;
 
         // strips > workers: 2 workers over a maximally split plan.
@@ -313,7 +319,7 @@ proptest! {
         let pool = WorkerPool::new(2);
         let job = RegionJob { workers: 2, ..serial_job };
         let mut obs = Recorder::default();
-        let res = run_pooled_with_plan(&pool, &job, &mut obs, &fine).expect("no worker panic");
+        let res = launch(&pool, &job, &mut obs, Launch { plan: Some(fine.clone()), ..Launch::default() }).expect("no worker panic");
         let stats = res.strip.clone().expect("strip stats present");
         prop_assert_eq!(stats.strips, bc);
         prop_assert_eq!(
@@ -331,7 +337,7 @@ proptest! {
             let job = RegionJob { workers: 8, ..serial_job };
             let mut obs = Recorder::default();
             let res =
-                run_pooled_with_plan(&pool, &job, &mut obs, &coarse).expect("no worker panic");
+                launch(&pool, &job, &mut obs, Launch { plan: Some(coarse.clone()), ..Launch::default() }).expect("no worker panic");
             let stats = res.strip.clone().expect("strip stats present");
             prop_assert_eq!(stats.strips, 2);
             prop_assert_eq!(stats.runner_blocks.len(), 2, "runners capped at strip count");
@@ -368,7 +374,7 @@ proptest! {
             grid, workers: 1, watch: None,
         };
         let mut serial_obs = Recorder::default();
-        let serial = run(&serial_job, &mut serial_obs);
+        let serial = run_alone(&serial_job, &mut serial_obs);
         prop_assert!(
             serial.paths.striped_total() > 0,
             "expected striped tiles with grid {:?} on {}x{}", grid, a.len(), b.len()
@@ -423,7 +429,7 @@ proptest! {
             let mut runs = Vec::new();
             for plan in [&unbanded, &banded] {
                 let mut obs = Recorder::default();
-                let res = run_pooled_with_plan(&pool, &job, &mut obs, plan).expect("no worker panic");
+                let res = launch(&pool, &job, &mut obs, Launch { plan: Some(plan.clone()), ..Launch::default() }).expect("no worker panic");
                 runs.push((res, obs));
             }
             let ((one, one_obs), (band, band_obs)) = (&runs[0], &runs[1]);
@@ -488,14 +494,24 @@ fn resume_inside_a_band_is_byte_identical() {
         };
         let pool = WorkerPool::new(2);
         let mut full = Snapshots::default();
-        let uninterrupted =
-            run_resumable_pooled(&pool, &job, &mut full, None, Some(1)).expect("no worker panic");
+        let uninterrupted = launch(
+            &pool,
+            &job,
+            &mut full,
+            Launch { checkpoint_every: Some(1), ..Launch::default() },
+        )
+        .expect("no worker panic");
         assert!(full.states.iter().any(|s| s.next_diagonal % batch != 0), "no band split");
         for snap in &full.states {
             let d = snap.next_diagonal;
             let mut tail = Snapshots::default();
-            let resumed = run_resumable_pooled(&pool, &job, &mut tail, Some(snap.clone()), None)
-                .expect("no worker panic");
+            let resumed = launch(
+                &pool,
+                &job,
+                &mut tail,
+                Launch { resume: Some(snap.clone()), ..Launch::default() },
+            )
+            .expect("no worker panic");
             let what = format!("{mode:?}, resumed at d{d}");
             assert_eq!(resumed.best, uninterrupted.best, "best, {what}");
             assert_eq!(resumed.cells, uninterrupted.cells, "cells, {what}");
@@ -643,9 +659,9 @@ proptest! {
             grid: GridSpec { blocks, threads, alpha }, workers: 1, watch: None,
         };
         let mut walk = BlockLog::new(false, 0);
-        let walked = run(&job, &mut walk);
+        let walked = run_alone(&job, &mut walk);
         let mut canon = BlockLog::new(true, 0);
-        let canonical = run(&job, &mut canon);
+        let canonical = run_alone(&job, &mut canon);
         let layout = canonical.layout;
 
         prop_assert!(!walked.aborted && !canonical.aborted);
@@ -687,7 +703,7 @@ proptest! {
         // diagonal that still holds an undelivered block.
         let stop = 1 + (stop_knob % order.len() as u64) as usize;
         let mut cut = BlockLog::new(false, stop);
-        let aborted = run(&job, &mut cut);
+        let aborted = run_alone(&job, &mut cut);
         prop_assert!(aborted.aborted, "abort at block {}", stop);
         prop_assert_eq!(cut.order(), order[..stop].to_vec(), "aborted stream");
         let seen = order[..stop].iter().copied().collect();
@@ -716,11 +732,11 @@ fn walk_abort_mid_batch_reports_the_frontier() {
             watch: None,
         };
         let mut full = BlockLog::new(false, 0);
-        let _ = run(&job, &mut full);
+        let _ = run_alone(&job, &mut full);
         let order = walk_order(10, 3);
         let stop = order.iter().position(|&rc| rc == (5, 1)).expect("block (5, 1)") + 1;
         let mut cut = BlockLog::new(false, stop);
-        let res = run(&job, &mut cut);
+        let res = run_alone(&job, &mut cut);
         assert!(res.aborted, "{mode:?}");
         assert_eq!(res.diagonals_run, 6, "{mode:?}");
         assert_eq!(cut.blocks.len(), stop, "{mode:?}");

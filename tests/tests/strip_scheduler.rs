@@ -9,7 +9,7 @@
 
 use cudalign::obs::validate_trace;
 use cudalign::{Obs, TraceWriter};
-use gpu_sim::wavefront::{run_plain, run_pooled_with_plan, RegionJob};
+use gpu_sim::wavefront::{launch, run_pooled, Launch, RegionJob};
 use gpu_sim::{GridSpec, Mode, StripEvent, StripPlan, WorkerPool};
 use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
@@ -48,11 +48,18 @@ fn ragged_setup(a: &[u8], b: &[u8]) -> (RegionJob<'static>, StripPlan) {
 #[test]
 fn ragged_plan_steals_whole_strips_without_starvation() {
     let (job, plan) = ragged_setup(&dna(3, 240), &dna(5, 320));
-    let serial = run_plain(&RegionJob { workers: 1, ..job });
+    let serial =
+        run_pooled(&WorkerPool::new(1), &RegionJob { workers: 1, ..job }, &mut gpu_sim::NoObserver)
+            .expect("no worker panic");
 
     let pool = WorkerPool::new(2);
-    let res = run_pooled_with_plan(&pool, &job, &mut gpu_sim::NoObserver, &plan)
-        .expect("no worker panic");
+    let res = launch(
+        &pool,
+        &job,
+        &mut gpu_sim::NoObserver,
+        Launch { plan: Some(plan.clone()), ..Launch::default() },
+    )
+    .expect("no worker panic");
 
     // Bit-identical to serial despite the ragged schedule.
     assert_eq!(res.best, serial.best);
@@ -154,7 +161,13 @@ fn every_steal_is_visible_in_validated_trace_ndjson() {
         obs.emit(cudalign::obs::Event::StageBegin { stage: 1 });
         let res = {
             let mut bridge = TraceBridge { obs: &mut obs };
-            run_pooled_with_plan(&pool, &job, &mut bridge, &plan).expect("no worker panic")
+            launch(
+                &pool,
+                &job,
+                &mut bridge,
+                Launch { plan: Some(plan.clone()), ..Launch::default() },
+            )
+            .expect("no worker panic")
         };
         let stats = res.strip.expect("strip stats present");
         obs.emit(cudalign::obs::Event::StageEnd { stage: 1, seconds: 0.0, cells: res.cells });
