@@ -86,9 +86,6 @@ pub const CANCEL_COVERAGE: &str = "cancel-coverage";
 pub const TYPED_ERRORS: &str = "typed-errors";
 /// Identifier of the "every error-enum variant is constructed" rule.
 pub const DEAD_ERROR_VARIANT: &str = "dead-error-variant";
-/// Identifier of the "obs.rs emitters match the validate_trace schema"
-/// rule.
-pub const TRACE_SCHEMA_SYNC: &str = "trace-schema-sync";
 /// Identifier of the "fns tagged `// hot-loop` stay allocation-free and
 /// wallclock-free" rule.
 pub const HOT_LOOP: &str = "hot-loop";
@@ -110,8 +107,9 @@ pub fn rules() -> &'static [RuleInfo] {
     &[
         RuleInfo {
             id: NO_PANICS,
-            summary: "no unwrap()/expect()/panic! in cudalign/gpu-sim library code \
-                      (tests and bins exempt)",
+            summary: "no unwrap()/expect()/panic!/assert!/assert_eq!/assert_ne!/unreachable!/\
+                      todo!/unimplemented! in cudalign/gpu-sim library code (debug_assert*, \
+                      tests and bins exempt)",
         },
         RuleInfo {
             id: FS_ISOLATION,
@@ -172,11 +170,6 @@ pub fn rules() -> &'static [RuleInfo] {
             id: DEAD_ERROR_VARIANT,
             summary: "every variant of a cudalign/gpu-sim *Error enum is constructed \
                       somewhere (dead variants hide untested failure paths)",
-        },
-        RuleInfo {
-            id: TRACE_SCHEMA_SYNC,
-            summary: "event names emitted by obs::encode_record and accepted by \
-                      obs::validate_record stay in sync (the NDJSON trace contract)",
         },
         RuleInfo {
             id: HOT_LOOP,
@@ -553,6 +546,6 @@ mod tests {
         for r in rules() {
             assert!(seen.insert(r.id), "duplicate rule id {}", r.id);
         }
-        assert_eq!(seen.len(), 16);
+        assert_eq!(seen.len(), 15);
     }
 }

@@ -96,6 +96,10 @@ fn push_lines(out: &mut Vec<Raw>, lines: &BTreeSet<usize>, rule: &'static str, m
     }
 }
 
+/// Macros that panic in release builds; `debug_assert*` are exempt.
+const PANIC_MACROS: &[&str] =
+    &["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
+
 fn no_panics(m: &FileModel, out: &mut Vec<Raw>) {
     if !in_library_scope(&m.rel_path) {
         return;
@@ -106,15 +110,15 @@ fn no_panics(m: &FileModel, out: &mut Vec<Raw>) {
             continue;
         }
         let what = if m.method_call_at(ci, "unwrap") {
-            ".unwrap()"
+            ".unwrap()".to_owned()
         } else if m.method_call_at(ci, "expect") {
-            ".expect(..)"
-        } else if t.is_ident("panic")
+            ".expect(..)".to_owned()
+        } else if PANIC_MACROS.iter().any(|&mac| t.is_ident(mac))
             && !m.has_path_prefix(ci)
             && ci + 1 < m.code_len()
             && m.ct(ci + 1).is_punct(b'!')
         {
-            "panic!"
+            format!("{}!", t.text)
         } else {
             continue;
         };
@@ -123,7 +127,7 @@ fn no_panics(m: &FileModel, out: &mut Vec<Raw>) {
             rule: NO_PANICS,
             msg: format!(
                 "`{what}` in library code: return a typed error \
-                 (StageError/StorageError/ExecError) instead"
+                 (StageError/StorageError/ExecError) instead, or use debug_assert!"
             ),
         });
     }
@@ -883,115 +887,6 @@ fn hot_loop(m: &FileModel, out: &mut Vec<Raw>) {
 }
 
 // ---------------------------------------------------------------------------
-// trace-schema-sync: obs.rs emit side matches the validator schema.
-// ---------------------------------------------------------------------------
-
-fn trace_schema_sync(m: &FileModel, out: &mut Vec<Raw>) {
-    if m.rel_path != "crates/cudalign/src/obs.rs" {
-        return;
-    }
-    let enc = m.fns.iter().find(|f| f.name == "encode_record" && f.body.is_some());
-    let val = m.fns.iter().find(|f| f.name == "validate_record" && f.body.is_some());
-    let (Some(enc), Some(val)) = (enc, val) else { return };
-
-    // Emitted: `"ev":"<name>"` fragments inside encode_record's string
-    // literals (normalize escapes so plain and raw strings read alike).
-    let mut emitted: BTreeMap<String, usize> = BTreeMap::new();
-    let (eo, ec) = enc.body.expect("filtered on body");
-    for ci in eo + 1..ec {
-        let t = m.ct(ci);
-        if !matches!(
-            t.kind,
-            crate::lexer::TokKind::Lit(crate::lexer::LitKind::Str)
-                | crate::lexer::TokKind::Lit(crate::lexer::LitKind::RawStr)
-        ) {
-            continue;
-        }
-        let norm: String = t.text.chars().filter(|&c| c != '\\').collect();
-        let mut from = 0;
-        while let Some(p) = norm[from..].find("\"ev\":\"") {
-            let at = from + p + 6;
-            from = at;
-            let name: String =
-                norm[at..].chars().take_while(|c| c.is_ascii_lowercase() || *c == '_').collect();
-            if !name.is_empty() {
-                emitted.entry(name).or_insert(t.line);
-            }
-        }
-    }
-
-    // Validated: string literals at the arm level of validate_record's
-    // `match ev { ... }` (other matches — interrupt kinds, store names —
-    // sit in nested groups and don't count), plus `ev == "..."`
-    // comparisons anywhere in the body.
-    let mut validated: BTreeMap<String, usize> = BTreeMap::new();
-    let (vo, vc) = val.body.expect("filtered on body");
-    let mut arm_span = None;
-    for ci in vo + 1..vc.saturating_sub(2) {
-        if m.ct(ci).is_ident("match") && m.ct(ci + 1).is_ident("ev") && m.ct(ci + 2).is_punct(b'{')
-        {
-            arm_span = Some((ci + 2, m.matching_close(ci + 2)));
-            break;
-        }
-    }
-    if let Some((mo, mc)) = arm_span {
-        // Arm patterns sit one brace level inside the match's `{`.
-        let (md, mdl) = (m.ct(mo).depth + 1, m.ct(mo).delim);
-        for ci in mo + 1..mc {
-            let t = m.ct(ci);
-            if t.kind != crate::lexer::TokKind::Lit(crate::lexer::LitKind::Str)
-                || t.depth != md
-                || t.delim != mdl
-            {
-                continue;
-            }
-            let inner = t.text.trim_matches('"');
-            if !inner.is_empty() && inner.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-                validated.entry(inner.to_owned()).or_insert(t.line);
-            }
-        }
-    }
-    for ci in vo + 3..vc {
-        let t = m.ct(ci);
-        if t.kind == crate::lexer::TokKind::Lit(crate::lexer::LitKind::Str)
-            && m.ct(ci - 1).is_punct(b'=')
-            && m.ct(ci - 2).is_punct(b'=')
-            && m.ct(ci - 3).is_ident("ev")
-        {
-            let inner = t.text.trim_matches('"');
-            if !inner.is_empty() && inner.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-                validated.entry(inner.to_owned()).or_insert(t.line);
-            }
-        }
-    }
-
-    for (name, &line) in &emitted {
-        if !validated.contains_key(name) {
-            out.push(Raw {
-                line,
-                rule: TRACE_SCHEMA_SYNC,
-                msg: format!(
-                    "trace event \"{name}\" is emitted by encode_record but missing from \
-                     validate_record's schema: the NDJSON contract drifted"
-                ),
-            });
-        }
-    }
-    for (name, &line) in &validated {
-        if !emitted.contains_key(name) {
-            out.push(Raw {
-                line,
-                rule: TRACE_SCHEMA_SYNC,
-                msg: format!(
-                    "trace event \"{name}\" is accepted by validate_record but never \
-                     emitted by encode_record: dead schema entry or missing emitter"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Driver.
 // ---------------------------------------------------------------------------
 
@@ -1010,5 +905,4 @@ pub(crate) fn per_file(m: &FileModel, out: &mut Vec<Raw>) {
     cancel_coverage(m, out);
     typed_errors(m, out);
     hot_loop(m, out);
-    trace_schema_sync(m, out);
 }

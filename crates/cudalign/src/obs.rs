@@ -32,11 +32,12 @@
 //! [`TraceWriter`] encodes each event as one JSON object per line
 //! (NDJSON). Every record carries `"t"` (seconds since the recorder's
 //! clock origin, non-decreasing) and `"ev"` (the record type); the
-//! remaining fields are per-type and documented in DESIGN.md §10.
-//! [`validate_trace`] checks a whole trace against that schema — field
-//! presence and types, monotone timestamps, and span nesting (stages
-//! open and close in order, stage-scoped records fall inside their
-//! stage's span).
+//! remaining fields are the variant's own. One `events!` declaration of
+//! [`Event`] names each record type, its scope and each field's JSON kind
+//! (DESIGN.md §10); the encoder and [`validate_trace`]'s field checks are
+//! both derived from it. The validator adds the rules that span records:
+//! monotone timestamps and progress, and span nesting (stages open and
+//! close in order, stage-scoped records fall inside their stage's span).
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -165,254 +166,348 @@ impl Clock for SharedClock {
 // Events
 // ---------------------------------------------------------------------------
 
-/// One observable moment in a pipeline run.
-///
-/// Events are pure data; the emission timestamp is stamped by
-/// [`Obs::emit`] and handed to each [`Recorder`] alongside the event.
-/// The NDJSON encoding of each variant is documented in DESIGN.md §10.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A run starts: matrix shape, stage-1 grid total, and where stage 1
-    /// resumes (0 for a fresh run).
-    RunBegin {
-        /// Rows of the DP matrix (`|S0|`).
-        m: usize,
-        /// Columns of the DP matrix (`|S1|`).
-        n: usize,
-        /// Total external diagonals in the stage-1 grid.
-        total_diagonals: usize,
-        /// First diagonal stage 1 will execute (from a checkpoint).
-        resumed_from_diagonal: usize,
-    },
-    /// A pipeline stage opens (stages are numbered 1..=6).
-    StageBegin {
-        /// Stage number, 1..=6.
-        stage: u8,
-    },
-    /// A pipeline stage closes.
-    StageEnd {
-        /// Stage number, 1..=6.
-        stage: u8,
-        /// Wall seconds the stage took (injected clock).
-        seconds: f64,
-        /// DP cells the stage processed in this run.
-        cells: u64,
-    },
-    /// Stage-1 wavefront progress: `done` of `total` external diagonals
-    /// are complete (absolute, i.e. inclusive of diagonals skipped by a
-    /// checkpoint resume).
-    Diagonal {
-        /// Stage number (currently always 1).
-        stage: u8,
-        /// External diagonals fully executed, counted from the matrix
-        /// origin.
-        done: usize,
-        /// Total external diagonals in the grid.
-        total: usize,
-    },
-    /// Stage-1 strip-scheduler progress: a worker published a batch of
-    /// block rows of its column strip to its right neighbour.
-    StripProgress {
-        /// Stage number (currently always 1).
-        stage: u8,
-        /// Runner index (0 = the calling thread).
-        worker: usize,
-        /// Column-strip index within the strip plan.
-        strip: usize,
-        /// Block rows of this strip completed and published.
-        rows_done: usize,
-        /// Total block rows in the grid.
-        rows_total: usize,
-    },
-    /// Stage-1 strip scheduler: a worker claimed a strip. `stolen` marks
-    /// claims beyond the worker's first (bounded work stealing).
-    StripSteal {
-        /// Stage number (currently always 1).
-        stage: u8,
-        /// Runner index (0 = the calling thread).
-        worker: usize,
-        /// Column-strip index that was claimed.
-        strip: usize,
-        /// False for the worker's first claim (its home strip).
-        stolen: bool,
-    },
-    /// Stage 2 starts a reverse strip.
-    Strip {
-        /// Stage number (currently always 2).
-        stage: u8,
-        /// 1-based strip index.
-        index: usize,
-        /// Strip height in rows.
-        height: usize,
-        /// Strip width in columns.
-        width: usize,
-    },
-    /// A stage announces how many partitions it is about to solve.
-    Partitions {
-        /// Stage number (3 or 5).
-        stage: u8,
-        /// Partition count.
-        count: usize,
-    },
-    /// One partition a stage will solve.
-    Partition {
-        /// Stage number (currently always 3).
-        stage: u8,
-        /// 0-based partition index.
-        index: usize,
-        /// Partition height in rows.
-        height: usize,
-        /// Partition width in columns.
-        width: usize,
-    },
-    /// One stage-4 refinement iteration finished.
-    Iteration {
-        /// Stage number (currently always 4).
-        stage: u8,
-        /// 1-based iteration index.
-        index: usize,
-        /// Crosspoints known after this iteration.
-        crosspoints: usize,
-        /// DP cells this iteration processed.
-        cells: u64,
-        /// Wall seconds this iteration took (injected clock).
-        seconds: f64,
-    },
-    /// A special row/column was fully written to its store.
-    StorageFlush {
-        /// Which store: `"sra"` (special rows) or `"sca"` (special
-        /// columns).
-        store: &'static str,
-        /// Row (SRA) or column (SCA) index.
-        index: usize,
-        /// Bytes the line occupies in the store.
-        bytes: u64,
-    },
-    /// A stored line was dropped (e.g. a corrupt row rejected on read).
-    StorageDrop {
-        /// Which store: `"sra"` or `"sca"`.
-        store: &'static str,
-        /// Row (SRA) or column (SCA) index.
-        index: usize,
-    },
-    /// Precision-ladder and query-profile-cache outcome of one
-    /// engine-driven stage (1..=3), emitted once per stage inside its
-    /// span, just before [`Event::StageEnd`].
-    Kernel {
-        /// Stage number, 1..=3.
-        stage: u8,
-        /// Tiles that committed on the 32-lane saturating-`i8` rung.
-        striped8: u64,
-        /// Tiles that attempted `i8`, overflowed its window, and
-        /// committed on the `i16` rung.
-        striped8_fb16: u64,
-        /// Tiles that went straight to the `i16` rung (`i8` ineligible).
-        striped16: u64,
-        /// Tiles that re-ran on the scalar `i32` kernel after `i16`
-        /// overflow.
-        fallback: u64,
-        /// Tiles committed on the scalar `i32` kernel up front (too short
-        /// for the ladder, or no striped rung eligible).
-        scalar: u64,
-        /// Query-profile cache hits during the stage.
-        profile_hits: u64,
-        /// Query-profile cache misses (profile bands built).
-        profile_misses: u64,
-    },
-    /// A stage-1 checkpoint snapshot was attempted.
-    Checkpoint {
-        /// The diagonal the snapshot restarts from.
-        diagonal: usize,
-        /// Whether the snapshot was persisted.
-        ok: bool,
-    },
-    /// The run was interrupted — cancelled, past its deadline, or
-    /// stalled. Terminal diagnostic: the pipeline returns the matching
-    /// typed error immediately after emitting it, so an interrupted
-    /// trace ends with this record (plus an optional [`Event::StallDiag`])
-    /// instead of `run_end`.
-    Interrupt {
-        /// Stage that observed the interruption, 1..=6.
-        stage: u8,
-        /// `"cancelled"`, `"deadline"`, or `"stalled"`.
-        kind: &'static str,
-        /// External diagonal the run can resume from (stage 1), else 0.
-        diagonal: usize,
-        /// Time from the cancel signal to the run unwinding, in
-        /// milliseconds on the supervisor's clock (0 when unknown).
-        latency_ms: f64,
-    },
-    /// Strip-scheduler coordination snapshot attached to a stall
-    /// diagnosis: where every strip and runner was when the run stopped.
-    StallDiag {
-        /// Stage that owned the strip launch (currently always 1).
-        stage: u8,
-        /// Delivery frontier (external diagonal) at teardown.
-        front: usize,
-        /// Per strip: block rows published to the right neighbour.
-        published: Vec<usize>,
-        /// Per runner: strips claimed (first claim = home, rest steals).
-        claims: Vec<u64>,
-        /// Per runner: blocks computed.
-        blocks: Vec<u64>,
-    },
-    /// Final dump of the metrics registry (see [`Metrics::to_event`]).
-    Metrics {
-        /// Counter names and values, sorted by name.
-        counters: Vec<(String, u64)>,
-        /// Gauge names and values, sorted by name.
-        gauges: Vec<(String, f64)>,
-    },
-    /// The run is over.
-    RunEnd {
-        /// Total wall seconds (injected clock).
-        seconds: f64,
-        /// Best local alignment score found.
-        best_score: i64,
-    },
-    /// A job was admitted to the serve queue. Job-scoped record emitted
-    /// by [`crate::serve`] into the job's own trace stream, *before* any
-    /// `run_begin` — it gives every per-job trace a header even when the
-    /// pipeline never runs (cancelled while queued, or served from the
-    /// result cache).
-    JobSubmit {
-        /// Serve-assigned job id, unique within the server.
-        job: u64,
-        /// Content fingerprint the result cache is keyed by. Encoded as
-        /// 16 hex digits — JSON numbers are f64 and would corrupt the
-        /// high bits.
-        fingerprint: u64,
-        /// Query length.
-        m: usize,
-        /// Database length.
-        n: usize,
-        /// Job priority (higher drains first).
-        priority: u8,
-        /// Queue depth right after admission, this job included.
-        queued: usize,
-    },
-    /// A runner picked the job up (or resolved it from the result
-    /// cache). Precedes `run_begin` when a pipeline actually runs.
-    JobStart {
-        /// Serve-assigned job id.
-        job: u64,
-        /// Whether the result came from the fingerprint cache (no
-        /// pipeline run follows).
-        cached: bool,
-    },
-    /// Terminal job record: nothing may follow it in the job's trace.
-    /// Present even when the run never began, which is what keeps an
-    /// immediately-cancelled job's trace schema-valid instead of
-    /// [`TraceError::Empty`].
-    JobEnd {
-        /// Serve-assigned job id.
-        job: u64,
-        /// `"ok"`, `"cached"`, `"cancelled"`, `"deadline"`, `"stalled"`,
-        /// or `"failed"`.
-        outcome: &'static str,
-        /// Queue wait plus run time, in seconds on the server's clock.
-        seconds: f64,
-    },
+/// How a field is written on an NDJSON line and what [`validate_trace`]
+/// requires of it.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A finite JSON number.
+    Num,
+    /// A finite JSON number that is not negative.
+    NonNeg,
+    /// A stage number: an integer in 1..=6.
+    Stage,
+    /// `true` or `false`.
+    Bool,
+    /// A string from a fixed set.
+    OneOf(&'static [&'static str]),
+    /// A `u64` written as 16 hex digits in a string: JSON numbers are
+    /// f64 and would corrupt the high bits.
+    Hex,
+    /// An array of numbers.
+    NumList,
+    /// An object whose values are numbers, entries in order.
+    NumMap,
+}
+
+/// Where a record may appear relative to the stage spans, beyond the
+/// framing rules [`validate_trace`] applies to `run_*` and `job_*`.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    /// Inside the span of the stage its `stage` field names.
+    OwnStage,
+    /// Inside any stage span.
+    AnyStage,
+    /// Anywhere after `run_begin` (job records: anywhere).
+    Free,
+}
+
+/// One record type of the trace schema: its `ev` name, its scope, and
+/// its fields in encoding order.
+#[derive(Debug)]
+struct Record {
+    name: &'static str,
+    scope: Scope,
+    fields: &'static [(&'static str, Kind)],
+}
+
+/// Declares [`Event`] and, from the same text, the trace schema
+/// ([`SCHEMA`]) and the encoder ([`Event::put_fields`]). Each variant
+/// names its record type and [`Scope`]; each field names its [`Kind`].
+/// Every JSON key is the Rust field name, written in declaration order.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta:meta])*
+                $Variant:ident($name:literal, $scope:ident) {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty = $kind:ident $(($set:expr))? ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Event {
+            $( $(#[$vmeta])* $Variant { $( $(#[$fmeta])* $field: $ty ),* } ),*
+        }
+
+        /// The trace schema, one record type per [`Event`] variant.
+        const SCHEMA: &[Record] = &[$(Record {
+            name: $name,
+            scope: Scope::$scope,
+            fields: &[$((stringify!($field), Kind::$kind $(($set))?)),*],
+        }),*];
+
+        impl Event {
+            /// Append `,"ev":"<name>"` and every field to `out`.
+            fn put_fields(&self, out: &mut String) {
+                match self {
+                    $(Event::$Variant { $($field),* } => {
+                        out.push_str(concat!(",\"ev\":\"", $name, "\""));
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.put(Kind::$kind $(($set))?, out);
+                        )*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// One observable moment in a pipeline run.
+    ///
+    /// Events are pure data; the emission timestamp is stamped by
+    /// [`Obs::emit`] and handed to each [`Recorder`] alongside the event.
+    /// This declaration is the trace schema: each variant names its NDJSON
+    /// record type and scope, each field its JSON kind, and both the
+    /// encoder and [`validate_trace`] are derived from it (DESIGN.md §10).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// A run starts: matrix shape, stage-1 grid total, and where stage 1
+        /// resumes (0 for a fresh run).
+        RunBegin("run_begin", Free) {
+            /// Rows of the DP matrix (`|S0|`).
+            m: usize = Num,
+            /// Columns of the DP matrix (`|S1|`).
+            n: usize = Num,
+            /// Total external diagonals in the stage-1 grid.
+            total_diagonals: usize = Num,
+            /// First diagonal stage 1 will execute (from a checkpoint).
+            resumed_from_diagonal: usize = Num,
+        },
+        /// A pipeline stage opens (stages are numbered 1..=6).
+        StageBegin("stage_begin", Free) {
+            /// Stage number, 1..=6.
+            stage: u8 = Stage,
+        },
+        /// A pipeline stage closes.
+        StageEnd("stage_end", OwnStage) {
+            /// Stage number, 1..=6.
+            stage: u8 = Stage,
+            /// Wall seconds the stage took (injected clock).
+            seconds: f64 = Num,
+            /// DP cells the stage processed in this run.
+            cells: u64 = Num,
+        },
+        /// Stage-1 wavefront progress: `done` of `total` external diagonals
+        /// are complete (absolute, i.e. inclusive of diagonals skipped by a
+        /// checkpoint resume).
+        Diagonal("diagonal", OwnStage) {
+            /// Stage number (currently always 1).
+            stage: u8 = Stage,
+            /// External diagonals fully executed, counted from the matrix
+            /// origin.
+            done: usize = Num,
+            /// Total external diagonals in the grid.
+            total: usize = Num,
+        },
+        /// Stage-1 strip-scheduler progress: a worker published a batch of
+        /// block rows of its column strip to its right neighbour.
+        StripProgress("strip_progress", OwnStage) {
+            /// Stage number (currently always 1).
+            stage: u8 = Stage,
+            /// Runner index (0 = the calling thread).
+            worker: usize = Num,
+            /// Column-strip index within the strip plan.
+            strip: usize = Num,
+            /// Block rows of this strip completed and published.
+            rows_done: usize = Num,
+            /// Total block rows in the grid.
+            rows_total: usize = Num,
+        },
+        /// Stage-1 strip scheduler: a worker claimed a strip. `stolen` marks
+        /// claims beyond the worker's first (bounded work stealing).
+        StripSteal("strip_steal", OwnStage) {
+            /// Stage number (currently always 1).
+            stage: u8 = Stage,
+            /// Runner index (0 = the calling thread).
+            worker: usize = Num,
+            /// Column-strip index that was claimed.
+            strip: usize = Num,
+            /// False for the worker's first claim (its home strip).
+            stolen: bool = Bool,
+        },
+        /// Stage 2 starts a reverse strip.
+        Strip("strip", OwnStage) {
+            /// Stage number (currently always 2).
+            stage: u8 = Stage,
+            /// 1-based strip index.
+            index: usize = Num,
+            /// Strip height in rows.
+            height: usize = Num,
+            /// Strip width in columns.
+            width: usize = Num,
+        },
+        /// A stage announces how many partitions it is about to solve.
+        Partitions("partitions", OwnStage) {
+            /// Stage number (3 or 5).
+            stage: u8 = Stage,
+            /// Partition count.
+            count: usize = Num,
+        },
+        /// One partition a stage will solve.
+        Partition("partition", OwnStage) {
+            /// Stage number (currently always 3).
+            stage: u8 = Stage,
+            /// 0-based partition index.
+            index: usize = Num,
+            /// Partition height in rows.
+            height: usize = Num,
+            /// Partition width in columns.
+            width: usize = Num,
+        },
+        /// One stage-4 refinement iteration finished.
+        Iteration("iteration", OwnStage) {
+            /// Stage number (currently always 4).
+            stage: u8 = Stage,
+            /// 1-based iteration index.
+            index: usize = Num,
+            /// Crosspoints known after this iteration.
+            crosspoints: usize = Num,
+            /// DP cells this iteration processed.
+            cells: u64 = Num,
+            /// Wall seconds this iteration took (injected clock).
+            seconds: f64 = Num,
+        },
+        /// A special row/column was fully written to its store.
+        StorageFlush("storage_flush", AnyStage) {
+            /// Which store: `"sra"` (special rows) or `"sca"` (special
+            /// columns).
+            store: &'static str = OneOf(&["sra", "sca"]),
+            /// Row (SRA) or column (SCA) index.
+            index: usize = Num,
+            /// Bytes the line occupies in the store.
+            bytes: u64 = Num,
+        },
+        /// A stored line was dropped (e.g. a corrupt row rejected on read).
+        StorageDrop("storage_drop", AnyStage) {
+            /// Which store: `"sra"` or `"sca"`.
+            store: &'static str = OneOf(&["sra", "sca"]),
+            /// Row (SRA) or column (SCA) index.
+            index: usize = Num,
+        },
+        /// Precision-ladder and query-profile-cache outcome of one
+        /// engine-driven stage (1..=3), emitted once per stage inside its
+        /// span, just before [`Event::StageEnd`].
+        Kernel("kernel", OwnStage) {
+            /// Stage number, 1..=3.
+            stage: u8 = Stage,
+            /// Tiles that committed on the 32-lane saturating-`i8` rung.
+            striped8: u64 = NonNeg,
+            /// Tiles that attempted `i8`, overflowed its window, and
+            /// committed on the `i16` rung.
+            striped8_fb16: u64 = NonNeg,
+            /// Tiles that went straight to the `i16` rung (`i8` ineligible).
+            striped16: u64 = NonNeg,
+            /// Tiles that re-ran on the scalar `i32` kernel after `i16`
+            /// overflow.
+            fallback: u64 = NonNeg,
+            /// Tiles committed on the scalar `i32` kernel up front (too short
+            /// for the ladder, or no striped rung eligible).
+            scalar: u64 = NonNeg,
+            /// Query-profile cache hits during the stage.
+            profile_hits: u64 = NonNeg,
+            /// Query-profile cache misses (profile bands built).
+            profile_misses: u64 = NonNeg,
+        },
+        /// A stage-1 checkpoint snapshot was attempted.
+        Checkpoint("checkpoint", AnyStage) {
+            /// The diagonal the snapshot restarts from.
+            diagonal: usize = Num,
+            /// Whether the snapshot was persisted.
+            ok: bool = Bool,
+        },
+        /// The run was interrupted — cancelled, past its deadline, or
+        /// stalled. Terminal diagnostic: the pipeline returns the matching
+        /// typed error immediately after emitting it, so an interrupted
+        /// trace ends with this record (plus an optional [`Event::StallDiag`])
+        /// instead of `run_end`. It may surface inside or after a stage
+        /// span (the interrupted stage never emits `stage_end`).
+        Interrupt("interrupt", Free) {
+            /// Stage that observed the interruption, 1..=6.
+            stage: u8 = Stage,
+            /// `"cancelled"`, `"deadline"`, or `"stalled"`.
+            kind: &'static str = OneOf(&["cancelled", "deadline", "stalled"]),
+            /// External diagonal the run can resume from (stage 1), else 0.
+            diagonal: usize = Num,
+            /// Time from the cancel signal to the run unwinding, in
+            /// milliseconds on the supervisor's clock (0 when unknown).
+            latency_ms: f64 = NonNeg,
+        },
+        /// Strip-scheduler coordination snapshot attached to a stall
+        /// diagnosis: where every strip and runner was when the run stopped.
+        StallDiag("stall_diag", Free) {
+            /// Stage that owned the strip launch (currently always 1).
+            stage: u8 = Stage,
+            /// Delivery frontier (external diagonal) at teardown.
+            front: usize = Num,
+            /// Per strip: block rows published to the right neighbour.
+            published: Vec<usize> = NumList,
+            /// Per runner: strips claimed (first claim = home, rest steals).
+            claims: Vec<u64> = NumList,
+            /// Per runner: blocks computed.
+            blocks: Vec<u64> = NumList,
+        },
+        /// Final dump of the metrics registry (see [`Metrics::to_event`]).
+        Metrics("metrics", Free) {
+            /// Counter names and values, sorted by name.
+            counters: Vec<(String, u64)> = NumMap,
+            /// Gauge names and values, sorted by name.
+            gauges: Vec<(String, f64)> = NumMap,
+        },
+        /// The run is over.
+        RunEnd("run_end", Free) {
+            /// Total wall seconds (injected clock).
+            seconds: f64 = Num,
+            /// Best local alignment score found.
+            best_score: i64 = Num,
+        },
+        /// A job was admitted to the serve queue. Job-scoped record emitted
+        /// by [`crate::serve`] into the job's own trace stream, *before* any
+        /// `run_begin` — it gives every per-job trace a header even when the
+        /// pipeline never runs (cancelled while queued, or served from the
+        /// result cache).
+        JobSubmit("job_submit", Free) {
+            /// Serve-assigned job id, unique within the server.
+            job: u64 = Num,
+            /// Content fingerprint the result cache is keyed by, encoded as
+            /// 16 hex digits.
+            fingerprint: u64 = Hex,
+            /// Query length.
+            m: usize = Num,
+            /// Database length.
+            n: usize = Num,
+            /// Job priority (higher drains first).
+            priority: u8 = Num,
+            /// Queue depth right after admission, this job included.
+            queued: usize = Num,
+        },
+        /// A runner picked the job up (or resolved it from the result
+        /// cache). Precedes `run_begin` when a pipeline actually runs.
+        JobStart("job_start", Free) {
+            /// Serve-assigned job id.
+            job: u64 = Num,
+            /// Whether the result came from the fingerprint cache (no
+            /// pipeline run follows).
+            cached: bool = Bool,
+        },
+        /// Terminal job record: nothing may follow it in the job's trace.
+        /// Present even when the run never began, which is what keeps an
+        /// immediately-cancelled job's trace schema-valid instead of
+        /// [`TraceError::Empty`].
+        JobEnd("job_end", Free) {
+            /// Serve-assigned job id.
+            job: u64 = Num,
+            /// `"ok"`, `"cached"`, `"cancelled"`, `"deadline"`, `"stalled"`,
+            /// or `"failed"`.
+            outcome: &'static str =
+                OneOf(&["ok", "cached", "cancelled", "deadline", "stalled", "failed"]),
+            /// Queue wait plus run time, in seconds on the server's clock.
+            seconds: f64 = Num,
+        },
+    }
 }
 
 /// A sink for timed [`Event`]s.
@@ -563,12 +658,14 @@ pub struct TraceWriter<W: Write> {
     out: W,
     records: u64,
     error: Option<String>,
+    /// The line being encoded, reused across records.
+    line: String,
 }
 
 impl<W: Write> TraceWriter<W> {
     /// Wrap a byte sink (commonly a buffered file handle).
     pub fn new(out: W) -> Self {
-        TraceWriter { out, records: 0, error: None }
+        TraceWriter { out, records: 0, error: None, line: String::with_capacity(128) }
     }
 
     /// Records successfully written so far.
@@ -633,212 +730,117 @@ impl<W: Write> Recorder for TraceWriter<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = encode_record(t, ev);
-        line.push('\n');
-        match self.out.write_all(line.as_bytes()) {
+        self.line.clear();
+        encode_record(t, ev, &mut self.line);
+        match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.records += 1,
             Err(e) => self.error = Some(e.to_string()),
         }
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// `s` with JSON string escapes applied, formatted without allocating.
+struct Escaped<'a>(&'a str);
+
+impl std::fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        Ok(())
     }
-    out
+}
+
+fn json_escape(s: &str) -> Escaped<'_> {
+    Escaped(s)
+}
+
+/// A field value's NDJSON encoding. `kind` only matters where one Rust
+/// type has two encodings (`u64` as a number or as [`Kind::Hex`]).
+trait Field {
+    fn put(&self, kind: Kind, out: &mut String);
+}
+
+macro_rules! display_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn put(&self, _: Kind, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_fields!(u8, usize, i64, bool);
+
+impl Field for u64 {
+    fn put(&self, kind: Kind, out: &mut String) {
+        let _ = match kind {
+            Kind::Hex => write!(out, "\"{self:016x}\""),
+            _ => write!(out, "{self}"),
+        };
+    }
 }
 
 /// Finite floats render as plain JSON numbers; NaN/inf (which valid runs
 /// never produce) degrade to 0 rather than corrupting the line.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+impl Field for f64 {
+    fn put(&self, _: Kind, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push('0');
+        }
     }
 }
 
-fn encode_record(t: Duration, ev: &Event) -> String {
-    let mut s = String::with_capacity(96);
-    let _ = write!(s, "{{\"t\":{}", json_f64(t.as_secs_f64()));
-    match ev {
-        Event::RunBegin { m, n, total_diagonals, resumed_from_diagonal } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"run_begin\",\"m\":{m},\"n\":{n},\"total_diagonals\":{total_diagonals},\"resumed_from_diagonal\":{resumed_from_diagonal}"
-            );
-        }
-        Event::StageBegin { stage } => {
-            let _ = write!(s, ",\"ev\":\"stage_begin\",\"stage\":{stage}");
-        }
-        Event::StageEnd { stage, seconds, cells } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"stage_end\",\"stage\":{stage},\"seconds\":{},\"cells\":{cells}",
-                json_f64(*seconds)
-            );
-        }
-        Event::Diagonal { stage, done, total } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"diagonal\",\"stage\":{stage},\"done\":{done},\"total\":{total}"
-            );
-        }
-        Event::StripProgress { stage, worker, strip, rows_done, rows_total } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"strip_progress\",\"stage\":{stage},\"worker\":{worker},\"strip\":{strip},\"rows_done\":{rows_done},\"rows_total\":{rows_total}"
-            );
-        }
-        Event::StripSteal { stage, worker, strip, stolen } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"strip_steal\",\"stage\":{stage},\"worker\":{worker},\"strip\":{strip},\"stolen\":{stolen}"
-            );
-        }
-        Event::Strip { stage, index, height, width } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"strip\",\"stage\":{stage},\"index\":{index},\"height\":{height},\"width\":{width}"
-            );
-        }
-        Event::Partitions { stage, count } => {
-            let _ = write!(s, ",\"ev\":\"partitions\",\"stage\":{stage},\"count\":{count}");
-        }
-        Event::Partition { stage, index, height, width } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"partition\",\"stage\":{stage},\"index\":{index},\"height\":{height},\"width\":{width}"
-            );
-        }
-        Event::Iteration { stage, index, crosspoints, cells, seconds } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"iteration\",\"stage\":{stage},\"index\":{index},\"crosspoints\":{crosspoints},\"cells\":{cells},\"seconds\":{}",
-                json_f64(*seconds)
-            );
-        }
-        Event::StorageFlush { store, index, bytes } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"storage_flush\",\"store\":\"{}\",\"index\":{index},\"bytes\":{bytes}",
-                json_escape(store)
-            );
-        }
-        Event::StorageDrop { store, index } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"storage_drop\",\"store\":\"{}\",\"index\":{index}",
-                json_escape(store)
-            );
-        }
-        Event::Kernel {
-            stage,
-            striped8,
-            striped8_fb16,
-            striped16,
-            fallback,
-            scalar,
-            profile_hits,
-            profile_misses,
-        } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"kernel\",\"stage\":{stage},\"striped8\":{striped8},\"striped8_fb16\":{striped8_fb16},\"striped16\":{striped16},\"fallback\":{fallback},\"scalar\":{scalar},\"profile_hits\":{profile_hits},\"profile_misses\":{profile_misses}"
-            );
-        }
-        Event::Checkpoint { diagonal, ok } => {
-            let _ = write!(s, ",\"ev\":\"checkpoint\",\"diagonal\":{diagonal},\"ok\":{ok}");
-        }
-        Event::Interrupt { stage, kind, diagonal, latency_ms } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"interrupt\",\"stage\":{stage},\"kind\":\"{}\",\"diagonal\":{diagonal},\"latency_ms\":{}",
-                json_escape(kind),
-                json_f64(*latency_ms)
-            );
-        }
-        Event::StallDiag { stage, front, published, claims, blocks } => {
-            let _ = write!(s, ",\"ev\":\"stall_diag\",\"stage\":{stage},\"front\":{front}");
-            s.push_str(",\"published\":[");
-            for (i, v) in published.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{v}");
-            }
-            s.push_str("],\"claims\":[");
-            for (i, v) in claims.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{v}");
-            }
-            s.push_str("],\"blocks\":[");
-            for (i, v) in blocks.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{v}");
-            }
-            s.push(']');
-        }
-        Event::Metrics { counters, gauges } => {
-            s.push_str(",\"ev\":\"metrics\",\"counters\":{");
-            for (i, (k, v)) in counters.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{v}", json_escape(k));
-            }
-            s.push_str("},\"gauges\":{");
-            for (i, (k, v)) in gauges.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{}", json_escape(k), json_f64(*v));
-            }
-            s.push('}');
-        }
-        Event::RunEnd { seconds, best_score } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"run_end\",\"seconds\":{},\"best_score\":{best_score}",
-                json_f64(*seconds)
-            );
-        }
-        Event::JobSubmit { job, fingerprint, m, n, priority, queued } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"job_submit\",\"job\":{job},\"fingerprint\":\"{fingerprint:016x}\",\"m\":{m},\"n\":{n},\"priority\":{priority},\"queued\":{queued}"
-            );
-        }
-        Event::JobStart { job, cached } => {
-            let _ = write!(s, ",\"ev\":\"job_start\",\"job\":{job},\"cached\":{cached}");
-        }
-        Event::JobEnd { job, outcome, seconds } => {
-            let _ = write!(
-                s,
-                ",\"ev\":\"job_end\",\"job\":{job},\"outcome\":\"{}\",\"seconds\":{}",
-                json_escape(outcome),
-                json_f64(*seconds)
-            );
-        }
+impl Field for &'static str {
+    fn put(&self, _: Kind, out: &mut String) {
+        let _ = write!(out, "\"{}\"", json_escape(self));
     }
-    s.push('}');
-    s
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, kind: Kind, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.put(kind, out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: Field> Field for Vec<(String, T)> {
+    fn put(&self, kind: Kind, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":", json_escape(k));
+            v.put(kind, out);
+        }
+        out.push('}');
+    }
+}
+
+/// Append one record, `{"t":..,"ev":..,<fields>}` plus a newline, to `out`.
+fn encode_record(t: Duration, ev: &Event, out: &mut String) {
+    out.push_str("{\"t\":");
+    t.as_secs_f64().put(Kind::Num, out);
+    ev.put_fields(out);
+    out.push_str("}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,11 +1011,10 @@ impl Json {
 
 /// Parse one JSON document. Rejects trailing garbage; never panics.
 pub fn parse_json(src: &str) -> Result<Json, TraceError> {
-    let b = src.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos, 0).map_err(TraceError::Json)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
+    let v = parse_value(src, &mut pos, 0).map_err(TraceError::Json)?;
+    skip_ws(src.as_bytes(), &mut pos);
+    if pos != src.len() {
         return Err(TraceError::Json(format!("trailing bytes at offset {pos}")));
     }
     Ok(v)
@@ -1037,16 +1038,17 @@ fn expect_byte(b: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     if depth > MAX_DEPTH {
         return Err("nesting too deep".to_string());
     }
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos, depth),
-        Some(b'[') => parse_array(b, pos, depth),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'{') => parse_object(src, pos, depth),
+        Some(b'[') => parse_array(src, pos, depth),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b't') => parse_literal(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(b, pos, "null", Json::Null),
@@ -1074,17 +1076,26 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {text:?} at offset {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let b = src.as_bytes();
     expect_byte(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one slice:
+        // both are ASCII, so the run ends on a char boundary.
+        let run = *pos;
+        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+            *pos += 1;
+        }
+        out.push_str(src.get(run..*pos).ok_or("string splits a UTF-8 character")?);
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: decode one escape.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -1106,17 +1117,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                match rest.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err("unterminated string".to_string()),
-                }
-            }
         }
     }
 }
@@ -1127,7 +1127,8 @@ fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
     u32::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape {text:?}"))
 }
 
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     expect_byte(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -1136,7 +1137,7 @@ fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos, depth + 1)?);
+        items.push(parse_value(src, pos, depth + 1)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -1149,7 +1150,8 @@ fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     expect_byte(b, pos, b'{')?;
     let mut entries = Vec::new();
     skip_ws(b, pos);
@@ -1159,10 +1161,10 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String>
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(b, pos);
         expect_byte(b, pos, b':')?;
-        let value = parse_value(b, pos, depth + 1)?;
+        let value = parse_value(src, pos, depth + 1)?;
         entries.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -1251,26 +1253,56 @@ pub fn validate_trace(text: &str) -> Result<TraceCheck, TraceError> {
     Ok(st.check)
 }
 
-fn req_num(obj: &Json, key: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        .num()
-        .ok_or_else(|| format!("field {key:?} is not a number"))?;
-    if !v.is_finite() {
-        return Err(format!("field {key:?} is not finite"));
+/// Check one field of `obj` against its declared [`Kind`].
+fn check_field(obj: &Json, ev: &str, key: &str, kind: Kind) -> Result<(), String> {
+    let v = obj.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    let not = |what: &str| format!("field {key:?} is not {what}");
+    match kind {
+        Kind::Num | Kind::NonNeg | Kind::Stage => {
+            let x = v.num().ok_or_else(|| not("a number"))?;
+            if !x.is_finite() {
+                return Err(not("finite"));
+            }
+            if matches!(kind, Kind::NonNeg) && x < 0.0 {
+                return Err(format!("negative {key} {x}"));
+            }
+            if matches!(kind, Kind::Stage) && (!(1.0..=6.0).contains(&x) || x.fract() != 0.0) {
+                return Err(format!("stage {x} out of range 1..=6"));
+            }
+        }
+        Kind::Bool => {
+            v.bool_val().ok_or_else(|| not("a bool"))?;
+        }
+        Kind::OneOf(set) => {
+            let s = v.str_val().ok_or_else(|| not("a string"))?;
+            if !set.contains(&s) {
+                return Err(format!("unknown {ev} {key} {s:?}"));
+            }
+        }
+        Kind::Hex => {
+            let s = v.str_val().ok_or_else(|| not("a string"))?;
+            if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(format!("{key} {s:?} is not 16 hex digits"));
+            }
+        }
+        Kind::NumList => {
+            let items = v.arr().ok_or_else(|| not("an array"))?;
+            if let Some(bad) = items.iter().find(|x| x.num().is_none()) {
+                return Err(format!("non-numeric entry {bad:?} in {key:?}"));
+            }
+        }
+        Kind::NumMap => {
+            let entries = v.entries().ok_or_else(|| not("an object"))?;
+            if let Some((k, _)) = entries.iter().find(|(_, x)| x.num().is_none()) {
+                return Err(format!("{key}.{k} is not a number"));
+            }
+        }
     }
-    Ok(v)
+    Ok(())
 }
 
-fn req_stage(obj: &Json) -> Result<u8, String> {
-    let v = req_num(obj, "stage")?;
-    if !(1.0..=6.0).contains(&v) || v.fract() != 0.0 {
-        return Err(format!("stage {v} out of range 1..=6"));
-    }
-    Ok(v as u8)
-}
-
+/// Validate one record: its fields against [`SCHEMA`], then the rules
+/// that span records (framing, span nesting, monotone progress).
 fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
     let obj = parse_json(line).map_err(|e| e.to_string())?;
     if obj.entries().is_none() {
@@ -1283,92 +1315,67 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
     if st.ended && ev != "job_end" {
         return Err("record after run_end".to_string());
     }
-    let t = req_num(&obj, "t")?;
+    let rec = SCHEMA
+        .iter()
+        .find(|r| r.name == ev)
+        .ok_or_else(|| format!("unknown record type {ev:?}"))?;
+    check_field(&obj, ev, "t", Kind::Num)?;
+    for &(key, kind) in rec.fields {
+        check_field(&obj, ev, key, kind)?;
+    }
+    // Every declared field is now present and of its kind.
+    let num = |key: &str| obj.get(key).and_then(Json::num).unwrap_or(0.0);
+    let t = num("t");
     if t < st.last_t {
         return Err(format!("timestamp went backwards ({} -> {t})", st.last_t));
     }
     st.last_t = t;
-    if ev == "job_submit" {
-        if st.job_submitted {
-            return Err("duplicate job_submit".to_string());
+
+    // Framing: job records wrap the run, `run_begin` opens it.
+    match ev {
+        "job_submit" if st.job_submitted => return Err("duplicate job_submit".to_string()),
+        "job_start" | "job_end" if !st.job_submitted => {
+            return Err(format!("{ev} before job_submit"));
         }
-        if st.begun {
-            return Err("job_submit after run_begin".to_string());
+        "job_submit" | "job_start" if st.begun => return Err(format!("{ev} after run_begin")),
+        "job_submit" => {
+            st.job_submitted = true;
+            st.check.jobs += 1;
         }
-        st.job_submitted = true;
-        req_num(&obj, "job")?;
-        let fp = obj
-            .get("fingerprint")
-            .and_then(Json::str_val)
-            .ok_or("missing or non-string \"fingerprint\" field")?;
-        if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("fingerprint {fp:?} is not 16 hex digits"));
-        }
-        req_num(&obj, "m")?;
-        req_num(&obj, "n")?;
-        req_num(&obj, "priority")?;
-        req_num(&obj, "queued")?;
-        st.check.jobs += 1;
-        st.check.records += 1;
-        return Ok(());
-    }
-    if ev == "job_start" {
-        if !st.job_submitted {
-            return Err("job_start before job_submit".to_string());
-        }
-        if st.begun {
-            return Err("job_start after run_begin".to_string());
-        }
-        req_num(&obj, "job")?;
-        obj.get("cached").and_then(Json::bool_val).ok_or("missing or non-bool \"cached\" field")?;
-        st.check.records += 1;
-        return Ok(());
-    }
-    if ev == "job_end" {
-        if !st.job_submitted {
-            return Err("job_end before job_submit".to_string());
-        }
-        req_num(&obj, "job")?;
-        let outcome = obj
-            .get("outcome")
-            .and_then(Json::str_val)
-            .ok_or("missing or non-string \"outcome\" field")?;
-        match outcome {
-            // A run that claims success must actually have run to
-            // completion; a cache hit must not carry run records.
-            "ok" if !st.ended => return Err("outcome \"ok\" without run_end".to_string()),
-            "cached" if st.begun => {
+        "job_start" => {}
+        // A run that claims success must actually have run to completion;
+        // a cache hit must not carry run records.
+        "job_end" => match obj.get("outcome").and_then(Json::str_val) {
+            Some("ok") if !st.ended => return Err("outcome \"ok\" without run_end".to_string()),
+            Some("cached") if st.begun => {
                 return Err("outcome \"cached\" on a trace with run records".to_string());
             }
-            "ok" | "cached" | "cancelled" | "deadline" | "stalled" | "failed" => {}
-            other => return Err(format!("unknown job outcome {other:?}")),
+            _ => st.job_done = true,
+        },
+        "run_begin" if st.begun => return Err("duplicate run_begin".to_string()),
+        "run_begin" => {
+            if num("resumed_from_diagonal") > num("total_diagonals") {
+                return Err("resumed_from_diagonal exceeds total_diagonals".to_string());
+            }
+            st.begun = true;
         }
-        req_num(&obj, "seconds")?;
-        st.job_done = true;
-        st.check.records += 1;
-        return Ok(());
+        _ if !st.begun => return Err(format!("{ev:?} before run_begin")),
+        _ => {}
     }
-    if ev == "run_begin" {
-        if st.begun {
-            return Err("duplicate run_begin".to_string());
+
+    let stage = num("stage") as u8;
+    match rec.scope {
+        Scope::OwnStage if st.open_stage != Some(stage) => {
+            return Err(format!("{ev} for stage {stage} but open stage is {:?}", st.open_stage));
         }
-        st.begun = true;
-        let total = req_num(&obj, "total_diagonals")?;
-        let resumed = req_num(&obj, "resumed_from_diagonal")?;
-        req_num(&obj, "m")?;
-        req_num(&obj, "n")?;
-        if resumed > total {
-            return Err("resumed_from_diagonal exceeds total_diagonals".to_string());
+        Scope::AnyStage if st.open_stage.is_none() => {
+            return Err(format!("{ev} outside any stage span"));
         }
-        st.check.records += 1;
-        return Ok(());
+        _ => {}
     }
-    if !st.begun {
-        return Err(format!("{ev:?} before run_begin"));
-    }
+
     match ev {
         "stage_begin" => {
-            let stage = req_stage(&obj)?;
             if let Some(open) = st.open_stage {
                 return Err(format!("stage {stage} begins inside open stage {open}"));
             }
@@ -1380,20 +1387,11 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
             st.check.stages_seen[usize::from(stage) - 1] = true;
         }
         "stage_end" => {
-            let stage = req_stage(&obj)?;
-            req_num(&obj, "seconds")?;
-            req_num(&obj, "cells")?;
-            if st.open_stage != Some(stage) {
-                return Err(format!("stage {stage} ends but open stage is {:?}", st.open_stage));
-            }
             st.open_stage = None;
             st.last_closed = stage;
         }
         "diagonal" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            let done = req_num(&obj, "done")?;
-            let total = req_num(&obj, "total")?;
+            let (done, total) = (num("done"), num("total"));
             if done > total {
                 return Err(format!("diagonal done {done} exceeds total {total}"));
             }
@@ -1405,164 +1403,29 @@ fn validate_record(st: &mut TraceState, line: &str) -> Result<(), String> {
             st.last_done = Some(done);
         }
         "strip_progress" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "worker")?;
-            req_num(&obj, "strip")?;
-            let done = req_num(&obj, "rows_done")?;
-            let total = req_num(&obj, "rows_total")?;
+            let (done, total) = (num("rows_done"), num("rows_total"));
             if done > total {
                 return Err(format!("strip_progress rows_done {done} exceeds total {total}"));
             }
             st.check.strip_progress += 1;
         }
         "strip_steal" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "worker")?;
-            req_num(&obj, "strip")?;
-            let stolen = obj
-                .get("stolen")
-                .and_then(Json::bool_val)
-                .ok_or("missing or non-bool \"stolen\" field")?;
             st.check.strip_claims += 1;
-            if stolen {
+            if obj.get("stolen").and_then(Json::bool_val) == Some(true) {
                 st.check.strip_steals += 1;
             }
         }
-        "strip" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "index")?;
-            req_num(&obj, "height")?;
-            req_num(&obj, "width")?;
-        }
-        "partitions" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "count")?;
-        }
-        "partition" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "index")?;
-            req_num(&obj, "height")?;
-            req_num(&obj, "width")?;
-        }
-        "iteration" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            req_num(&obj, "index")?;
-            req_num(&obj, "crosspoints")?;
-            req_num(&obj, "cells")?;
-            req_num(&obj, "seconds")?;
-        }
-        "storage_flush" | "storage_drop" => {
-            if st.open_stage.is_none() {
-                return Err(format!("{ev} outside any stage span"));
-            }
-            let store = obj
-                .get("store")
-                .and_then(Json::str_val)
-                .ok_or("missing or non-string \"store\" field")?;
-            if store != "sra" && store != "sca" {
-                return Err(format!("unknown store {store:?}"));
-            }
-            req_num(&obj, "index")?;
-            if ev == "storage_flush" {
-                req_num(&obj, "bytes")?;
-            }
-        }
-        "kernel" => {
-            let stage = req_stage(&obj)?;
-            in_open_stage(st, stage, ev)?;
-            for key in [
-                "striped8",
-                "striped8_fb16",
-                "striped16",
-                "fallback",
-                "scalar",
-                "profile_hits",
-                "profile_misses",
-            ] {
-                let v = req_num(&obj, key)?;
-                if v < 0.0 {
-                    return Err(format!("negative {key} {v}"));
-                }
-            }
-        }
-        "checkpoint" => {
-            if st.open_stage.is_none() {
-                return Err("checkpoint outside any stage span".to_string());
-            }
-            req_num(&obj, "diagonal")?;
-            obj.get("ok").and_then(Json::bool_val).ok_or("missing or non-bool \"ok\" field")?;
-        }
-        "interrupt" => {
-            // Interruption is terminal and may surface inside or after a
-            // stage span (the interrupted stage never emits stage_end),
-            // so only the stage *number* is validated, not span nesting.
-            req_stage(&obj)?;
-            let kind = obj
-                .get("kind")
-                .and_then(Json::str_val)
-                .ok_or("missing or non-string \"kind\" field")?;
-            if !matches!(kind, "cancelled" | "deadline" | "stalled") {
-                return Err(format!("unknown interrupt kind {kind:?}"));
-            }
-            req_num(&obj, "diagonal")?;
-            let latency = req_num(&obj, "latency_ms")?;
-            if latency < 0.0 {
-                return Err(format!("negative latency_ms {latency}"));
-            }
-            st.check.interrupts += 1;
-        }
-        "stall_diag" => {
-            req_stage(&obj)?;
-            req_num(&obj, "front")?;
-            for key in ["published", "claims", "blocks"] {
-                let items = obj
-                    .get(key)
-                    .and_then(Json::arr)
-                    .ok_or_else(|| format!("missing or non-array {key:?} field"))?;
-                if let Some(bad) = items.iter().find(|v| v.num().is_none()) {
-                    return Err(format!("non-numeric entry {bad:?} in {key:?}"));
-                }
-            }
-        }
-        "metrics" => {
-            for section in ["counters", "gauges"] {
-                let entries = obj
-                    .get(section)
-                    .and_then(Json::entries)
-                    .ok_or_else(|| format!("missing or non-object {section:?} field"))?;
-                for (k, v) in entries {
-                    if v.num().is_none() {
-                        return Err(format!("{section}.{k} is not a number"));
-                    }
-                }
-            }
-        }
+        "interrupt" => st.check.interrupts += 1,
         "run_end" => {
             if let Some(open) = st.open_stage {
                 return Err(format!("run_end with stage {open} still open"));
             }
-            req_num(&obj, "seconds")?;
-            req_num(&obj, "best_score")?;
             st.ended = true;
         }
-        other => return Err(format!("unknown record type {other:?}")),
+        _ => {}
     }
     st.check.records += 1;
     Ok(())
-}
-
-fn in_open_stage(st: &TraceState, stage: u8, ev: &str) -> Result<(), String> {
-    if st.open_stage == Some(stage) {
-        Ok(())
-    } else {
-        Err(format!("{ev} for stage {stage} but open stage is {:?}", st.open_stage))
-    }
 }
 
 #[cfg(test)]
@@ -1642,6 +1505,235 @@ mod tests {
             obs.emit(Event::RunEnd { seconds: 1.18, best_score: 42 });
         }
         String::from_utf8(tw.finish().unwrap()).unwrap()
+    }
+
+    /// One instance of every [`Event`] variant, each at its own time.
+    fn every_variant() -> Vec<(Duration, Event)> {
+        let t = Duration::from_millis(1500);
+        vec![
+            (
+                Duration::ZERO,
+                Event::RunBegin { m: 64, n: 48, total_diagonals: 10, resumed_from_diagonal: 3 },
+            ),
+            (Duration::from_nanos(1), Event::StageBegin { stage: 1 }),
+            (t, Event::StageEnd { stage: 6, seconds: f64::NAN, cells: 12_345_678_901 }),
+            (t, Event::Diagonal { stage: 1, done: 7, total: 10 }),
+            (
+                t,
+                Event::StripProgress { stage: 1, worker: 2, strip: 3, rows_done: 4, rows_total: 9 },
+            ),
+            (t, Event::StripSteal { stage: 1, worker: 1, strip: 0, stolen: true }),
+            (t, Event::Strip { stage: 2, index: 1, height: 20, width: 40 }),
+            (t, Event::Partitions { stage: 5, count: 4 }),
+            (t, Event::Partition { stage: 3, index: 0, height: 20, width: 40 }),
+            (t, Event::Iteration { stage: 4, index: 1, crosspoints: 5, cells: 200, seconds: 0.01 }),
+            (t, Event::StorageFlush { store: "sra", index: 16, bytes: 392 }),
+            (t, Event::StorageDrop { store: "sca", index: 7 }),
+            (
+                t,
+                Event::Kernel {
+                    stage: 3,
+                    striped8: 4,
+                    striped8_fb16: 2,
+                    striped16: 1,
+                    fallback: 0,
+                    scalar: 5,
+                    profile_hits: 3,
+                    profile_misses: 1,
+                },
+            ),
+            (t, Event::Checkpoint { diagonal: 5, ok: false }),
+            (t, Event::Interrupt { stage: 1, kind: "stalled", diagonal: 3, latency_ms: 12.5 }),
+            (
+                t,
+                Event::StallDiag {
+                    stage: 1,
+                    front: 3,
+                    published: vec![4, 3, 0],
+                    claims: vec![],
+                    blocks: vec![9],
+                },
+            ),
+            (
+                t,
+                Event::Metrics {
+                    counters: vec![
+                        ("a\"b\\c\nd\tctl\u{1}".to_string(), 3),
+                        ("stage1.cells".to_string(), 3072),
+                    ],
+                    gauges: vec![
+                        ("inf".to_string(), f64::INFINITY),
+                        ("total.seconds".to_string(), 1.18),
+                    ],
+                },
+            ),
+            (Duration::from_millis(2250), Event::RunEnd { seconds: 2.25, best_score: -7 }),
+            (
+                Duration::ZERO,
+                Event::JobSubmit {
+                    job: 3,
+                    fingerprint: 0x00d3_adb3_3f00_0001,
+                    m: 500,
+                    n: 4000,
+                    priority: 5,
+                    queued: 2,
+                },
+            ),
+            (Duration::ZERO, Event::JobStart { job: 3, cached: true }),
+            (t, Event::JobEnd { job: 3, outcome: "cancelled", seconds: 0.25 }),
+        ]
+    }
+
+    /// The NDJSON line each sample of [`every_variant`] encodes to. The
+    /// `match` is exhaustive, so a new variant does not compile until it
+    /// is sampled and pinned here.
+    fn pinned(ev: &Event) -> &'static str {
+        match ev {
+            Event::RunBegin { .. } => {
+                r#"{"t":0,"ev":"run_begin","m":64,"n":48,"total_diagonals":10,"resumed_from_diagonal":3}"#
+            }
+            Event::StageBegin { .. } => r#"{"t":0.000000001,"ev":"stage_begin","stage":1}"#,
+            Event::StageEnd { .. } => {
+                r#"{"t":1.5,"ev":"stage_end","stage":6,"seconds":0,"cells":12345678901}"#
+            }
+            Event::Diagonal { .. } => r#"{"t":1.5,"ev":"diagonal","stage":1,"done":7,"total":10}"#,
+            Event::StripProgress { .. } => {
+                r#"{"t":1.5,"ev":"strip_progress","stage":1,"worker":2,"strip":3,"rows_done":4,"rows_total":9}"#
+            }
+            Event::StripSteal { .. } => {
+                r#"{"t":1.5,"ev":"strip_steal","stage":1,"worker":1,"strip":0,"stolen":true}"#
+            }
+            Event::Strip { .. } => {
+                r#"{"t":1.5,"ev":"strip","stage":2,"index":1,"height":20,"width":40}"#
+            }
+            Event::Partitions { .. } => r#"{"t":1.5,"ev":"partitions","stage":5,"count":4}"#,
+            Event::Partition { .. } => {
+                r#"{"t":1.5,"ev":"partition","stage":3,"index":0,"height":20,"width":40}"#
+            }
+            Event::Iteration { .. } => {
+                r#"{"t":1.5,"ev":"iteration","stage":4,"index":1,"crosspoints":5,"cells":200,"seconds":0.01}"#
+            }
+            Event::StorageFlush { .. } => {
+                r#"{"t":1.5,"ev":"storage_flush","store":"sra","index":16,"bytes":392}"#
+            }
+            Event::StorageDrop { .. } => r#"{"t":1.5,"ev":"storage_drop","store":"sca","index":7}"#,
+            Event::Kernel { .. } => {
+                r#"{"t":1.5,"ev":"kernel","stage":3,"striped8":4,"striped8_fb16":2,"striped16":1,"fallback":0,"scalar":5,"profile_hits":3,"profile_misses":1}"#
+            }
+            Event::Checkpoint { .. } => r#"{"t":1.5,"ev":"checkpoint","diagonal":5,"ok":false}"#,
+            Event::Interrupt { .. } => {
+                r#"{"t":1.5,"ev":"interrupt","stage":1,"kind":"stalled","diagonal":3,"latency_ms":12.5}"#
+            }
+            Event::StallDiag { .. } => {
+                r#"{"t":1.5,"ev":"stall_diag","stage":1,"front":3,"published":[4,3,0],"claims":[],"blocks":[9]}"#
+            }
+            Event::Metrics { .. } => {
+                r#"{"t":1.5,"ev":"metrics","counters":{"a\"b\\c\nd\tctl\u0001":3,"stage1.cells":3072},"gauges":{"inf":0,"total.seconds":1.18}}"#
+            }
+            Event::RunEnd { .. } => r#"{"t":2.25,"ev":"run_end","seconds":2.25,"best_score":-7}"#,
+            Event::JobSubmit { .. } => {
+                r#"{"t":0,"ev":"job_submit","job":3,"fingerprint":"00d3adb33f000001","m":500,"n":4000,"priority":5,"queued":2}"#
+            }
+            Event::JobStart { .. } => r#"{"t":0,"ev":"job_start","job":3,"cached":true}"#,
+            Event::JobEnd { .. } => {
+                r#"{"t":1.5,"ev":"job_end","job":3,"outcome":"cancelled","seconds":0.25}"#
+            }
+        }
+    }
+
+    fn encode_line(t: Duration, ev: &Event) -> String {
+        let mut tw = TraceWriter::new(Vec::new());
+        tw.record(t, ev);
+        String::from_utf8(tw.finish().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_pinned_line() {
+        let samples = every_variant();
+        let mut names = std::collections::BTreeSet::new();
+        for (t, ev) in &samples {
+            let line = encode_line(*t, ev);
+            assert_eq!(line, format!("{}\n", pinned(ev)), "{ev:?}");
+            let rec = parse_json(line.trim_end()).unwrap();
+            assert!(names.insert(rec.get("ev").and_then(Json::str_val).unwrap().to_string()));
+        }
+        assert_eq!(names.len(), samples.len(), "each variant is sampled once");
+    }
+
+    /// Every variant's line validates inside the smallest framing its
+    /// record type allows.
+    #[test]
+    fn every_variant_validates_inside_a_minimal_frame() {
+        let run_begin = r#"{"t":0,"ev":"run_begin","m":1,"n":1,"total_diagonals":10,"resumed_from_diagonal":0}"#;
+        let run_end = r#"{"t":9,"ev":"run_end","seconds":9,"best_score":0}"#;
+        let submit = r#"{"t":0,"ev":"job_submit","job":3,"fingerprint":"0000000000000003","m":1,"n":1,"priority":0,"queued":1}"#;
+        let job_end = r#"{"t":9,"ev":"job_end","job":3,"outcome":"cancelled","seconds":9}"#;
+        for (t, ev) in every_variant() {
+            let line = encode_line(t, &ev);
+            let line = line.trim_end();
+            let rec = parse_json(line).unwrap();
+            let stage = rec.get("stage").and_then(Json::num).unwrap_or(1.0);
+            let open = format!(r#"{{"t":0,"ev":"stage_begin","stage":{stage}}}"#);
+            let close =
+                format!(r#"{{"t":9,"ev":"stage_end","stage":{stage},"seconds":0,"cells":0}}"#);
+            let frame: Vec<&str> = match rec.get("ev").and_then(Json::str_val).unwrap() {
+                "job_submit" => vec![line, job_end],
+                "job_start" => vec![submit, line, job_end],
+                "job_end" => vec![submit, line],
+                "run_begin" => vec![line, run_end],
+                "run_end" => vec![run_begin, line],
+                "stage_begin" => vec![run_begin, line, &close, run_end],
+                "stage_end" => vec![run_begin, &open, line, run_end],
+                _ => vec![run_begin, &open, line, &close, run_end],
+            };
+            let check = validate_trace(&frame.join("\n"));
+            assert_eq!(check.map(|c| c.records), Ok(frame.len()), "{line}");
+        }
+    }
+
+    /// The encoder and the schema table come from one declaration: each
+    /// line's keys are `t`, `ev`, then its record's fields in order.
+    #[test]
+    fn encoded_keys_follow_the_schema_table() {
+        let samples = every_variant();
+        assert_eq!(SCHEMA.len(), samples.len());
+        for (t, ev) in &samples {
+            let rec = parse_json(encode_line(*t, ev).trim_end()).unwrap();
+            let keys: Vec<&str> = rec.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+            let name = rec.get("ev").and_then(Json::str_val).unwrap();
+            let schema = SCHEMA.iter().find(|r| r.name == name).unwrap();
+            let declared: Vec<&str> =
+                ["t", "ev"].into_iter().chain(schema.fields.iter().map(|f| f.0)).collect();
+            assert_eq!(keys, declared);
+        }
+    }
+
+    /// The validator requires what the encoder writes: hiding any declared
+    /// field fails the record.
+    #[test]
+    fn validator_requires_every_declared_field() {
+        for (t, ev) in every_variant() {
+            let line = encode_line(t, &ev);
+            let name = parse_json(line.trim_end()).unwrap().get("ev").cloned();
+            let schema = SCHEMA.iter().find(|r| Some(Json::Str(r.name.into())) == name).unwrap();
+            for &(key, _) in schema.fields {
+                let hidden = line.replacen(&format!(",\"{key}\":"), &format!(",\"{key}_\":"), 1);
+                let msg = format!("missing field {key:?}");
+                assert_eq!(validate_trace(&hidden), Err(TraceError::Schema { line: 1, msg }));
+            }
+        }
+    }
+
+    #[test]
+    fn json_strings_round_trip_multibyte_utf8_between_escapes() {
+        let text = "2-byte é, 3-byte €→, 4-byte 𝄞🧬, \"quoted\"\\\n\tmixed: ü\"ß\\中\u{1}𐍈";
+        let encoded = format!("{{\"s\":\"{}\",\"k\":[\"ö\",\"\\u00e9\"]}}", json_escape(text));
+        let parsed = parse_json(&encoded).unwrap();
+        assert_eq!(parsed.get("s").and_then(Json::str_val), Some(text));
+        let items = parsed.get("k").and_then(Json::arr).unwrap();
+        assert_eq!(items[0].str_val(), Some("ö"));
+        assert_eq!(items[1].str_val(), Some("é"));
+        assert!(parse_json("\"unterminated é").is_err());
     }
 
     #[test]

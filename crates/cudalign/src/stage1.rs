@@ -255,7 +255,7 @@ pub fn run(
     pool: &WorkerPool,
     rows: &mut LineStore<CellHF>,
 ) -> Result<Stage1Result, StageError> {
-    run_resumable(s0, s1, cfg, pool, rows, None, None)
+    run_supervised(s0, s1, cfg, pool, rows, None, None, &mut Obs::new(), &RunControl::unlimited())
 }
 
 /// Run Stage 1 with checkpoint/resume support (the crash-resilience an
@@ -279,29 +279,16 @@ pub fn run_resumable(
     resume: Option<gpu_sim::wavefront::EngineState>,
     checkpoint: Option<(&std::path::Path, usize)>,
 ) -> Result<Stage1Result, StageError> {
-    run_observed(s0, s1, cfg, pool, rows, resume, checkpoint, &mut Obs::new())
-}
-
-/// [`run_resumable`] with an observability handle: per-external-diagonal
-/// [`Event::Diagonal`] ticks, [`Event::Checkpoint`] outcomes and
-/// [`Event::StorageFlush`] records for completed special rows are emitted
-/// through `obs` from the caller thread (never from pool workers).
-#[allow(clippy::too_many_arguments)]
-pub fn run_observed(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-    resume: Option<gpu_sim::wavefront::EngineState>,
-    checkpoint: Option<(&std::path::Path, usize)>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage1Result, StageError> {
+    let obs = &mut Obs::new();
     run_supervised(s0, s1, cfg, pool, rows, resume, checkpoint, obs, &RunControl::unlimited())
 }
 
-/// [`run_observed`] under a supervision policy: the control's cancel
-/// token is threaded into the wavefront engine (both schedulers poll it
+/// [`run_resumable`] with an observability handle and a supervision
+/// policy. Per-external-diagonal [`Event::Diagonal`] ticks,
+/// [`Event::Checkpoint`] outcomes and [`Event::StorageFlush`] records for
+/// completed special rows are emitted through `obs` from the caller
+/// thread (never from pool workers). The control's cancel token is
+/// threaded into the wavefront engine (both schedulers poll it
 /// and beat its heartbeat), the cancel-after-diagonal trigger fires from
 /// the observer, and an interrupted run surfaces as the typed
 /// [`StageError`] for the winning cancel cause — with a boundary

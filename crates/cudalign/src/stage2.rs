@@ -200,31 +200,18 @@ pub fn run(
     rows: &mut LineStore<CellHF>,
     cols: &mut LineStore<CellHE>,
 ) -> Result<Stage2Result, StageError> {
-    run_traced(s0, s1, cfg, pool, best_score, end, rows, cols, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: per-strip [`Event::Strip`]
-/// records, [`Event::StorageFlush`] for each special column kept for
-/// Stage 3, and [`Event::StorageDrop`] for corrupt special rows rejected
-/// on read-back — all emitted from the caller thread.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    best_score: Score,
-    end: (usize, usize),
-    rows: &mut LineStore<CellHF>,
-    cols: &mut LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage2Result, StageError> {
+    let obs = &mut Obs::new();
     run_supervised(s0, s1, cfg, pool, best_score, end, rows, cols, obs, &RunControl::unlimited())
 }
 
-/// [`run_traced`] under a [`RunControl`]: the token is checked at every
-/// strip boundary, so a cancelled/expired run unwinds with a typed error
-/// before starting the next strip instead of finishing the pass.
+/// [`run`] with an observability handle and a [`RunControl`]. Per-strip
+/// [`Event::Strip`] records, [`Event::StorageFlush`] for each special
+/// column kept for Stage 3, and [`Event::StorageDrop`] for corrupt
+/// special rows rejected on read-back are all emitted from the caller
+/// thread. The token is checked at every strip boundary, so a
+/// cancelled/expired run unwinds with a typed error before starting the
+/// next strip instead of finishing the pass. A `best_score` below 1 (no
+/// local alignment to trace back) is a [`StageError::Logic`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     s0: &[u8],
@@ -238,7 +225,11 @@ pub fn run_supervised(
     obs: &mut Obs<'_>,
     ctrl: &RunControl,
 ) -> Result<Stage2Result, StageError> {
-    assert!(best_score > 0, "stage 2 requires a positive best score");
+    if best_score <= 0 {
+        return Err(StageError::Logic(format!(
+            "stage 2 requires a positive best score, got {best_score}"
+        )));
+    }
     let sc = cfg.scoring;
     let gopen = sc.gap_open();
     let m = s0.len();
@@ -475,6 +466,20 @@ mod tests {
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
         let s2r = run(a, b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
         (s2r, s1r.best_score)
+    }
+
+    #[test]
+    fn non_positive_best_score_is_a_logic_error() {
+        let cfg = PipelineConfig::for_tests();
+        let pool = WorkerPool::new(1);
+        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
+        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
+        for best in [0, -3] {
+            let err =
+                run(b"ACGT", b"TTTT", &cfg, &pool, best, (0, 0), &mut rows, &mut cols).unwrap_err();
+            assert!(matches!(&err, StageError::Logic(m) if m.contains("positive best score")));
+        }
+        assert_eq!(cols.len(), 0, "nothing was stored");
     }
 
     #[test]

@@ -220,30 +220,16 @@ pub fn run(
     chain: &CrosspointChain,
     cols: &LineStore<CellHE>,
 ) -> Result<Stage3Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, cols, &mut Obs::new())
+    run_supervised(s0, s1, cfg, pool, chain, cols, &mut Obs::new(), &RunControl::unlimited())
 }
 
-/// [`run`] with an observability handle: announces the partition count
-/// and each partition's shape ([`Event::Partitions`], [`Event::Partition`])
-/// before solving starts. Events are emitted upfront from the caller
-/// thread, so the parallel-partitions mode traces identically to the
-/// sequential one.
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    cols: &LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-) -> Result<Stage3Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, cols, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked before
-/// each partition is solved (in both the sequential and parallel modes),
-/// so a cancelled/expired run unwinds with a typed error instead of
-/// refining every remaining partition.
+/// [`run`] with an observability handle and a [`RunControl`]. The
+/// partition count and each partition's shape ([`Event::Partitions`],
+/// [`Event::Partition`]) are announced from the caller thread before
+/// solving starts, so the parallel-partitions mode traces identically to
+/// the sequential one. The token is checked before each partition is
+/// solved (in both modes), so a cancelled/expired run unwinds with a
+/// typed error instead of refining every remaining partition.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     s0: &[u8],

@@ -182,26 +182,15 @@ pub fn run(
     pool: &WorkerPool,
     chain: &CrosspointChain,
 ) -> Result<Stage4Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, &mut Obs::new())
+    run_supervised(s0, s1, cfg, pool, chain, &mut Obs::new(), &RunControl::unlimited())
 }
 
-/// [`run`] with an observability handle: each refinement iteration emits
-/// an [`Event::Iteration`] record, and per-iteration seconds come from
-/// the injected clock instead of direct wall-clock reads.
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-) -> Result<Stage4Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked at every
-/// refinement round, so a cancelled/expired run unwinds with a typed
-/// error instead of splitting every remaining oversized partition.
+/// [`run`] with an observability handle and a [`RunControl`]. Each
+/// refinement iteration emits an [`Event::Iteration`] record, with
+/// per-iteration seconds from the injected clock instead of direct
+/// wall-clock reads. The token is checked at every refinement round, so
+/// a cancelled/expired run unwinds with a typed error instead of
+/// splitting every remaining oversized partition.
 pub fn run_supervised(
     s0: &[u8],
     s1: &[u8],

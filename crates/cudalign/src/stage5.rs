@@ -29,33 +29,13 @@ pub struct Stage5Result {
 
 /// Run Stage 5. Partitions are solved concurrently on the shared `pool`
 /// and the transcripts concatenated in partition order.
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-) -> Result<Stage5Result, StageError> {
-    run_traced(s0, s1, cfg, pool, chain, &mut Obs::new())
-}
-
-/// [`run`] with an observability handle: announces the number of
-/// partitions about to be solved ([`Event::Partitions`]).
-pub fn run_traced(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-) -> Result<Stage5Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, obs, &RunControl::unlimited())
-}
-
-/// [`run_traced`] under a [`RunControl`]: the token is checked on entry
-/// and again before the per-partition transcripts are merged, so a
+///
+/// `obs` receives the number of partitions about to be solved
+/// ([`Event::Partitions`]). The `ctrl` token is checked on entry and
+/// again before the per-partition transcripts are merged, so a
 /// cancelled/expired run unwinds with a typed error instead of stitching
-/// a final alignment.
+/// a final alignment. A chain without both a start and an end point is a
+/// [`StageError::Logic`].
 pub fn run_supervised(
     s0: &[u8],
     s1: &[u8],
@@ -65,7 +45,12 @@ pub fn run_supervised(
     obs: &mut Obs<'_>,
     ctrl: &RunControl,
 ) -> Result<Stage5Result, StageError> {
-    assert!(chain.len() >= 2, "stage 5 requires a chain with start and end");
+    if chain.len() < 2 {
+        return Err(StageError::Logic(format!(
+            "stage 5 requires a chain with start and end, got {} point(s)",
+            chain.len()
+        )));
+    }
     // Stage-1 checkpoints are gone by now; resume restarts the pipeline
     // from scratch, hence diagonal 0.
     ctrl.check(0)?;
@@ -164,6 +149,16 @@ mod tests {
         (a, b)
     }
 
+    fn run(
+        s0: &[u8],
+        s1: &[u8],
+        cfg: &PipelineConfig,
+        pool: &WorkerPool,
+        chain: &CrosspointChain,
+    ) -> Result<Stage5Result, StageError> {
+        run_supervised(s0, s1, cfg, pool, chain, &mut Obs::new(), &RunControl::unlimited())
+    }
+
     fn chain_for(a: &[u8], b: &[u8]) -> CrosspointChain {
         let (score, _) =
             nw_global_typed(a, b, &Scoring::paper(), EdgeState::Diagonal, EdgeState::Diagonal);
@@ -221,5 +216,16 @@ mod tests {
         let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
         // Total stage-5 work is linear in the alignment length.
         assert!(res.cells <= 17 * 17 * l4.chain.len() as u64);
+    }
+
+    #[test]
+    fn chain_without_start_and_end_is_a_logic_error() {
+        let cfg = PipelineConfig::for_tests();
+        let pool = WorkerPool::new(1);
+        for points in [vec![], vec![Crosspoint::start(0, 0)]] {
+            let err =
+                run(b"ACGT", b"ACGT", &cfg, &pool, &CrosspointChain::new(points)).unwrap_err();
+            assert!(matches!(&err, StageError::Logic(m) if m.contains("start and end")), "{err}");
+        }
     }
 }

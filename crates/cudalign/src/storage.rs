@@ -477,19 +477,20 @@ fn backoff_delay(path: &Path, attempt: u32, salt: u64) -> Duration {
 /// *reported* error.
 fn write_with_retry(path: &Path, frame: &[u8], salt: u64) -> Result<u32, StorageError> {
     let tmp = tmp_sibling(path);
-    for attempt in 0..WRITE_ATTEMPTS {
+    let mut attempt = 0;
+    loop {
         match attempt_write(path, &tmp, frame) {
             Ok(()) => return Ok(attempt),
-            Err(AttemptError { err, transient }) => {
-                if !transient || attempt + 1 == WRITE_ATTEMPTS {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(err);
-                }
+            Err(AttemptError { err, transient }) if !transient || attempt + 1 >= WRITE_ATTEMPTS => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(err);
+            }
+            Err(_) => {
                 fault::backoff_sleep(backoff_delay(path, attempt, salt));
+                attempt += 1;
             }
         }
     }
-    unreachable!("retry loop returns on the last attempt");
 }
 
 // ---------------------------------------------------------------------------
