@@ -19,7 +19,8 @@
 //! The quadratic phases dominate and scale with `p`, which is what the
 //! paper's speedup table measures.
 
-use gpu_sim::kernel::{compute_tile, CellHE, CellHF};
+use gpu_sim::kernel::{compute, CellHE, CellHF, Rung, Tile};
+use gpu_sim::striped::ProfileCache;
 use std::sync::mpsc;
 use sw_core::full::better_endpoint;
 #[cfg(test)]
@@ -100,17 +101,20 @@ fn band_scan(
                     };
                     let corner = if k == 0 { 0 } else { prev_last_h };
                     prev_last_h = top.last().map_or(0, |c| c.h);
-                    let out = compute_tile(
-                        a_band,
-                        &b[c0..c1],
-                        row_offset,
-                        c0 + 1,
-                        scoring,
-                        true,
-                        None,
-                        corner,
+                    let out = compute(
+                        &Tile {
+                            row_offset,
+                            col_offset: c0 + 1,
+                            local: true,
+                            corner,
+                            ..Tile::new(a_band, &b[c0..c1], scoring)
+                        },
+                        Rung::Auto,
                         &mut top,
                         &mut left,
+                        &mut ProfileCache::new(),
+                        &[],
+                        &mut [],
                     );
                     cells += out.cells;
                     if let Some(cand) = out.best {

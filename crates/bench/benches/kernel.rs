@@ -2,7 +2,8 @@
 //! that all paper-scale projections build on).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gpu_sim::kernel::{compute_tile, compute_tile_scalar, global_borders, GlobalOrigin};
+use gpu_sim::kernel::{compute, global_borders, GlobalOrigin, Rung, Tile};
+use gpu_sim::striped::ProfileCache;
 use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob};
 use gpu_sim::{GridSpec, Mode, WorkerPool};
 use sw_core::linear::RowDp;
@@ -59,18 +60,17 @@ fn bench_tile(c: &mut Criterion) {
                             &Scoring::paper(),
                             GlobalOrigin::forward(EdgeState::Diagonal),
                         );
-                        let run = if scalar { compute_tile_scalar } else { compute_tile };
-                        run(
-                            &a,
-                            &b,
-                            1,
-                            1,
-                            &Scoring::paper(),
-                            false,
-                            None,
-                            corner,
+                        let rung = if scalar { Rung::Scalar } else { Rung::Auto };
+                        let sc = Scoring::paper();
+                        let tile = Tile { corner, ..Tile::new(&a, &b, &sc) };
+                        compute(
+                            &tile,
+                            rung,
                             &mut top,
                             &mut left,
+                            &mut ProfileCache::new(),
+                            &[],
+                            &mut [],
                         )
                         .corner_out
                     })
@@ -82,18 +82,17 @@ fn bench_tile(c: &mut Criterion) {
                 |bench, _| {
                     bench.iter(|| {
                         let (mut top, mut left, corner) = gpu_sim::kernel::local_borders(h, w);
-                        let run = if scalar { compute_tile_scalar } else { compute_tile };
-                        run(
-                            &a,
-                            &b,
-                            1,
-                            1,
-                            &Scoring::paper(),
-                            true,
-                            None,
-                            corner,
+                        let rung = if scalar { Rung::Scalar } else { Rung::Auto };
+                        let sc = Scoring::paper();
+                        let tile = Tile { local: true, corner, ..Tile::new(&a, &b, &sc) };
+                        compute(
+                            &tile,
+                            rung,
                             &mut top,
                             &mut left,
+                            &mut ProfileCache::new(),
+                            &[],
+                            &mut [],
                         )
                         .best
                     })
@@ -141,21 +140,47 @@ fn bench_kernel_phases(c: &mut Criterion) {
         bench.iter(|| {
             let (mut top, mut left, corner) =
                 global_borders(h, w, &sc, GlobalOrigin::forward(EdgeState::Diagonal));
-            compute_tile(&a, &b, 1, 1, &sc, false, None, corner, &mut top, &mut left).corner_out
+            compute(
+                &Tile { corner, ..Tile::new(&a, &b, &sc) },
+                Rung::Auto,
+                &mut top,
+                &mut left,
+                &mut ProfileCache::new(),
+                &[],
+                &mut [],
+            )
+            .corner_out
         })
     });
     g.bench_function("global_watching", |bench| {
         bench.iter(|| {
             let (mut top, mut left, corner) =
                 global_borders(h, w, &sc, GlobalOrigin::forward(EdgeState::Diagonal));
-            compute_tile(&a, &b, 1, 1, &sc, false, Some(i32::MAX / 8), corner, &mut top, &mut left)
-                .corner_out
+            compute(
+                &Tile { watch: Some(i32::MAX / 8), corner, ..Tile::new(&a, &b, &sc) },
+                Rung::Auto,
+                &mut top,
+                &mut left,
+                &mut ProfileCache::new(),
+                &[],
+                &mut [],
+            )
+            .corner_out
         })
     });
     g.bench_function("local_tracking", |bench| {
         bench.iter(|| {
             let (mut top, mut left, corner) = gpu_sim::kernel::local_borders(h, w);
-            compute_tile(&a, &b, 1, 1, &sc, true, None, corner, &mut top, &mut left).best
+            compute(
+                &Tile { local: true, corner, ..Tile::new(&a, &b, &sc) },
+                Rung::Auto,
+                &mut top,
+                &mut left,
+                &mut ProfileCache::new(),
+                &[],
+                &mut [],
+            )
+            .best
         })
     });
     g.finish();

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cudalign::sra::LineStore;
-use cudalign::{stage1, stage4, Crosspoint, CrosspointChain, Pipeline, PipelineConfig, WorkerPool};
+use cudalign::{
+    stage1, stage4, Crosspoint, CrosspointChain, Pipeline, PipelineConfig, StageContext, WorkerPool,
+};
 use seqio::generate::{homologous_pair, HomologyParams};
 use sw_core::full::nw_global_typed;
 use sw_core::transcript::EdgeState;
@@ -27,7 +29,9 @@ fn bench_stage1_flush(c: &mut Criterion) {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             bench.iter(|| {
                 let mut rows = LineStore::new(&cfg.backend, sra, "row", fp).unwrap();
-                stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap().best_score
+                stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
+                    .unwrap()
+                    .best_score
             })
         });
     }
@@ -49,7 +53,9 @@ fn bench_stage4_modes(c: &mut Criterion) {
             let mut cfg = PipelineConfig::default_cpu();
             cfg.orthogonal_stage4 = orth;
             let pool = WorkerPool::new(cfg.workers);
-            bench.iter(|| stage4::run(&a, &b, &cfg, &pool, &chain).unwrap().cells)
+            bench.iter(|| {
+                stage4::run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap().cells
+            })
         });
     }
     g.finish();

@@ -42,8 +42,7 @@
 //! so the report never mixes entry layouts.
 
 use gpu_sim::kernel::{
-    compute_tile, compute_tile_i16, compute_tile_scalar, global_borders, local_borders,
-    GlobalOrigin, KernelPath, PathCounts,
+    compute, global_borders, local_borders, GlobalOrigin, KernelPath, PathCounts, Rung, Tile,
 };
 use gpu_sim::wavefront::{launch, run_pooled, Launch, NoObserver, RegionJob};
 use gpu_sim::{striped, GridSpec, Mode, StripPlan, WorkerPool};
@@ -94,7 +93,7 @@ struct Entry {
     bench: &'static str,
     shape: String,
     /// Entry point the case called: `scalar`, `i16` or `ladder` for tile
-    /// cases ([`TilePath::entry`]), `engine` for wavefront regions.
+    /// cases ([`entry`]), `engine` for wavefront regions.
     entry: &'static str,
     /// Observed kernel-path label ("scalar", "striped8", "striped8_fb16",
     /// "striped16", "fallback").
@@ -114,25 +113,12 @@ struct Entry {
     vs_first: f64,
 }
 
-/// Which rung of the ladder a tile case pins.
-#[derive(Clone, Copy, PartialEq)]
-enum TilePath {
-    /// `compute_tile_scalar` — the `i32` reference loop.
-    Scalar,
-    /// `compute_tile_i16` — the ladder with the `i8` rung disabled.
-    I16,
-    /// `compute_tile` — the full ladder (`i8` first attempt).
-    Auto,
-}
-
-impl TilePath {
-    /// The `entry` label of the report.
-    fn entry(self) -> &'static str {
-        match self {
-            TilePath::Scalar => "scalar",
-            TilePath::I16 => "i16",
-            TilePath::Auto => "ladder",
-        }
+/// The `entry` label a tile case on `rung` reports.
+fn entry(rung: Rung) -> &'static str {
+    match rung {
+        Rung::Scalar => "scalar",
+        Rung::I16 => "i16",
+        Rung::Auto | Rung::I8 => "ladder",
     }
 }
 
@@ -171,12 +157,12 @@ fn homolog(a: &[u8], w: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Time one tile on each entry point of `paths` and push one entry per
-/// path. The budget is cut into `rounds` rounds of one slice per path,
-/// and each path reports its median slice plus its paired ratio to the
-/// first path ([`Entry::vs_first`]), so a comparison between two paths
-/// is not skewed by a fast or slow stretch of the host that only one of
-/// them ran in. `suffix` tags the shape (e.g. `_hom` for a homologous
+/// Time one tile on each of `rungs` and push one entry per rung. The
+/// budget is cut into `rounds` rounds of one slice per rung, and each
+/// rung reports its median slice plus its paired ratio to the first rung
+/// ([`Entry::vs_first`]), so a comparison between two rungs is not
+/// skewed by a fast or slow stretch of the host that only one of them
+/// ran in. `suffix` tags the shape (e.g. `_hom` for a homologous
 /// pair).
 #[allow(clippy::too_many_arguments)]
 fn tile_case(
@@ -185,7 +171,7 @@ fn tile_case(
     a: &[u8],
     b: &[u8],
     local: bool,
-    paths: &[TilePath],
+    rungs: &[Rung],
     rounds: usize,
     budget: f64,
     entries: &mut Vec<Entry>,
@@ -198,28 +184,27 @@ fn tile_case(
         global_borders(h, w, &sc, GlobalOrigin::forward(EdgeState::Diagonal))
     };
     let (mut top, mut left) = (top0.clone(), left0.clone());
-    // Per path: every slice's (cells, seconds) and the rung it ran on.
-    let mut slices = vec![Vec::with_capacity(rounds); paths.len()];
-    let mut seen = vec![KernelPath::Scalar; paths.len()];
+    let tile = Tile { local, corner, ..Tile::new(a, b, &sc) };
+    // Per rung: every slice's (cells, seconds) and the rung it ran on.
+    let mut slices = vec![Vec::with_capacity(rounds); rungs.len()];
+    let mut seen = vec![KernelPath::Scalar; rungs.len()];
     for _ in 0..rounds {
-        for (k, &path) in paths.iter().enumerate() {
+        for (k, &rung) in rungs.iter().enumerate() {
             let mut seen_path = KernelPath::Scalar;
             let (cells, seconds) = time_case((h * w) as u64, budget / rounds as f64, || {
                 // Reset the borders in place: allocating them per call
                 // would dominate the smallest tiles.
                 top.copy_from_slice(&top0);
                 left.copy_from_slice(&left0);
-                let out = match path {
-                    TilePath::Scalar => compute_tile_scalar(
-                        a, b, 1, 1, &sc, local, None, corner, &mut top, &mut left,
-                    ),
-                    TilePath::I16 => {
-                        compute_tile_i16(a, b, 1, 1, &sc, local, None, corner, &mut top, &mut left)
-                    }
-                    TilePath::Auto => {
-                        compute_tile(a, b, 1, 1, &sc, local, None, corner, &mut top, &mut left)
-                    }
-                };
+                let out = compute(
+                    &tile,
+                    rung,
+                    &mut top,
+                    &mut left,
+                    &mut striped::ProfileCache::new(),
+                    &[],
+                    &mut [],
+                );
                 seen_path = out.path;
                 out.corner_out.wrapping_add(out.best.map_or(0, |(s, _, _)| s))
             });
@@ -230,16 +215,16 @@ fn tile_case(
     let rate = |(cells, seconds): (u64, f64)| cells as f64 / seconds;
     let first: Vec<f64> = slices[0].iter().map(|&x| rate(x)).collect();
     let mode = if local { "local" } else { "global" };
-    for ((&path, runs), seen_path) in paths.iter().zip(slices).zip(seen) {
+    for ((&rung, runs), seen_path) in rungs.iter().zip(slices).zip(seen) {
         let mut ratios: Vec<f64> = runs.iter().zip(&first).map(|(&x, f)| rate(x) / f).collect();
         ratios.sort_by(f64::total_cmp);
         let vs_first = ratios[ratios.len() / 2];
         let (cells, seconds) = median_slice(runs);
-        match path {
-            TilePath::I16 if seen_path != KernelPath::Striped16 => {
+        match rung {
+            Rung::I16 if seen_path != KernelPath::Striped16 => {
                 eprintln!("mcups: warning: {bench} {h}x{w} i16 case ran on {seen_path:?}");
             }
-            TilePath::Auto if seen_path == KernelPath::StripedFallback => {
+            Rung::Auto if seen_path == KernelPath::StripedFallback => {
                 eprintln!("mcups: warning: {bench} {h}x{w} ladder case fell back to scalar");
             }
             _ => {}
@@ -247,7 +232,7 @@ fn tile_case(
         entries.push(Entry {
             bench,
             shape: format!("{mode}_{h}x{w}{suffix}"),
-            entry: path.entry(),
+            entry: entry(rung),
             path: seen_path.label(),
             lanes: seen_path.lanes(),
             workers: 1,
@@ -587,19 +572,19 @@ fn main() {
     // The rowdp shapes from benches/kernel.rs: one tall tile. The global
     // variant's deep borders exceed the i8 window (the ladder escalates
     // immediately); the local variant is where the i8 rung commits.
-    let paths = [TilePath::Scalar, TilePath::I16, TilePath::Auto];
+    let rungs = [Rung::Scalar, Rung::I16, Rung::Auto];
     let (rh, rw) = if quick { (256, 1024) } else { (1024, 4096) };
     let (a, b) = (dna(3, rh), dna(4, rw));
     for local in [false, true] {
-        tile_case("rowdp", "", &a, &b, local, &paths, 1, budget, &mut entries);
+        tile_case("rowdp", "", &a, &b, local, &rungs, 1, budget, &mut entries);
     }
-    // The tile shapes from benches/kernel.rs, both modes, all three paths.
+    // The tile shapes from benches/kernel.rs, both modes, all three rungs.
     let shapes: &[(usize, usize)] =
         if quick { &[(128, 128), (128, 512)] } else { &[(256, 256), (256, 4096)] };
     for &(h, w) in shapes {
         let (a, b) = (dna(3, h), dna(4, w));
         for local in [false, true] {
-            tile_case("tile", "", &a, &b, local, &paths, 1, budget, &mut entries);
+            tile_case("tile", "", &a, &b, local, &rungs, 1, budget, &mut entries);
         }
     }
     // A homologous local tile: the ladder's i8 attempt overflows and the
@@ -608,7 +593,7 @@ fn main() {
     let (hh, hw) = shapes[shapes.len() - 1];
     let a = dna(3, hh);
     let b = homolog(&a, hw);
-    tile_case("homolog", "", &a, &b, true, &paths, 1, budget, &mut entries);
+    tile_case("homolog", "", &a, &b, true, &rungs, 1, budget, &mut entries);
     // Tiles the size of scaled stage-2/3 blocks, where the ladder's fixed
     // costs decide (`kernel::MIN_LADDER_ROWS`): both modes, unrelated and
     // homologous pairs, every entry point. One call is well under a
@@ -625,7 +610,7 @@ fn main() {
                     &a,
                     &b,
                     local,
-                    &paths,
+                    &rungs,
                     25,
                     small_budget,
                     &mut entries,

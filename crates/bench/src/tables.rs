@@ -10,7 +10,7 @@ use crate::runs::{
 use crate::{repro_scale, repro_seed};
 use cudalign::sra::LineStore;
 use cudalign::{stage1, stage2, stage3, stage4, stage5, stage6};
-use cudalign::{PipelineConfig, WorkerPool};
+use cudalign::{PipelineConfig, StageContext, WorkerPool};
 use gpu_sim::DeviceModel;
 use seqio::DatasetRegistry;
 use std::time::Instant;
@@ -196,7 +196,13 @@ pub fn table4() {
         let fp = cfg.job_fingerprint(w.s0.len(), w.s1.len());
         let mut rows0 = LineStore::new(&cfg.backend, 0, "row", fp).unwrap();
         let t = Instant::now();
-        let res0 = stage1::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &mut rows0).unwrap();
+        let res0 = stage1::run(
+            &mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool),
+            &mut rows0,
+            None,
+            None,
+        )
+        .unwrap();
         let t0 = t.elapsed().as_secs_f64();
 
         // With flushing at the paper's (scaled) SRA size.
@@ -204,7 +210,13 @@ pub fn table4() {
         cfg.sra_bytes = sra;
         let mut rows1 = LineStore::new(&cfg.backend, sra, "row", fp).unwrap();
         let t = Instant::now();
-        let res1 = stage1::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &mut rows1).unwrap();
+        let res1 = stage1::run(
+            &mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool),
+            &mut rows1,
+            None,
+            None,
+        )
+        .unwrap();
         let t1 = t.elapsed().as_secs_f64();
 
         let projected = project_seconds(&device, res1.cells, res1.flushed_bytes, scale);
@@ -376,7 +388,12 @@ pub fn table7() {
         let fp = cfg.job_fingerprint(w.s0.len(), w.s1.len());
         let mut rows = LineStore::new(&cfg.backend, 0, "row", fp).unwrap();
         let t = Instant::now();
-        let _ = stage1::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &mut rows);
+        let _ = stage1::run(
+            &mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool),
+            &mut rows,
+            None,
+            None,
+        );
         r.row(&[
             "0".into(),
             secs(t.elapsed().as_secs_f64()),
@@ -479,21 +496,29 @@ fn stages_123(
     let pool = WorkerPool::new(cfg.workers);
     let fp = cfg.job_fingerprint(w.s0.len(), w.s1.len());
     let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "row", fp).unwrap();
-    let s1r = stage1::run(w.s0.bases(), w.s1.bases(), cfg, &pool, &mut rows).unwrap();
+    let s1r = stage1::run(
+        &mut StageContext::new(w.s0.bases(), w.s1.bases(), cfg, &pool),
+        &mut rows,
+        None,
+        None,
+    )
+    .unwrap();
     assert!(s1r.best_score > 0, "chromosome pair must align");
     let mut cols = LineStore::new(&cfg.backend, cfg.sca_bytes, "col", fp).unwrap();
     let s2r = stage2::run(
-        w.s0.bases(),
-        w.s1.bases(),
-        cfg,
-        &pool,
+        &mut StageContext::new(w.s0.bases(), w.s1.bases(), cfg, &pool),
         s1r.best_score,
         s1r.end,
         &mut rows,
         &mut cols,
     )
     .unwrap();
-    let s3r = stage3::run(w.s0.bases(), w.s1.bases(), cfg, &pool, &s2r.chain, &cols).unwrap();
+    let s3r = stage3::run(
+        &mut StageContext::new(w.s0.bases(), w.s1.bases(), cfg, &pool),
+        &s2r.chain,
+        &cols,
+    )
+    .unwrap();
     (s3r.chain, rows)
 }
 
@@ -506,9 +531,11 @@ pub fn table9() {
 
     let pool = WorkerPool::new(cfg.workers);
     cfg.orthogonal_stage4 = false;
-    let classic = stage4::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &l3).unwrap();
+    let classic =
+        stage4::run(&mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool), &l3).unwrap();
     cfg.orthogonal_stage4 = true;
-    let orth = stage4::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &l3).unwrap();
+    let orth =
+        stage4::run(&mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool), &l3).unwrap();
 
     let mut r = Report::new(
         format!(
@@ -625,7 +652,8 @@ pub fn ablation_split() {
     for (label, balanced) in [("balanced", true), ("middle-row", false)] {
         cfg.balanced_split = balanced;
         let t = Instant::now();
-        let res = stage4::run(w.s0.bases(), w.s1.bases(), &cfg, &pool, &l3).unwrap();
+        let res = stage4::run(&mut StageContext::new(w.s0.bases(), w.s1.bases(), &cfg, &pool), &l3)
+            .unwrap();
         r.row(&[
             label.to_string(),
             res.iterations.len().to_string(),

@@ -70,7 +70,9 @@ pub use config::PipelineConfig;
 pub use crosspoint::{Crosspoint, CrosspointChain, Partition};
 pub use gpu_sim::{CancelCause, CancelToken, ExecError, PoolStats, WorkerPool};
 pub use obs::{Event, Metrics, Obs, Progress, Recorder, TraceWriter};
-pub use pipeline::{Pipeline, PipelineError, PipelineResult, PipelineStats, StageError};
+pub use pipeline::{
+    Pipeline, PipelineError, PipelineResult, PipelineStats, StageContext, StageError,
+};
 pub use serve::{JobHandle, JobReport, JobRequest, ServeConfig, ServeError, ServeStats, Server};
 pub use storage::StorageError;
 pub use supervise::RunControl;

@@ -1081,15 +1081,19 @@ fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     expect_byte(b, pos, b'"')?;
     let mut out = String::new();
     loop {
-        // Copy the run up to the next quote or backslash in one slice:
-        // both are ASCII, so the run ends on a char boundary.
+        // Copy the run up to the next quote, backslash or control byte in
+        // one slice: all are ASCII, so the run ends on a char boundary.
         let run = *pos;
-        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20) {
             *pos += 1;
         }
         out.push_str(src.get(run..*pos).ok_or("string splits a UTF-8 character")?);
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
+            // JSON requires U+0000-U+001F to be escaped inside strings.
+            Some(&c) if c < 0x20 => {
+                return Err(format!("raw control character {c:#04x} in string"))
+            }
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -1734,6 +1738,15 @@ mod tests {
         assert_eq!(items[0].str_val(), Some("ö"));
         assert_eq!(items[1].str_val(), Some("é"));
         assert!(parse_json("\"unterminated é").is_err());
+    }
+
+    #[test]
+    fn json_strings_reject_raw_control_characters() {
+        assert!(parse_json("\"a\u{1}b\"").is_err());
+        assert!(parse_json("\"a\tb\"").is_err());
+        assert!(parse_json("{\"k\":\"\u{1f}\"}").is_err());
+        assert_eq!(parse_json("\"a\\u0001b\"").unwrap().str_val(), Some("a\u{1}b"));
+        assert_eq!(parse_json("\"a\\tb\"").unwrap().str_val(), Some("a\tb"));
     }
 
     #[test]

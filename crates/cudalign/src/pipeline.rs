@@ -108,6 +108,34 @@ impl std::fmt::Display for StageError {
 
 impl std::error::Error for StageError {}
 
+/// What every stage runs on: the sequence pair, the configuration, the
+/// shared worker pool, the observability handle and the supervision
+/// policy. Each stage's `run` takes it first, followed by the inputs the
+/// earlier stages produced.
+#[derive(Debug)]
+pub struct StageContext<'a, 'o> {
+    /// The first sequence (rows of the DP matrix).
+    pub s0: &'a [u8],
+    /// The second sequence (columns).
+    pub s1: &'a [u8],
+    /// Scoring, grids, storage budgets and worker count.
+    pub cfg: &'a PipelineConfig,
+    /// The pool every stage executes on.
+    pub pool: &'a WorkerPool,
+    /// Trace records and metrics.
+    pub obs: Obs<'o>,
+    /// Cancel token, deadline and stall budget.
+    pub ctrl: RunControl,
+}
+
+impl<'a> StageContext<'a, '_> {
+    /// An unsupervised, silent context: [`Obs::new`] and
+    /// [`RunControl::unlimited`].
+    pub fn new(s0: &'a [u8], s1: &'a [u8], cfg: &'a PipelineConfig, pool: &'a WorkerPool) -> Self {
+        StageContext { s0, s1, cfg, pool, obs: Obs::new(), ctrl: RunControl::unlimited() }
+    }
+}
+
 impl From<String> for StageError {
     fn from(s: String) -> Self {
         StageError::Logic(s)
@@ -516,10 +544,20 @@ impl Pipeline {
         obs: &mut Obs<'_>,
         ctrl: &RunControl,
     ) -> Result<PipelineResult, PipelineError> {
-        let cfg = &self.cfg;
-        let pool = &*self.pool;
+        // The stages own their context: the caller's handle moves in for
+        // the run and is handed back whatever its outcome.
+        let (cfg, pool) = (&self.cfg, &*self.pool);
+        let mut cx =
+            StageContext { s0, s1, cfg, pool, obs: std::mem::take(obs), ctrl: ctrl.clone() };
+        let result = Self::run_stages(&mut cx);
+        *obs = cx.obs;
+        result
+    }
+
+    fn run_stages(cx: &mut StageContext<'_, '_>) -> Result<PipelineResult, PipelineError> {
+        let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
         let pool_before = pool.stats();
-        let t_total = obs.now();
+        let t_total = cx.obs.now();
         let mut stats = PipelineStats::default();
         let fingerprint = cfg.job_fingerprint(s0.len(), s1.len());
 
@@ -537,7 +575,7 @@ impl Pipeline {
             Some((st, p)) => (Some(st), Some(p)),
             None => (None, None),
         };
-        obs.emit(Event::RunBegin {
+        cx.obs.emit(Event::RunBegin {
             m: s0.len(),
             n: s1.len(),
             total_diagonals: cfg.grid1.layout(s0.len(), s1.len()).diagonals(),
@@ -549,8 +587,8 @@ impl Pipeline {
         // run-open record above: even an immediately-interrupted trace
         // carries run_begin + interrupt rather than being empty, and the
         // caller never pays for stores it won't use.
-        if let Err(e) = ctrl.check(resume_state.as_ref().map_or(0, |st| st.next_diagonal)) {
-            return Err(note_interruption(obs, ctrl, 1, e));
+        if let Err(e) = cx.ctrl.check(resume_state.as_ref().map_or(0, |st| st.next_diagonal)) {
+            return Err(note_interruption(cx, 1, e));
         }
 
         let mut rows: LineStore<gpu_sim::CellHF> = if resuming {
@@ -576,42 +614,33 @@ impl Pipeline {
                 .map_err(|e| PipelineError::Io(e.to_string()))?;
 
         // Stage 1: best score, end point, special rows.
-        obs.emit(Event::StageBegin { stage: 1 });
-        let t = obs.now();
-        let s1r = match &cfg.checkpoint {
-            None => {
-                let r = stage1::run_supervised(s0, s1, cfg, pool, &mut rows, None, None, obs, ctrl);
-                r.map_err(|e| note_interruption(obs, ctrl, 1, e))?
-            }
-            Some(ck) => {
-                storage::ensure_dir(&ck.dir).map_err(|e| PipelineError::Io(e.to_string()))?;
-                let r = stage1::run_supervised(
-                    s0,
-                    s1,
-                    cfg,
-                    pool,
-                    &mut rows,
-                    resume_state,
-                    Some((ck.dir.as_path(), ck.every_diagonals)),
-                    obs,
-                    ctrl,
-                );
-                let r = r.map_err(|e| note_interruption(obs, ctrl, 1, e))?;
-                storage::remove_file_quiet(&ck.dir.join("stage1.ckpt"));
-                r
-            }
-        };
-        // The engine's cell counter is cumulative across resumes; the work
-        // this run performed excludes cells the restored snapshot already
-        // covered. Throughput must divide matching work by matching time,
-        // so only recomputed cells enter `stage1.cells` — the skipped
-        // remainder is reported separately.
-        let stage1_cells = s1r.cells.saturating_sub(s1r.resumed_cells);
-        let seconds = obs.now().saturating_sub(t).as_secs_f64();
-        record_kernel(obs, 1, &s1r.paths, s1r.profile_hits, s1r.profile_misses);
-        obs.emit(Event::StageEnd { stage: 1, seconds, cells: stage1_cells });
-        obs.metrics.set_gauge("stage1.seconds", seconds);
-        obs.metrics.inc("stage1.cells", stage1_cells);
+        let ck = cfg.checkpoint.as_ref();
+        let s1r = stage_span(
+            cx,
+            1,
+            |cx| {
+                if let Some(ck) = ck {
+                    storage::ensure_dir(&ck.dir).map_err(StageError::Storage)?;
+                }
+                let every = ck.map(|ck| (ck.dir.as_path(), ck.every_diagonals));
+                let r = stage1::run(cx, &mut rows, resume_state, every)?;
+                if let Some(ck) = ck {
+                    storage::remove_file_quiet(&ck.dir.join("stage1.ckpt"));
+                }
+                Ok(r)
+            },
+            |obs, r| {
+                record_kernel(obs, 1, &r.paths, r.profile_hits, r.profile_misses);
+                // The engine's cell counter is cumulative across resumes;
+                // the work this run performed excludes cells the restored
+                // snapshot already covered. Throughput must divide
+                // matching work by matching time, so only recomputed cells
+                // enter `stage1.cells` — the skipped remainder is reported
+                // separately.
+                r.cells.saturating_sub(r.resumed_cells)
+            },
+        )?;
+        let obs = &mut cx.obs;
         obs.metrics.inc("stage1.resumed_cells_skipped", s1r.resumed_cells);
         obs.metrics.set("stage1.resumed_from_diagonal", s1r.resumed_from_diagonal as u64);
         obs.metrics.inc("sra.special_rows", s1r.special_rows.len() as u64);
@@ -652,26 +681,16 @@ impl Pipeline {
         // Stage 2: partial traceback over special rows. Rows whose disk
         // file turns out corrupt are dropped here (and counted): the
         // matching procedure simply spans a larger area.
-        obs.emit(Event::StageBegin { stage: 2 });
-        let t = obs.now();
-        let s2r = stage2::run_supervised(
-            s0,
-            s1,
-            cfg,
-            pool,
-            s1r.best_score,
-            s1r.end,
-            &mut rows,
-            &mut cols,
-            obs,
-            ctrl,
-        );
-        let s2r = s2r.map_err(|e| note_interruption(obs, ctrl, 2, e))?;
-        let seconds = obs.now().saturating_sub(t).as_secs_f64();
-        record_kernel(obs, 2, &s2r.paths, s2r.profile_hits, s2r.profile_misses);
-        obs.emit(Event::StageEnd { stage: 2, seconds, cells: s2r.cells });
-        obs.metrics.set_gauge("stage2.seconds", seconds);
-        obs.metrics.inc("stage2.cells", s2r.cells);
+        let s2r = stage_span(
+            cx,
+            2,
+            |cx| stage2::run(cx, s1r.best_score, s1r.end, &mut rows, &mut cols),
+            |obs, r| {
+                record_kernel(obs, 2, &r.paths, r.profile_hits, r.profile_misses);
+                r.cells
+            },
+        )?;
+        let obs = &mut cx.obs;
         obs.metrics.inc("stage2.strips", s2r.strips as u64);
         obs.metrics.inc("sca.special_columns", s2r.special_columns.len() as u64);
         obs.metrics.inc("sca.bytes_used", s2r.col_flushed_bytes);
@@ -682,16 +701,16 @@ impl Pipeline {
 
         // Stage 3: split partitions on special columns (corrupt columns
         // are skipped and counted; their partitions stay coarse).
-        obs.emit(Event::StageBegin { stage: 3 });
-        let t = obs.now();
-        let s3r = stage3::run_supervised(s0, s1, cfg, pool, &s2r.chain, &cols, obs, ctrl);
-        let s3r = s3r.map_err(|e| note_interruption(obs, ctrl, 3, e))?;
-        let seconds = obs.now().saturating_sub(t).as_secs_f64();
-        record_kernel(obs, 3, &s3r.paths, s3r.profile_hits, s3r.profile_misses);
-        obs.emit(Event::StageEnd { stage: 3, seconds, cells: s3r.cells });
-        obs.metrics.set_gauge("stage3.seconds", seconds);
-        obs.metrics.inc("stage3.cells", s3r.cells);
-        obs.metrics.inc("storage.dropped_cols", s3r.skipped_columns);
+        let s3r = stage_span(
+            cx,
+            3,
+            |cx| stage3::run(cx, &s2r.chain, &cols),
+            |obs, r| {
+                record_kernel(obs, 3, &r.paths, r.profile_hits, r.profile_misses);
+                r.cells
+            },
+        )?;
+        cx.obs.metrics.inc("storage.dropped_cols", s3r.skipped_columns);
         stats.crosspoints[2] = s3r.chain.len();
         stats.h_max = s3r.chain.h_max();
         stats.w_max = s3r.chain.w_max();
@@ -699,29 +718,16 @@ impl Pipeline {
         stats.effective_blocks[2] = s3r.min_blocks;
 
         // Stage 4: Myers-Miller until partitions fit.
-        obs.emit(Event::StageBegin { stage: 4 });
-        let t = obs.now();
-        let s4r = stage4::run_supervised(s0, s1, cfg, pool, &s3r.chain, obs, ctrl);
-        let s4r = s4r.map_err(|e| note_interruption(obs, ctrl, 4, e))?;
-        let seconds = obs.now().saturating_sub(t).as_secs_f64();
-        obs.emit(Event::StageEnd { stage: 4, seconds, cells: s4r.cells });
-        obs.metrics.set_gauge("stage4.seconds", seconds);
-        obs.metrics.inc("stage4.cells", s4r.cells);
+        let s4r = stage_span(cx, 4, |cx| stage4::run(cx, &s3r.chain), |_, r| r.cells)?;
         stats.crosspoints[3] = s4r.chain.len();
         stats.stage4_iterations = s4r.iterations.clone();
 
         // Stage 5: solve and concatenate.
-        obs.emit(Event::StageBegin { stage: 5 });
-        let t = obs.now();
-        let s5r = stage5::run_supervised(s0, s1, cfg, pool, &s4r.chain, obs, ctrl);
-        let s5r = s5r.map_err(|e| note_interruption(obs, ctrl, 5, e))?;
-        let seconds = obs.now().saturating_sub(t).as_secs_f64();
-        obs.emit(Event::StageEnd { stage: 5, seconds, cells: s5r.cells });
-        obs.metrics.set_gauge("stage5.seconds", seconds);
-        obs.metrics.inc("stage5.cells", s5r.cells);
+        let s5r = stage_span(cx, 5, |cx| stage5::run(cx, &s4r.chain), |_, r| r.cells)?;
 
         // Stage 6: pack the binary representation and close the books
         // (store health, pool utilization, final metrics dump).
+        let obs = &mut cx.obs;
         obs.emit(Event::StageBegin { stage: 6 });
         let t = obs.now();
         obs.metrics.set("binary.bytes", s5r.binary.encode().len() as u64);
@@ -756,6 +762,38 @@ impl Pipeline {
     }
 }
 
+/// Metric keys of stages 1-5: wall-clock seconds and cells.
+const STAGE_KEYS: [(&str, &str); 5] = [
+    ("stage1.seconds", "stage1.cells"),
+    ("stage2.seconds", "stage2.cells"),
+    ("stage3.seconds", "stage3.cells"),
+    ("stage4.seconds", "stage4.cells"),
+    ("stage5.seconds", "stage5.cells"),
+];
+
+/// Run stage `stage` (1-5) inside its span: `StageBegin`, the stage,
+/// `StageEnd` with its seconds on the injected clock and its cells, and
+/// the `stageN.seconds` / `stageN.cells` metrics. `cells` records what the
+/// stage reports inside its span (the kernel counts) and returns the cells
+/// it computed. A failure is converted by [`note_interruption`].
+fn stage_span<'a, 'o, R>(
+    cx: &mut StageContext<'a, 'o>,
+    stage: u8,
+    run: impl FnOnce(&mut StageContext<'a, 'o>) -> Result<R, StageError>,
+    cells: impl FnOnce(&mut Obs<'o>, &R) -> u64,
+) -> Result<R, PipelineError> {
+    cx.obs.emit(Event::StageBegin { stage });
+    let t = cx.obs.now();
+    let r = run(cx).map_err(|e| note_interruption(cx, stage, e))?;
+    let seconds = cx.obs.now().saturating_sub(t).as_secs_f64();
+    let cells = cells(&mut cx.obs, &r);
+    cx.obs.emit(Event::StageEnd { stage, seconds, cells });
+    let (seconds_key, cells_key) = STAGE_KEYS[usize::from(stage) - 1];
+    cx.obs.metrics.set_gauge(seconds_key, seconds);
+    cx.obs.metrics.inc(cells_key, cells);
+    Ok(r)
+}
+
 /// Record a stage failure's supervision footprint and convert it.
 ///
 /// Ordinary failures (and the legacy simulated-kill `Interrupted`) pass
@@ -765,12 +803,8 @@ impl Pipeline {
 /// surface the strip scheduler's parked [`gpu_sim::StripDiag`] snapshot
 /// (per-strip published/claimed counters) as an [`Event::StallDiag`]
 /// record, so a stalled run's trace shows *where* it was stuck.
-fn note_interruption(
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
-    stage: u8,
-    e: StageError,
-) -> PipelineError {
+fn note_interruption(cx: &mut StageContext<'_, '_>, stage: u8, e: StageError) -> PipelineError {
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     let pe = PipelineError::from(e);
     if let Some(kind) = pe.interruption_kind() {
         let diagonal = pe.resume_diagonal().unwrap_or(0);
@@ -1332,11 +1366,8 @@ mod checkpoint_tests {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
             let pool = WorkerPool::new(cfg.workers);
-            let _ = stage1::run_resumable(
-                &a,
-                &b,
-                &cfg,
-                &pool,
+            let _ = stage1::run(
+                &mut StageContext::new(&a, &b, &cfg, &pool),
                 &mut rows,
                 None,
                 Some((dir.as_path(), 9)),
@@ -1381,11 +1412,8 @@ mod checkpoint_tests {
             let fp = cfg.job_fingerprint(a.len(), b.len());
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
             let pool = WorkerPool::new(cfg.workers);
-            let _ = stage1::run_resumable(
-                &a,
-                &b,
-                &cfg,
-                &pool,
+            let _ = stage1::run(
+                &mut StageContext::new(&a, &b, &cfg, &pool),
                 &mut rows,
                 None,
                 Some((dir.as_path(), 9)),

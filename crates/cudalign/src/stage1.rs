@@ -7,14 +7,13 @@
 //! across an external diagonal and becomes whole only after the last
 //! block of its row finishes).
 
-use crate::config::PipelineConfig;
 use crate::obs::{Event, Obs};
-use crate::pipeline::StageError;
+use crate::pipeline::{StageContext, StageError};
 use crate::sra::{self, LineStore};
 use crate::storage;
 use crate::supervise::RunControl;
 use gpu_sim::wavefront::{self, RegionJob};
-use gpu_sim::{BlockCoords, CellHE, CellHF, Mode, TileOutcome, WorkerPool};
+use gpu_sim::{BlockCoords, CellHE, CellHF, Mode, TileOutcome};
 use std::ops::ControlFlow;
 use sw_core::scoring::{Score, NEG_INF};
 
@@ -105,7 +104,7 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
         // is not monotone (in diagonal order the two are equal).
         //
         // Simulated process kill (fault injection): abort the wavefront at
-        // the armed external diagonal. run_resumable turns the aborted
+        // the armed external diagonal. `run` turns the aborted
         // result into a typed StageError::Interrupted — the torture tests
         // then resume from the last checkpoint like a restarted process.
         if let Some(k) = storage::fault::stage1_kill() {
@@ -247,19 +246,8 @@ pub fn load_checkpoint(
     decode_checkpoint(&bytes)
 }
 
-/// Run Stage 1 on the shared worker pool.
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-) -> Result<Stage1Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, rows, None, None, &mut Obs::new(), &RunControl::unlimited())
-}
-
-/// Run Stage 1 with checkpoint/resume support (the crash-resilience an
-/// 18-hour forward pass needs).
+/// Run Stage 1 on `cx`'s pool, with checkpoint/resume support (the
+/// crash-resilience an 18-hour forward pass needs).
 ///
 /// * `resume` — an [`gpu_sim::wavefront::EngineState`] captured by a previous run; the
 ///   wavefront continues from its diagonal. Special rows completed before
@@ -270,23 +258,10 @@ pub fn run(
 /// * `checkpoint` — `(directory, cadence in external diagonals)`;
 ///   combined snapshots (engine state + in-flight rows) land in
 ///   `<dir>/stage1.ckpt` atomically.
-pub fn run_resumable(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    rows: &mut LineStore<CellHF>,
-    resume: Option<gpu_sim::wavefront::EngineState>,
-    checkpoint: Option<(&std::path::Path, usize)>,
-) -> Result<Stage1Result, StageError> {
-    let obs = &mut Obs::new();
-    run_supervised(s0, s1, cfg, pool, rows, resume, checkpoint, obs, &RunControl::unlimited())
-}
-
-/// [`run_resumable`] with an observability handle and a supervision
-/// policy. Per-external-diagonal [`Event::Diagonal`] ticks,
+///
+/// Per-external-diagonal [`Event::Diagonal`] ticks,
 /// [`Event::Checkpoint`] outcomes and [`Event::StorageFlush`] records for
-/// completed special rows are emitted through `obs` from the caller
+/// completed special rows are emitted through `cx.obs` from the caller
 /// thread (never from pool workers). The control's cancel token is
 /// threaded into the wavefront engine (both schedulers poll it
 /// and beat its heartbeat), the cancel-after-diagonal trigger fires from
@@ -294,18 +269,14 @@ pub fn run_resumable(
 /// [`StageError`] for the winning cancel cause — with a boundary
 /// checkpoint flushed first when checkpointing is on, so the
 /// cancellation is always resumable.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
+pub fn run(
+    cx: &mut StageContext<'_, '_>,
     rows: &mut LineStore<CellHF>,
     resume: Option<gpu_sim::wavefront::EngineState>,
     checkpoint: Option<(&std::path::Path, usize)>,
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
 ) -> Result<Stage1Result, StageError> {
+    let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     let (m, n) = (s0.len(), s1.len());
     let block_height = cfg.grid1.block_height();
     let flush_every = sra::flush_interval(m, n, block_height, cfg.sra_bytes);
@@ -392,7 +363,8 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::config::{PipelineConfig, SraBackend};
+    use gpu_sim::WorkerPool;
     use sw_core::full::sw_local_score;
     use sw_core::linear::RowDp;
     use sw_core::transcript::EdgeState;
@@ -423,7 +395,7 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None).unwrap();
         let (score, end) = sw_local_score(&a, &b, &cfg.scoring);
         assert_eq!(res.best_score, score);
         assert_eq!(res.end, end);
@@ -445,7 +417,7 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None).unwrap();
 
         // Local-mode reference via a clamped row DP.
         let sc = Scoring::paper();
@@ -483,7 +455,7 @@ mod tests {
         cfg.sra_bytes = 0;
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, 0, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None).unwrap();
         assert!(res.special_rows.is_empty());
         assert_eq!(res.flushed_bytes, 0);
         // Best score is unaffected.
@@ -498,7 +470,7 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None).unwrap();
         let (score, _) = sw_local_score(&a, &b, &cfg.scoring);
         assert_eq!(res.best_score, score);
         assert!(res.best_score < 30, "random sequences should align weakly");
@@ -508,7 +480,8 @@ mod tests {
 #[cfg(test)]
 mod resume_tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::config::{PipelineConfig, SraBackend};
+    use gpu_sim::WorkerPool;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -539,13 +512,19 @@ mod resume_tests {
         // Uninterrupted reference.
         let pool = WorkerPool::new(cfg.workers);
         let mut rows_ref = LineStore::new(&cfg.backend, cfg.sra_bytes, "ref-row", 7).unwrap();
-        let full = run(&a, &b, &cfg, &pool, &mut rows_ref).unwrap();
+        let full =
+            run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows_ref, None, None).unwrap();
 
         // First run: let the observer write combined checkpoints to disk,
         // pretend to die after it finishes (discard the in-memory store).
         {
             let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
-            let _ = run_resumable(&a, &b, &cfg, &pool, &mut rows, None, Some((dir.as_path(), 7)));
+            let _ = run(
+                &mut StageContext::new(&a, &b, &cfg, &pool),
+                &mut rows,
+                None,
+                Some((dir.as_path(), 7)),
+            );
             // `rows` dropped here would delete its files — simulate a hard
             // crash instead by forgetting it.
             std::mem::forget(rows);
@@ -558,7 +537,8 @@ mod resume_tests {
         let mut rows = LineStore::<CellHF>::reopen(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
         assert!(rows.restore_partials(&partials), "partials restore");
         let survived_before = rows.len();
-        let resumed = run_resumable(&a, &b, &cfg, &pool, &mut rows, Some(snap), None).unwrap();
+        let resumed =
+            run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, Some(snap), None).unwrap();
         assert_eq!(resumed.best_score, full.best_score);
         assert_eq!(resumed.end, full.end);
         assert!(rows.len() >= survived_before, "resume must not lose reopened rows");
@@ -570,10 +550,7 @@ mod resume_tests {
         // were mid-flight at the snapshot are missing, which is allowed.
         let mut cols = LineStore::new(&cfg.backend, cfg.sca_bytes, "col", 7).unwrap();
         let s2r = crate::stage2::run(
-            &a,
-            &b,
-            &cfg,
-            &pool,
+            &mut StageContext::new(&a, &b, &cfg, &pool),
             resumed.best_score,
             resumed.end,
             &mut rows,
@@ -589,7 +566,8 @@ mod resume_tests {
 #[cfg(test)]
 mod stale_checkpoint_tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::config::{PipelineConfig, SraBackend};
+    use gpu_sim::WorkerPool;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -614,14 +592,20 @@ mod stale_checkpoint_tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let _ = run_resumable(&a, &b, &cfg, &pool, &mut rows, None, Some((dir.as_path(), 5)));
+        let _ = run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            &mut rows,
+            None,
+            Some((dir.as_path(), 5)),
+        );
         let (snap, _) = load_checkpoint(&dir, 7).unwrap();
 
         // Same lengths and grid, different scoring: must run fresh.
         let mut cfg2 = PipelineConfig::for_tests();
         cfg2.scoring = sw_core::Scoring::new(2, -1, 4, 1);
         let mut rows2 = LineStore::new(&SraBackend::Memory, cfg2.sra_bytes, "row", 7).unwrap();
-        let res = run_resumable(&a, &b, &cfg2, &pool, &mut rows2, Some(snap), None).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg2, &pool), &mut rows2, Some(snap), None)
+            .unwrap();
         assert_eq!(res.resumed_from_diagonal, 0, "stale snapshot must be ignored");
         let (ref_score, ref_end) = sw_core::full::sw_local_score(&a, &b, &cfg2.scoring);
         assert_eq!(res.best_score, ref_score);

@@ -20,14 +20,12 @@
 //! columns area for Stage 3, and every computed cell is watched for
 //! `H_reverse == goal`, which identifies the alignment's start point.
 
-use crate::config::PipelineConfig;
 use crate::crosspoint::{Crosspoint, CrosspointChain};
-use crate::obs::{Event, Obs};
-use crate::pipeline::StageError;
+use crate::obs::Event;
+use crate::pipeline::{StageContext, StageError};
 use crate::sra::{self, LineStore};
-use crate::supervise::RunControl;
 use gpu_sim::wavefront::{self, RegionJob};
-use gpu_sim::{BlockCoords, CellHE, CellHF, GlobalOrigin, Mode, TileOutcome, WorkerPool};
+use gpu_sim::{BlockCoords, CellHE, CellHF, GlobalOrigin, Mode, TileOutcome};
 use std::ops::ControlFlow;
 use sw_core::scoring::{Score, Scoring};
 use sw_core::transcript::EdgeState;
@@ -188,23 +186,7 @@ impl gpu_sim::WavefrontObserver for StripObserver<'_> {
 /// Run Stage 2.
 ///
 /// `best_score`/`end` come from Stage 1; `rows` is the populated SRA;
-/// `cols` receives the special columns for Stage 3.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    best_score: Score,
-    end: (usize, usize),
-    rows: &mut LineStore<CellHF>,
-    cols: &mut LineStore<CellHE>,
-) -> Result<Stage2Result, StageError> {
-    let obs = &mut Obs::new();
-    run_supervised(s0, s1, cfg, pool, best_score, end, rows, cols, obs, &RunControl::unlimited())
-}
-
-/// [`run`] with an observability handle and a [`RunControl`]. Per-strip
+/// `cols` receives the special columns for Stage 3. Per-strip
 /// [`Event::Strip`] records, [`Event::StorageFlush`] for each special
 /// column kept for Stage 3, and [`Event::StorageDrop`] for corrupt
 /// special rows rejected on read-back are all emitted from the caller
@@ -212,19 +194,15 @@ pub fn run(
 /// cancelled/expired run unwinds with a typed error before starting the
 /// next strip instead of finishing the pass. A `best_score` below 1 (no
 /// local alignment to trace back) is a [`StageError::Logic`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
+pub fn run(
+    cx: &mut StageContext<'_, '_>,
     best_score: Score,
     end: (usize, usize),
     rows: &mut LineStore<CellHF>,
     cols: &mut LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
 ) -> Result<Stage2Result, StageError> {
+    let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     if best_score <= 0 {
         return Err(StageError::Logic(format!(
             "stage 2 requires a positive best score, got {best_score}"
@@ -430,8 +408,9 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::config::{PipelineConfig, SraBackend};
     use crate::stage1;
+    use gpu_sim::WorkerPool;
     use sw_core::full::sw_local_aligned;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
@@ -461,10 +440,18 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(a, b, &cfg, &pool, &mut rows).unwrap();
+        let s1r =
+            stage1::run(&mut StageContext::new(a, b, &cfg, &pool), &mut rows, None, None).unwrap();
         assert!(s1r.best_score > 0);
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(a, b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let s2r = run(
+            &mut StageContext::new(a, b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
         (s2r, s1r.best_score)
     }
 
@@ -475,8 +462,14 @@ mod tests {
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
         for best in [0, -3] {
-            let err =
-                run(b"ACGT", b"TTTT", &cfg, &pool, best, (0, 0), &mut rows, &mut cols).unwrap_err();
+            let err = run(
+                &mut StageContext::new(b"ACGT", b"TTTT", &cfg, &pool),
+                best,
+                (0, 0),
+                &mut rows,
+                &mut cols,
+            )
+            .unwrap_err();
             assert!(matches!(&err, StageError::Logic(m) if m.contains("positive best score")));
         }
         assert_eq!(cols.len(), 0, "nothing was stored");
@@ -553,12 +546,20 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let s1r = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
+            .unwrap();
         if s1r.best_score == 0 {
             return; // nothing to trace
         }
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let s2r = run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
         let start = s2r.chain.points()[0];
         let end = *s2r.chain.points().last().unwrap();
         assert!(end.i - start.i <= 64, "short alignment expected");
@@ -573,9 +574,17 @@ mod tests {
         cfg.sra_bytes = 0;
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, 0, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let s1r = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
+            .unwrap();
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let s2r = run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
         assert_eq!(s2r.chain.len(), 2, "only start and end points");
         assert_eq!(s2r.strips, 1);
     }
@@ -584,8 +593,9 @@ mod tests {
 #[cfg(test)]
 mod orthogonal_tests {
     use super::*;
-    use crate::config::SraBackend;
+    use crate::config::{PipelineConfig, SraBackend};
     use crate::stage1;
+    use gpu_sim::WorkerPool;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -610,9 +620,17 @@ mod orthogonal_tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let s1r = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
+            .unwrap();
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
+        let s2r = run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
         let matrix = (a.len() * b.len()) as u64;
         assert!(
             s2r.cells * 3 < matrix,
@@ -624,14 +642,17 @@ mod orthogonal_tests {
         cfg_small.sra_bytes = 8 * (b.len() as u64 + 1) * 2; // two rows only
         let mut rows_small =
             LineStore::new(&SraBackend::Memory, cfg_small.sra_bytes, "row", 7).unwrap();
-        let s1_small = stage1::run(&a, &b, &cfg_small, &pool, &mut rows_small).unwrap();
+        let s1_small = stage1::run(
+            &mut StageContext::new(&a, &b, &cfg_small, &pool),
+            &mut rows_small,
+            None,
+            None,
+        )
+        .unwrap();
         let mut cols_small =
             LineStore::new(&SraBackend::Memory, cfg_small.sca_bytes, "col", 7).unwrap();
         let s2_small = run(
-            &a,
-            &b,
-            &cfg_small,
-            &pool,
+            &mut StageContext::new(&a, &b, &cfg_small, &pool),
             s1_small.best_score,
             s1_small.end,
             &mut rows_small,

@@ -15,11 +15,10 @@
 
 use crate::config::PipelineConfig;
 use crate::crosspoint::{Crosspoint, CrosspointChain, Partition};
-use crate::obs::{Event, Obs};
-use crate::pipeline::StageError;
+use crate::obs::Event;
+use crate::pipeline::{StageContext, StageError};
 use crate::sra::LineStore;
 use crate::stage2::gap_run_from;
-use crate::supervise::RunControl;
 use gpu_sim::wavefront::{self, RegionJob};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GlobalOrigin, Mode, TileOutcome, WorkerPool};
 use std::ops::ControlFlow;
@@ -212,35 +211,20 @@ fn refine_partition(
 /// partitions themselves run concurrently, each on a **single-block**
 /// grid — the paper's future-work variant, for which the minimum size
 /// requirement vanishes (one block cannot race itself on the buses).
-pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    cols: &LineStore<CellHE>,
-) -> Result<Stage3Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, cols, &mut Obs::new(), &RunControl::unlimited())
-}
-
-/// [`run`] with an observability handle and a [`RunControl`]. The
-/// partition count and each partition's shape ([`Event::Partitions`],
+///
+/// The partition count and each partition's shape ([`Event::Partitions`],
 /// [`Event::Partition`]) are announced from the caller thread before
 /// solving starts, so the parallel-partitions mode traces identically to
 /// the sequential one. The token is checked before each partition is
 /// solved (in both modes), so a cancelled/expired run unwinds with a
 /// typed error instead of refining every remaining partition.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
+pub fn run(
+    cx: &mut StageContext<'_, '_>,
     chain: &CrosspointChain,
     cols: &LineStore<CellHE>,
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
 ) -> Result<Stage3Result, StageError> {
+    let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     let parts: Vec<Partition> = chain.partitions().collect();
     obs.emit(Event::Partitions { stage: 3, count: parts.len() });
     for (k, p) in parts.iter().enumerate() {
@@ -252,10 +236,7 @@ pub fn run_supervised(
             width: p.end.j - p.start.j,
         });
     }
-    let workers = match cfg.workers {
-        0 => pool.lanes(),
-        w => w.min(pool.lanes()),
-    };
+    let workers = pool.lanes_for(cfg.workers);
 
     // Per-partition outputs, merged in order afterwards.
     type PartOut = Result<
@@ -395,12 +376,19 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(a, b, &cfg, &pool, &mut rows).unwrap();
+        let s1r =
+            stage1::run(&mut StageContext::new(a, b, &cfg, &pool), &mut rows, None, None).unwrap();
         assert!(s1r.best_score > 0);
         let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r =
-            stage2::run(a, b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols).unwrap();
-        let s3r = run(a, b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let s2r = stage2::run(
+            &mut StageContext::new(a, b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
+        let s3r = run(&mut StageContext::new(a, b, &cfg, &pool), &s2r.chain, &cols).unwrap();
         (s2r.chain, s3r)
     }
 
@@ -440,11 +428,18 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, 0, "col", 7).unwrap();
-        let s2r = stage2::run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols)
+        let s1r = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
             .unwrap();
-        let s3r = run(&a, &b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let mut cols = LineStore::new(&SraBackend::Memory, 0, "col", 7).unwrap();
+        let s2r = stage2::run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
+        let s3r = run(&mut StageContext::new(&a, &b, &cfg, &pool), &s2r.chain, &cols).unwrap();
         assert_eq!(s3r.chain.points(), s2r.chain.points());
         assert_eq!(s3r.cells, 0);
     }
@@ -478,16 +473,23 @@ mod parallel_tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(4);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1r = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
-        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2r = stage2::run(&a, &b, &cfg, &pool, s1r.best_score, s1r.end, &mut rows, &mut cols)
+        let s1r = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
             .unwrap();
+        let mut cols = LineStore::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
+        let s2r = stage2::run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1r.best_score,
+            s1r.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
 
-        let seq = run(&a, &b, &cfg, &pool, &s2r.chain, &cols).unwrap();
+        let seq = run(&mut StageContext::new(&a, &b, &cfg, &pool), &s2r.chain, &cols).unwrap();
         let mut par_cfg = cfg.clone();
         par_cfg.parallel_partitions = true;
         par_cfg.workers = 4;
-        let par = run(&a, &b, &par_cfg, &pool, &s2r.chain, &cols).unwrap();
+        let par = run(&mut StageContext::new(&a, &b, &par_cfg, &pool), &s2r.chain, &cols).unwrap();
         assert_eq!(par.chain.points(), seq.chain.points());
         // Cell counts may differ: a single-block band aborts at a coarser
         // granularity than a multi-block one. Same order of magnitude.

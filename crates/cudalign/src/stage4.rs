@@ -17,12 +17,9 @@
 //!
 //! Partitions are independent and processed in parallel.
 
-use crate::config::PipelineConfig;
 use crate::crosspoint::{Crosspoint, CrosspointChain, Partition};
-use crate::obs::{Event, Obs};
-use crate::pipeline::StageError;
-use crate::supervise::RunControl;
-use gpu_sim::WorkerPool;
+use crate::obs::Event;
+use crate::pipeline::{StageContext, StageError};
 use sw_core::linear::{forward_vectors, reverse_vectors, RowDp};
 use sw_core::matching::{match_argmax, GoalMatcher};
 use sw_core::scoring::Scoring;
@@ -174,38 +171,21 @@ fn split_partition(
 /// Oversized partitions of one iteration are independent, so each
 /// iteration fans them out on the shared `pool` (one scope per iteration;
 /// results land in pre-chunked slots and are merged in partition order, so
-/// the outcome is independent of the pool width).
+/// the outcome is independent of the pool width). Each refinement
+/// iteration emits an [`Event::Iteration`] record, with per-iteration
+/// seconds from the injected clock instead of direct wall-clock reads.
+/// The token is checked at every refinement round, so a cancelled/expired
+/// run unwinds with a typed error instead of splitting every remaining
+/// oversized partition.
 pub fn run(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
+    cx: &mut StageContext<'_, '_>,
     chain: &CrosspointChain,
 ) -> Result<Stage4Result, StageError> {
-    run_supervised(s0, s1, cfg, pool, chain, &mut Obs::new(), &RunControl::unlimited())
-}
-
-/// [`run`] with an observability handle and a [`RunControl`]. Each
-/// refinement iteration emits an [`Event::Iteration`] record, with
-/// per-iteration seconds from the injected clock instead of direct
-/// wall-clock reads. The token is checked at every refinement round, so
-/// a cancelled/expired run unwinds with a typed error instead of
-/// splitting every remaining oversized partition.
-pub fn run_supervised(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
-    chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
-) -> Result<Stage4Result, StageError> {
+    let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     let sc = cfg.scoring;
     let max = cfg.max_partition_size;
-    let workers = match cfg.workers {
-        0 => pool.lanes(),
-        w => w.min(pool.lanes()),
-    };
+    let workers = pool.lanes_for(cfg.workers);
 
     let mut points: Vec<Crosspoint> = chain.points().to_vec();
     let mut iterations: Vec<IterationStats> = Vec::new();
@@ -312,6 +292,8 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
+    use gpu_sim::WorkerPool;
     use sw_core::full::nw_global_typed;
 
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
@@ -364,7 +346,7 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = whole_chain(&a, &b);
-        let res = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         check_final_chain(&a, &b, &cfg, &res);
         assert!(res.iterations.len() >= 4, "500bp / 16 needs >= 5 halvings");
         // Crosspoint counts grow monotonically.
@@ -380,9 +362,9 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         cfg.orthogonal_stage4 = true;
-        let res_o = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res_o = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         cfg.orthogonal_stage4 = false;
-        let res_c = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res_c = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         check_final_chain(&a, &b, &cfg, &res_o);
         check_final_chain(&a, &b, &cfg, &res_c);
         // The orthogonal sweep processes fewer cells.
@@ -401,9 +383,9 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         cfg.balanced_split = true;
-        let res_b = run(&a, &wide_b, &cfg, &pool, &chain).unwrap();
+        let res_b = run(&mut StageContext::new(&a, &wide_b, &cfg, &pool), &chain).unwrap();
         cfg.balanced_split = false;
-        let res_u = run(&a, &wide_b, &cfg, &pool, &chain).unwrap();
+        let res_u = run(&mut StageContext::new(&a, &wide_b, &cfg, &pool), &chain).unwrap();
         check_final_chain(&a, &wide_b, &cfg, &res_u);
         assert!(
             res_b.iterations.len() <= res_u.iterations.len(),
@@ -419,7 +401,7 @@ mod tests {
         let chain = whole_chain(&a, &a);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let res = run(&a, &a, &cfg, &pool, &chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &a, &cfg, &pool), &chain).unwrap();
         assert_eq!(res.chain.points(), chain.points());
         assert_eq!(res.cells, 0);
         assert_eq!(res.iterations.len(), 1);
@@ -435,7 +417,7 @@ mod tests {
         let chain = whole_chain(&a, &b);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
-        let res = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         check_final_chain(&a, &b, &cfg, &res);
         let has_gap_point = res.chain.points().iter().any(|p| p.edge != EdgeState::Diagonal);
         assert!(has_gap_point, "expected gap-typed crosspoints across the deleted block");
@@ -448,9 +430,9 @@ mod tests {
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(4);
         cfg.workers = 1;
-        let r1 = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let r1 = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         cfg.workers = 4;
-        let r4 = run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let r4 = run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         assert_eq!(r1.chain.points(), r4.chain.points());
     }
 }

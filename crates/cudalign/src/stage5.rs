@@ -7,12 +7,9 @@
 //! The result is also packed into the compact binary representation.
 
 use crate::binary::BinaryAlignment;
-use crate::config::PipelineConfig;
 use crate::crosspoint::{CrosspointChain, Partition};
-use crate::obs::{Event, Obs};
-use crate::pipeline::StageError;
-use crate::supervise::RunControl;
-use gpu_sim::WorkerPool;
+use crate::obs::Event;
+use crate::pipeline::{StageContext, StageError};
 use sw_core::full::nw_global_aligned;
 use sw_core::transcript::Transcript;
 
@@ -30,21 +27,18 @@ pub struct Stage5Result {
 /// Run Stage 5. Partitions are solved concurrently on the shared `pool`
 /// and the transcripts concatenated in partition order.
 ///
-/// `obs` receives the number of partitions about to be solved
-/// ([`Event::Partitions`]). The `ctrl` token is checked on entry and
+/// `cx.obs` receives the number of partitions about to be solved
+/// ([`Event::Partitions`]). The `cx.ctrl` token is checked on entry and
 /// again before the per-partition transcripts are merged, so a
 /// cancelled/expired run unwinds with a typed error instead of stitching
 /// a final alignment. A chain without both a start and an end point is a
 /// [`StageError::Logic`].
-pub fn run_supervised(
-    s0: &[u8],
-    s1: &[u8],
-    cfg: &PipelineConfig,
-    pool: &WorkerPool,
+pub fn run(
+    cx: &mut StageContext<'_, '_>,
     chain: &CrosspointChain,
-    obs: &mut Obs<'_>,
-    ctrl: &RunControl,
 ) -> Result<Stage5Result, StageError> {
+    let (s0, s1, cfg, pool) = (cx.s0, cx.s1, cx.cfg, cx.pool);
+    let (obs, ctrl) = (&mut cx.obs, &cx.ctrl);
     if chain.len() < 2 {
         return Err(StageError::Logic(format!(
             "stage 5 requires a chain with start and end, got {} point(s)",
@@ -57,10 +51,7 @@ pub fn run_supervised(
     let sc = cfg.scoring;
     let parts: Vec<Partition> = chain.partitions().collect();
     obs.emit(Event::Partitions { stage: 5, count: parts.len() });
-    let workers = match cfg.workers {
-        0 => pool.lanes(),
-        w => w.min(pool.lanes()),
-    };
+    let workers = pool.lanes_for(cfg.workers);
 
     let mut results: Vec<Option<Result<(Transcript, u64), String>>> = vec![None; parts.len()];
     let solve = |p: &Partition| -> Result<(Transcript, u64), String> {
@@ -123,8 +114,10 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
     use crate::crosspoint::Crosspoint;
     use crate::stage4;
+    use gpu_sim::WorkerPool;
     use sw_core::full::nw_global_typed;
     use sw_core::transcript::EdgeState;
     use sw_core::Scoring;
@@ -149,16 +142,6 @@ mod tests {
         (a, b)
     }
 
-    fn run(
-        s0: &[u8],
-        s1: &[u8],
-        cfg: &PipelineConfig,
-        pool: &WorkerPool,
-        chain: &CrosspointChain,
-    ) -> Result<Stage5Result, StageError> {
-        run_supervised(s0, s1, cfg, pool, chain, &mut Obs::new(), &RunControl::unlimited())
-    }
-
     fn chain_for(a: &[u8], b: &[u8]) -> CrosspointChain {
         let (score, _) =
             nw_global_typed(a, b, &Scoring::paper(), EdgeState::Diagonal, EdgeState::Diagonal);
@@ -174,8 +157,8 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let l4 = stage4::run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &l4.chain).unwrap();
         res.transcript.validate(&a, &b).unwrap();
         let expected = chain.points().last().unwrap().score;
         assert_eq!(res.transcript.score(&a, &b, &Scoring::paper()), expected);
@@ -190,8 +173,8 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let l4 = stage4::run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &l4.chain).unwrap();
         let bytes = res.binary.encode();
         let back = BinaryAlignment::decode(&bytes).unwrap();
         assert_eq!(back, res.binary);
@@ -206,14 +189,14 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
-        let l4 = stage4::run(&a, &b, &cfg, &pool, &chain).unwrap();
+        let l4 = stage4::run(&mut StageContext::new(&a, &b, &cfg, &pool), &chain).unwrap();
         for p in l4.chain.partitions() {
             assert!(
                 (p.height() <= 16 && p.width() <= 16) || p.height() == 0 || p.width() == 0,
                 "oversized partition"
             );
         }
-        let res = run(&a, &b, &cfg, &pool, &l4.chain).unwrap();
+        let res = run(&mut StageContext::new(&a, &b, &cfg, &pool), &l4.chain).unwrap();
         // Total stage-5 work is linear in the alignment length.
         assert!(res.cells <= 17 * 17 * l4.chain.len() as u64);
     }
@@ -223,8 +206,11 @@ mod tests {
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(1);
         for points in [vec![], vec![Crosspoint::start(0, 0)]] {
-            let err =
-                run(b"ACGT", b"ACGT", &cfg, &pool, &CrosspointChain::new(points)).unwrap_err();
+            let err = run(
+                &mut StageContext::new(b"ACGT", b"ACGT", &cfg, &pool),
+                &CrosspointChain::new(points),
+            )
+            .unwrap_err();
             assert!(matches!(&err, StageError::Logic(m) if m.contains("start and end")), "{err}");
         }
     }

@@ -473,6 +473,15 @@ impl WorkerPool {
         self.lanes
     }
 
+    /// The lanes a job capped at `workers` may use: the pool fixes the
+    /// count, and `workers` can only lower it (0 = uncapped).
+    pub fn lanes_for(&self, workers: usize) -> usize {
+        match workers {
+            0 => self.lanes,
+            w => w.min(self.lanes),
+        }
+    }
+
     /// Run `body`, giving it a [`Scope`] to spawn borrowing jobs on the
     /// pool, and block until every spawned job has settled. While blocked,
     /// the calling thread drains the queue itself (it is a pool lane).

@@ -138,7 +138,7 @@ pub enum KernelPath {
     /// Lane-striped saturating-`i16` kernel (plus a scalar sliver for the
     /// `height % LANES` remainder rows). The `i8` rung was not attempted:
     /// the tile shape or scoring failed [`striped8::eligible`], or the
-    /// caller asked for the i16 path directly ([`compute_tile_i16`]).
+    /// caller asked for the i16 path directly ([`Rung::I16`]).
     Striped16,
     /// Scalar `i32` kernel chosen up front — the tile was shorter than
     /// [`MIN_LADDER_ROWS`], or too small or the scoring too wide for any
@@ -221,9 +221,9 @@ impl PathCounts {
 
 /// Tiles shorter than this many rows skip the precision ladder and commit
 /// on the scalar kernel as [`KernelPath::Scalar`] (the rule applies at
-/// [`compute_tile`] / [`compute_tile_cached`] only; the explicit rung entry
-/// points ignore it). On a 2-CPU AVX-512 host (`mcups` `smalltile`
-/// cases, DESIGN.md §9) the ladder cost 1.5-3.6x the scalar kernel on
+/// [`Rung::Auto`] only; the explicit rungs ignore it). On a 2-CPU
+/// AVX-512 host (`mcups` `smalltile` cases, DESIGN.md §9) the ladder
+/// cost 1.5-3.6x the scalar kernel on
 /// 16x16 tiles and up to 4.5x on 32x32 ones, in both modes; at 64 rows
 /// the two are level overall, and taller tiles favour the striped rungs.
 pub const MIN_LADDER_ROWS: usize = 64;
@@ -246,16 +246,72 @@ pub struct TileOutcome {
     pub path: KernelPath,
 }
 
-/// Compute one tile.
+/// One tile's inputs, everything but the borders it overwrites.
+#[derive(Debug, Clone, Copy)]
+pub struct Tile<'a> {
+    /// The characters of the tile's rows.
+    pub a: &'a [u8],
+    /// The characters of the tile's columns.
+    pub b: &'a [u8],
+    /// Absolute (1-based) DP row of the tile's first row, used only for
+    /// max tracking and watch hits.
+    pub row_offset: usize,
+    /// Absolute (1-based) DP column of the tile's first column.
+    pub col_offset: usize,
+    /// Substitution and gap scores.
+    pub scoring: &'a Scoring,
+    /// Smith-Waterman local recurrence: `H` clamped at 0 and the best cell
+    /// tracked. Global otherwise.
+    pub local: bool,
+    /// Score whose first cell in scan order is reported as
+    /// [`TileOutcome::watch_hit`].
+    pub watch: Option<Score>,
+    /// `H` at `(row_offset - 1, col_offset - 1)`.
+    pub corner: Score,
+}
+
+impl<'a> Tile<'a> {
+    /// A global, unwatched `a` x `b` tile at DP position `(1, 1)` with
+    /// corner 0; set other fields with struct-update syntax.
+    pub fn new(a: &'a [u8], b: &'a [u8], scoring: &'a Scoring) -> Self {
+        Tile { a, b, row_offset: 1, col_offset: 1, scoring, local: false, watch: None, corner: 0 }
+    }
+}
+
+/// Where a [`compute`] call enters the precision ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung {
+    /// The engines' rule: tiles shorter than [`MIN_LADDER_ROWS`] commit on
+    /// the scalar kernel, taller ones climb the full ladder.
+    Auto,
+    /// The full ladder (`i8`, then `i16`, then the scalar fallback)
+    /// whatever the tile's height. Kept for the equivalence tests, which
+    /// drive the striped rungs on short tiles.
+    I8,
+    /// The ladder from the `i16` rung (the i8 kernel is not attempted),
+    /// whatever the tile's height; commits as [`KernelPath::Striped16`]
+    /// or falls back. The MCUPS benches measure the i16 path with it.
+    I16,
+    /// The scalar `i32` reference kernel regardless of eligibility: the
+    /// striped rungs' overflow fallback, and the path the equivalence
+    /// tests and MCUPS benches compare the others against.
+    Scalar,
+}
+
+/// Compute one tile, or a *band*: several blocks of one block column
+/// stacked into one tile and run as one ladder call, so the striped rungs'
+/// per-column costs (lane shifts, lazy-F carries, window and best
+/// reductions) are paid once per band height instead of once per block.
 ///
-/// * `a_tile`/`b_tile` — the characters of this block's rows/columns,
-/// * `row_offset`/`col_offset` — absolute (1-based) DP coordinates of the
-///   tile's first row/column, used only for max tracking,
-/// * `corner` — `H` at `(row_offset - 1, col_offset - 1)`,
-/// * `top` — horizontal-bus segment (`b_tile.len()` entries) holding row
+/// * `top` — horizontal-bus segment (`tile.b.len()` entries) holding row
 ///   `row_offset - 1`; overwritten with the tile's last row,
-/// * `left` — vertical-bus segment (`a_tile.len()` entries) holding column
-///   `col_offset - 1`; overwritten with the tile's last column.
+/// * `left` — vertical-bus segment (`tile.a.len()` entries) holding
+///   column `col_offset - 1`; overwritten with the tile's last column,
+/// * `cache` — query profiles, reused across tiles of the same band row,
+/// * `cuts` — the tile-relative last rows of every block but the last,
+///   ascending (empty for a plain tile); `cut_rows` (`cuts.len() *
+///   tile.b.len()` cells) receives the `H`/`F` row at each cut, i.e. the
+///   bottom border each of those blocks would have left on `top`.
 ///
 /// Zero-dimension contract: a zero-height tile leaves `top` untouched and
 /// `corner_out` is the top border's last `H` (or `corner` itself if the
@@ -263,94 +319,18 @@ pub struct TileOutcome {
 /// untouched and `corner_out` is the left border's last `H`. Degenerate
 /// tiles count zero cells and never produce `best`/`watch_hit`.
 ///
-/// Tiles shorter than [`MIN_LADDER_ROWS`] commit on the scalar kernel.
-/// Taller eligible tiles climb the precision ladder: the 32-lane `i8` kernel is
-/// attempted first ([`striped8::eligible`]), escalating on window
-/// overflow to the 16-lane `i16` kernel ([`striped::eligible`]) and
-/// finally to the scalar `i32` loop; results are bit-identical on every
-/// rung, and [`TileOutcome::path`] records where the tile committed.
-///
-/// This entry point builds a throwaway [`ProfileCache`] per call; engines
-/// that compute many tiles of the same band row should hold a cache and
-/// call [`compute_tile_cached`] to reuse query profiles across tiles.
-#[allow(clippy::too_many_arguments)] // a tile kernel: sequences, borders and tracking knobs
-pub fn compute_tile(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-) -> TileOutcome {
-    let mut cache = ProfileCache::new();
-    compute_tile_cached(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
-        &mut cache,
-    )
-}
-
-/// [`compute_tile`] with an engine-owned [`ProfileCache`]: the full
-/// precision ladder, reusing cached query profiles across tiles of the
-/// same band. The zero-cut case of [`compute_band_cached`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_cached(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-    cache: &mut ProfileCache,
-) -> TileOutcome {
-    compute_band_cached(
-        a_tile,
-        b_tile,
-        row_offset,
-        col_offset,
-        scoring,
-        local,
-        watch,
-        corner,
-        top,
-        left,
-        cache,
-        &[],
-        &mut [],
-    )
-}
-
-/// Compute a *band*: several blocks of one block column stacked into one
-/// tile and run as one ladder call, so the striped rungs' per-column
-/// costs (lane shifts, lazy-F carries, window and best reductions) are
-/// paid once per band height instead of once per block.
-///
-/// `cuts` are the tile-relative last rows of every block but the last,
-/// ascending; `cut_rows` (`cuts.len() * b_tile.len()` cells) receives the
-/// `H`/`F` row at each cut, i.e. the bottom border each of those blocks
-/// would have left on `top`. Everything else follows [`compute_tile`]:
-/// `top`/`left` end as the band's last row and last column, and the
-/// outcome's `best`/`watch_hit` cover the whole band. The rung is chosen
-/// for the band as a whole (a band that overflows `i8` re-runs whole on
-/// `i16`, then on the scalar kernel), and the cut rows are bit-identical
-/// to stacking one [`compute_tile_cached`] call per block.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_band_cached(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
+/// `rung` picks where the tile enters the ladder ([`Rung`]). Eligible
+/// tiles attempt the 32-lane `i8` kernel first ([`striped8::eligible`]),
+/// escalating on window overflow to the 16-lane `i16` kernel
+/// ([`striped::eligible`]) and finally to the scalar `i32` loop; results
+/// are bit-identical on every rung, and [`TileOutcome::path`] records
+/// where the tile committed. The rung is chosen for a band as a whole (a
+/// band that overflows `i8` re-runs whole on `i16`, then on the scalar
+/// kernel); its outcome's `best`/`watch_hit` cover the whole band, and
+/// its cut rows are bit-identical to stacking one call per block.
+pub fn compute(
+    tile: &Tile<'_>,
+    rung: Rung,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
@@ -358,26 +338,43 @@ pub fn compute_band_cached(
     cut_rows: &mut [CellHF],
 ) -> TileOutcome {
     debug_assert!(cuts.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(cuts.last().is_none_or(|&c| c < a_tile.len()));
-    debug_assert_eq!(cut_rows.len(), cuts.len() * b_tile.len());
-    let mut cuts = Cuts { rows: cuts, out: cut_rows };
-    // Short tiles cannot pay the striped rungs' fixed costs (border
-    // conversion, profile lookup, per-column lane shifts over one or two
-    // segments): below `MIN_LADDER_ROWS` the scalar reference commits.
-    if a_tile.len() < MIN_LADDER_ROWS {
-        return scalar_tile(
-            a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left,
-            &mut cuts,
-        );
+    debug_assert!(cuts.last().is_none_or(|&c| c < tile.a.len()));
+    debug_assert_eq!(cut_rows.len(), cuts.len() * tile.b.len());
+    let cuts = &mut Cuts { rows: cuts, out: cut_rows };
+    // Monomorphize on mode and watch — the CPU analogue of the paper's
+    // phase division, where the common case runs "an optimized kernel"
+    // without bookkeeping branches. Watching is rare (Stage 2 only) and
+    // max-tracking applies only to local mode, so the global no-watch
+    // kernel carries neither check.
+    match (tile.local, tile.watch.is_some()) {
+        (false, false) => dispatch_tile::<false, false>(tile, rung, top, left, cache, cuts),
+        (false, true) => dispatch_tile::<false, true>(tile, rung, top, left, cache, cuts),
+        (true, false) => dispatch_tile::<true, false>(tile, rung, top, left, cache, cuts),
+        (true, true) => dispatch_tile::<true, true>(tile, rung, top, left, cache, cuts),
     }
-    ladder(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        true, &mut cuts,
-    )
 }
 
-/// Inner block boundaries of a band ([`compute_band_cached`]) and the
-/// rows they are reported into.
+/// Plain-tile shorthand: [`compute`] on [`Rung::Auto`] without cuts.
+#[allow(clippy::too_many_arguments)] // a stable signature that external probes call
+pub fn compute_tile_cached(
+    a: &[u8],
+    b: &[u8],
+    row_offset: usize,
+    col_offset: usize,
+    scoring: &Scoring,
+    local: bool,
+    watch: Option<Score>,
+    corner: Score,
+    top: &mut [CellHF],
+    left: &mut [CellHE],
+    cache: &mut ProfileCache,
+) -> TileOutcome {
+    let tile = Tile { a, b, row_offset, col_offset, scoring, local, watch, corner };
+    compute(&tile, Rung::Auto, top, left, cache, &[], &mut [])
+}
+
+/// Inner block boundaries of a band ([`compute`]) and the rows they are
+/// reported into.
 pub(crate) struct Cuts<'c> {
     /// Tile-relative last row of every block but the last, ascending.
     pub rows: &'c [usize],
@@ -385,195 +382,38 @@ pub(crate) struct Cuts<'c> {
     pub out: &'c mut [CellHF],
 }
 
-impl Cuts<'_> {
-    /// No inner boundaries: a plain tile.
-    fn none() -> Cuts<'static> {
-        Cuts { rows: &[], out: &mut [] }
-    }
-}
-
-/// The full precision ladder (`i8`, then `i16`, then the scalar
-/// fallback) whatever the tile's height: [`compute_tile`] without the
-/// [`MIN_LADDER_ROWS`] rule. Not a rung of its own; it is kept for the
-/// equivalence tests, which drive the striped rungs on short tiles.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_ladder(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-) -> TileOutcome {
-    let (cache, cuts) = (&mut ProfileCache::new(), &mut Cuts::none());
-    ladder(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        true, cuts,
-    )
-}
-
-/// Compute one tile starting the ladder at the `i16` rung (the i8 kernel
-/// is not attempted), whatever its height. Same contract as
-/// [`compute_tile`]; commits as [`KernelPath::Striped16`] or falls back.
-/// The MCUPS benches use this to measure the i16 path in isolation
-/// against the i8-first default.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_i16(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-) -> TileOutcome {
-    let (cache, cuts) = (&mut ProfileCache::new(), &mut Cuts::none());
-    ladder(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cache,
-        false, cuts,
-    )
-}
-
-/// Monomorphize [`dispatch_tile`] on mode and watch — the CPU analogue
-/// of the paper's phase division, where the common case runs "an
-/// optimized kernel" without bookkeeping branches. Watching is rare
-/// (Stage 2 only) and max-tracking applies only to local mode, so the
-/// global no-watch kernel carries neither check.
-#[allow(clippy::too_many_arguments)]
-fn ladder(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-    cache: &mut ProfileCache,
-    allow8: bool,
-    cuts: &mut Cuts<'_>,
-) -> TileOutcome {
-    match (local, watch.is_some()) {
-        (false, false) => dispatch_tile::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8, cuts,
-        ),
-        (false, true) => dispatch_tile::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8, cuts,
-        ),
-        (true, false) => dispatch_tile::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8, cuts,
-        ),
-        (true, true) => dispatch_tile::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache,
-            allow8, cuts,
-        ),
-    }
-}
-
-/// Compute one tile on the scalar `i32` kernel regardless of eligibility.
-///
-/// Same contract as [`compute_tile`]. This is the reference path: the
-/// striped kernel's overflow fallback re-runs through it, and the
-/// equivalence tests and MCUPS benches call it directly to compare paths.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_scalar(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-) -> TileOutcome {
-    let cuts = &mut Cuts::none();
-    scalar_tile(
-        a_tile, b_tile, row_offset, col_offset, scoring, local, watch, corner, top, left, cuts,
-    )
-}
-
-/// [`compute_tile_scalar`] reporting the rows at `cuts`.
-#[allow(clippy::too_many_arguments)]
-fn scalar_tile(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    local: bool,
-    watch: Option<Score>,
-    corner: Score,
-    top: &mut [CellHF],
-    left: &mut [CellHE],
-    cuts: &mut Cuts<'_>,
-) -> TileOutcome {
-    match (local, watch.is_some()) {
-        (false, false) => compute_tile_impl::<false, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
-        ),
-        (false, true) => compute_tile_impl::<false, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
-        ),
-        (true, false) => compute_tile_impl::<true, false>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
-        ),
-        (true, true) => compute_tile_impl::<true, true>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
-        ),
-    }
-}
-
-/// Route a tile down the precision ladder: attempt the i8 kernel first
-/// (unless `allow8` is off or the tile fails [`striped8::eligible`]),
-/// escalate to the i16 kernel on window overflow — always possible, since
-/// i8 eligibility is a strict subset of i16 eligibility — and finally
-/// re-run the whole tile on the scalar `i32` kernel. Whichever striped
-/// rung commits, the `height % lanes` bottom sliver is stitched with the
-/// scalar kernel by [`finish_striped`]. A failed rung leaves the buses
-/// and `cuts` untouched.
-#[allow(clippy::too_many_arguments)]
+/// Route a tile down the precision ladder from `rung`: attempt the i8
+/// kernel first (unless the rung starts lower or the tile fails
+/// [`striped8::eligible`]), escalate to the i16 kernel on window overflow
+/// — always possible, since i8 eligibility is a strict subset of i16
+/// eligibility — and finally re-run the whole tile on the scalar `i32`
+/// kernel. Whichever striped rung commits, the `height % lanes` bottom
+/// sliver is stitched with the scalar kernel by [`finish_striped`]. A
+/// failed rung leaves the buses and `cuts` untouched.
 fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    watch: Option<Score>,
-    corner: Score,
+    tile: &Tile<'_>,
+    rung: Rung,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
-    allow8: bool,
     cuts: &mut Cuts<'_>,
 ) -> TileOutcome {
-    let attempted8 = allow8 && striped8::eligible(a_tile.len(), b_tile.len(), scoring);
+    let (height, width, scoring) = (tile.a.len(), tile.b.len(), tile.scoring);
+    // Short tiles cannot pay the striped rungs' fixed costs (border
+    // conversion, profile lookup, per-column lane shifts over one or two
+    // segments): below `MIN_LADDER_ROWS` the scalar reference commits.
+    if rung == Rung::Scalar || (rung == Rung::Auto && height < MIN_LADDER_ROWS) {
+        return compute_tile_impl::<LOCAL, WATCH>(tile, top, left, cuts, 0);
+    }
+    let attempted8 = rung != Rung::I16 && striped8::eligible(height, width, scoring);
     if attempted8 {
-        if let Some(part) = striped8::compute_striped8_columns::<LOCAL, WATCH>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, cuts,
-        ) {
+        if let Some(part) =
+            striped8::compute_striped8_columns::<LOCAL, WATCH>(tile, top, left, cache, cuts)
+        {
             return finish_striped::<LOCAL, WATCH>(
                 part,
                 KernelPath::Striped8,
-                a_tile,
-                b_tile,
-                row_offset,
-                col_offset,
-                scoring,
-                watch,
+                tile,
                 top,
                 left,
                 cuts,
@@ -581,15 +421,13 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
         }
         // i8 window overflow: buses untouched, escalate to the i16 rung.
     }
-    let path = if striped::eligible(a_tile.len(), b_tile.len(), scoring) {
-        if let Some(part) = striped::compute_striped_columns::<LOCAL, WATCH>(
-            a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cache, cuts,
-        ) {
+    let path = if striped::eligible(height, width, scoring) {
+        if let Some(part) =
+            striped::compute_striped_columns::<LOCAL, WATCH>(tile, top, left, cache, cuts)
+        {
             let path =
                 if attempted8 { KernelPath::Striped8Fallback16 } else { KernelPath::Striped16 };
-            return finish_striped::<LOCAL, WATCH>(
-                part, path, a_tile, b_tile, row_offset, col_offset, scoring, watch, top, left, cuts,
-            );
+            return finish_striped::<LOCAL, WATCH>(part, path, tile, top, left, cuts);
         }
         // Overflow on every striped rung: buses are untouched, re-run
         // the whole tile scalar.
@@ -597,9 +435,7 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     } else {
         KernelPath::Scalar
     };
-    let mut out = compute_tile_impl::<LOCAL, WATCH>(
-        a_tile, b_tile, row_offset, col_offset, scoring, watch, corner, top, left, cuts, 0,
-    );
+    let mut out = compute_tile_impl::<LOCAL, WATCH>(tile, top, left, cuts, 0);
     out.path = path;
     out
 }
@@ -609,33 +445,26 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
 /// left-border H at row `rows - 1` and reuse the (already updated)
 /// horizontal bus, exactly like a stitched lower tile. Cuts inside the
 /// sliver are reported by the scalar kernel.
-#[allow(clippy::too_many_arguments)]
 fn finish_striped<const LOCAL: bool, const WATCH: bool>(
     part: StripedColumns,
     path: KernelPath,
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    watch: Option<Score>,
+    tile: &Tile<'_>,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cuts: &mut Cuts<'_>,
 ) -> TileOutcome {
-    let height = a_tile.len();
+    let (height, width) = (tile.a.len(), tile.b.len());
     let (corner_out, best, watch_hit) = if part.rows < height {
         let k = cuts.rows.partition_point(|&c| c < part.rows);
-        let sliver_cuts =
-            &mut Cuts { rows: &cuts.rows[k..], out: &mut cuts.out[k * b_tile.len()..] };
+        let sliver_cuts = &mut Cuts { rows: &cuts.rows[k..], out: &mut cuts.out[k * width..] };
+        let sliver = Tile {
+            a: &tile.a[part.rows..],
+            row_offset: tile.row_offset + part.rows,
+            corner: part.rem_corner,
+            ..*tile
+        };
         let rem = compute_tile_impl::<LOCAL, WATCH>(
-            &a_tile[part.rows..],
-            b_tile,
-            row_offset + part.rows,
-            col_offset,
-            scoring,
-            watch,
-            part.rem_corner,
+            &sliver,
             top,
             &mut left[part.rows..],
             sliver_cuts,
@@ -649,7 +478,7 @@ fn finish_striped<const LOCAL: bool, const WATCH: bool>(
     } else {
         (part.corner_out, part.best, part.watch_hit)
     };
-    TileOutcome { corner_out, best, watch_hit, cells: (a_tile.len() * b_tile.len()) as u64, path }
+    TileOutcome { corner_out, best, watch_hit, cells: (height * width) as u64, path }
 }
 
 /// Fold two partial best endpoints with the same total order the scalar
@@ -675,22 +504,16 @@ fn merge_watch(a: Option<(usize, usize)>, b: Option<(usize, usize)>) -> Option<(
 }
 
 /// The scalar recurrence. `first_cut_row` is the cut-relative index of
-/// `a_tile`'s first row (non-zero for a striped tile's bottom sliver):
+/// the tile's first row (non-zero for a striped tile's bottom sliver):
 /// the bus row is copied out after every row at a cut.
-#[allow(clippy::too_many_arguments)]
 fn compute_tile_impl<const LOCAL: bool, const WATCH: bool>(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    watch: Option<Score>,
-    corner: Score,
+    tile: &Tile<'_>,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cuts: &mut Cuts<'_>,
     first_cut_row: usize,
 ) -> TileOutcome {
+    let Tile { a: a_tile, b: b_tile, row_offset, col_offset, scoring, watch, corner, .. } = *tile;
     debug_assert_eq!(top.len(), b_tile.len());
     debug_assert_eq!(left.len(), a_tile.len());
 
@@ -807,6 +630,11 @@ mod tests {
 
     const SC: Scoring = Scoring::paper();
 
+    /// [`compute`] with a throwaway cache and no cuts.
+    fn run_tile(tile: &Tile, rung: Rung, top: &mut [CellHF], left: &mut [CellHE]) -> TileOutcome {
+        compute(tile, rung, top, left, &mut ProfileCache::new(), &[], &mut [])
+    }
+
     fn lcg(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
@@ -825,7 +653,7 @@ mod tests {
         for start in [ES::Diagonal, ES::GapS0, ES::GapS1] {
             let (mut top, mut left, corner) =
                 global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(start));
-            compute_tile_ladder(&a, &b, 1, 1, &SC, false, None, corner, &mut top, &mut left);
+            run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::I8, &mut top, &mut left);
             let (h, f) = forward_vectors(&a, &b, &SC, start);
             for j in 0..b.len() {
                 assert_eq!(top[j].h, h[j + 1], "H mismatch at {j}");
@@ -843,7 +671,12 @@ mod tests {
         b[10] = b'A';
         b[11] = b'C';
         let (mut top, mut left, corner) = local_borders(a.len(), b.len());
-        let out = compute_tile(&a, &b, 1, 1, &SC, true, None, corner, &mut top, &mut left);
+        let out = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Auto,
+            &mut top,
+            &mut left,
+        );
         let (score, end) = sw_local_score(&a, &b, &SC);
         let (s, i, j) = out.best.unwrap();
         assert_eq!(s, score);
@@ -860,7 +693,7 @@ mod tests {
         // Reference: single tile.
         let (mut top_ref, mut left_ref, corner) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
-        compute_tile_ladder(&a, &b, 1, 1, &SC, false, None, corner, &mut top_ref, &mut left_ref);
+        run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::I8, &mut top_ref, &mut left_ref);
 
         // Stitched: four tiles with explicit corner bookkeeping.
         let (mut top, mut left, _) =
@@ -870,29 +703,42 @@ mod tests {
         // corners[r][c] = H at the bottom-right of block (r, c); virtual
         // row/col -1 handled explicitly.
         let c00_in = 0; // H(0,0)
-        let o00 = compute_tile_ladder(&a[..mi], &b[..nj], 1, 1, &SC, false, None, c00_in, t0, l0);
+        let o00 = run_tile(
+            &Tile { corner: c00_in, ..Tile::new(&a[..mi], &b[..nj], &SC) },
+            Rung::I8,
+            t0,
+            l0,
+        );
         // block (0,1): corner = H(0, nj) = value the init row had there.
         let (init_top, _, _) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
         let c01_in = init_top[nj - 1].h;
-        let o01 =
-            compute_tile_ladder(&a[..mi], &b[nj..], 1, nj + 1, &SC, false, None, c01_in, t1, l0);
+        let o01 = run_tile(
+            &Tile { col_offset: nj + 1, corner: c01_in, ..Tile::new(&a[..mi], &b[nj..], &SC) },
+            Rung::I8,
+            t1,
+            l0,
+        );
         let _ = o01;
         // block (1,0): corner = H(mi, 0) = init column value at row mi.
         let (_, init_left, _) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
         let c10_in = init_left[mi - 1].h;
-        compute_tile_ladder(&a[mi..], &b[..nj], mi + 1, 1, &SC, false, None, c10_in, t0, l1);
+        run_tile(
+            &Tile { row_offset: mi + 1, corner: c10_in, ..Tile::new(&a[mi..], &b[..nj], &SC) },
+            Rung::I8,
+            t0,
+            l1,
+        );
         // block (1,1): corner = bottom-right H of block (0,0).
-        compute_tile_ladder(
-            &a[mi..],
-            &b[nj..],
-            mi + 1,
-            nj + 1,
-            &SC,
-            false,
-            None,
-            o00.corner_out,
+        run_tile(
+            &Tile {
+                row_offset: mi + 1,
+                col_offset: nj + 1,
+                corner: o00.corner_out,
+                ..Tile::new(&a[mi..], &b[nj..], &SC)
+            },
+            Rung::I8,
             t1,
             l1,
         );
@@ -909,15 +755,24 @@ mod tests {
     fn empty_tiles_pass_through() {
         let (mut top, mut left, corner) =
             global_borders(0, 5, &SC, GlobalOrigin::forward(ES::Diagonal));
-        let out = compute_tile(b"", b"ACGTA", 1, 1, &SC, false, None, corner, &mut top, &mut left);
+        let out = run_tile(
+            &Tile { corner, ..Tile::new(b"", b"ACGTA", &SC) },
+            Rung::Auto,
+            &mut top,
+            &mut left,
+        );
         assert_eq!(out.cells, 0);
         // Zero-height: corner walks along the untouched top border.
         assert_eq!(out.corner_out, top[4].h);
         let _ = corner;
         let (mut top2, mut left2, corner2) =
             global_borders(4, 0, &SC, GlobalOrigin::forward(ES::Diagonal));
-        let out2 =
-            compute_tile(b"ACGT", b"", 1, 1, &SC, false, None, corner2, &mut top2, &mut left2);
+        let out2 = run_tile(
+            &Tile { corner: corner2, ..Tile::new(b"ACGT", b"", &SC) },
+            Rung::Auto,
+            &mut top2,
+            &mut left2,
+        );
         assert_eq!(out2.cells, 0);
         // corner_out walks down the left border to the last row.
         assert_eq!(out2.corner_out, left2[3].h);
@@ -938,20 +793,18 @@ mod tests {
             };
             let mut top_v = top_s.clone();
             let mut left_v = left_s.clone();
-            let scal = compute_tile_scalar(
-                &a,
-                &b,
-                1,
-                1,
-                &SC,
-                local,
-                None,
-                corner,
+            let scal = run_tile(
+                &Tile { local, corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Scalar,
                 &mut top_s,
                 &mut left_s,
             );
-            let vect =
-                compute_tile(&a, &b, 1, 1, &SC, local, None, corner, &mut top_v, &mut left_v);
+            let vect = run_tile(
+                &Tile { local, corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Auto,
+                &mut top_v,
+                &mut left_v,
+            );
             // Local borders (all zero) keep the tile inside the i8 window;
             // global borders walk past it with the gap run, so the i8
             // attempt detects overflow up front and escalates to i16.
@@ -987,28 +840,30 @@ mod tests {
             };
             let watch = if watched {
                 let (mut t, mut l) = (top_0.clone(), left_0.clone());
-                let probe =
-                    compute_tile_scalar(&a, &b, 1, 1, &SC, local, None, corner, &mut t, &mut l);
+                let probe = run_tile(
+                    &Tile { local, corner, ..Tile::new(&a, &b, &SC) },
+                    Rung::Scalar,
+                    &mut t,
+                    &mut l,
+                );
                 Some(probe.corner_out)
             } else {
                 None
             };
             let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-            let scal = compute_tile_scalar(
-                &a,
-                &b,
-                1,
-                1,
-                &SC,
-                local,
-                watch,
-                corner,
+            let scal = run_tile(
+                &Tile { local, watch, corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Scalar,
                 &mut top_s,
                 &mut left_s,
             );
             let (mut top_v, mut left_v) = (top_0, left_0);
-            let vect =
-                compute_tile(&a, &b, 1, 1, &SC, local, watch, corner, &mut top_v, &mut left_v);
+            let vect = run_tile(
+                &Tile { local, watch, corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Auto,
+                &mut top_v,
+                &mut left_v,
+            );
             let expect = if local { KernelPath::Striped8 } else { KernelPath::Striped8Fallback16 };
             assert_eq!(vect.path, expect, "local={local} watched={watched}");
             assert_eq!(top_v, top_s, "hbus, local={local} watched={watched}");
@@ -1027,7 +882,7 @@ mod tests {
         let b = lcg(14, 75);
         let (mut top, mut left, corner) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
-        compute_tile(&a, &b, 1, 1, &SC, false, None, corner, &mut top, &mut left);
+        run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::Auto, &mut top, &mut left);
         // Watch a score that actually occurs: the final corner value.
         let goal = top[b.len() - 1].h;
         for watch in [goal, goal + 1_000_000] {
@@ -1035,27 +890,15 @@ mod tests {
                 global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
             let mut top_v = top_s.clone();
             let mut left_v = left_s.clone();
-            let scal = compute_tile_scalar(
-                &a,
-                &b,
-                1,
-                1,
-                &SC,
-                false,
-                Some(watch),
-                corner,
+            let scal = run_tile(
+                &Tile { watch: Some(watch), corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Scalar,
                 &mut top_s,
                 &mut left_s,
             );
-            let vect = compute_tile(
-                &a,
-                &b,
-                1,
-                1,
-                &SC,
-                false,
-                Some(watch),
-                corner,
+            let vect = run_tile(
+                &Tile { watch: Some(watch), corner, ..Tile::new(&a, &b, &SC) },
+                Rung::Auto,
                 &mut top_v,
                 &mut left_v,
             );
@@ -1081,10 +924,14 @@ mod tests {
         let corner = 0;
         let mut top_v = top_s.clone();
         let mut left_v = left_s.clone();
-        let scal =
-            compute_tile_scalar(&a, &b, 1, 1, &SC, false, None, corner, &mut top_s, &mut left_s);
+        let scal = run_tile(
+            &Tile { corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
         let vect =
-            compute_tile_ladder(&a, &b, 1, 1, &SC, false, None, corner, &mut top_v, &mut left_v);
+            run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::I8, &mut top_v, &mut left_v);
         assert_eq!(vect.path, KernelPath::StripedFallback);
         assert_eq!(top_v, top_s);
         assert_eq!(left_v, left_s);
@@ -1101,9 +948,9 @@ mod tests {
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::reverse(ES::GapS1, &SC));
         let mut top_v = top_s.clone();
         let mut left_v = left_s.clone();
-        compute_tile_scalar(&a, &b, 1, 1, &SC, false, None, corner, &mut top_s, &mut left_s);
+        run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::Scalar, &mut top_s, &mut left_s);
         let vect =
-            compute_tile_ladder(&a, &b, 1, 1, &SC, false, None, corner, &mut top_v, &mut left_v);
+            run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::I8, &mut top_v, &mut left_v);
         assert_eq!(vect.path, KernelPath::StripedFallback);
         assert_eq!(top_v, top_s);
         assert_eq!(left_v, left_s);
@@ -1118,9 +965,18 @@ mod tests {
         let (mut top_8, mut left_8, corner) = local_borders(a.len(), b.len());
         let mut top_16 = top_8.clone();
         let mut left_16 = left_8.clone();
-        let o8 = compute_tile(&a, &b, 1, 1, &SC, true, None, corner, &mut top_8, &mut left_8);
-        let o16 =
-            compute_tile_i16(&a, &b, 1, 1, &SC, true, None, corner, &mut top_16, &mut left_16);
+        let o8 = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Auto,
+            &mut top_8,
+            &mut left_8,
+        );
+        let o16 = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::I16,
+            &mut top_16,
+            &mut left_16,
+        );
         assert_eq!(o8.path, KernelPath::Striped8);
         assert_eq!(o16.path, KernelPath::Striped16);
         assert_eq!(top_8, top_16);
@@ -1141,9 +997,18 @@ mod tests {
         top_s[0].h += 200;
         let mut top_v = top_s.clone();
         let mut left_v = left_s.clone();
-        let scal =
-            compute_tile_scalar(&a, &b, 1, 1, &SC, true, None, corner, &mut top_s, &mut left_s);
-        let vect = compute_tile(&a, &b, 1, 1, &SC, true, None, corner, &mut top_v, &mut left_v);
+        let scal = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
+        let vect = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Auto,
+            &mut top_v,
+            &mut left_v,
+        );
         assert_eq!(vect.path, KernelPath::Striped8Fallback16);
         assert_eq!(top_v, top_s);
         assert_eq!(left_v, left_s);
@@ -1161,9 +1026,18 @@ mod tests {
         top_s[0].h += 100_000;
         let mut top_v = top_s.clone();
         let mut left_v = left_s.clone();
-        let scal =
-            compute_tile_scalar(&a, &b, 1, 1, &SC, true, None, corner, &mut top_s, &mut left_s);
-        let vect = compute_tile(&a, &b, 1, 1, &SC, true, None, corner, &mut top_v, &mut left_v);
+        let scal = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
+        let vect = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &SC) },
+            Rung::Auto,
+            &mut top_v,
+            &mut left_v,
+        );
         assert_eq!(vect.path, KernelPath::StripedFallback);
         assert_eq!(top_v, top_s);
         assert_eq!(left_v, left_s);
@@ -1223,9 +1097,19 @@ mod tests {
         // The cached composition must equal the uncached single tiles.
         let (mut top_r, mut left_r, _) = local_borders(a.len(), b.len());
         let (r0, r1) = top_r.split_at_mut(nj);
-        compute_tile(&a, &b[..nj], 1, 1, &SC, true, None, corner, r0, &mut left_r);
+        run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b[..nj], &SC) },
+            Rung::Auto,
+            r0,
+            &mut left_r,
+        );
         let mut left_r2 = vec![CellHE { h: 0, e: NEG_INF }; a.len()];
-        compute_tile(&a, &b[nj..], 1, nj + 1, &SC, true, None, 0, r1, &mut left_r2);
+        run_tile(
+            &Tile { col_offset: nj + 1, local: true, ..Tile::new(&a, &b[nj..], &SC) },
+            Rung::Auto,
+            r1,
+            &mut left_r2,
+        );
         assert_eq!(t0, r0);
         assert_eq!(t1, r1);
         assert_eq!(left2, left_r2);
@@ -1244,13 +1128,18 @@ mod tests {
         what: &str,
     ) -> (KernelPath, KernelPath) {
         let (mut top_s, mut left_s) = (top_0.to_vec(), left_0.to_vec());
-        let scal =
-            compute_tile_scalar(a, b, 1, 1, &SC, true, None, corner, &mut top_s, &mut left_s);
+        let scal = run_tile(
+            &Tile { local: true, corner, ..Tile::new(a, b, &SC) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
         let mut paths = Vec::new();
         for ladder in [false, true] {
             let (mut top_v, mut left_v) = (top_0.to_vec(), left_0.to_vec());
-            let run = if ladder { compute_tile } else { compute_tile_i16 };
-            let vect = run(a, b, 1, 1, &SC, true, None, corner, &mut top_v, &mut left_v);
+            let rung = if ladder { Rung::Auto } else { Rung::I16 };
+            let tile = Tile { local: true, corner, ..Tile::new(a, b, &SC) };
+            let vect = run_tile(&tile, rung, &mut top_v, &mut left_v);
             assert_ne!(vect.path, KernelPath::Scalar, "{what}: tile must try a striped rung");
             assert_eq!(vect.best, scal.best, "{what}: best, ladder={ladder}");
             assert_eq!(top_v, top_s, "{what}: hbus, ladder={ladder}");
@@ -1328,17 +1217,11 @@ mod tests {
         let (mut top_v, mut left_v) = (top.clone(), left.clone());
         let mut cache = ProfileCache::new();
         let part = striped8::compute_striped8_columns::<true, false>(
-            &a,
-            &b,
-            1,
-            1,
-            &SC,
-            None,
-            3,
+            &Tile { local: true, corner: 3, ..Tile::new(&a, &b, &SC) },
             &mut top_v,
             &mut left_v,
             &mut cache,
-            &mut Cuts::none(),
+            &mut Cuts { rows: &[], out: &mut [] },
         );
         assert!(part.is_none(), "the i8 window is left in column 0");
         assert_eq!(cache.misses(), 1, "no band after the first was streamed");
@@ -1358,7 +1241,12 @@ mod tests {
         assert_eq!(ladder, KernelPath::Striped8Fallback16);
         // One column fewer stays inside the window and commits on i8.
         let (mut t, mut l, c) = local_borders(96, 95);
-        let o = compute_tile(&a, &b[..95], 1, 1, &SC, true, None, c, &mut t, &mut l);
+        let o = run_tile(
+            &Tile { local: true, corner: c, ..Tile::new(&a, &b[..95], &SC) },
+            Rung::Auto,
+            &mut t,
+            &mut l,
+        );
         assert_eq!(o.path, KernelPath::Striped8);
         assert_eq!(o.best, Some((95, 95, 95)));
     }
@@ -1367,29 +1255,20 @@ mod tests {
     /// `compute_tile_cached` call per block from the same borders. Cut
     /// rows, both buses, the last block's corner and the band best against
     /// the per-block merge must be identical. Returns the band's rung.
-    #[allow(clippy::too_many_arguments)]
     fn band_equals_blocks(
-        a: &[u8],
-        b: &[u8],
+        tile: &Tile,
         top_0: &[CellHF],
         left_0: &[CellHE],
-        corner: Score,
-        local: bool,
         cuts: &[usize],
         what: &str,
     ) -> KernelPath {
+        let Tile { a, b, local, corner, .. } = *tile;
         let w = b.len();
         let (mut top_b, mut left_b) = (top_0.to_vec(), left_0.to_vec());
         let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * w];
-        let band = compute_band_cached(
-            a,
-            b,
-            1,
-            1,
-            &SC,
-            local,
-            None,
-            corner,
+        let band = compute(
+            tile,
+            Rung::Auto,
             &mut top_b,
             &mut left_b,
             &mut ProfileCache::new(),
@@ -1444,17 +1323,17 @@ mod tests {
                 } else {
                     global_borders(height, b.len(), &SC, GlobalOrigin::forward(ES::Diagonal))
                 };
+                let tile = Tile { local, corner, ..Tile::new(&a, &b, &SC) };
                 for cut in 0..height - 1 {
                     let what = format!("{height} rows, cut {cut}, local={local}");
-                    let path =
-                        band_equals_blocks(&a, &b, &top, &left, corner, local, &[cut], &what);
+                    let path = band_equals_blocks(&tile, &top, &left, &[cut], &what);
                     let expect =
                         if local { KernelPath::Striped8 } else { KernelPath::Striped8Fallback16 };
                     assert_eq!(path, expect, "{what}");
                 }
                 let many: Vec<usize> = (0..height - 1).step_by(7).collect();
                 let what = format!("{height} rows, cuts every 7 rows, local={local}");
-                band_equals_blocks(&a, &b, &top, &left, corner, local, &many, &what);
+                band_equals_blocks(&tile, &top, &left, &many, &what);
             }
         }
     }
@@ -1470,9 +1349,10 @@ mod tests {
         {
             let (mut top, left, corner) = local_borders(a.len(), b.len());
             top[0].h += lift;
+            let tile = Tile { local: true, corner, ..Tile::new(&a, &b, &SC) };
             for cuts in [vec![63], vec![31, 95, 127], vec![0, 1, 64, 143, 148]] {
                 let what = format!("lift {lift}, cuts {cuts:?}");
-                let path = band_equals_blocks(&a, &b, &top, &left, corner, true, &cuts, &what);
+                let path = band_equals_blocks(&tile, &top, &left, &cuts, &what);
                 assert_eq!(path, expect, "{what}");
             }
         }

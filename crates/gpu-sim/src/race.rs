@@ -27,7 +27,7 @@
 //!
 //! Striped-kernel writes need no special modelling: the lane-striped
 //! kernel (see [`crate::striped`]) is an implementation detail *inside*
-//! one `compute_tile` call. Whether a tile runs scalar, striped, or
+//! one `kernel::compute` call. Whether a tile runs scalar, striped, or
 //! striped-then-fallback, it still reads its whole bus segments before
 //! the call and overwrites them whole by the time it returns, so the
 //! per-segment `block_reads`/`block_writes` records around the call (the

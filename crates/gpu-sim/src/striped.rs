@@ -85,7 +85,7 @@
 //! # Cut rows
 //!
 //! A *band* (several blocks of one block column computed as one tile, see
-//! [`crate::kernel::compute_band_cached`]) also reports the `H`/`F` row at
+//! [`crate::kernel::compute`]) also reports the `H`/`F` row at
 //! each inner block boundary. Cut row `r` of the internal band starting at
 //! `base` sits in lane `(r - base) / seg` of segment `(r - base) % seg`,
 //! so after pass 3 of every column the kernel copies that element of
@@ -98,7 +98,7 @@
 //! (at most `LANES - 1` rows) with the scalar kernel, stitched through
 //! the updated horizontal bus exactly like a vertically split tile pair.
 
-use crate::kernel::{CellHE, CellHF, Cuts};
+use crate::kernel::{CellHE, CellHF, Cuts, Tile};
 use crate::striped8::{LANES8, V8};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
@@ -148,7 +148,7 @@ pub(crate) type V = [i16; LANES];
 
 /// Can `compute_striped_columns` handle this tile shape and scoring?
 ///
-/// The dispatcher in [`crate::kernel::compute_tile`] consults this before
+/// The dispatcher in [`crate::kernel::compute`] consults this before
 /// attempting the striped path; ineligible tiles go straight to the scalar
 /// kernel (`KernelPath::Scalar`). `gap_first >= gap_ext` is required for
 /// the lazy-F early exit to be exact (see the module docs).
@@ -289,26 +289,19 @@ pub(crate) fn commit_cut_rows<T: Copy + Into<Score>>(
 /// (bit-identical), and the remaining sliver is the caller's job. On
 /// overflow returns `None` with `top`/`left`/`cuts` untouched, so the
 /// caller can re-run the scalar kernel on pristine borders.
-#[allow(clippy::too_many_arguments)]
-// mirror of the compute_tile signature
 // Indexed `for s in 0..seg` / `for l in 0..LANES` loops over plain slices
 // are the shape LLVM reliably turns into packed i16 ops here; the
 // iterator forms clippy prefers have been observed to scalarize the lane
 // loops (cmov chains instead of pmaxsw), so keep the index style.
 #[allow(clippy::needless_range_loop)]
 pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    watch: Option<Score>,
-    corner: Score,
+    tile: &Tile<'_>,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
     cuts: &mut Cuts<'_>,
 ) -> Option<StripedColumns> {
+    let Tile { a: a_tile, b: b_tile, row_offset, col_offset, scoring, watch, corner, .. } = *tile;
     let height = a_tile.len();
     let width = b_tile.len();
     let rows = height - height % LANES;
@@ -757,7 +750,7 @@ impl CacheEntry {
 /// columns; stage-2/3 re-runs revisit stage-1 bands) share identical
 /// query bands, so the
 /// engine owns one of these caches and threads it through
-/// [`crate::kernel::compute_tile_cached`]: a hit skips the rebuild and
+/// [`crate::kernel::compute`]: a hit skips the rebuild and
 /// reuses the resident rows. Entries hold *both* the i8 and i16 variants,
 /// each materialized lazily per database symbol on first use, so an
 /// i8→i16 escalation of the same tile pays the band lookup once per

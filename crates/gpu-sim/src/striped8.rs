@@ -47,7 +47,7 @@
 //! lazily materialized per database symbol), so tiles of the same band
 //! row skip the rebuild entirely.
 
-use crate::kernel::{CellHE, CellHF, Cuts};
+use crate::kernel::{CellHE, CellHF, Cuts, Tile};
 use crate::striped::{
     commit_cut_rows, first_row_at, CutTaps, ProfileCache, StripedColumns, BAND, JCHUNK,
 };
@@ -129,9 +129,12 @@ struct Band8 {
     wj: Vec<J8>,
 }
 
-/// Scalar context for one band of the i8 column streamer: everything the
-/// hot loop needs beyond the striped state and the bus rows.
-struct Ctx8 {
+/// Context for one band of the i8 column streamer: everything the hot
+/// loop reads beyond the striped state and the bus rows.
+struct Ctx8<'a> {
+    b_tile: &'a [u8],
+    slot: &'a [u16; 256],
+    prof: &'a [V8],
     seg: usize,
     base: usize,
     row_offset: usize,
@@ -142,6 +145,15 @@ struct Ctx8 {
     zero8: i8,
     watch8: i8,
     band_corner: i8,
+}
+
+/// The tile-wide trackers the band loop carries from band to band: the
+/// lane minimum of every window check, the best cell and the first watch
+/// hit.
+struct Track8 {
+    mn: V8,
+    best: Option<(Score, usize, usize)>,
+    watch_hit: Option<(usize, usize)>,
 }
 
 // hot-loop
@@ -167,20 +179,16 @@ struct Ctx8 {
 // iterator forms clippy prefers have been observed to scalarize the lane
 // loops, so keep the index style.
 #[allow(clippy::needless_range_loop)]
-#[allow(clippy::too_many_arguments)]
 fn band8_columns<const LOCAL: bool, const WATCH: bool, const TAPS: bool>(
     st: &mut Band8,
     cx: &Ctx8,
-    slot: &[u16; 256],
-    prof: &[V8],
-    b_tile: &[u8],
     th: &mut [i8],
     tf: &mut [i8],
-    mn: &mut V8,
-    best: &mut Option<(Score, usize, usize)>,
-    watch_hit: &mut Option<(usize, usize)>,
+    track: &mut Track8,
     taps: &mut CutTaps<'_, i8>,
 ) -> bool {
+    let (slot, prof, b_tile) = (cx.slot, cx.prof, cx.b_tile);
+    let Track8 { mn, best, watch_hit } = track;
     let width = b_tile.len();
     let seg = cx.seg;
     let (ge8, gf8, zero8, watch8) = (cx.ge8, cx.gf8, cx.zero8, cx.watch8);
@@ -379,23 +387,16 @@ fn band8_columns<const LOCAL: bool, const WATCH: bool, const TAPS: bool>(
 /// `LANES8 - 1` rows) is the dispatcher's job; on window overflow returns
 /// `None` with `top`/`left`/`cuts` untouched so the dispatcher can
 /// escalate to the i16 rung on pristine borders.
-#[allow(clippy::too_many_arguments)]
-// mirror of the compute_tile signature
 #[allow(clippy::needless_range_loop)]
 // indexed loops vectorize; see band8_columns
 pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
-    a_tile: &[u8],
-    b_tile: &[u8],
-    row_offset: usize,
-    col_offset: usize,
-    scoring: &Scoring,
-    watch: Option<Score>,
-    corner: Score,
+    tile: &Tile<'_>,
     top: &mut [CellHF],
     left: &mut [CellHE],
     cache: &mut ProfileCache,
     cuts: &mut Cuts<'_>,
 ) -> Option<StripedColumns> {
+    let Tile { a: a_tile, b: b_tile, row_offset, col_offset, scoring, watch, corner, .. } = *tile;
     let height = a_tile.len();
     let width = b_tile.len();
     let rows = height - height % LANES8;
@@ -475,9 +476,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
         None => i8::MIN,
     };
 
-    let mut mn = [i8::MAX; LANES8];
-    let mut best: Option<(Score, usize, usize)> = None;
-    let mut watch_hit: Option<(usize, usize)> = None;
+    let mut track = Track8 { mn: [i8::MAX; LANES8], best: None, watch_hit: None };
 
     // Cuts in the striped rows; the scalar sliver reports the rest.
     let ncut = cuts.rows.partition_point(|&c| c < rows);
@@ -512,30 +511,31 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
                 st.hload[s][l] = h;
                 let e0 = (le[r] as i32 - ge).max(h as i32 - gf);
                 st.ecur[s][l] = e0 as i8;
-                mn[l] = mn[l].min(e0 as i8);
+                track.mn[l] = track.mn[l].min(e0 as i8);
             }
         }
 
-        let cx =
-            Ctx8 { seg, base, row_offset, col_offset, bias, ge8, gf8, zero8, watch8, band_corner };
+        let cx = Ctx8 {
+            b_tile,
+            slot,
+            prof,
+            seg,
+            base,
+            row_offset,
+            col_offset,
+            bias,
+            ge8,
+            gf8,
+            zero8,
+            watch8,
+            band_corner,
+        };
         let columns = if taps.is_empty() {
             band8_columns::<LOCAL, WATCH, false>
         } else {
             band8_columns::<LOCAL, WATCH, true>
         };
-        let in_window = columns(
-            &mut st,
-            &cx,
-            slot,
-            prof,
-            b_tile,
-            &mut th,
-            &mut tf,
-            &mut mn,
-            &mut best,
-            &mut watch_hit,
-            &mut taps,
-        );
+        let in_window = columns(&mut st, &cx, &mut th, &mut tf, &mut track, &mut taps);
         if !in_window {
             return None;
         }
@@ -564,6 +564,7 @@ pub(crate) fn compute_striped8_columns<const LOCAL: bool, const WATCH: bool>(
     }
     commit_cut_rows(cuts.out, &cut_h, &cut_f, bias);
 
+    let Track8 { best, watch_hit, .. } = track;
     Some(StripedColumns { rows, best, watch_hit, corner_out: top[width - 1].h, rem_corner })
 }
 

@@ -19,13 +19,14 @@
 //!   published-row counter per strip — several block rows are batched per
 //!   publish ([`StripPlan::batch_rows`]) to amortize signalling, and there
 //!   is no global barrier anywhere. Each block column's share of a batch
-//!   is one kernel call (a *band*, [`kernel::compute_band_cached`]), which
-//!   amortizes the striped rungs' per-column costs over the batch height. When a plan has more strips than workers
-//!   (ragged grids), runners that finish a strip steal the next
-//!   unclaimed one, in ascending column order. The calling thread runs
-//!   strip 0 and *delivers* finished blocks in canonical diagonal order,
-//!   so observers see exactly the event stream of the serial engine and
-//!   results are bit-identical to it.
+//!   is one kernel call (a *band*, [`kernel::compute`]), which amortizes
+//!   the striped rungs' per-column costs over the batch height. When a
+//!   plan has more strips than workers (ragged grids), runners that
+//!   finish a strip steal the next unclaimed one, in ascending column
+//!   order. The calling thread runs strip 0 and *delivers* finished
+//!   blocks in canonical diagonal order, so observers see exactly the
+//!   event stream of the serial engine and results are bit-identical to
+//!   it.
 //!
 //! Every completed block is reported, sequentially and on the calling
 //! thread, to the caller's [`WavefrontObserver`], which is how the
@@ -699,12 +700,7 @@ pub fn launch(
         corners[(r + 1) * (bc + 1)] = if re == 0 { 0 } else { vbus[re - 1].h };
     }
 
-    // The pool fixes the lane count for the whole run; `job.workers` can
-    // only cap it further (0 = uncapped).
-    let workers = match job.workers {
-        0 => pool.lanes(),
-        w => w.min(pool.lanes()),
-    };
+    let workers = pool.lanes_for(job.workers);
 
     let mut totals = Totals::default();
     let mut busy_slots = 0u64;
@@ -828,7 +824,7 @@ struct BandState {
 }
 
 /// Compute block rows `rows` of block column `c` as one kernel call (a
-/// *band*, [`kernel::compute_band_cached`]) against `hseg`, the column's
+/// *band*, [`kernel::compute`]) against `hseg`, the column's
 /// horizontal-bus segment, and `vseg`, the vertical bus over the band's
 /// rows. Then hand each block to `each`, in row order, with its outcome,
 /// its bottom border (the cut row, or `hseg` for the last block) and its
@@ -860,15 +856,19 @@ fn compute_band(
     st.cuts.extend((r0 + 1..rows.end).map(|k| layout.row_range(k).0 - 1 - rs));
     st.cut_rows.clear();
     st.cut_rows.resize(st.cuts.len() * width, CellHF::UNREACHABLE);
-    let out = kernel::compute_band_cached(
-        &job.a[rs - 1..re],
-        &job.b[cs - 1..ce],
-        rs,
-        cs,
-        &job.scoring,
-        job.mode.is_local(),
-        job.watch,
+    let tile = kernel::Tile {
+        a: &job.a[rs - 1..re],
+        b: &job.b[cs - 1..ce],
+        row_offset: rs,
+        col_offset: cs,
+        scoring: &job.scoring,
+        local: job.mode.is_local(),
+        watch: job.watch,
         corner,
+    };
+    let out = kernel::compute(
+        &tile,
+        kernel::Rung::Auto,
         hseg,
         vseg,
         &mut st.cache,

@@ -1,8 +1,10 @@
 //! Property tests: the wavefront engine is equivalent to the sequential
 //! reference DP for every grid shape and worker count.
 
+use gpu_sim::kernel::{compute, Rung, Tile};
+use gpu_sim::striped::ProfileCache;
 use gpu_sim::wavefront::{launch, Launch, NoObserver, RegionJob, RegionResult, WavefrontObserver};
-use gpu_sim::{GridSpec, Mode, WorkerPool};
+use gpu_sim::{CellHE, CellHF, GridSpec, Mode, TileOutcome, WorkerPool};
 use proptest::prelude::*;
 use sw_core::full::sw_local_score;
 use sw_core::linear::forward_vectors;
@@ -21,6 +23,11 @@ fn launch_alone(
 /// [`launch_alone`] with no observer and default options.
 fn plain(job: &RegionJob<'_>) -> RegionResult {
     launch_alone(job, &mut NoObserver, Launch::default())
+}
+
+/// [`compute`] with a throwaway cache and no cuts.
+fn run_tile(tile: &Tile, rung: Rung, top: &mut [CellHF], left: &mut [CellHE]) -> TileOutcome {
+    compute(tile, rung, top, left, &mut ProfileCache::new(), &[], &mut [])
 }
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -133,7 +140,7 @@ proptest! {
         start in edge(),
         watch_some in any::<bool>(),
     ) {
-        use gpu_sim::kernel::{compute_tile_ladder, compute_tile_scalar, global_borders, local_borders, GlobalOrigin, KernelPath};
+        use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
         let k = if amplify { 20 } else { 1 };
         let scoring = Scoring {
             match_score: ms * k,
@@ -150,24 +157,24 @@ proptest! {
         // hits in striped columns, the sliver, and nowhere all occur.
         let watch = if watch_some {
             let (mut t, mut l) = (top_0.clone(), left_0.clone());
-            let probe = compute_tile_scalar(&a, &b, 1, 1, &scoring, local, None, corner, &mut t, &mut l);
+            let probe = run_tile(&Tile { local, corner, ..Tile::new(&a, &b, &scoring) }, Rung::Scalar, &mut t, &mut l);
             Some(probe.corner_out)
         } else {
             None
         };
         let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-        let scal = compute_tile_scalar(
-            &a, &b, 1, 1, &scoring, local, watch, corner, &mut top_s, &mut left_s,
-        );
-        let (mut top_v, mut left_v) = (top_0, left_0);
-        let vect = compute_tile_ladder(&a, &b, 1, 1, &scoring, local, watch, corner, &mut top_v, &mut left_v);
-        prop_assert_ne!(vect.path, KernelPath::Scalar, "eligible tile must try the striped path");
-        prop_assert_eq!(&top_v, &top_s, "hbus");
-        prop_assert_eq!(&left_v, &left_s, "vbus");
-        prop_assert_eq!(vect.corner_out, scal.corner_out);
-        prop_assert_eq!(vect.best, scal.best);
-        prop_assert_eq!(vect.watch_hit, scal.watch_hit);
-        prop_assert_eq!(vect.cells, scal.cells);
+        let scal = run_tile(&Tile { local, watch, corner, ..Tile::new(&a, &b, &scoring) }, Rung::Scalar, &mut top_s, &mut left_s);
+        for rung in [Rung::I8, Rung::I16] {
+            let (mut top_v, mut left_v) = (top_0.clone(), left_0.clone());
+            let vect = run_tile(&Tile { local, watch, corner, ..Tile::new(&a, &b, &scoring) }, rung, &mut top_v, &mut left_v);
+            prop_assert_ne!(vect.path, KernelPath::Scalar, "eligible tile must try the striped path");
+            prop_assert_eq!(&top_v, &top_s, "hbus");
+            prop_assert_eq!(&left_v, &left_s, "vbus");
+            prop_assert_eq!(vect.corner_out, scal.corner_out);
+            prop_assert_eq!(vect.best, scal.best);
+            prop_assert_eq!(vect.watch_hit, scal.watch_hit);
+            prop_assert_eq!(vect.cells, scal.cells);
+        }
     }
 }
 
@@ -175,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The ladder's height rule: at every tile height 1..=80, in both
-    /// modes, watched or not, `compute_tile` is bit-identical to the
+    /// modes, watched or not, [`Rung::Auto`] is bit-identical to the
     /// scalar kernel (both buses, corner, best endpoint, watch hit), and
     /// it commits `Scalar` exactly below `MIN_LADDER_ROWS` (above it an
     /// eligible tile takes a striped rung). Homologous columns push local
@@ -187,8 +194,7 @@ proptest! {
         homologous in any::<bool>(),
     ) {
         use gpu_sim::kernel::{
-            compute_tile, compute_tile_scalar, global_borders, local_borders, GlobalOrigin,
-            KernelPath, MIN_LADDER_ROWS,
+            global_borders, local_borders, GlobalOrigin, KernelPath, MIN_LADDER_ROWS,
         };
         let sc = Scoring::paper();
         let b: Vec<u8> = if homologous {
@@ -206,16 +212,14 @@ proptest! {
                 };
                 let probe = {
                     let (mut t, mut l) = (top_0.clone(), left_0.clone());
-                    compute_tile_scalar(a, &b, 1, 1, &sc, local, None, corner, &mut t, &mut l)
+                    run_tile(&Tile { local, corner, ..Tile::new(a, &b, &sc) }, Rung::Scalar, &mut t, &mut l)
                 };
                 for watch in [None, Some(probe.corner_out)] {
                     let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-                    let scal = compute_tile_scalar(
-                        a, &b, 1, 1, &sc, local, watch, corner, &mut top_s, &mut left_s,
-                    );
+                    let scal = run_tile(&Tile { local, watch, corner, ..Tile::new(a, &b, &sc) }, Rung::Scalar, &mut top_s, &mut left_s);
                     let (mut top_v, mut left_v) = (top_0.clone(), left_0.clone());
                     let vect =
-                        compute_tile(a, &b, 1, 1, &sc, local, watch, corner, &mut top_v, &mut left_v);
+                        run_tile(&Tile { local, watch, corner, ..Tile::new(a, &b, &sc) }, Rung::Auto, &mut top_v, &mut left_v);
                     let what = format!("{height}x{} local={local} watch={watch:?}", b.len());
                     if height < MIN_LADDER_ROWS {
                         prop_assert_eq!(vect.path, KernelPath::Scalar, "{}", what);
@@ -244,10 +248,7 @@ proptest! {
 /// scalar kernel.
 #[test]
 fn striped_boundaries_match_scalar_at_production_sizes() {
-    use gpu_sim::kernel::{
-        compute_tile_ladder, compute_tile_scalar, global_borders, local_borders, GlobalOrigin,
-        KernelPath,
-    };
+    use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
     let dna = |seed: u64, len: usize| -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
@@ -286,35 +287,27 @@ fn striped_boundaries_match_scalar_at_production_sizes() {
             };
             let watch = if watched {
                 let (mut t, mut l) = (top_0.clone(), left_0.clone());
-                let probe =
-                    compute_tile_scalar(&a, &b, 1, 1, &sc, local, None, corner, &mut t, &mut l);
+                let probe = run_tile(
+                    &Tile { local, corner, ..Tile::new(&a, &b, &sc) },
+                    Rung::Scalar,
+                    &mut t,
+                    &mut l,
+                );
                 Some(probe.corner_out)
             } else {
                 None
             };
             let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-            let scal = compute_tile_scalar(
-                &a,
-                &b,
-                1,
-                1,
-                &sc,
-                local,
-                watch,
-                corner,
+            let scal = run_tile(
+                &Tile { local, watch, corner, ..Tile::new(&a, &b, &sc) },
+                Rung::Scalar,
                 &mut top_s,
                 &mut left_s,
             );
             let (mut top_v, mut left_v) = (top_0, left_0);
-            let vect = compute_tile_ladder(
-                &a,
-                &b,
-                1,
-                1,
-                &sc,
-                local,
-                watch,
-                corner,
+            let vect = run_tile(
+                &Tile { local, watch, corner, ..Tile::new(&a, &b, &sc) },
+                Rung::I8,
                 &mut top_v,
                 &mut left_v,
             );
@@ -339,9 +332,7 @@ fn striped_boundaries_match_scalar_at_production_sizes() {
 /// the scalar kernel on `best`, both buses and `corner_out`.
 #[test]
 fn local_best_gate_ties_match_scalar_at_production_sizes() {
-    use gpu_sim::kernel::{
-        compute_tile, compute_tile_i16, compute_tile_scalar, local_borders, KernelPath,
-    };
+    use gpu_sim::kernel::{local_borders, KernelPath};
     let sc = Scoring::paper();
     let (height, width) = (1_100, 300);
     let repeat =
@@ -364,17 +355,21 @@ fn local_best_gate_ties_match_scalar_at_production_sizes() {
     for (what, a, b) in &cases {
         let (top_0, left_0, corner) = local_borders(height, width);
         let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-        let scal =
-            compute_tile_scalar(a, b, 1, 1, &sc, true, None, corner, &mut top_s, &mut left_s);
-        for ladder in [false, true] {
+        let scal = run_tile(
+            &Tile { local: true, corner, ..Tile::new(a, b, &sc) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
+        for rung in [Rung::I16, Rung::Auto] {
             let (mut top_v, mut left_v) = (top_0.clone(), left_0.clone());
-            let run = if ladder { compute_tile } else { compute_tile_i16 };
-            let vect = run(a, b, 1, 1, &sc, true, None, corner, &mut top_v, &mut left_v);
+            let tile = Tile { local: true, corner, ..Tile::new(a, b, &sc) };
+            let vect = run_tile(&tile, rung, &mut top_v, &mut left_v);
             assert_ne!(vect.path, KernelPath::Scalar, "{what}");
-            assert_eq!(vect.best, scal.best, "{what}: best, ladder={ladder}");
-            assert_eq!(top_v, top_s, "{what}: hbus, ladder={ladder}");
-            assert_eq!(left_v, left_s, "{what}: vbus, ladder={ladder}");
-            assert_eq!(vect.corner_out, scal.corner_out, "{what}: corner, ladder={ladder}");
+            assert_eq!(vect.best, scal.best, "{what}: best, rung={rung:?}");
+            assert_eq!(top_v, top_s, "{what}: hbus, rung={rung:?}");
+            assert_eq!(left_v, left_s, "{what}: vbus, rung={rung:?}");
+            assert_eq!(vect.corner_out, scal.corner_out, "{what}: corner, rung={rung:?}");
         }
     }
 }
@@ -388,7 +383,7 @@ fn local_best_gate_ties_match_scalar_at_production_sizes() {
 /// would — i.e. the rejected i8 attempt leaked nothing.
 #[test]
 fn i8_escalation_matches_scalar_at_production_sizes() {
-    use gpu_sim::kernel::{compute_tile, compute_tile_scalar, local_borders, KernelPath};
+    use gpu_sim::kernel::{local_borders, KernelPath};
     let dna = |seed: u64, len: usize| -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
@@ -413,15 +408,24 @@ fn i8_escalation_matches_scalar_at_production_sizes() {
         b[plant_at..plant_at + plant_len].copy_from_slice(&a[..plant_len]);
         let (top_0, left_0, corner) = local_borders(a.len(), b.len());
         let (mut top_s, mut left_s) = (top_0.clone(), left_0.clone());
-        let scal =
-            compute_tile_scalar(&a, &b, 1, 1, &sc, true, None, corner, &mut top_s, &mut left_s);
+        let scal = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &sc) },
+            Rung::Scalar,
+            &mut top_s,
+            &mut left_s,
+        );
         assert!(
             scal.best.is_some_and(|(s, _, _)| s > 95),
             "planted match must exceed the i8 window, got {:?}",
             scal.best
         );
         let (mut top_v, mut left_v) = (top_0, left_0);
-        let vect = compute_tile(&a, &b, 1, 1, &sc, true, None, corner, &mut top_v, &mut left_v);
+        let vect = run_tile(
+            &Tile { local: true, corner, ..Tile::new(&a, &b, &sc) },
+            Rung::Auto,
+            &mut top_v,
+            &mut left_v,
+        );
         assert_eq!(vect.path, KernelPath::Striped8Fallback16, "{height}x{width}");
         assert_eq!(top_v, top_s, "hbus {height}x{width}");
         assert_eq!(left_v, left_s, "vbus {height}x{width}");
@@ -477,40 +481,27 @@ proptest! {
     }
 }
 
-/// Run `a` x `b` as one band cut at `cuts` ([`compute_band_cached`]) and
-/// as one `compute_tile_cached` call per block from the same borders. The
-/// cut rows, both final buses, the last block's corner and the band best
-/// against the per-block merge must be identical. Returns the band's rung.
-///
-/// [`compute_band_cached`]: gpu_sim::kernel::compute_band_cached
-#[allow(clippy::too_many_arguments)]
+/// Run `tile` (at DP position `(1, 1)`, unwatched) as one band cut at
+/// `cuts` ([`compute`]) and as one `compute_tile_cached` call per block
+/// from the same borders. The cut rows, both final buses, the last
+/// block's corner and the band best against the per-block merge must be
+/// identical. Returns the band's rung.
 fn band_equals_blocks(
-    a: &[u8],
-    b: &[u8],
-    top_0: &[gpu_sim::CellHF],
-    left_0: &[gpu_sim::CellHE],
-    corner: i32,
-    local: bool,
+    tile: &Tile,
+    top_0: &[CellHF],
+    left_0: &[CellHE],
     cuts: &[usize],
     what: &str,
 ) -> gpu_sim::kernel::KernelPath {
-    use gpu_sim::kernel::{compute_band_cached, compute_tile_cached};
-    use gpu_sim::striped::ProfileCache;
-    use gpu_sim::CellHF;
+    use gpu_sim::kernel::compute_tile_cached;
     use sw_core::full::better_endpoint;
-    let sc = Scoring::paper();
+    let Tile { a, b, scoring: &sc, local, corner, .. } = *tile;
     let w = b.len();
     let (mut top_b, mut left_b) = (top_0.to_vec(), left_0.to_vec());
     let mut cut_rows = vec![CellHF::UNREACHABLE; cuts.len() * w];
-    let band = compute_band_cached(
-        a,
-        b,
-        1,
-        1,
-        &sc,
-        local,
-        None,
-        corner,
+    let band = compute(
+        tile,
+        Rung::Auto,
         &mut top_b,
         &mut left_b,
         &mut ProfileCache::new(),
@@ -590,7 +581,9 @@ proptest! {
         };
         top[0].h += [0, 200, 100_000][lift];
         let what = format!("{height}x{} local={local} lift={lift} cuts={cuts:?}", b.len());
-        let path = band_equals_blocks(a, &b, &top, &left, corner, local, &cuts, &what);
+        let sc = Scoring::paper();
+        let tile = Tile { local, corner, ..Tile::new(a, &b, &sc) };
+        let path = band_equals_blocks(&tile, &top, &left, &cuts, &what);
         if lift == 2 {
             prop_assert_eq!(path, KernelPath::StripedFallback, "{}", what);
         } else if !local || lift == 1 {
@@ -629,9 +622,10 @@ fn band_cut_rows_match_blocks_at_every_row() {
         let a = dna(61 + height as u64, height);
         for local in [false, true] {
             let (top, left, corner) = borders(local, height);
+            let tile = Tile { local, corner, ..Tile::new(&a, &b, &sc) };
             for cut in 0..height - 1 {
                 let what = format!("{height} rows, cut {cut}, local={local}");
-                let path = band_equals_blocks(&a, &b, &top, &left, corner, local, &[cut], &what);
+                let path = band_equals_blocks(&tile, &top, &left, &[cut], &what);
                 let want =
                     if local { KernelPath::Striped8 } else { KernelPath::Striped8Fallback16 };
                 assert_eq!(path, want, "{what}");
@@ -645,6 +639,7 @@ fn band_cut_rows_match_blocks_at_every_row() {
         let (top, left, corner) = borders(local, a.len());
         let cuts = [255, 511, 767, 1023, 1279, 1281];
         let what = format!("1284 rows, cuts {cuts:?}, local={local}");
-        band_equals_blocks(&a, &b, &top, &left, corner, local, &cuts, &what);
+        let tile = Tile { local, corner, ..Tile::new(&a, &b, &sc) };
+        band_equals_blocks(&tile, &top, &left, &cuts, &what);
     }
 }

@@ -10,7 +10,7 @@
 
 use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::sra::LineStore;
-use cudalign::{stage1, Pipeline, PipelineConfig, WorkerPool};
+use cudalign::{stage1, Pipeline, PipelineConfig, StageContext, WorkerPool};
 use seqio::generate::{homologous_pair, HomologyParams};
 use std::time::Instant;
 
@@ -35,11 +35,8 @@ fn main() {
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "special-row", fp).unwrap();
         let t = Instant::now();
-        let _ = stage1::run_resumable(
-            s0.bases(),
-            s1.bases(),
-            &cfg,
-            &pool,
+        let _ = stage1::run(
+            &mut StageContext::new(s0.bases(), s1.bases(), &cfg, &pool),
             &mut rows,
             None,
             Some((dir.as_path(), 16)),

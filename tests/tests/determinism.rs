@@ -120,7 +120,7 @@ fn small_stage23_blocks_are_worker_count_independent() {
     use cudalign::config::SraBackend;
     use cudalign::obs::{parse_json, Json};
     use cudalign::sra::LineStore;
-    use cudalign::{stage1, stage2, stage3, Obs, TraceWriter};
+    use cudalign::{stage1, stage2, stage3, Obs, StageContext, TraceWriter};
     use gpu_sim::{CellHE, CellHF, WorkerPool};
 
     let (a, b) = edited_pair(29, 1_600, 23);
@@ -135,12 +135,20 @@ fn small_stage23_blocks_are_worker_count_independent() {
         let pool = WorkerPool::new(workers);
         let mut rows =
             LineStore::<CellHF>::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
-        let s1 = stage1::run(&a, &b, &cfg, &pool, &mut rows).unwrap();
+        let s1 = stage1::run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, None, None)
+            .unwrap();
         let mut cols =
             LineStore::<CellHE>::new(&SraBackend::Memory, cfg.sca_bytes, "col", 7).unwrap();
-        let s2 =
-            stage2::run(&a, &b, &cfg, &pool, s1.best_score, s1.end, &mut rows, &mut cols).unwrap();
-        let s3 = stage3::run(&a, &b, &cfg, &pool, &s2.chain, &cols).unwrap();
+        let s2 = stage2::run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
+            s1.best_score,
+            s1.end,
+            &mut rows,
+            &mut cols,
+        )
+        .unwrap();
+        let s3 =
+            stage3::run(&mut StageContext::new(&a, &b, &cfg, &pool), &s2.chain, &cols).unwrap();
         for (stage, paths) in [(2, s2.paths), (3, s3.paths)] {
             assert!(paths.scalar > 0, "stage {stage} counts its scalar tiles: {paths:?}");
             assert_eq!(paths.striped_total(), 0, "stage {stage}: 16-row tiles stay scalar");

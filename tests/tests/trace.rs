@@ -4,7 +4,7 @@
 
 use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::obs::validate_trace;
-use cudalign::{Obs, Pipeline, PipelineConfig, Progress, TraceWriter};
+use cudalign::{Obs, Pipeline, PipelineConfig, Progress, StageContext, TraceWriter};
 use integration_tests::edited_pair;
 
 fn traced_run(cfg: PipelineConfig, a: &[u8], b: &[u8]) -> (String, cudalign::PipelineResult) {
@@ -62,11 +62,8 @@ fn resumed_trace_reports_resume_offset() {
         )
         .unwrap();
         let pool = gpu_sim::WorkerPool::new(cfg.workers);
-        let _ = cudalign::stage1::run_resumable(
-            &a,
-            &b,
-            &cfg,
-            &pool,
+        let _ = cudalign::stage1::run(
+            &mut StageContext::new(&a, &b, &cfg, &pool),
             &mut rows,
             None,
             Some((dir.as_path(), 9)),
