@@ -195,15 +195,16 @@ pub fn align(args: &AlignArgs) -> Result<String, String> {
         .unwrap();
         writeln!(
             out,
-            "  kernel: {} cells updated ({} MCUPS), tiles i8/i8→i16/i16/fallback/scalar {}/{}/{}/{}/{}",
-            st.total_cells(),
+            "  kernel: {} cells updated ({} MCUPS), tiles i8/i8→i16/i16/fallback/scalar/pruned {}/{}/{}/{}/{}/{}",
+            st.computed_cells(),
             // `-` for degenerate durations instead of the old inf/NaN.
             st.mcups().map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
             st.kernel_striped8_tiles,
             st.kernel_striped8_fb16_tiles,
             st.kernel_striped16_tiles,
             st.kernel_fallback_tiles,
-            st.kernel_scalar_tiles
+            st.kernel_scalar_tiles,
+            st.kernel_pruned_tiles
         )
         .unwrap();
         writeln!(

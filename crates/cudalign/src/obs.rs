@@ -407,6 +407,9 @@ events! {
             /// Tiles committed on the scalar `i32` kernel up front (too short
             /// for the ladder, or no striped rung eligible).
             scalar: u64 = NonNeg,
+            /// Tiles no kernel computed: stage 1 proved that no path through
+            /// them reaches the best score (cone pruning).
+            pruned: u64 = NonNeg,
             /// Query-profile cache hits during the stage.
             profile_hits: u64 = NonNeg,
             /// Query-profile cache misses (profile bands built).
@@ -1466,6 +1469,7 @@ mod tests {
                 striped16: 1,
                 fallback: 0,
                 scalar: 5,
+                pruned: 6,
                 profile_hits: 3,
                 profile_misses: 1,
             });
@@ -1481,6 +1485,7 @@ mod tests {
                 striped16: 0,
                 fallback: 1,
                 scalar: 0,
+                pruned: 0,
                 profile_hits: 0,
                 profile_misses: 2,
             });
@@ -1542,6 +1547,7 @@ mod tests {
                     striped16: 1,
                     fallback: 0,
                     scalar: 5,
+                    pruned: 6,
                     profile_hits: 3,
                     profile_misses: 1,
                 },
@@ -1622,7 +1628,7 @@ mod tests {
             }
             Event::StorageDrop { .. } => r#"{"t":1.5,"ev":"storage_drop","store":"sca","index":7}"#,
             Event::Kernel { .. } => {
-                r#"{"t":1.5,"ev":"kernel","stage":3,"striped8":4,"striped8_fb16":2,"striped16":1,"fallback":0,"scalar":5,"profile_hits":3,"profile_misses":1}"#
+                r#"{"t":1.5,"ev":"kernel","stage":3,"striped8":4,"striped8_fb16":2,"striped16":1,"fallback":0,"scalar":5,"pruned":6,"profile_hits":3,"profile_misses":1}"#
             }
             Event::Checkpoint { .. } => r#"{"t":1.5,"ev":"checkpoint","diagonal":5,"ok":false}"#,
             Event::Interrupt { .. } => {

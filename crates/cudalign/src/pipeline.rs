@@ -305,8 +305,11 @@ impl From<StageError> for PipelineError {
 pub struct PipelineStats {
     /// Wall-clock seconds per stage (index 0 = Stage 1, ... 4 = Stage 5).
     pub stage_seconds: [f64; 5],
-    /// DP cells processed by Stages 1-4 (`Cells_k`).
+    /// DP cells covered by Stages 1-4 (`Cells_k`), pruned ones included.
     pub stage_cells: [u64; 4],
+    /// Of `stage_cells[0]`, the cells of pruned stage-1 tiles, which no
+    /// kernel computed.
+    pub pruned_cells: u64,
     /// Stage-5 cells (bounded by partition size x chain length).
     pub stage5_cells: u64,
     /// Crosspoints after Stages 1-4 (`|L_k|`).
@@ -386,6 +389,9 @@ pub struct PipelineStats {
     /// than `gpu_sim::kernel::MIN_LADDER_ROWS` (the 16-row blocks of
     /// scaled stage-2/3 grids), or no striped rung eligible.
     pub kernel_scalar_tiles: u64,
+    /// Stage-1 tiles no kernel computed: cone pruning proved that no path
+    /// through them reaches the best score.
+    pub kernel_pruned_tiles: u64,
     /// Query-profile cache hits across the engine-driven stages.
     pub kernel_profile_hits: u64,
     /// Query-profile cache misses (profile bands built) across the
@@ -409,15 +415,21 @@ impl PipelineStats {
         self.stage_cells.iter().sum::<u64>() + self.stage5_cells
     }
 
+    /// Cells a kernel computed across all stages: the total less pruned
+    /// cells.
+    pub fn computed_cells(&self) -> u64 {
+        self.total_cells().saturating_sub(self.pruned_cells)
+    }
+
     /// Million cell updates per second over the whole run — the paper's
-    /// headline MCUPS metric, derived from total cells and wall-clock.
+    /// headline MCUPS metric, derived from computed cells and wall-clock.
     ///
     /// `None` when `total_seconds` is zero, negative or non-finite (a
     /// degenerate run, e.g. under a coarse or manual clock): dividing
     /// anyway used to hand `inf`/NaN to `--stats` output.
     pub fn mcups(&self) -> Option<f64> {
         if self.total_seconds > 0.0 && self.total_seconds.is_finite() {
-            Some(self.total_cells() as f64 / self.total_seconds / 1e6)
+            Some(self.computed_cells() as f64 / self.total_seconds / 1e6)
         } else {
             None
         }
@@ -642,6 +654,7 @@ impl Pipeline {
         )?;
         let obs = &mut cx.obs;
         obs.metrics.inc("stage1.resumed_cells_skipped", s1r.resumed_cells);
+        obs.metrics.inc("stage1.pruned_cells", s1r.pruned_cells);
         obs.metrics.set("stage1.resumed_from_diagonal", s1r.resumed_from_diagonal as u64);
         obs.metrics.inc("sra.special_rows", s1r.special_rows.len() as u64);
         obs.metrics.inc("sra.bytes_used", s1r.flushed_bytes);
@@ -890,6 +903,7 @@ fn record_kernel(
         striped16: paths.striped16,
         fallback: paths.fallback,
         scalar: paths.scalar,
+        pruned: paths.pruned,
         profile_hits,
         profile_misses,
     });
@@ -898,6 +912,7 @@ fn record_kernel(
     obs.metrics.inc("kernel.striped16_tiles", paths.striped16);
     obs.metrics.inc("kernel.fallback_tiles", paths.fallback);
     obs.metrics.inc("kernel.scalar_tiles", paths.scalar);
+    obs.metrics.inc("kernel.pruned_tiles", paths.pruned);
     obs.metrics.inc("kernel.profile_hits", profile_hits);
     obs.metrics.inc("kernel.profile_misses", profile_misses);
 }
@@ -946,6 +961,8 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
     stats.kernel_striped16_tiles = m.get("kernel.striped16_tiles");
     stats.kernel_fallback_tiles = m.get("kernel.fallback_tiles");
     stats.kernel_scalar_tiles = m.get("kernel.scalar_tiles");
+    stats.kernel_pruned_tiles = m.get("kernel.pruned_tiles");
+    stats.pruned_cells = m.get("stage1.pruned_cells");
     stats.kernel_profile_hits = m.get("kernel.profile_hits");
     stats.kernel_profile_misses = m.get("kernel.profile_misses");
     stats.binary_bytes = m.get("binary.bytes") as usize;

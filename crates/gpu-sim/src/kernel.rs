@@ -27,6 +27,9 @@ pub struct CellHF {
 impl CellHF {
     /// An unreachable cell.
     pub const UNREACHABLE: CellHF = CellHF { h: NEG_INF, f: NEG_INF };
+    /// The local recurrence's floor, `H = 0` with no gap open: a local
+    /// region's border, and what a pruned block writes.
+    pub const FLOOR: CellHF = CellHF { h: 0, f: NEG_INF };
 }
 
 /// Vertical-bus cell: `H` and `E` of one row at the frontier column.
@@ -41,6 +44,8 @@ pub struct CellHE {
 impl CellHE {
     /// An unreachable cell.
     pub const UNREACHABLE: CellHE = CellHE { h: NEG_INF, e: NEG_INF };
+    /// The local recurrence's floor, `H = 0` with no gap open.
+    pub const FLOOR: CellHE = CellHE { h: 0, e: NEG_INF };
 }
 
 /// DP state seeded at the top-left corner of a global-mode region.
@@ -147,6 +152,10 @@ pub enum KernelPath {
     /// Every striped attempt left its safe window; the tile was
     /// transparently re-run on the scalar kernel (results identical).
     StripedFallback,
+    /// No kernel ran: the wavefront engine proved that no path through the
+    /// tile can reach the best score and wrote the local floor
+    /// ([`CellHF::FLOOR`]) to its borders instead (stage-1 cone pruning).
+    Pruned,
 }
 
 impl KernelPath {
@@ -158,16 +167,18 @@ impl KernelPath {
             KernelPath::Striped16 => "striped16",
             KernelPath::Scalar => "scalar",
             KernelPath::StripedFallback => "fallback",
+            KernelPath::Pruned => "pruned",
         }
     }
 
     /// Vector lanes of the kernel that committed the tile's striped rows
-    /// (`1` for the scalar paths).
+    /// (`1` for the scalar paths, `0` for a pruned tile).
     pub fn lanes(self) -> usize {
         match self {
             KernelPath::Striped8 => striped8::LANES8,
             KernelPath::Striped8Fallback16 | KernelPath::Striped16 => striped::LANES,
             KernelPath::Scalar | KernelPath::StripedFallback => 1,
+            KernelPath::Pruned => 0,
         }
     }
 }
@@ -188,6 +199,8 @@ pub struct PathCounts {
     /// Tiles committed on the scalar kernel up front (shorter than
     /// [`MIN_LADDER_ROWS`], or no striped rung eligible).
     pub scalar: u64,
+    /// Tiles no kernel computed ([`KernelPath::Pruned`]).
+    pub pruned: u64,
 }
 
 impl PathCounts {
@@ -201,6 +214,7 @@ impl PathCounts {
             KernelPath::Striped16 => self.striped16 += 1,
             KernelPath::StripedFallback => self.fallback += 1,
             KernelPath::Scalar => self.scalar += 1,
+            KernelPath::Pruned => self.pruned += 1,
         }
     }
 
@@ -211,6 +225,7 @@ impl PathCounts {
         self.striped16 += other.striped16;
         self.fallback += other.fallback;
         self.scalar += other.scalar;
+        self.pruned += other.pruned;
     }
 
     /// Tiles committed by *some* striped kernel (any width).
@@ -618,7 +633,7 @@ pub fn global_borders(
 
 /// Border values for a local-mode region: all zeros.
 pub fn local_borders(m: usize, n: usize) -> (Vec<CellHF>, Vec<CellHE>, Score) {
-    (vec![CellHF { h: 0, f: NEG_INF }; n], vec![CellHE { h: 0, e: NEG_INF }; m], 0)
+    (vec![CellHF::FLOOR; n], vec![CellHE::FLOOR; m], 0)
 }
 
 #[cfg(test)]
