@@ -368,21 +368,12 @@ pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Finding>, usize) {
 // ---------------------------------------------------------------------------
 
 /// Collect the workspace's lintable sources: every `.rs` under
-/// `crates/*/src` plus the integration-test support library under
-/// `tests/src`. Test *targets* (`tests/tests`, `crates/*/tests`, benches,
-/// examples) are whole-file test code and are not walked.
+/// `crates/*/src`. Test *targets* (`tests/tests`, `crates/*/tests`,
+/// benches, examples) are whole-file test code and are not walked.
 fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    let crates = root.join("crates");
-    let mut src_dirs: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(&crates)? {
-        let p = entry?.path();
-        if p.is_dir() {
-            src_dirs.push(p.join("src"));
-        }
-    }
-    src_dirs.push(root.join("tests").join("src"));
-    for dir in src_dirs {
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path().join("src");
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;
         }

@@ -391,29 +391,10 @@ pub fn fastlsa_local(a: &[u8], b: &[u8], scoring: &Scoring, buffer_cells: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::generate::{dna, edited_pair};
     use sw_core::full::{nw_global_aligned, sw_local_aligned};
 
     const SC: Scoring = Scoring::paper();
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (4..b.len()).step_by(21) {
-            b[i] = b"ACGT"[(i / 21) % 4];
-        }
-        b.drain(len / 2..len / 2 + 13);
-        (a, b)
-    }
 
     fn check_global(a: &[u8], b: &[u8], buffer: u64) {
         let (expected, _) = nw_global_aligned(a, b, &SC, EdgeState::Diagonal, EdgeState::Diagonal);
@@ -425,7 +406,7 @@ mod tests {
 
     #[test]
     fn global_matches_nw_small_buffer() {
-        let (a, b) = related(1, 400);
+        let (a, b) = edited_pair(1, 400, 21);
         for buffer in [500u64, 2_000, 10_000, 1 << 30] {
             check_global(&a, &b, buffer);
         }
@@ -435,7 +416,7 @@ mod tests {
     fn global_handles_gap_spanning_slabs() {
         // A long deletion crosses several cached rows: entry states must
         // carry GapS1 across slab boundaries.
-        let a = lcg(2, 500);
+        let a = dna(2, 500);
         let mut b = a.clone();
         b.drain(150..360);
         check_global(&a, &b, 2_000);
@@ -443,7 +424,7 @@ mod tests {
 
     #[test]
     fn local_matches_reference() {
-        let (a, b) = related(3, 350);
+        let (a, b) = edited_pair(3, 350, 21);
         let r = fastlsa_local(&a, &b, &SC, 4_000);
         let reference = sw_local_aligned(&a, &b, &SC).unwrap();
         assert_eq!(r.score, reference.score);
@@ -458,7 +439,7 @@ mod tests {
     fn recomputation_is_below_myers_miller() {
         // FastLSA's slab pass touches ~1 forward + ~1/(k+1)-ish extra,
         // well below Myers-Miller's ~2x total.
-        let (a, b) = related(4, 600);
+        let (a, b) = edited_pair(4, 600, 21);
         let mut stats = FastLsaStats::default();
         let _ = fastlsa_global(&a, &b, &SC, 20_000, EdgeState::Diagonal, &mut stats);
         let mn = (a.len() * b.len()) as u64;

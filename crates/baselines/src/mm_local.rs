@@ -69,21 +69,12 @@ pub fn mm_local_align(a: &[u8], b: &[u8], scoring: &Scoring) -> MmLocalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::generate::dna;
     use sw_core::full::sw_local_aligned;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     #[test]
     fn matches_quadratic_reference() {
-        let a = lcg(1, 300);
+        let a = dna(1, 300);
         let mut b = a.clone();
         b.drain(100..140);
         for i in (3..b.len()).step_by(31) {
@@ -109,8 +100,8 @@ mod tests {
 
     #[test]
     fn start_point_is_consistent() {
-        let a = lcg(2, 150);
-        let b = lcg(3, 150);
+        let a = dna(2, 150);
+        let b = dna(3, 150);
         let r = mm_local_align(&a, &b, &Scoring::paper());
         if r.score > 0 {
             assert!(r.start.0 <= r.end.0 && r.start.1 <= r.end.1);

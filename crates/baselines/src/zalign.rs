@@ -186,30 +186,11 @@ pub fn zalign(a: &[u8], b: &[u8], scoring: &Scoring, workers: usize) -> ZalignRe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (3..b.len()).step_by(37) {
-            b[i] = b"ACGT"[(i / 37) % 4];
-        }
-        b.drain(len / 5..len / 5 + 9);
-        (a, b)
-    }
+    use seqio::generate::edited_pair;
 
     #[test]
     fn band_scan_matches_reference_for_any_worker_count() {
-        let (a, b) = related(1, 400);
+        let (a, b) = edited_pair(1, 400, 37);
         let (ref_score, ref_end) = sw_local_score(&a, &b, &Scoring::paper());
         for workers in [1, 2, 3, 7] {
             let (s, e, cells) = band_scan(&a, &b, &Scoring::paper(), workers);
@@ -221,7 +202,7 @@ mod tests {
 
     #[test]
     fn full_alignment_matches_reference() {
-        let (a, b) = related(2, 350);
+        let (a, b) = edited_pair(2, 350, 37);
         let r = zalign(&a, &b, &Scoring::paper(), 4);
         let (ref_score, ref_end) = sw_local_score(&a, &b, &Scoring::paper());
         assert_eq!(r.score, ref_score);
@@ -242,7 +223,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_rows() {
-        let (a, b) = related(3, 20);
+        let (a, b) = edited_pair(3, 20, 37);
         let r = zalign(&a, &b, &Scoring::paper(), 64);
         let (ref_score, _) = sw_local_score(&a, &b, &Scoring::paper());
         assert_eq!(r.score, ref_score);

@@ -20,7 +20,7 @@
 //!    `std::time::Instant` (enforced by the `clock-injection` lint in the
 //!    `analysis` crate); everything else samples time via
 //!    [`Obs::now`], which makes timing deterministic under test via
-//!    [`ManualClock`].
+//!    [`SharedClock`].
 //!
 //! Hot paths (the DP kernels and the wavefront inner loops) do **not**
 //! emit events — they keep reporting pre-aggregated counters through the
@@ -39,7 +39,6 @@
 //! monotone timestamps and progress, and span nesting (stages open and
 //! close in order, stage-scoped records fall inside their stage's span).
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -54,7 +53,7 @@ use std::time::Duration;
 /// A monotone clock, injected at the pipeline edges.
 ///
 /// Returns the elapsed time since the clock's origin (creation for
-/// [`WallClock`], explicit for [`ManualClock`]). Implementations must be
+/// [`WallClock`], explicit for [`SharedClock`]). Implementations must be
 /// monotone: successive calls never go backwards.
 pub trait Clock {
     /// Time elapsed since this clock's origin.
@@ -95,45 +94,12 @@ impl Clock for WallClock {
     }
 }
 
-/// A hand-cranked clock for deterministic tests.
-///
-/// Interior mutability lets a test keep a shared reference while the
-/// [`Obs`] holds `Box::new(&clock)` as its [`Clock`].
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: Cell<Duration>,
-}
-
-impl ManualClock {
-    /// A manual clock starting at zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Set the absolute time. Callers are responsible for monotonicity.
-    pub fn set(&self, t: Duration) {
-        self.now.set(t);
-    }
-
-    /// Advance the clock by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.now.set(self.now.get().saturating_add(d));
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Duration {
-        self.now.get()
-    }
-}
-
-/// A hand-cranked clock that is `Send + Sync + Clone` — the supervision
-/// tests' counterpart to [`ManualClock`] (whose `Cell` is not `Sync`).
+/// A hand-cranked clock for deterministic tests, `Send + Sync + Clone`.
 ///
 /// Clones share one atomic nanosecond counter, so a test can hold one
-/// clone, hand a second to [`Obs`], and derive the watchdog's time
-/// source from a third; advancing any of them advances the run's whole
-/// notion of time.
+/// clone, hand a second to [`Obs`] (or lend it `Box::new(&clock)`), and
+/// derive the watchdog's time source from a third; advancing any of them
+/// advances the run's whole notion of time.
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
     nanos: Arc<AtomicU64>,
@@ -1442,7 +1408,7 @@ mod tests {
     /// Emit a miniature but schema-complete run through a TraceWriter and
     /// return the NDJSON text.
     fn sample_trace(resumed: usize) -> String {
-        let clk = ManualClock::new();
+        let clk = SharedClock::new();
         let mut tw = TraceWriter::new(Vec::new());
         {
             let mut obs = Obs::with_clock(Box::new(&clk));
@@ -1965,7 +1931,7 @@ mod tests {
 
     #[test]
     fn interrupted_trace_validates_without_run_end() {
-        let clk = ManualClock::new();
+        let clk = SharedClock::new();
         let mut tw = TraceWriter::new(Vec::new());
         {
             let mut obs = Obs::with_clock(Box::new(&clk));
@@ -2043,7 +2009,7 @@ mod tests {
 
     #[test]
     fn manual_clock_drives_obs_time() {
-        let clk = ManualClock::new();
+        let clk = SharedClock::new();
         let obs = Obs::with_clock(Box::new(&clk));
         assert_eq!(obs.now(), Duration::ZERO);
         clk.advance(Duration::from_millis(250));

@@ -509,7 +509,7 @@ impl Pipeline {
     /// [`Event::StageBegin`]/[`Event::StageEnd`] span, and the stages
     /// stream their own progress events in between. Every wall-clock read
     /// goes through the handle's injected [`crate::obs::Clock`], so a
-    /// caller driving a [`crate::obs::ManualClock`] gets deterministic
+    /// caller driving a [`crate::obs::SharedClock`] gets deterministic
     /// timings. Scalar counters accumulate in the [`Obs::metrics`]
     /// registry — the single source of truth that [`PipelineStats`],
     /// `--stats` and the NDJSON trace all read; a [`Event::Metrics`] dump
@@ -975,32 +975,9 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
 mod tests {
     use super::*;
     use crate::config::SraBackend;
+    use seqio::generate::{dna, edited_pair};
     use sw_core::full::sw_local_score;
     use sw_core::Scoring;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (5..b.len()).step_by(29) {
-            b[i] = b"ACGT"[(i / 29) % 4];
-        }
-        b.drain(len / 3..len / 3 + 6);
-        let at = b.len() / 2;
-        for (off, ch) in [b'T', b'T', b'G', b'G'].iter().enumerate() {
-            b.insert(at + off, *ch);
-        }
-        (a, b)
-    }
 
     fn check_full_run(a: &[u8], b: &[u8], cfg: PipelineConfig) -> PipelineResult {
         let res = Pipeline::new(cfg).align(a, b).unwrap();
@@ -1022,7 +999,7 @@ mod tests {
 
     #[test]
     fn end_to_end_related_pair() {
-        let (a, b) = related(1, 500);
+        let (a, b) = edited_pair(1, 500, 29);
         let res = check_full_run(&a, &b, PipelineConfig::for_tests());
         assert!(res.stats.special_rows > 0);
         assert!(res.stats.crosspoints[1] >= 2);
@@ -1032,7 +1009,7 @@ mod tests {
 
     #[test]
     fn end_to_end_identical() {
-        let a = lcg(2, 300);
+        let a = dna(2, 300);
         let res = check_full_run(&a, &a, PipelineConfig::for_tests());
         assert_eq!(res.best_score, 300);
         assert_eq!(res.transcript.cigar(), "300=");
@@ -1040,8 +1017,8 @@ mod tests {
 
     #[test]
     fn end_to_end_unrelated_small_alignment() {
-        let a = lcg(3, 250);
-        let b = lcg(77, 250);
+        let a = dna(3, 250);
+        let b = dna(77, 250);
         check_full_run(&a, &b, PipelineConfig::for_tests());
     }
 
@@ -1056,7 +1033,7 @@ mod tests {
 
     #[test]
     fn end_to_end_disk_backend() {
-        let (a, b) = related(4, 300);
+        let (a, b) = edited_pair(4, 300, 29);
         let dir = std::env::temp_dir().join(format!("cudalign-e2e-{}", std::process::id()));
         let mut cfg = PipelineConfig::for_tests();
         cfg.backend = SraBackend::Disk(dir.clone());
@@ -1066,7 +1043,7 @@ mod tests {
 
     #[test]
     fn sra_budget_tradeoff_smaller_budget_more_stage2_cells() {
-        let (a, b) = related(5, 600);
+        let (a, b) = edited_pair(5, 600, 29);
         let mut cfg_big = PipelineConfig::for_tests();
         cfg_big.sra_bytes = 1 << 20;
         let big = check_full_run(&a, &b, cfg_big);
@@ -1086,7 +1063,7 @@ mod tests {
     fn long_gap_sequences() {
         // A large deletion creates a long vertical gap run crossing
         // several special rows.
-        let a = lcg(6, 400);
+        let a = dna(6, 400);
         let mut b = a.clone();
         b.drain(120..280);
         check_full_run(&a, &b, PipelineConfig::for_tests());
@@ -1105,7 +1082,7 @@ mod tests {
         assert_eq!(st.mcups(), None, "negative seconds must not divide");
         st.total_seconds = 2.0;
         assert_eq!(st.mcups(), Some(5.0), "10M cells / 2s = 5 MCUPS");
-        let (a, b) = related(9, 200);
+        let (a, b) = edited_pair(9, 200, 29);
         let res = Pipeline::new(PipelineConfig::for_tests()).align(&a, &b).unwrap();
         let v = res.stats.mcups().expect("a real run has a positive duration");
         assert!(v.is_finite() && v > 0.0);
@@ -1161,8 +1138,8 @@ mod tests {
     #[test]
     fn shared_pool_concurrent_runs_report_bounded_utilization() {
         let pool = Arc::new(WorkerPool::new(2));
-        let (a, b) = related(11, 260);
-        let (c, d) = related(12, 260);
+        let (a, b) = edited_pair(11, 260, 29);
+        let (c, d) = edited_pair(12, 260, 29);
         let p1 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let p2 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let (r1, r2) = std::thread::scope(|s| {
@@ -1189,8 +1166,8 @@ mod tests {
     fn shared_pool_one_run_cancelled_does_not_poison_the_other() {
         use crate::supervise::RunControl;
         let pool = Arc::new(WorkerPool::new(2));
-        let (a, b) = related(21, 320);
-        let (c, d) = related(22, 320);
+        let (a, b) = edited_pair(21, 320, 29);
+        let (c, d) = edited_pair(22, 320, 29);
         let p1 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let p2 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let ctrl = RunControl::unlimited().with_cancel_after_diagonal(2);
@@ -1210,7 +1187,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&r2.stats.pool_busy_ratio));
         // The pool is reusable after the torn-down run: a fresh run on
         // the same pool completes and reports bounded utilization.
-        let (e, f) = related(23, 260);
+        let (e, f) = edited_pair(23, 260, 29);
         let p3 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let r3 = p3.align(&e, &f).unwrap();
         let (ref3, _) = sw_local_score(&e, &f, &Scoring::paper());
@@ -1238,7 +1215,8 @@ mod tests {
         let mut pool = Arc::new(WorkerPool::new(2));
         for attempt in 0..5u64 {
             let seed0 = 31 + 10 * attempt;
-            let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..4).map(|i| related(seed0 + i, 300)).collect();
+            let pairs: Vec<(Vec<u8>, Vec<u8>)> =
+                (0..4).map(|i| edited_pair(seed0 + i, 300, 29)).collect();
             let pipes: Vec<Pipeline> = (0..4)
                 .map(|_| Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool)))
                 .collect();
@@ -1309,7 +1287,7 @@ mod tests {
         // the same bound, so the blended attribution cannot go negative
         // or above full for later tenants either.
         let before = pool.stats();
-        let (e, f) = related(39, 260);
+        let (e, f) = edited_pair(39, 260, 29);
         let p5 = Pipeline::with_pool(PipelineConfig::for_tests(), Arc::clone(&pool));
         let r5 = p5.align(&e, &f).unwrap();
         let (want5, _) = sw_local_score(&e, &f, &Scoring::paper());
@@ -1326,7 +1304,7 @@ mod tests {
     /// the registry is the source of truth, `PipelineStats` a projection.
     #[test]
     fn stats_are_a_projection_of_the_metrics_registry() {
-        let (a, b) = related(13, 300);
+        let (a, b) = edited_pair(13, 300, 29);
         let mut obs = Obs::new();
         let res =
             Pipeline::new(PipelineConfig::for_tests()).align_observed(&a, &b, &mut obs).unwrap();
@@ -1346,25 +1324,16 @@ mod tests {
 mod checkpoint_tests {
     use super::*;
     use crate::config::{CheckpointPolicy, SraBackend};
+    use seqio::generate::dna;
     use sw_core::full::sw_local_score;
     use sw_core::Scoring;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     /// A planted snapshot from a "crashed" run must be picked up
     /// automatically and removed after Stage 1 completes; the resumed run
     /// still produces the full optimal alignment.
     #[test]
     fn pipeline_resumes_from_planted_checkpoint() {
-        let a = lcg(51, 400);
+        let a = dna(51, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(17) {
             b[i] = b"ACGT"[(i / 17) % 4];
@@ -1412,7 +1381,7 @@ mod checkpoint_tests {
     /// separately in `resumed_cells_skipped`.
     #[test]
     fn resumed_run_counts_only_recomputed_cells() {
-        let a = lcg(54, 400);
+        let a = dna(54, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(17) {
             b[i] = b"ACGT"[(i / 17) % 4];
@@ -1453,8 +1422,8 @@ mod checkpoint_tests {
     /// Without a planted snapshot the checkpoint policy is transparent.
     #[test]
     fn checkpointing_does_not_change_results() {
-        let a = lcg(52, 300);
-        let b = lcg(53, 300);
+        let a = dna(52, 300);
+        let b = dna(53, 300);
         let plain = Pipeline::new(PipelineConfig::for_tests()).align(&a, &b).unwrap();
         let dir = std::env::temp_dir().join(format!("cudalign-ckpt2-{}", std::process::id()));
         let mut cfg = PipelineConfig::for_tests();

@@ -721,16 +721,7 @@ fn finish_job(
 mod tests {
     use super::*;
     use crate::obs::validate_trace;
-
-    fn seq(seed: u64, len: usize) -> Vec<u8> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(state >> 33) as usize % 4]
-            })
-            .collect()
-    }
+    use seqio::generate::dna;
 
     fn tiny_server(queue_cap: usize, runners: usize) -> Server {
         let mut cfg = ServeConfig::new(PipelineConfig::for_tests());
@@ -773,9 +764,9 @@ mod tests {
     /// same-length pairs must not alias, and argument order matters.
     #[test]
     fn content_fingerprint_separates_same_shape_jobs() {
-        let a = seq(1, 64);
-        let b = seq(2, 64);
-        let c = seq(3, 64);
+        let a = dna(1, 64);
+        let b = dna(2, 64);
+        let c = dna(3, 64);
         let base = content_fingerprint(7, &a, &b);
         assert_ne!(base, content_fingerprint(7, &a, &c), "content must be hashed");
         assert_ne!(base, content_fingerprint(7, &b, &a), "pair order must be hashed");
@@ -790,14 +781,14 @@ mod tests {
     fn oversized_batch_is_rejected_whole() {
         let server = tiny_server(2, 1);
         let big: Vec<JobRequest> =
-            (0..3).map(|i| JobRequest::new(seq(10 + i, 48), seq(20 + i, 48))).collect();
+            (0..3).map(|i| JobRequest::new(dna(10 + i, 48), dna(20 + i, 48))).collect();
         let err = server.submit_batch(big).expect_err("3 > cap 2 must be rejected");
         assert_eq!(err, ServeError::QueueFull { capacity: 2 });
         assert_eq!(server.stats().rejected, 1);
         assert_eq!(server.stats().submitted, 0, "nothing from the batch was admitted");
 
         let ok: Vec<JobRequest> =
-            (0..2).map(|i| JobRequest::new(seq(10 + i, 48), seq(20 + i, 48))).collect();
+            (0..2).map(|i| JobRequest::new(dna(10 + i, 48), dna(20 + i, 48))).collect();
         let handles = server.submit_batch(ok).expect("fitting batch admits");
         let reports: Vec<JobReport> = handles.iter().map(JobHandle::wait).collect();
         assert!(reports.iter().all(|r| r.outcome.is_ok()), "both jobs complete");
@@ -810,7 +801,7 @@ mod tests {
     #[test]
     fn duplicate_job_is_served_from_the_result_cache() {
         let server = tiny_server(8, 1);
-        let (a, b) = (seq(31, 180), seq(32, 180));
+        let (a, b) = (dna(31, 180), dna(32, 180));
         let first = server.submit(JobRequest::new(a.clone(), b.clone())).expect("admit").wait();
         let second = server.submit(JobRequest::new(a.clone(), b.clone())).expect("admit").wait();
 
@@ -841,7 +832,7 @@ mod tests {
         let ctrl = RunControl::unlimited();
         ctrl.cancel();
         let report = server
-            .submit(JobRequest::new(seq(41, 64), seq(42, 64)).with_control(ctrl))
+            .submit(JobRequest::new(dna(41, 64), dna(42, 64)).with_control(ctrl))
             .expect("cancelled jobs still admit")
             .wait();
         assert_eq!(
@@ -862,10 +853,10 @@ mod tests {
     fn shutdown_resolves_queued_jobs_and_rejects_new_ones() {
         let server = tiny_server(8, 1);
         // Hold the single runner on a real job, then pile up queued ones.
-        let busy = server.submit(JobRequest::new(seq(51, 256), seq(52, 256))).expect("admit");
+        let busy = server.submit(JobRequest::new(dna(51, 256), dna(52, 256))).expect("admit");
         let queued: Vec<JobHandle> = server
             .submit_batch(
-                (0..3).map(|i| JobRequest::new(seq(60 + i, 96), seq(70 + i, 96))).collect(),
+                (0..3).map(|i| JobRequest::new(dna(60 + i, 96), dna(70 + i, 96))).collect(),
             )
             .expect("queued batch admits");
         let stats = server.shutdown();

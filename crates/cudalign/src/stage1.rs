@@ -377,33 +377,15 @@ mod tests {
     use super::*;
     use crate::config::{PipelineConfig, SraBackend};
     use gpu_sim::WorkerPool;
+    use seqio::generate::{dna, edited_pair};
     use sw_core::full::sw_local_score;
     use sw_core::linear::RowDp;
     use sw_core::transcript::EdgeState;
     use sw_core::Scoring;
 
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (7..len).step_by(13) {
-            b[i] = b"ACGT"[(i / 13) % 4];
-        }
-        (a, b)
-    }
-
     #[test]
     fn finds_reference_best_and_flushes_rows() {
-        let (a, b) = related(1, 200);
+        let (a, b) = edited_pair(1, 200, 13);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
@@ -429,7 +411,7 @@ mod tests {
     /// checkpointing run does not prune and stores the reference exactly.
     #[test]
     fn special_rows_match_reference_dp() {
-        let (a, b) = related(2, 96);
+        let (a, b) = edited_pair(2, 96, 13);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let sc = Scoring::paper();
@@ -485,7 +467,7 @@ mod tests {
 
     #[test]
     fn zero_budget_stores_nothing() {
-        let (a, b) = related(3, 120);
+        let (a, b) = edited_pair(3, 120, 13);
         let mut cfg = PipelineConfig::for_tests();
         cfg.sra_bytes = 0;
         let pool = WorkerPool::new(cfg.workers);
@@ -500,8 +482,8 @@ mod tests {
 
     #[test]
     fn unrelated_sequences_small_score() {
-        let a = lcg(10, 150);
-        let b = lcg(99, 150);
+        let a = dna(10, 150);
+        let b = dna(99, 150);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
@@ -517,16 +499,7 @@ mod resume_tests {
     use super::*;
     use crate::config::{PipelineConfig, SraBackend};
     use gpu_sim::WorkerPool;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
+    use seqio::generate::dna;
 
     /// Simulated crash: run stage 1 capturing checkpoints, "crash",
     /// reopen the disk-backed SRA, resume from the snapshot, and end up
@@ -534,7 +507,7 @@ mod resume_tests {
     /// full pipeline must then still produce the optimal alignment.
     #[test]
     fn stage1_crash_resume_end_to_end() {
-        let a = lcg(41, 400);
+        let a = dna(41, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(31) {
             b[i] = b"ACGT"[(i / 31) % 4];
@@ -603,23 +576,14 @@ mod stale_checkpoint_tests {
     use super::*;
     use crate::config::{PipelineConfig, SraBackend};
     use gpu_sim::WorkerPool;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
+    use seqio::generate::dna;
 
     /// A snapshot from a different scoring scheme must be ignored, not
     /// resumed (stale buses would corrupt the result) and not panic.
     #[test]
     fn stale_checkpoint_is_ignored() {
-        let a = lcg(91, 200);
-        let b = lcg(92, 200);
+        let a = dna(91, 200);
+        let b = dna(92, 200);
         let dir = std::env::temp_dir().join(format!("cudalign-stale-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -411,30 +411,8 @@ mod tests {
     use crate::config::{PipelineConfig, SraBackend};
     use crate::stage1;
     use gpu_sim::WorkerPool;
+    use seqio::generate::{dna, edited_pair};
     use sw_core::full::sw_local_aligned;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (5..len).step_by(11) {
-            b[i] = b"ACGT"[(i / 11) % 4];
-        }
-        // one deletion to create a gap run
-        if len > 40 {
-            b.drain(len / 2..len / 2 + 3);
-        }
-        (a, b)
-    }
 
     fn run_stage12(a: &[u8], b: &[u8]) -> (Stage2Result, Score) {
         let cfg = PipelineConfig::for_tests();
@@ -477,7 +455,7 @@ mod tests {
 
     #[test]
     fn chain_spans_start_to_end_with_valid_scores() {
-        let (a, b) = related(1, 300);
+        let (a, b) = edited_pair(1, 300, 11);
         let (s2r, best) = run_stage12(&a, &b);
         let pts = s2r.chain.points();
         assert!(pts.len() >= 2);
@@ -492,7 +470,7 @@ mod tests {
 
     #[test]
     fn start_point_matches_reference_score_semantics() {
-        let (a, b) = related(2, 250);
+        let (a, b) = edited_pair(2, 250, 11);
         let (s2r, best) = run_stage12(&a, &b);
         let start = s2r.chain.points()[0];
         let end = *s2r.chain.points().last().unwrap();
@@ -515,7 +493,7 @@ mod tests {
 
     #[test]
     fn identical_sequences_single_diagonal() {
-        let a = lcg(7, 200);
+        let a = dna(7, 200);
         let (s2r, best) = run_stage12(&a, &a);
         assert_eq!(best, 200);
         let start = s2r.chain.points()[0];
@@ -529,7 +507,7 @@ mod tests {
 
     #[test]
     fn saved_columns_lie_inside_partitions() {
-        let (a, b) = related(3, 400);
+        let (a, b) = edited_pair(3, 400, 11);
         let (s2r, _) = run_stage12(&a, &b);
         for &c in &s2r.special_columns {
             let inside = s2r.chain.partitions().any(|p| p.start.j < c && c < p.end.j);
@@ -541,8 +519,8 @@ mod tests {
     fn tiny_alignment_within_first_strip() {
         // Unrelated sequences: the best alignment is short; stage 2 should
         // find the start via the watch without crossing special rows.
-        let a = lcg(21, 180);
-        let b = lcg(99, 180);
+        let a = dna(21, 180);
+        let b = dna(99, 180);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
@@ -569,7 +547,7 @@ mod tests {
     /// big reverse strip and still finds the start point.
     #[test]
     fn works_without_special_rows() {
-        let (a, b) = related(5, 150);
+        let (a, b) = edited_pair(5, 150, 11);
         let mut cfg = PipelineConfig::for_tests();
         cfg.sra_bytes = 0;
         let pool = WorkerPool::new(cfg.workers);
@@ -596,23 +574,14 @@ mod orthogonal_tests {
     use crate::config::{PipelineConfig, SraBackend};
     use crate::stage1;
     use gpu_sim::WorkerPool;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
+    use seqio::generate::dna;
 
     /// Orthogonal execution + goal-based matching: stage 2 processes far
     /// fewer cells than the matrix when the alignment hugs the diagonal
     /// (the strips abort as soon as each crosspoint is found).
     #[test]
     fn stage2_processes_less_than_the_matrix() {
-        let a = lcg(71, 600);
+        let a = dna(71, 600);
         let mut b = a.clone();
         for i in (9..b.len()).step_by(41) {
             b[i] = b"ACGT"[(i / 41) % 4];

@@ -345,32 +345,9 @@ mod tests {
     use super::*;
     use crate::config::SraBackend;
     use crate::{stage1, stage2};
+    use seqio::generate::edited_pair;
     use sw_core::full::nw_global_typed;
     use sw_core::Scoring;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (5..b.len()).step_by(17) {
-            b[i] = b"ACGT"[(i / 17) % 4];
-        }
-        b.drain(len / 3..len / 3 + 5);
-        let at = 2 * len / 3;
-        for (off, ch) in [b'A', b'C', b'G', b'T', b'A', b'C'].iter().enumerate() {
-            b.insert(at + off, *ch);
-        }
-        (a, b)
-    }
 
     fn run_stages(a: &[u8], b: &[u8]) -> (CrosspointChain, Stage3Result) {
         let cfg = PipelineConfig::for_tests();
@@ -394,7 +371,7 @@ mod tests {
 
     #[test]
     fn stage3_adds_crosspoints_and_keeps_ends() {
-        let (a, b) = related(1, 400);
+        let (a, b) = edited_pair(1, 400, 17);
         let (l2, s3r) = run_stages(&a, &b);
         assert!(s3r.chain.len() >= l2.len(), "stage 3 must not lose crosspoints");
         assert_eq!(s3r.chain.points()[0], l2.points()[0]);
@@ -404,7 +381,7 @@ mod tests {
 
     #[test]
     fn every_partition_score_is_its_global_alignment_score() {
-        let (a, b) = related(2, 350);
+        let (a, b) = edited_pair(2, 350, 17);
         let (_, s3r) = run_stages(&a, &b);
         for p in s3r.chain.partitions() {
             let (sub_a, sub_b) = p.slices(&a, &b);
@@ -415,7 +392,7 @@ mod tests {
 
     #[test]
     fn stage3_reduces_partition_width() {
-        let (a, b) = related(3, 500);
+        let (a, b) = edited_pair(3, 500, 17);
         let (l2, s3r) = run_stages(&a, &b);
         if s3r.chain.len() > l2.len() {
             assert!(s3r.chain.w_max() <= l2.w_max());
@@ -424,7 +401,7 @@ mod tests {
 
     #[test]
     fn no_columns_means_chain_unchanged() {
-        let (a, b) = related(4, 120);
+        let (a, b) = edited_pair(4, 120, 17);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
@@ -450,22 +427,13 @@ mod parallel_tests {
     use super::*;
     use crate::config::SraBackend;
     use crate::{stage1, stage2};
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
+    use seqio::generate::dna;
 
     /// The parallel-partitions future-work mode produces the same chain
     /// as the paper's sequential configuration.
     #[test]
     fn parallel_partitions_match_sequential() {
-        let a = lcg(31, 600);
+        let a = dna(31, 600);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(13) {
             b[i] = b"ACGT"[(i / 13) % 4];

@@ -294,27 +294,8 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use gpu_sim::WorkerPool;
+    use seqio::generate::{dna, edited_pair};
     use sw_core::full::nw_global_typed;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (5..b.len()).step_by(19) {
-            b[i] = b"ACGT"[(i / 19) % 4];
-        }
-        b.drain(len / 4..len / 4 + 7);
-        (a, b)
-    }
 
     /// Build a two-point chain covering a global alignment problem.
     fn whole_chain(a: &[u8], b: &[u8]) -> CrosspointChain {
@@ -342,7 +323,7 @@ mod tests {
 
     #[test]
     fn splits_until_all_partitions_fit() {
-        let (a, b) = related(1, 500);
+        let (a, b) = edited_pair(1, 500, 19);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = whole_chain(&a, &b);
@@ -357,7 +338,7 @@ mod tests {
 
     #[test]
     fn orthogonal_and_classic_agree_on_scores() {
-        let (a, b) = related(2, 300);
+        let (a, b) = edited_pair(2, 300, 19);
         let chain = whole_chain(&a, &b);
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
@@ -375,10 +356,9 @@ mod tests {
     fn balanced_needs_fewer_or_equal_iterations_on_wide_partitions() {
         // A wide, short problem: unbalanced (always middle row) wastes
         // iterations, as in Figure 10.
-        let a = lcg(3, 64);
-        let b = lcg(3, 64); // identical => diagonal alignment
-        let mut wide_b = b.clone();
-        wide_b.extend(lcg(4, 900)); // long random tail widens the matrix
+        let a = dna(3, 64);
+        let mut wide_b = a.clone(); // identical => diagonal alignment
+        wide_b.extend(dna(4, 900)); // long random tail widens the matrix
         let chain = whole_chain(&a, &wide_b);
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
@@ -397,7 +377,7 @@ mod tests {
 
     #[test]
     fn already_small_chain_is_untouched() {
-        let a = lcg(5, 10);
+        let a = dna(5, 10);
         let chain = whole_chain(&a, &a);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
@@ -411,7 +391,7 @@ mod tests {
     fn gap_heavy_partitions_split_correctly() {
         // b = a with a large block deleted: the chain crosses a long
         // vertical gap run; midpoints inside the run carry gap types.
-        let a = lcg(6, 400);
+        let a = dna(6, 400);
         let mut b = a.clone();
         b.drain(100..260);
         let chain = whole_chain(&a, &b);
@@ -425,7 +405,7 @@ mod tests {
 
     #[test]
     fn single_worker_matches_parallel() {
-        let (a, b) = related(7, 400);
+        let (a, b) = edited_pair(7, 400, 19);
         let chain = whole_chain(&a, &b);
         let mut cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(4);

@@ -118,29 +118,10 @@ mod tests {
     use crate::crosspoint::Crosspoint;
     use crate::stage4;
     use gpu_sim::WorkerPool;
+    use seqio::generate::edited_pair;
     use sw_core::full::nw_global_typed;
     use sw_core::transcript::EdgeState;
     use sw_core::Scoring;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
-    fn related(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
-        let a = lcg(seed, len);
-        let mut b = a.clone();
-        for i in (3..b.len()).step_by(23) {
-            b[i] = b"ACGT"[(i / 23) % 4];
-        }
-        b.drain(len / 2..len / 2 + 4);
-        (a, b)
-    }
 
     fn chain_for(a: &[u8], b: &[u8]) -> CrosspointChain {
         let (score, _) =
@@ -153,7 +134,7 @@ mod tests {
 
     #[test]
     fn concatenated_transcript_is_the_optimal_alignment() {
-        let (a, b) = related(1, 450);
+        let (a, b) = edited_pair(1, 450, 23);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
@@ -169,7 +150,7 @@ mod tests {
 
     #[test]
     fn binary_roundtrips_through_encoding() {
-        let (a, b) = related(2, 300);
+        let (a, b) = edited_pair(2, 300, 23);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);
@@ -185,7 +166,7 @@ mod tests {
     #[test]
     fn stage5_memory_is_bounded_by_partition_size() {
         // With max partition size 16, each sub-DP is at most 17x17 cells.
-        let (a, b) = related(3, 600);
+        let (a, b) = edited_pair(3, 600, 23);
         let cfg = PipelineConfig::for_tests();
         let pool = WorkerPool::new(cfg.workers);
         let chain = chain_for(&a, &b);

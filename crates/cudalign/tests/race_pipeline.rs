@@ -7,16 +7,7 @@
 
 use cudalign::{Pipeline, PipelineConfig};
 use gpu_sim::race;
-
-fn dna(seed: u64, len: usize) -> Vec<u8> {
-    let mut x = seed | 1;
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b"ACGT"[(x >> 33) as usize & 3]
-        })
-        .collect()
-}
+use seqio::generate::dna;
 
 #[test]
 fn clean_pipeline_with_strip_scheduler_reports_nothing() {

@@ -639,6 +639,7 @@ pub fn local_borders(m: usize, n: usize) -> (Vec<CellHF>, Vec<CellHE>, Score) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::generate::dna;
     use sw_core::full::{nw_global_typed, sw_local_score};
     use sw_core::linear::forward_vectors;
     use sw_core::transcript::EdgeState as ES;
@@ -650,21 +651,11 @@ mod tests {
         compute(tile, rung, top, left, &mut ProfileCache::new(), &[], &mut [])
     }
 
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
-
     /// One tile spanning the whole matrix must reproduce the linear DP.
     #[test]
     fn single_tile_global_equals_rowdp() {
-        let a = lcg(1, 37);
-        let b = lcg(2, 23);
+        let a = dna(1, 37);
+        let b = dna(2, 23);
         for start in [ES::Diagonal, ES::GapS0, ES::GapS1] {
             let (mut top, mut left, corner) =
                 global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(start));
@@ -681,7 +672,7 @@ mod tests {
     /// reference scan.
     #[test]
     fn single_tile_local_equals_reference() {
-        let a = lcg(3, 64);
+        let a = dna(3, 64);
         let mut b = a.clone();
         b[10] = b'A';
         b[11] = b'C';
@@ -701,8 +692,8 @@ mod tests {
     /// 2x2 tiles stitched through buses must agree with the single tile.
     #[test]
     fn stitched_tiles_equal_single_tile() {
-        let a = lcg(5, 30);
-        let b = lcg(6, 26);
+        let a = dna(5, 30);
+        let b = dna(6, 26);
         let (mi, nj) = (a.len() / 2, b.len() / 2);
 
         // Reference: single tile.
@@ -798,8 +789,8 @@ mod tests {
     /// scalar kernel on every bus cell and outcome field.
     #[test]
     fn striped_path_taken_and_matches_scalar() {
-        let a = lcg(11, 200);
-        let b = lcg(12, 171); // 171 = 10 * LANES + 11-column sliver
+        let a = dna(11, 200);
+        let b = dna(12, 171); // 171 = 10 * LANES + 11-column sliver
         for local in [false, true] {
             let (mut top_s, mut left_s, corner) = if local {
                 local_borders(a.len(), b.len())
@@ -845,8 +836,8 @@ mod tests {
     /// width in one pass and crosses the same bands).
     #[test]
     fn chunk_and_band_boundaries_match_scalar() {
-        let a = lcg(19, 80); // > 2 * BAND(test)
-        let b = lcg(20, 200); // > 3 * JCHUNK(test)
+        let a = dna(19, 80); // > 2 * BAND(test)
+        let b = dna(20, 200); // > 3 * JCHUNK(test)
         for (local, watched) in [(true, false), (false, true), (true, true)] {
             let (top_0, left_0, corner) = if local {
                 local_borders(a.len(), b.len())
@@ -893,8 +884,8 @@ mod tests {
     /// striped columns and inside the scalar sliver.
     #[test]
     fn striped_watch_matches_scalar() {
-        let a = lcg(13, 90);
-        let b = lcg(14, 75);
+        let a = dna(13, 90);
+        let b = dna(14, 75);
         let (mut top, mut left, corner) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
         run_tile(&Tile { corner, ..Tile::new(&a, &b, &SC) }, Rung::Auto, &mut top, &mut left);
@@ -929,8 +920,8 @@ mod tests {
     /// transparent scalar fallback — identical results, path recorded.
     #[test]
     fn saturating_tile_falls_back_to_scalar() {
-        let a = lcg(15, 48);
-        let b = lcg(16, 48);
+        let a = dna(15, 48);
+        let b = dna(16, 48);
         let (mut top_s, mut left_s, _) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::forward(ES::Diagonal));
         // A border H far above the rest: rebasing to it pushes every other
@@ -957,8 +948,8 @@ mod tests {
     /// rebasing at its first block but must still be exact via fallback.
     #[test]
     fn reverse_origin_first_block_falls_back() {
-        let a = lcg(17, 40);
-        let b = lcg(18, 40);
+        let a = dna(17, 40);
+        let b = dna(18, 40);
         let (mut top_s, mut left_s, corner) =
             global_borders(a.len(), b.len(), &SC, GlobalOrigin::reverse(ES::GapS1, &SC));
         let mut top_v = top_s.clone();
@@ -975,8 +966,8 @@ mod tests {
     /// must agree bit-for-bit with the i8-first default.
     #[test]
     fn i16_entry_point_skips_i8_and_matches() {
-        let a = lcg(21, 100);
-        let b = lcg(22, 90);
+        let a = dna(21, 100);
+        let b = dna(22, 90);
         let (mut top_8, mut left_8, corner) = local_borders(a.len(), b.len());
         let mut top_16 = top_8.clone();
         let mut left_16 = left_8.clone();
@@ -1006,8 +997,8 @@ mod tests {
     /// stay bit-identical to scalar.
     #[test]
     fn forced_i8_to_i16_escalation_matches_scalar() {
-        let a = lcg(25, 64);
-        let b = lcg(26, 96);
+        let a = dna(25, 64);
+        let b = dna(26, 96);
         let (mut top_s, mut left_s, corner) = local_borders(a.len(), b.len());
         top_s[0].h += 200;
         let mut top_v = top_s.clone();
@@ -1035,8 +1026,8 @@ mod tests {
     /// must walk the whole ladder (i8 → i16 → scalar) and re-run scalar.
     #[test]
     fn forced_full_escalation_matches_scalar() {
-        let a = lcg(27, 64);
-        let b = lcg(28, 96);
+        let a = dna(27, 64);
+        let b = dna(28, 96);
         let (mut top_s, mut left_s, corner) = local_borders(a.len(), b.len());
         top_s[0].h += 100_000;
         let mut top_v = top_s.clone();
@@ -1064,8 +1055,8 @@ mod tests {
     /// first tile's band, and the cached run must stay bit-identical.
     #[test]
     fn profile_cache_hits_across_tiles_of_one_band() {
-        let a = lcg(29, 64);
-        let b = lcg(30, 128);
+        let a = dna(29, 64);
+        let b = dna(30, 128);
         let nj = 64;
         let mut cache = super::ProfileCache::new();
         let (mut top, mut left, corner) = local_borders(a.len(), b.len());
@@ -1190,7 +1181,7 @@ mod tests {
         let planted = |len: usize, plants: [(usize, usize); 2]| {
             let (mut a, mut b) = (poly(b'T', 90), poly(b'G', 200));
             for (k, (i, j)) in plants.into_iter().enumerate() {
-                let seg = lcg(41 + k as u64, len);
+                let seg = dna(41 + k as u64, len);
                 a[i..i + len].copy_from_slice(&seg);
                 b[j..j + len].copy_from_slice(&seg);
             }
@@ -1201,7 +1192,7 @@ mod tests {
         let (a, b) = planted(8, [(23, 40), (2, 50)]);
         cases.push(("equal scores in two columns", a, b));
         // A match ending inside the scalar sliver rows (80..90 on i16).
-        let (a, mut b) = (lcg(44, 90), lcg(45, 200));
+        let (a, mut b) = (dna(44, 90), dna(45, 200));
         b[150..180].copy_from_slice(&a[60..90]);
         cases.push(("maximum in the sliver", a, b));
         for (what, a, b) in &cases {
@@ -1329,9 +1320,9 @@ mod tests {
     /// sliver (100 = 3 * 32 + 4 on i8; 90 = 5 * 16 + 10 on i16).
     #[test]
     fn band_cut_rows_match_blocks_at_every_row() {
-        let b = lcg(52, 40);
+        let b = dna(52, 40);
         for height in [64usize, 90, 100, 300] {
-            let a = lcg(51 + height as u64, height);
+            let a = dna(51 + height as u64, height);
             for local in [false, true] {
                 let (top, left, corner) = if local {
                     local_borders(height, b.len())
@@ -1358,7 +1349,7 @@ mod tests {
     /// either way every cut row is still the per-block one.
     #[test]
     fn band_escalation_keeps_cut_rows() {
-        let (a, b) = (lcg(53, 150), lcg(54, 96));
+        let (a, b) = (dna(53, 150), dna(54, 96));
         for (lift, expect) in
             [(200, KernelPath::Striped8Fallback16), (100_000, KernelPath::StripedFallback)]
         {

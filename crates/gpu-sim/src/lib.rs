@@ -70,6 +70,6 @@ pub use exec::{ExecError, PoolStats, Watchdog, WorkerPool};
 pub use grid::GridSpec;
 pub use kernel::{CellHE, CellHF, GlobalOrigin, KernelPath, Mode, TileOutcome};
 pub use wavefront::{
-    BlockCoords, Launch, NoObserver, RegionJob, RegionResult, ScheduleInfo, StripEvent, StripPlan,
-    StripStats, WavefrontObserver,
+    BlockCoords, Launch, NoObserver, RegionJob, RegionResult, StripEvent, StripPlan, StripStats,
+    WavefrontObserver,
 };

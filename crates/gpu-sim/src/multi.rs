@@ -79,18 +79,9 @@ mod tests {
     use super::*;
     use crate::kernel::Mode;
     use crate::wavefront::run_pooled;
+    use seqio::generate::dna;
     use sw_core::scoring::Scoring;
     use sw_core::transcript::EdgeState as ES;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     fn job<'a>(a: &'a [u8], b: &'a [u8], mode: Mode) -> RegionJob<'a> {
         RegionJob {
@@ -110,8 +101,8 @@ mod tests {
 
     #[test]
     fn split_matches_single_device_local() {
-        let a = lcg(1, 400);
-        let mut b = lcg(1, 400);
+        let a = dna(1, 400);
+        let mut b = a.clone();
         for i in (3..b.len()).step_by(29) {
             b[i] = b"ACGT"[i % 4];
         }
@@ -135,8 +126,8 @@ mod tests {
     #[test]
     fn split_matches_single_device_global_and_reverse() {
         let pool = WorkerPool::new(1);
-        let a = lcg(5, 250);
-        let b = lcg(6, 300);
+        let a = dna(5, 250);
+        let b = dna(6, 300);
         let sc = Scoring::paper();
         for mode in [
             Mode::global(ES::Diagonal),
@@ -154,8 +145,8 @@ mod tests {
     #[test]
     fn work_is_balanced() {
         let pool = WorkerPool::new(1);
-        let a = lcg(7, 300);
-        let b = lcg(8, 301);
+        let a = dna(7, 300);
+        let b = dna(8, 301);
         let multi = run_split(&pool, &job(&a, &b, Mode::Local), 4).unwrap();
         let min = multi.per_device_cells.iter().min().unwrap();
         let max = multi.per_device_cells.iter().max().unwrap();
@@ -170,7 +161,7 @@ mod tests {
         let multi2 = run_split(&pool, &job(b"ACG", b"", Mode::Local), 2).unwrap();
         assert_eq!(multi2.cells, 0);
         // More devices than columns clamps.
-        let a = lcg(9, 10);
+        let a = dna(9, 10);
         let multi3 = run_split(&pool, &job(&a, &a, Mode::Local), 64).unwrap();
         let single = single(&pool, &job(&a, &a, Mode::Local));
         assert_eq!(multi3.best, single.best);

@@ -319,25 +319,6 @@ pub struct StripStats {
     pub runner_blocks: Vec<u64>,
 }
 
-/// Which scheduler produced an [`EngineState`] snapshot — provenance
-/// recorded in the checkpoint so a resumed run (possibly under a
-/// different worker count) can report where the snapshot came from.
-/// Resuming is schedule-independent: buses and counters mean the same
-/// thing either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleInfo {
-    /// Diagonal engine (serial runs, and all checkpoints written before
-    /// strip scheduling existed).
-    Serial,
-    /// Column-strip engine.
-    Strips {
-        /// Strips in the plan that wrote the snapshot.
-        strips: u32,
-        /// Its publish batching factor.
-        batch_rows: u32,
-    },
-}
-
 /// One engine launch over a DP region.
 #[derive(Debug, Clone, Copy)]
 pub struct RegionJob<'a> {
@@ -438,11 +419,33 @@ pub struct EngineState {
     pub cells: u64,
     /// Busy block-slots so far.
     pub busy_slots: u64,
-    /// Scheduler that wrote this snapshot (provenance only).
-    pub schedule: ScheduleInfo,
 }
 
 impl EngineState {
+    /// The state of `job` between its diagonals `< next_diagonal` and the
+    /// rest. Every schedule builds its snapshots here, so a blob does not
+    /// depend on the schedule (or worker count) that wrote it.
+    fn snapshot(
+        job: &RegionJob<'_>,
+        next_diagonal: usize,
+        hbus: &[CellHF],
+        vbus: &[CellHE],
+        corners: &[Score],
+        totals: &Totals,
+        busy_slots: u64,
+    ) -> Self {
+        EngineState {
+            fingerprint: Self::fingerprint_of(job),
+            next_diagonal,
+            hbus: hbus.to_vec(),
+            vbus: vbus.to_vec(),
+            corners: corners.to_vec(),
+            best: totals.best,
+            cells: totals.cells,
+            busy_slots,
+        }
+    }
+
     /// Does this snapshot belong to `job`? Callers should check before
     /// resuming; [`launch`] returns [`ExecError::ForeignCheckpoint`] on a
     /// mismatch.
@@ -532,19 +535,12 @@ impl EngineState {
         for &c in &self.corners {
             out.extend_from_slice(&c.to_le_bytes());
         }
-        // Strip-schedule provenance rides as a self-identifying tailer so
-        // pre-strip decoders (which ignore trailing bytes) still accept
-        // the blob; `Serial` writes nothing, keeping old and new encodings
-        // byte-identical for old snapshots.
-        if let ScheduleInfo::Strips { strips, batch_rows } = self.schedule {
-            out.extend_from_slice(b"STRP");
-            out.extend_from_slice(&strips.to_le_bytes());
-            out.extend_from_slice(&batch_rows.to_le_bytes());
-        }
         out
     }
 
-    /// Deserialize; `None` on any structural mismatch.
+    /// Deserialize; `None` on any structural mismatch. Trailing bytes are
+    /// ignored, so blobs that earlier builds wrote with a `STRP` schedule
+    /// tailer still decode.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, k: usize| -> Option<&[u8]> {
@@ -565,8 +561,13 @@ impl EngineState {
         let nh = u(&mut pos)? as usize;
         let nv = u(&mut pos)? as usize;
         let nc = u(&mut pos)? as usize;
-        // Reject sizes the payload cannot hold (corruption guard).
-        let need = 1 + 8 * nh + 8 * nv + 4 * nc;
+        // Reject sizes the payload cannot hold (corruption guard), and
+        // sizes whose byte count does not even fit a `usize`.
+        let need = nh
+            .checked_add(nv)
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|n| n.checked_add(nc.checked_mul(4)?))
+            .and_then(|n| n.checked_add(1))?;
         if bytes.len().checked_sub(pos)? < need {
             return None;
         }
@@ -595,19 +596,6 @@ impl EngineState {
         for _ in 0..nc {
             corners.push(Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?));
         }
-        // Optional schedule tailer. Old-format blobs end here (or carry
-        // unrelated trailing bytes) and decode as `Serial`; a blob that
-        // *starts* the `STRP` marker must carry the whole tailer, so a
-        // truncated strip checkpoint is rejected rather than silently
-        // downgraded.
-        let schedule = if bytes.get(pos..pos + 4) == Some(b"STRP") {
-            pos += 4;
-            let strips = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            let batch_rows = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            ScheduleInfo::Strips { strips, batch_rows }
-        } else {
-            ScheduleInfo::Serial
-        };
         Some(EngineState {
             fingerprint: fp,
             next_diagonal,
@@ -617,7 +605,6 @@ impl EngineState {
             best,
             cells,
             busy_slots,
-            schedule,
         })
     }
 }
@@ -1285,17 +1272,15 @@ impl Serial<'_, '_> {
 
     /// The state between diagonals `< next_diagonal` and the rest.
     fn snapshot(&self, next_diagonal: usize) -> EngineState {
-        EngineState {
-            fingerprint: EngineState::fingerprint_of(self.job),
+        EngineState::snapshot(
+            self.job,
             next_diagonal,
-            hbus: self.hbus.clone(),
-            vbus: self.vbus.clone(),
-            corners: self.corners.clone(),
-            best: self.totals.best,
-            cells: self.totals.cells,
-            busy_slots: self.busy_slots,
-            schedule: ScheduleInfo::Serial,
-        }
+            &self.hbus,
+            &self.vbus,
+            &self.corners,
+            &self.totals,
+            self.busy_slots,
+        )
     }
 }
 
@@ -1861,25 +1846,23 @@ mod strip {
         let mut ck_vbus = vbus.clone();
         let mut ck_corners = corners.clone();
 
+        let mut totals = Totals { best: p.init_best, cells: p.init_cells, ..Totals::default() };
+        let mut busy_slots = p.init_busy;
+
         // Cancellation checkpoint: the ck buses are a valid resume point
         // only *between* diagonals (mid-diagonal they hold a partially
         // applied frontier), so the deliverer refreshes this snapshot at
         // every diagonal boundary and flushes it when a cancel lands.
         let mut cancel_snap: Option<EngineState> = match (p.token, p.checkpoint_every) {
-            (Some(_), Some(_)) => Some(EngineState {
-                fingerprint: EngineState::fingerprint_of(p.job),
-                next_diagonal: fd,
-                hbus: ck_hbus.clone(),
-                vbus: ck_vbus.clone(),
-                corners: ck_corners.clone(),
-                best: p.init_best,
-                cells: p.init_cells,
-                busy_slots: p.init_busy,
-                schedule: ScheduleInfo::Strips {
-                    strips: strips as u32,
-                    batch_rows: p.plan.batch_rows as u32,
-                },
-            }),
+            (Some(_), Some(_)) => Some(EngineState::snapshot(
+                p.job,
+                fd,
+                &ck_hbus,
+                &ck_vbus,
+                &ck_corners,
+                &totals,
+                busy_slots,
+            )),
             _ => None,
         };
 
@@ -1921,8 +1904,6 @@ mod strip {
             race: p.race,
         };
 
-        let mut totals = Totals { best: p.init_best, cells: p.init_cells, ..Totals::default() };
-        let mut busy_slots = p.init_busy;
         let mut diagonals_run = 0usize;
         let mut aborted = false;
         // The calling thread is runner 0; its kernel state lives out here
@@ -2131,20 +2112,15 @@ mod strip {
                     if dc.d > p.first_diagonal
                         && (dc.d - p.first_diagonal).is_multiple_of(every.max(1))
                     {
-                        observer.on_checkpoint(&EngineState {
-                            fingerprint: EngineState::fingerprint_of(p.job),
-                            next_diagonal: dc.d,
-                            hbus: ck_hbus.to_vec(),
-                            vbus: ck_vbus.to_vec(),
-                            corners: ck_corners.to_vec(),
-                            best: totals.best,
-                            cells: totals.cells,
-                            busy_slots: *busy_slots,
-                            schedule: ScheduleInfo::Strips {
-                                strips: sh.strips as u32,
-                                batch_rows: sh.plan.batch_rows as u32,
-                            },
-                        });
+                        observer.on_checkpoint(&EngineState::snapshot(
+                            p.job,
+                            dc.d,
+                            ck_hbus,
+                            ck_vbus,
+                            ck_corners,
+                            totals,
+                            *busy_slots,
+                        ));
                     }
                 }
                 // The ck buses hold exactly the state through diagonal
@@ -2217,21 +2193,12 @@ fn plain(job: &RegionJob<'_>) -> RegionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio::generate::dna;
     use sw_core::full::sw_local_score;
     use sw_core::linear::forward_vectors;
     use sw_core::transcript::EdgeState as ES;
 
     const SC: Scoring = Scoring::paper();
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     fn job<'a>(
         a: &'a [u8],
@@ -2245,8 +2212,8 @@ mod tests {
 
     #[test]
     fn global_final_row_matches_rowdp() {
-        let a = lcg(1, 113);
-        let b = lcg(2, 97);
+        let a = dna(1, 113);
+        let b = dna(2, 97);
         for start in [ES::Diagonal, ES::GapS0, ES::GapS1] {
             let res = plain(&job(&a, &b, Mode::global(start), GridSpec::small(), 2));
             assert!(!res.aborted);
@@ -2261,8 +2228,8 @@ mod tests {
 
     #[test]
     fn local_best_matches_reference() {
-        let a = lcg(3, 200);
-        let mut b = lcg(3, 200); // same seed: identical, then perturb
+        let a = dna(3, 200);
+        let mut b = a.clone(); // identical, then perturb
         for i in (0..200).step_by(17) {
             b[i] = b"ACGT"[(i / 17) % 4];
         }
@@ -2275,8 +2242,8 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        let a = lcg(5, 301);
-        let b = lcg(6, 257);
+        let a = dna(5, 301);
+        let b = dna(6, 257);
         let r1 = plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 1));
         let r4 = plain(&job(&a, &b, Mode::Local, GridSpec { blocks: 5, threads: 4, alpha: 3 }, 4));
         assert_eq!(r1.best, r4.best);
@@ -2288,8 +2255,8 @@ mod tests {
 
     #[test]
     fn grid_shape_does_not_change_results() {
-        let a = lcg(7, 150);
-        let b = lcg(8, 190);
+        let a = dna(7, 150);
+        let b = dna(8, 190);
         let grids = [
             GridSpec { blocks: 1, threads: 1, alpha: 1 },
             GridSpec { blocks: 2, threads: 8, alpha: 1 },
@@ -2324,8 +2291,8 @@ mod tests {
                 ControlFlow::Continue(())
             }
         }
-        let a = lcg(9, 64);
-        let b = lcg(10, 48);
+        let a = dna(9, 64);
+        let b = dna(10, 48);
         let grid = GridSpec { blocks: 3, threads: 2, alpha: 4 };
         let mut obs = Collect { seen: Vec::new() };
         let res = launch_alone(&job(&a, &b, Mode::Local, grid, 2), &mut obs, Launch::default());
@@ -2357,8 +2324,8 @@ mod tests {
                 }
             }
         }
-        let a = lcg(11, 128);
-        let b = lcg(12, 128);
+        let a = dna(11, 128);
+        let b = dna(12, 128);
         let grid = GridSpec { blocks: 4, threads: 2, alpha: 2 };
         let mut obs = StopAfter { n: 3 };
         let res = launch_alone(&job(&a, &b, Mode::Local, grid, 2), &mut obs, Launch::default());
@@ -2432,7 +2399,7 @@ mod tests {
                 true
             }
         }
-        let a = lcg(31, 1500);
+        let a = dna(31, 1500);
         let mut b = a[200..1400].to_vec();
         for i in (0..b.len()).step_by(29) {
             b[i] = b"ACGT"[(i / 29) % 4];
@@ -2468,24 +2435,15 @@ mod tests {
 #[cfg(test)]
 mod utilization_tests {
     use super::*;
+    use seqio::generate::dna;
     use sw_core::transcript::EdgeState as ES;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     /// Tall grids (many block rows, few block columns) keep nearly every
     /// slot busy — the property cells delegation provides on the GPU.
     #[test]
     fn tall_grid_has_high_utilization() {
-        let a = lcg(1, 4000);
-        let b = lcg(2, 200);
+        let a = dna(1, 4000);
+        let b = dna(2, 200);
         let grid = GridSpec { blocks: 2, threads: 5, alpha: 2 }; // 400 block rows x 2 cols
         let job = RegionJob {
             a: &a,
@@ -2504,8 +2462,8 @@ mod utilization_tests {
     /// Square grids drain at the corners: utilization ~ R/(R+C-1).
     #[test]
     fn square_grid_utilization_matches_formula() {
-        let a = lcg(3, 160);
-        let b = lcg(4, 160);
+        let a = dna(3, 160);
+        let b = dna(4, 160);
         let grid = GridSpec { blocks: 8, threads: 10, alpha: 2 }; // 8x8 blocks
         let job = RegionJob {
             a: &a,
@@ -2526,17 +2484,8 @@ mod utilization_tests {
 #[cfg(test)]
 mod resume_tests {
     use super::*;
+    use seqio::generate::dna;
     use sw_core::transcript::EdgeState as ES;
-
-    fn lcg(seed: u64, len: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    }
 
     fn job<'a>(a: &'a [u8], b: &'a [u8]) -> RegionJob<'a> {
         RegionJob {
@@ -2570,8 +2519,8 @@ mod resume_tests {
     /// Interrupt + resume must reproduce the uninterrupted run exactly.
     #[test]
     fn resume_reproduces_uninterrupted_run() {
-        let a = lcg(1, 300);
-        let mut b = lcg(1, 300);
+        let a = dna(1, 300);
+        let mut b = a.clone();
         for i in (0..300).step_by(23) {
             b[i] = b"ACGT"[i % 4];
         }
@@ -2605,14 +2554,14 @@ mod resume_tests {
 
     #[test]
     fn resume_rejects_foreign_checkpoints() {
-        let a = lcg(2, 100);
-        let b = lcg(3, 100);
+        let a = dna(2, 100);
+        let b = dna(3, 100);
         let j = job(&a, &b);
         let mut obs = Snapshots(Vec::new());
         let _ =
             launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(3), ..Launch::default() });
         let mut snaps = obs.0;
-        let other_a = lcg(4, 120);
+        let other_a = dna(4, 120);
         let j2 = job(&other_a, &b);
         let snap = snaps.pop().expect("have a snapshot");
         let pool = WorkerPool::new(2);
@@ -2626,8 +2575,8 @@ mod resume_tests {
     /// runs.
     #[test]
     fn launch_rejects_a_plan_off_the_grid() {
-        let a = lcg(4, 100);
-        let b = lcg(5, 100);
+        let a = dna(4, 100);
+        let b = dna(5, 100);
         let j = job(&a, &b); // 3 block columns
         let pool = WorkerPool::new(2);
         let mut obs = Snapshots(Vec::new());
@@ -2638,13 +2587,14 @@ mod resume_tests {
         assert!(obs.0.is_empty(), "a refused launch must not run");
     }
 
-    /// Strip-scheduled checkpoints carry their schedule provenance in a
-    /// self-identifying tailer; stripping it yields a pre-strip-era blob
-    /// that must still decode (as `Serial`) and resume correctly.
+    /// Earlier builds appended a 12-byte schedule tailer (`STRP`, strip
+    /// count, batch rows) to strip-scheduled checkpoints. The decoder
+    /// ignores trailing bytes, so such a blob decodes to the same state,
+    /// re-encodes without the tailer and resumes byte-identically.
     #[test]
-    fn schedule_provenance_roundtrips_and_old_blobs_decode() {
-        let a = lcg(7, 260);
-        let b = lcg(9, 240);
+    fn blobs_with_a_strip_tailer_still_decode() {
+        let a = dna(7, 260);
+        let b = dna(9, 240);
         let j = job(&a, &b); // workers: 2 -> strip scheduler
         let full = plain(&j);
 
@@ -2652,45 +2602,35 @@ mod resume_tests {
         let _ =
             launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(4), ..Launch::default() });
         let snap = obs.0.into_iter().next().expect("have a checkpoint");
-        let ScheduleInfo::Strips { strips, batch_rows } = snap.schedule else {
-            panic!("strip-scheduled run must stamp Strips provenance, got {:?}", snap.schedule);
-        };
-        assert!(strips >= 2);
-        assert_eq!(batch_rows as usize, DEFAULT_BATCH_ROWS);
-
-        // Round-trip keeps the provenance.
-        let bytes = snap.encode();
-        let restored = EngineState::decode(&bytes).expect("decode");
+        let payload = snap.encode();
+        let mut tailed = payload.clone();
+        tailed.extend_from_slice(b"STRP");
+        tailed.extend_from_slice(&2u32.to_le_bytes());
+        tailed.extend_from_slice(&(DEFAULT_BATCH_ROWS as u32).to_le_bytes());
+        let restored = EngineState::decode(&tailed).expect("a tailed blob must decode");
         assert_eq!(restored, snap);
+        assert_eq!(restored.encode(), payload);
+        // A cut tailer is trailing bytes too.
+        assert_eq!(EngineState::decode(&tailed[..tailed.len() - 5]).as_ref(), Some(&snap));
 
-        // An old-format blob — everything but the 12-byte tailer — still
-        // decodes; the schedule defaults to Serial and the engine payload
-        // is untouched.
-        let old = &bytes[..bytes.len() - 12];
-        let legacy = EngineState::decode(old).expect("old-format blob must decode");
-        assert_eq!(legacy.schedule, ScheduleInfo::Serial);
-        assert_eq!(legacy.next_diagonal, snap.next_diagonal);
-        assert_eq!(legacy.hbus, snap.hbus);
-        assert_eq!(legacy.vbus, snap.vbus);
-        assert_eq!(legacy.corners, snap.corners);
-
-        // ... and resuming from it reproduces the uninterrupted run.
-        let resumed =
-            launch_alone(&j, &mut NoObserver, Launch { resume: Some(legacy), ..Launch::default() });
+        let resumed = launch_alone(
+            &j,
+            &mut NoObserver,
+            Launch { resume: Some(restored), ..Launch::default() },
+        );
         assert_eq!(resumed.best, full.best);
         assert_eq!(resumed.hbus, full.hbus);
+        assert_eq!(resumed.vbus, full.vbus);
         assert_eq!(resumed.cells, full.cells);
-
-        // A tailer truncated mid-way is corruption, not old format.
-        assert!(EngineState::decode(&bytes[..bytes.len() - 5]).is_none());
+        assert_eq!(resumed.busy_slots, full.busy_slots);
     }
 
     /// A snapshot taken under one worker count must resume under any
     /// other: the strip plan is derived at launch, not persisted state.
     #[test]
     fn resume_with_different_worker_count_is_byte_identical() {
-        let a = lcg(11, 280);
-        let b = lcg(13, 300);
+        let a = dna(11, 280);
+        let b = dna(13, 300);
         let j4 = RegionJob { workers: 4, ..job(&a, &b) };
         let full = plain(&j4);
 
@@ -2750,8 +2690,8 @@ mod resume_tests {
     /// uninterrupted run — on both schedulers, at several cancel points.
     #[test]
     fn cancelled_runs_flush_a_resumable_boundary_checkpoint() {
-        let a = lcg(21, 260);
-        let b = lcg(22, 300);
+        let a = dna(21, 260);
+        let b = dna(22, 300);
         for workers in [1usize, 4] {
             let j = RegionJob { workers, ..job(&a, &b) };
             let full = plain(&j);
@@ -2793,8 +2733,8 @@ mod resume_tests {
     /// initial state as its flush — resuming from it runs everything.
     #[test]
     fn pre_cancelled_run_aborts_with_initial_snapshot() {
-        let a = lcg(23, 150);
-        let b = lcg(24, 140);
+        let a = dna(23, 150);
+        let b = dna(24, 140);
         let j = job(&a, &b);
         let full = plain(&j);
         let pool = WorkerPool::new(2);
@@ -2822,8 +2762,8 @@ mod resume_tests {
     /// heartbeat must move.
     #[test]
     fn supervised_run_without_cancel_is_identical_and_beats() {
-        let a = lcg(25, 200);
-        let b = lcg(26, 180);
+        let a = dna(25, 200);
+        let b = dna(26, 180);
         for workers in [1usize, 3] {
             let j = RegionJob { workers, ..job(&a, &b) };
             let full = plain(&j);
@@ -2849,7 +2789,7 @@ mod resume_tests {
         assert!(EngineState::decode(b"nope").is_none());
         assert!(EngineState::decode(b"").is_none());
         // Truncated real snapshot.
-        let a = lcg(5, 60);
+        let a = dna(5, 60);
         let j = RegionJob {
             a: &a,
             b: &a,
@@ -2871,5 +2811,12 @@ mod resume_tests {
         corrupt[69] = 0xFF;
         corrupt[70] = 0xFF;
         let _ = EngineState::decode(&corrupt); // must return, not abort
+                                               // Length fields (`hbus`, `vbus`, corners) whose byte count
+                                               // overflows a `usize` are rejected, not multiplied out.
+        for (at, n) in [(68, 1u64 << 61), (76, 1 << 61), (84, 1 << 62)] {
+            let mut huge = bytes.clone();
+            huge[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            assert!(EngineState::decode(&huge).is_none(), "length field at byte {at}");
+        }
     }
 }

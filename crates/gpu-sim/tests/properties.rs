@@ -6,6 +6,7 @@ use gpu_sim::striped::ProfileCache;
 use gpu_sim::wavefront::{launch, Launch, NoObserver, RegionJob, RegionResult, WavefrontObserver};
 use gpu_sim::{CellHE, CellHF, GridSpec, Mode, TileOutcome, WorkerPool};
 use proptest::prelude::*;
+use seqio::generate;
 use sw_core::full::sw_local_score;
 use sw_core::linear::forward_vectors;
 use sw_core::scoring::Scoring;
@@ -249,15 +250,6 @@ proptest! {
 #[test]
 fn striped_boundaries_match_scalar_at_production_sizes() {
     use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
-    let dna = |seed: u64, len: usize| -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    };
     let sc = Scoring::paper();
     // (height, width, modes): one shape crossing the column-chunk boundary
     // (watched tiles chunk; the unwatched local run checks the best
@@ -269,8 +261,8 @@ fn striped_boundaries_match_scalar_at_production_sizes() {
     for (ai, bi, height, width, modes) in
         [(21u64, 22u64, 48, 32_100, wide), (23, 24, 1_056, 48, tall)]
     {
-        let a = dna(ai, height);
-        let mut b = dna(bi, width);
+        let a = generate::dna(ai, height);
+        let mut b = generate::dna(bi, width);
         if width > 32_000 {
             // Plant an exact copy of `a` ending at the chunk boundary so
             // the band's bottom row carries a large local H there, and a
@@ -384,15 +376,6 @@ fn local_best_gate_ties_match_scalar_at_production_sizes() {
 #[test]
 fn i8_escalation_matches_scalar_at_production_sizes() {
     use gpu_sim::kernel::{local_borders, KernelPath};
-    let dna = |seed: u64, len: usize| -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    };
     let sc = Scoring::paper();
     // (height, width): one shape crossing the chunk boundary, one the
     // band boundary. Height > 95 lets the planted exact copy of `a` push
@@ -400,8 +383,8 @@ fn i8_escalation_matches_scalar_at_production_sizes() {
     for (ai, bi, height, width, plant_at) in
         [(25u64, 26u64, 128, 32_100, 32_000 - 128), (27, 28, 1_056, 1_200, 0)]
     {
-        let a = dna(ai, height);
-        let mut b = dna(bi, width);
+        let a = generate::dna(ai, height);
+        let mut b = generate::dna(bi, width);
         // Plant an exact copy of a prefix of `a` so the running local
         // score exceeds 95 (paper match = +1, height > 95 rows).
         let plant_len = height.min(width - plant_at);
@@ -600,17 +583,8 @@ proptest! {
 #[test]
 fn band_cut_rows_match_blocks_at_every_row() {
     use gpu_sim::kernel::{global_borders, local_borders, GlobalOrigin, KernelPath};
-    let dna = |seed: u64, len: usize| -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b"ACGT"[(x >> 33) as usize & 3]
-            })
-            .collect()
-    };
     let sc = Scoring::paper();
-    let b = dna(62, 48);
+    let b = generate::dna(62, 48);
     let borders = |local: bool, height: usize| {
         if local {
             local_borders(height, b.len())
@@ -619,7 +593,7 @@ fn band_cut_rows_match_blocks_at_every_row() {
         }
     };
     for height in [64usize, 65, 95, 96, 97, 300] {
-        let a = dna(61 + height as u64, height);
+        let a = generate::dna(61 + height as u64, height);
         for local in [false, true] {
             let (top, left, corner) = borders(local, height);
             let tile = Tile { local, corner, ..Tile::new(&a, &b, &sc) };
@@ -634,7 +608,7 @@ fn band_cut_rows_match_blocks_at_every_row() {
     }
     // Five 256-row blocks and a 4-row sliver: cuts on both sides of the
     // internal band boundary at row 1024.
-    let a = dna(63, 1284);
+    let a = generate::dna(63, 1284);
     for local in [false, true] {
         let (top, left, corner) = borders(local, a.len());
         let cuts = [255, 511, 767, 1023, 1279, 1281];

@@ -23,6 +23,7 @@ use gpu_sim::exec::fault;
 use gpu_sim::race::{self, ViolationKind};
 use gpu_sim::wavefront::{run_pooled, NoObserver, RegionJob, RegionResult};
 use gpu_sim::{multi, GridSpec, Mode, WorkerPool};
+use seqio::generate::dna;
 use std::sync::{Mutex, MutexGuard};
 use sw_core::scoring::Scoring;
 
@@ -35,16 +36,6 @@ fn isolated() -> MutexGuard<'static, ()> {
     fault::disarm();
     let _ = race::take_report();
     guard
-}
-
-fn dna(seed: u64, len: usize) -> Vec<u8> {
-    let mut x = seed | 1;
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b"ACGT"[(x >> 33) as usize & 3]
-        })
-        .collect()
 }
 
 /// Run `job` on a pool of its own, `job.workers` lanes wide.

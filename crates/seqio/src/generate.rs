@@ -17,6 +17,36 @@ pub fn random_dna(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| BASES[rng.gen_range(0..4)]).collect()
 }
 
+/// Uniform random DNA drawn from its own seeded stream: distinct seeds
+/// give distinct sequences, and `dna(s, n)` is a prefix of `dna(s, m)`
+/// for `n <= m`. The tests' one source of seeded DNA.
+pub fn dna(seed: u64, len: usize) -> Vec<u8> {
+    random_dna(&mut StdRng::seed_from_u64(seed), len)
+}
+
+/// A homologous pair by point edits: `b` is `a = dna(seed, len)` with a
+/// substitution every `snp_every` bases (starting at `snp_every / 2`)
+/// and, when `len >= 60`, 11 bases deleted at `len / 3` and 7 random
+/// bases inserted at the middle.
+pub fn edited_pair(seed: u64, len: usize, snp_every: usize) -> (Vec<u8>, Vec<u8>) {
+    let a = dna(seed, len);
+    let mut b = a.clone();
+    for i in (snp_every / 2..b.len()).step_by(snp_every.max(2)) {
+        b[i] = match b[i] {
+            b'A' => b'C',
+            b'C' => b'G',
+            b'G' => b'T',
+            _ => b'A',
+        };
+    }
+    if len >= 60 {
+        b.drain(len / 3..len / 3 + 11);
+        let at = b.len() / 2;
+        b.splice(at..at, dna(seed ^ 0xDEAD, 7));
+    }
+    (a, b)
+}
+
 /// Mutation model applied to a seed sequence to derive its homolog.
 ///
 /// The defaults reproduce the human↔chimpanzee regime of the paper's
@@ -300,6 +330,37 @@ mod tests {
         // Roughly uniform base composition.
         let count_a = a.iter().filter(|&&c| c == b'A').count();
         assert!((150..350).contains(&count_a), "A count {count_a}");
+    }
+
+    #[test]
+    fn dna_is_deterministic() {
+        assert_eq!(dna(7, 64), dna(7, 64));
+        assert_eq!(dna(7, 64), random_dna(&mut StdRng::seed_from_u64(7), 64));
+        assert_eq!(dna(7, 40)[..], dna(7, 64)[..40]);
+    }
+
+    #[test]
+    fn dna_seeds_give_distinct_sequences() {
+        // Each seed has its own stream (an LCG started at `seed | 1` maps
+        // seeds 2k and 2k+1 to one sequence).
+        let seqs: Vec<Vec<u8>> = (0..64).map(|s| dna(s, 32)).collect();
+        for (i, x) in seqs.iter().enumerate() {
+            for (j, y) in seqs.iter().enumerate().skip(i + 1) {
+                assert_ne!(x, y, "seeds {i} and {j} give one sequence");
+            }
+        }
+    }
+
+    #[test]
+    fn generators_are_deterministic() {
+        let (a1, b1) = edited_pair(3, 200, 13);
+        let (a2, b2) = edited_pair(3, 200, 13);
+        assert_eq!(a1, a2);
+        assert_eq!(b1, b2);
+        assert_ne!(a1, b1);
+        assert_eq!(a1, dna(3, 200));
+        // 11 bases out, 7 in.
+        assert_eq!(b1.len(), 196);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use cudalign::obs::{validate_trace, Obs, TraceWriter};
 use cudalign::storage::fault as storage_fault;
 use cudalign::{Pipeline, PipelineConfig, PipelineResult, RunControl};
 use gpu_sim::exec::fault::{self as exec_fault, chaos_plan, ChaosPlan};
-use integration_tests::{edited_pair, lcg_dna};
+use seqio::generate::{dna, edited_pair};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -277,7 +277,8 @@ fn deadline_interrupts_and_resume_is_byte_identical() {
     let _disarm = DisarmAll;
     // A pair large enough that stage 1 cannot win the race against a
     // deadline that has already expired at the first poll.
-    let (a, b) = (lcg_dna(71, 1200), lcg_dna(71, 1200));
+    let a = dna(71, 1200);
+    let b = a.clone();
     let dir = fresh_dir("deadline");
     let mut cfg = PipelineConfig::for_tests();
     cfg.backend = SraBackend::Disk(dir.clone());

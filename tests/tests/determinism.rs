@@ -3,7 +3,7 @@
 
 use cudalign::{Pipeline, PipelineConfig};
 use gpu_sim::GridSpec;
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 
 #[test]
 fn repeated_runs_are_identical() {

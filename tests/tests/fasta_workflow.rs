@@ -3,8 +3,8 @@
 //! without losing information.
 
 use cudalign::{stage6, BinaryAlignment, Pipeline, PipelineConfig};
-use integration_tests::edited_pair;
 use seqio::fasta;
+use seqio::generate::edited_pair;
 use sw_core::Sequence;
 
 #[test]

@@ -3,7 +3,7 @@
 //! respect their configured budgets regardless of input size.
 
 use cudalign::{Pipeline, PipelineConfig};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 
 #[test]
 fn sra_and_sca_budgets_are_respected() {

@@ -5,7 +5,7 @@
 
 use baselines::{mm_local_align, quadratic_align, zalign};
 use cudalign::{Pipeline, PipelineConfig};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 use seqio::DatasetRegistry;
 use sw_core::Scoring;
 

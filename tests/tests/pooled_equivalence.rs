@@ -13,6 +13,7 @@ use gpu_sim::wavefront::{
 };
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
 use proptest::prelude::*;
+use seqio::generate;
 use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
 use sw_core::transcript::EdgeState;
@@ -187,19 +188,6 @@ enum Shape {
     FewStrips,
 }
 
-/// Deterministic DNA from a seed (the vendored proptest has no
-/// `prop_oneof`/`prop_flat_map`, so shape-dependent lengths are derived
-/// in plain code from generated knobs).
-fn dna_seeded(seed: u64, len: usize) -> Vec<u8> {
-    let mut x = seed | 1;
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b"ACGT"[(x >> 33) as usize & 3]
-        })
-        .collect()
-}
-
 /// Build one shape-classed case from raw generated knobs. `stretch` in
 /// `0..160` scales within each class's length band.
 fn shape_case(
@@ -223,8 +211,8 @@ fn shape_case(
         // Fewer strips than most swept worker counts.
         Shape::FewStrips => (100 + stretch, 60 + stretch / 2, 2),
     };
-    let a = dna_seeded(seed, a_len);
-    let b = dna_seeded(seed.rotate_left(17) ^ 0x9E37, b_len);
+    let a = generate::dna(seed, a_len);
+    let b = generate::dna(seed.rotate_left(17) ^ 0x9E37, b_len);
     (a, b, GridSpec { blocks, threads, alpha })
 }
 
@@ -303,8 +291,8 @@ proptest! {
         threads in 1usize..5, alpha in 1usize..4,
         batch_rows in 1usize..7,
     ) {
-        let a = dna_seeded(seed, 60 + stretch / 2);
-        let b = dna_seeded(seed.rotate_left(31) ^ 0xB5, 200 + stretch);
+        let a = generate::dna(seed, 60 + stretch / 2);
+        let b = generate::dna(seed.rotate_left(31) ^ 0xB5, 200 + stretch);
         let grid = GridSpec { blocks: 7, threads, alpha };
         let serial_job = RegionJob {
             a: &a, b: &b, scoring: Scoring::paper(), mode: Mode::Local,
@@ -476,8 +464,8 @@ impl gpu_sim::WavefrontObserver for Snapshots {
 /// and global.
 #[test]
 fn resume_inside_a_band_is_byte_identical() {
-    let a = dna_seeded(71, 1600);
-    let mut b = dna_seeded(72, 400);
+    let a = generate::dna(71, 1600);
+    let mut b = generate::dna(72, 400);
     b[100..300].copy_from_slice(&a[900..1100]);
     // 64-row blocks: 25 block rows over 4 block columns.
     let grid = GridSpec { blocks: 4, threads: 16, alpha: 4 };
@@ -651,8 +639,8 @@ proptest! {
         stop_knob in any::<u64>(),
     ) {
         let (threads, alpha) = WALK_BLOCKS[shape];
-        let a = dna_seeded(seed, threads * alpha * full_rows + tail % (threads * alpha));
-        let b = dna_seeded(seed.rotate_left(29) ^ 0x5A, width);
+        let a = generate::dna(seed, threads * alpha * full_rows + tail % (threads * alpha));
+        let b = generate::dna(seed.rotate_left(29) ^ 0x5A, width);
         let mode = if local { Mode::Local } else { Mode::global(EdgeState::Diagonal) };
         let job = RegionJob {
             a: &a, b: &b, scoring: Scoring::paper(), mode,
@@ -719,8 +707,8 @@ proptest! {
 /// every block it delivered matches the uninterrupted walk.
 #[test]
 fn walk_abort_mid_batch_reports_the_frontier() {
-    let a = dna_seeded(91, 640);
-    let b = dna_seeded(92, 300);
+    let a = generate::dna(91, 640);
+    let b = generate::dna(92, 300);
     for mode in [Mode::Local, Mode::global(EdgeState::Diagonal)] {
         let job = RegionJob {
             a: &a,

@@ -11,8 +11,8 @@ use cudalign::obs::{parse_json, validate_trace, Json, Obs};
 use cudalign::{Pipeline, PipelineConfig, PipelineResult, RunControl, TraceWriter};
 use gpu_sim::wavefront::{launch, Launch, RegionJob, RegionResult, WavefrontObserver};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, StripPlan, TileOutcome, WorkerPool};
-use integration_tests::{edited_pair, lcg_dna};
 use proptest::prelude::*;
+use seqio::generate::{dna, edited_pair};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
@@ -329,7 +329,7 @@ fn resumed_run_equals_the_pruned_fresh_run() {
 #[test]
 fn pruned_tiles_are_counted_on_homologous_pairs_only() {
     let homologous = edited_pair(5, 1_200, 17);
-    let unrelated = (lcg_dna(6, 1_200), lcg_dna(9, 1_100));
+    let unrelated = (dna(6, 1_200), dna(9, 1_100));
     // 64-row blocks keep unrelated bands taller than its best score.
     let cfg = PipelineConfig {
         grid1: GridSpec { blocks: 4, threads: 16, alpha: 4 },

@@ -5,8 +5,7 @@
 //! translocations).
 
 use cudalign::{Pipeline, PipelineConfig};
-use integration_tests::lcg_dna;
-use seqio::generate::{apply_block_ops, reverse_complement, BlockOp};
+use seqio::generate::{apply_block_ops, dna, reverse_complement, BlockOp};
 use sw_core::Scoring;
 
 fn align(a: &[u8], b: &[u8]) -> cudalign::PipelineResult {
@@ -17,7 +16,7 @@ fn align(a: &[u8], b: &[u8]) -> cudalign::PipelineResult {
 fn translocation_yields_largest_block() {
     // b = a with its first third moved to the end: the optimal local
     // alignment is the remaining collinear two-thirds.
-    let a = lcg_dna(61, 900);
+    let a = dna(61, 900);
     let third = a.len() / 3;
     let b = apply_block_ops(&a, &[BlockOp::Translocate { start: 0, len: third, to: 600 }]);
     let res = align(&a, &b);
@@ -36,7 +35,7 @@ fn inversion_breaks_collinearity() {
     // Inverting the middle block leaves two collinear flanks; the local
     // alignment picks one of them (the inverted block matches only on
     // the reverse complement strand, which plain SW does not see).
-    let a = lcg_dna(62, 900);
+    let a = dna(62, 900);
     let b = apply_block_ops(&a, &[BlockOp::Invert { start: 300, len: 300 }]);
     let res = align(&a, &b);
     let span = res.end.0 - res.start.0;
@@ -51,7 +50,7 @@ fn inversion_breaks_collinearity() {
 fn duplication_still_aligns_full_length() {
     // A tandem duplication inserts extra sequence; the alignment spans
     // the whole original by paying one gap run.
-    let a = lcg_dna(63, 600);
+    let a = dna(63, 600);
     let b = apply_block_ops(&a, &[BlockOp::Duplicate { start: 200, len: 80 }]);
     let res = align(&a, &b);
     let sc = Scoring::paper();
@@ -66,7 +65,7 @@ fn duplication_still_aligns_full_length() {
 fn deletion_splits_decision_by_size() {
     // Small deletion: bridge with a gap. Huge deletion: better to align
     // only the larger remaining block.
-    let a = lcg_dna(64, 800);
+    let a = dna(64, 800);
     let small = apply_block_ops(&a, &[BlockOp::Delete { start: 400, len: 20 }]);
     let res_small = align(&a, &small);
     assert!(res_small.transcript.stats().gap_extensions >= 19, "small deletion is bridged");

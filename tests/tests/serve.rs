@@ -8,7 +8,7 @@
 
 use cudalign::obs::validate_trace;
 use cudalign::{JobRequest, Pipeline, PipelineConfig, RunControl, ServeConfig, ServeError, Server};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 use std::time::Duration;
 
 /// Per-wait backstop: generous compared to the millisecond-scale jobs,

@@ -8,7 +8,7 @@ use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::obs::Obs;
 use cudalign::storage::fault;
 use cudalign::{Pipeline, PipelineConfig, PipelineError, RunControl};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 use std::path::{Path, PathBuf};
 use sw_core::full::sw_local_score;
 use sw_core::Scoring;

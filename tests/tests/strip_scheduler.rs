@@ -11,18 +11,9 @@ use cudalign::obs::validate_trace;
 use cudalign::{Obs, TraceWriter};
 use gpu_sim::wavefront::{launch, run_pooled, Launch, RegionJob};
 use gpu_sim::{GridSpec, Mode, StripEvent, StripPlan, WorkerPool};
+use seqio::generate::dna;
 use std::ops::ControlFlow;
 use sw_core::scoring::Scoring;
-
-fn dna(seed: u64, len: usize) -> Vec<u8> {
-    let mut x = seed | 1;
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            b"ACGT"[(x >> 33) as usize & 3]
-        })
-        .collect()
-}
 
 /// 16 block columns, 2 workers, 9 strips: one 8-column strip plus eight
 /// single-column strips.
@@ -195,7 +186,7 @@ fn every_steal_is_visible_in_validated_trace_ndjson() {
 /// those records appear in the `--trace` NDJSON via `Stage1Observer`.
 #[test]
 fn pipeline_trace_carries_strip_scheduler_records() {
-    use integration_tests::edited_pair;
+    use seqio::generate::edited_pair;
     let (a, b) = edited_pair(83, 400, 15);
     let mut tracer = TraceWriter::new(Vec::new());
     {

@@ -2,7 +2,7 @@
 //! the inputs must transform the result predictably.
 
 use cudalign::{Pipeline, PipelineConfig};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 
 #[test]
 fn transposing_inputs_preserves_score_and_mirrors_coordinates() {

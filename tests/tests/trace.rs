@@ -5,7 +5,7 @@
 use cudalign::config::{CheckpointPolicy, SraBackend};
 use cudalign::obs::validate_trace;
 use cudalign::{Obs, Pipeline, PipelineConfig, Progress, StageContext, TraceWriter};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 
 fn traced_run(cfg: PipelineConfig, a: &[u8], b: &[u8]) -> (String, cudalign::PipelineResult) {
     let mut tracer = TraceWriter::new(Vec::new());

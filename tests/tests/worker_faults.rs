@@ -6,7 +6,7 @@ use cudalign::{Pipeline, PipelineConfig, PipelineError};
 use gpu_sim::exec::fault;
 use gpu_sim::wavefront::{run_pooled, RegionJob};
 use gpu_sim::{BlockCoords, CellHE, CellHF, GridSpec, Mode, TileOutcome, WorkerPool};
-use integration_tests::edited_pair;
+use seqio::generate::edited_pair;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 use sw_core::scoring::Scoring;
