@@ -577,9 +577,9 @@ impl Pipeline {
         // (crashed) run resumes Stage 1 mid-matrix; completed special rows
         // are reopened when the backend is disk-based and in-flight row
         // segments are restored from the combined snapshot. A checkpoint
-        // that fails validation (truncated, bit-flipped, foreign job) is
-        // discarded and the run starts fresh — always correct, never
-        // resumed-from-garbage.
+        // that fails validation (truncated, bit-flipped, malformed, foreign
+        // job) is discarded and the run starts fresh — always correct,
+        // never resumed-from-garbage.
         let resume =
             cfg.checkpoint.as_ref().and_then(|ck| stage1::load_checkpoint(&ck.dir, fingerprint));
         let resuming = resume.is_some();
@@ -617,9 +617,7 @@ impl Pipeline {
             rows.persist_on_drop(true);
         }
         if let Some(p) = resume_partials {
-            if !rows.restore_partials(&p) {
-                return Err(PipelineError::Io("corrupt stage-1 checkpoint partials".into()));
-            }
+            rows.restore_partials(p);
         }
         let mut cols: LineStore<gpu_sim::CellHE> =
             LineStore::new(&cfg.backend, cfg.sca_bytes, "special-col", fingerprint)

@@ -142,6 +142,46 @@ struct Partial<T> {
     cells: Vec<Option<T>>,
 }
 
+/// In-flight lines parsed from [`LineStore::encode_partials`] output, for
+/// [`LineStore::restore_partials`]. Parsing whole before restoring means
+/// a malformed snapshot is rejected before any line of it is applied.
+pub struct Partials<T>(Vec<(usize, Partial<T>)>);
+
+impl<T: BusCell> Partials<T> {
+    /// Parse [`LineStore::encode_partials`] output; `None` on malformed
+    /// input.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut pos = 0usize;
+        let take = |pos: &mut usize, k: usize| -> Option<&[u8]> {
+            let s = bytes.get(*pos..pos.checked_add(k)?)?;
+            *pos += k;
+            Some(s)
+        };
+        let u = |pos: &mut usize| Some(u64::from_le_bytes(cell8(take(pos, 8)?)) as usize);
+        if take(&mut pos, 4)? != b"SRAP" {
+            return None;
+        }
+        let n = u(&mut pos)?;
+        let mut lines = Vec::new();
+        for _ in 0..n {
+            let (index, origin, len) = (u(&mut pos)?, u(&mut pos)?, u(&mut pos)?);
+            if bytes.len() - pos < len {
+                return None; // at least 1 byte per cell must remain
+            }
+            let mut cells: Vec<Option<T>> = Vec::with_capacity(len);
+            for _ in 0..len {
+                cells.push(match take(&mut pos, 1)?[0] {
+                    0 => None,
+                    _ => Some(T::decode(cell8(take(&mut pos, 8)?))),
+                });
+            }
+            let filled = cells.iter().filter(|c| c.is_some()).count();
+            lines.push((index, Partial { origin, filled, cells }));
+        }
+        Some(Partials(lines))
+    }
+}
+
 /// A budgeted store of special lines (rows or columns).
 pub struct LineStore<T: BusCell> {
     budget: u64,
@@ -475,58 +515,18 @@ impl<T: BusCell> LineStore<T> {
         out
     }
 
-    /// Restore in-flight lines from [`LineStore::encode_partials`] output.
-    /// Lines already completed (or tracked) in this store are skipped;
-    /// budget accounting is preserved. Returns `false` on malformed input.
-    #[must_use]
-    pub fn restore_partials(&mut self, bytes: &[u8]) -> bool {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, k: usize| -> Option<&[u8]> {
-            let s = bytes.get(*pos..*pos + k)?;
-            *pos += k;
-            Some(s)
-        };
-        let Some(magic) = take(&mut pos, 4) else { return false };
-        if magic != b"SRAP" {
-            return false;
+    /// Restore in-flight lines parsed from [`LineStore::encode_partials`]
+    /// output. Lines already completed (or tracked) in this store, and
+    /// lines over the budget, are skipped; budget accounting is preserved.
+    pub fn restore_partials(&mut self, partials: Partials<T>) {
+        for (index, p) in partials.0 {
+            let cost = CELL_BYTES * p.cells.len() as u64;
+            let tracked = self.lines.contains_key(&index) || self.partial.contains_key(&index);
+            if !tracked && self.used + cost <= self.budget {
+                self.used += cost;
+                self.partial.insert(index, p);
+            }
         }
-        let Some(nb) = take(&mut pos, 8) else { return false };
-        let n = u64::from_le_bytes(cell8(nb)) as usize;
-        for _ in 0..n {
-            let (Some(ib), Some(ob), Some(lb)) =
-                (take(&mut pos, 8), take(&mut pos, 8), take(&mut pos, 8))
-            else {
-                return false;
-            };
-            let index = u64::from_le_bytes(cell8(ib)) as usize;
-            let origin = u64::from_le_bytes(cell8(ob)) as usize;
-            let len = u64::from_le_bytes(cell8(lb)) as usize;
-            if bytes.len().saturating_sub(pos) < len {
-                return false; // at least 1 byte per cell must remain
-            }
-            let mut cells: Vec<Option<T>> = Vec::with_capacity(len);
-            let mut filled = 0usize;
-            for _ in 0..len {
-                let Some(tag) = take(&mut pos, 1) else { return false };
-                if tag[0] == 0 {
-                    cells.push(None);
-                } else {
-                    let Some(cb) = take(&mut pos, 8) else { return false };
-                    cells.push(Some(T::decode(cell8(cb))));
-                    filled += 1;
-                }
-            }
-            if self.lines.contains_key(&index) || self.partial.contains_key(&index) {
-                continue;
-            }
-            let cost = CELL_BYTES * len as u64;
-            if self.used + cost > self.budget {
-                continue;
-            }
-            self.used += cost;
-            self.partial.insert(index, Partial { origin, filled, cells });
-        }
-        true
     }
 
     /// Abandon all incomplete lines, refunding their budget. Stage 2 calls
@@ -929,7 +929,7 @@ mod partial_snapshot_tests {
 
         let mut fresh: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
-        assert!(fresh.restore_partials(&bytes));
+        fresh.restore_partials(Partials::decode(&bytes).expect("partials parse"));
         // Completing the restored partials yields identical lines.
         fresh.put_segment(8, 0, [hf(9)].into_iter());
         fresh.put_segment(8, 3, [hf(12), hf(13)].into_iter());
@@ -946,17 +946,15 @@ mod partial_snapshot_tests {
 
     #[test]
     fn restore_rejects_garbage_and_respects_budget() {
-        let mut store: LineStore<CellHF> =
-            LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
-        assert!(!store.restore_partials(b"nope"));
-        assert!(!store.restore_partials(b"SRAP\x01\x00\x00\x00\x00\x00\x00\x00"));
+        assert!(Partials::<CellHF>::decode(b"nope").is_none());
+        assert!(Partials::<CellHF>::decode(b"SRAP\x01\x00\x00\x00\x00\x00\x00\x00").is_none());
         // Oversized partial vs budget: skipped, not an error.
         let mut big: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         big.try_begin_line(1, 0, 100);
         let bytes = big.encode_partials();
         let mut tiny: LineStore<CellHF> = LineStore::new(&SraBackend::Memory, 64, "r", FP).unwrap();
-        assert!(tiny.restore_partials(&bytes));
+        tiny.restore_partials(Partials::decode(&bytes).expect("partials parse"));
         assert_eq!(tiny.bytes_used(), 0, "over-budget partial skipped");
     }
 
@@ -973,7 +971,7 @@ mod partial_snapshot_tests {
         b.try_begin_line(4, 0, 2);
         b.put_segment(4, 0, [hf(7), hf(8)].into_iter());
         let used = b.bytes_used();
-        assert!(b.restore_partials(&bytes));
+        b.restore_partials(Partials::decode(&bytes).expect("partials parse"));
         assert_eq!(b.bytes_used(), used, "no double accounting");
         assert_eq!(b.get(4).unwrap().unwrap().1[0].h, 7, "completed line untouched");
     }

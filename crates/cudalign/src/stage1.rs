@@ -9,7 +9,7 @@
 
 use crate::obs::{Event, Obs};
 use crate::pipeline::{StageContext, StageError};
-use crate::sra::{self, LineStore};
+use crate::sra::{self, LineStore, Partials};
 use crate::storage;
 use crate::supervise::RunControl;
 use gpu_sim::wavefront::{self, RegionJob};
@@ -165,8 +165,9 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
     /// Stage 1 reads no delivery order: its best is a total order, a
     /// special row is written by position and complete once its last
     /// block column lands (each row's blocks still arrive left to right),
-    /// and its triggers and ticks read the frontier. Checkpointed or
-    /// resumed runs keep diagonal order anyway (the engine requires it).
+    /// and its triggers and ticks read the frontier. Its checkpoints are
+    /// cuts at band boundaries, which any schedule writes and resumes, so
+    /// a checkpointed or resumed run on one lane takes the banded walk too.
     fn needs_diagonal_order(&self) -> bool {
         false
     }
@@ -234,14 +235,17 @@ pub fn encode_checkpoint(
     out
 }
 
-/// Parse a combined checkpoint back into `(engine state, partial bytes)`.
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<(gpu_sim::wavefront::EngineState, Vec<u8>)> {
+/// Parse a combined checkpoint back into `(engine state, in-flight
+/// rows)`; `None` when either part is malformed.
+pub fn decode_checkpoint(
+    bytes: &[u8],
+) -> Option<(gpu_sim::wavefront::EngineState, Partials<CellHF>)> {
     let rest = bytes.strip_prefix(b"CKS1")?;
     let (len_bytes, rest) = rest.split_at_checked(8)?;
     let engine_len = u64::from_le_bytes(len_bytes.try_into().ok()?) as usize;
     let (engine, partials) = rest.split_at_checked(engine_len)?;
     let state = gpu_sim::wavefront::EngineState::decode(engine)?;
-    Some((state, partials.to_vec()))
+    Some((state, Partials::decode(partials)?))
 }
 
 /// Load a combined checkpoint written by the Stage-1 observer: validate
@@ -252,7 +256,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<(gpu_sim::wavefront::EngineStat
 pub fn load_checkpoint(
     dir: &std::path::Path,
     fingerprint: u64,
-) -> Option<(gpu_sim::wavefront::EngineState, Vec<u8>)> {
+) -> Option<(gpu_sim::wavefront::EngineState, Partials<CellHF>)> {
     let bytes = storage::read_checksummed(&dir.join("stage1.ckpt"), fingerprint).ok()?;
     decode_checkpoint(&bytes)
 }
@@ -261,7 +265,7 @@ pub fn load_checkpoint(
 /// crash-resilience an 18-hour forward pass needs).
 ///
 /// * `resume` — an [`gpu_sim::wavefront::EngineState`] captured by a previous run; the
-///   wavefront continues from its diagonal. Special rows completed before
+///   wavefront continues from its cut. Special rows completed before
 ///   the checkpoint survive when `rows` was reopened from a disk backend
 ///   ([`LineStore::reopen`]); rows that were mid-flight at the checkpoint
 ///   are lost and simply not stored (the pipeline tolerates any subset of
@@ -343,7 +347,9 @@ pub fn run(
         // The partial best score MUST NOT leak out as a result — that
         // would be a silently wrong alignment. Surface the typed error
         // for the winning cause; with checkpointing on, the caller
-        // resumes from the last snapshot.
+        // resumes from the last snapshot. `diagonals_run` is how far this
+        // launch moved the frontier past the resumed cut's, so the sum is
+        // the absolute frontier on every schedule.
         let diagonal = resumed_from_diagonal + res.diagonals_run;
         ctrl.check(diagonal)?;
         return Err(StageError::Interrupted { diagonal });
@@ -543,7 +549,7 @@ mod resume_tests {
         // Resume: reopen the surviving rows, restore in-flight segments,
         // continue from the snapshot.
         let mut rows = LineStore::<CellHF>::reopen(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
-        assert!(rows.restore_partials(&partials), "partials restore");
+        rows.restore_partials(partials);
         let survived_before = rows.len();
         let resumed =
             run(&mut StageContext::new(&a, &b, &cfg, &pool), &mut rows, Some(snap), None).unwrap();

@@ -99,6 +99,14 @@ impl gpu_sim::WavefrontObserver for BandObserver<'_> {
         }
         ControlFlow::Continue(())
     }
+
+    /// The band reads only the right borders of its last block column,
+    /// which every schedule delivers in row order (each block follows the
+    /// one above it), so the first match, the crosspoint, is the same on
+    /// all of them. One lane then takes the banded walk.
+    fn needs_diagonal_order(&self) -> bool {
+        false
+    }
 }
 
 /// Refine one partition with its stored special columns; returns the new

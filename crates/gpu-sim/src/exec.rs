@@ -54,7 +54,7 @@ pub enum ExecError {
     /// A job panicked; the payload is the panic message of the first
     /// panicking job (later jobs in the same scope were cancelled).
     WorkerPanic(String),
-    /// A resume snapshot belongs to another job
+    /// A resume snapshot belongs to another job or is malformed
     /// ([`crate::wavefront::EngineState::matches`]).
     ForeignCheckpoint,
     /// A strip plan does not cover the grid

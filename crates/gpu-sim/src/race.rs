@@ -138,9 +138,9 @@ pub fn take_report() -> Vec<Violation> {
 #[derive(Debug, Clone, Copy)]
 struct WriteRec {
     source: Source,
-    /// Barrier epoch: `diagonal + 1` for block writes, the session's
-    /// resume diagonal for border/restored cells. A read on diagonal `d`
-    /// is ordered iff the record's epoch is `<= d`.
+    /// Barrier epoch: `diagonal + 1` for block writes, 0 for
+    /// border/restored cells. A read on diagonal `d` is ordered iff the
+    /// record's epoch is `<= d`.
     epoch: usize,
     /// Pool lane that performed the write (diagnostic tag).
     lane: usize,
@@ -149,12 +149,12 @@ struct WriteRec {
 }
 
 struct Inner {
-    /// Diagonal the engine started from (0 for a fresh run); everything
-    /// on earlier diagonals is border/restored state.
-    base: usize,
-    /// Block grid shape, for corner-table indexing.
+    /// Completed block rows per block column at launch (all 0 for a fresh
+    /// run): every block of this cut is border/restored state. Its length
+    /// is the grid's block-column count.
+    cut: Vec<usize>,
+    /// Block rows of the grid, for corner-table bounds.
     block_rows: usize,
-    block_cols: usize,
     /// Last writer per horizontal-bus cell (one per DP column).
     h: Vec<WriteRec>,
     /// Last writer per vertical-bus cell (one per DP row).
@@ -179,18 +179,17 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session for a grid of `block_rows x block_cols` blocks over an
-    /// `m x n` DP matrix, starting (or resuming) at diagonal `base`.
-    pub fn new(m: usize, n: usize, block_rows: usize, block_cols: usize, base: usize) -> Session {
-        let border = WriteRec { source: Source::Border, epoch: base, lane: 0, seq: 0 };
+    /// A session for a grid of `block_rows x cut.len()` blocks over an
+    /// `m x n` DP matrix, starting (or resuming) at `cut`.
+    pub fn new(m: usize, n: usize, block_rows: usize, cut: &[usize]) -> Session {
+        let border = WriteRec { source: Source::Border, epoch: 0, lane: 0, seq: 0 };
         Session {
             inner: Mutex::new(Inner {
-                base,
+                cut: cut.to_vec(),
                 block_rows,
-                block_cols,
                 h: vec![border; n],
                 v: vec![border; m],
-                corners: vec![border; (block_rows + 1) * (block_cols + 1)],
+                corners: vec![border; (block_rows + 1) * (cut.len() + 1)],
                 strip_bounds: Vec::new(),
                 strip_published: Vec::new(),
             }),
@@ -231,21 +230,21 @@ impl Session {
         (v0, len_v): (usize, usize),
     ) {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let base = inner.base;
         // The grid's scheduled producers. A first-row/column block reads
-        // border state; so does any block whose producer ran before the
-        // resume point (its writes were restored from the checkpoint).
-        let expect_h = if r == 0 || d == base {
+        // border state; so does any block whose producer is in the resumed
+        // cut (its writes were restored from the checkpoint).
+        let restored = |r: usize, c: usize| r < inner.cut[c];
+        let expect_h = if r == 0 || restored(r - 1, c) {
             Source::Border
         } else {
             Source::Block { r: r - 1, c, diagonal: d - 1 }
         };
-        let expect_v = if c == 0 || d == base {
+        let expect_v = if c == 0 || restored(r, c - 1) {
             Source::Border
         } else {
             Source::Block { r, c: c - 1, diagonal: d - 1 }
         };
-        let expect_corner = if r == 0 || c == 0 || d < base + 2 {
+        let expect_corner = if r == 0 || c == 0 || restored(r - 1, c - 1) {
             Source::Border
         } else {
             Source::Block { r: r - 1, c: c - 1, diagonal: d - 2 }
@@ -257,7 +256,7 @@ impl Session {
         for (i, rec) in inner.v.iter().enumerate().skip(v0).take(len_v) {
             check_read(&mut pending, "vbus", i, rec, expect_v, r, c, d);
         }
-        let ci = r * (inner.block_cols + 1) + c;
+        let ci = r * (inner.cut.len() + 1) + c;
         if let Some(rec) = inner.corners.get(ci) {
             check_read(&mut pending, "corner", ci, rec, expect_corner, r, c, d);
         }
@@ -265,8 +264,9 @@ impl Session {
         // left strip's border, which is only handed off once that strip
         // publishes rows covering `r + 1`. The shadow counter is updated
         // before the real one, so an uncovered read means the engine let a
-        // consumer through before its producer's publish.
-        if !inner.strip_bounds.is_empty() && c > 0 && d > base {
+        // consumer through before its producer's publish. Restored rows
+        // count as published from the start.
+        if !inner.strip_bounds.is_empty() && c > 0 {
             let s = inner.strip_bounds.iter().skip(1).position(|&b| c < b).unwrap_or(0);
             if s > 0 && inner.strip_bounds[s] == c {
                 let covered = inner.strip_published.get(s - 1).copied().unwrap_or(0);
@@ -322,8 +322,8 @@ impl Session {
             check_write(&mut pending, "vbus", i, &inner.v[i], &rec);
             inner.v[i] = rec;
         }
-        if r < inner.block_rows && c < inner.block_cols {
-            let ci = (r + 1) * (inner.block_cols + 1) + (c + 1);
+        if r < inner.block_rows && c < inner.cut.len() {
+            let ci = (r + 1) * (inner.cut.len() + 1) + (c + 1);
             check_write(&mut pending, "corner", ci, &inner.corners[ci], &rec);
             inner.corners[ci] = rec;
         }

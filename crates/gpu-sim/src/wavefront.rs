@@ -36,15 +36,22 @@
 //! that order ([`WavefrontObserver::needs_diagonal_order`]) takes a third
 //! schedule instead:
 //!
-//! * **Banded walk** (order-free serial runs without a watch, checkpoints
-//!   or resume): walk the grid one publish batch of
-//!   [`DEFAULT_BATCH_ROWS`] block rows at a time, column by column, each
-//!   column's share of the batch one band computed straight into the
-//!   live buses, and deliver each block right after its band. Blocks then
-//!   arrive in walk order; [`BlockCoords::frontier`] tells the observer
-//!   which diagonals are complete.
+//! * **Banded walk** (order-free serial runs without a watch): walk the
+//!   grid one publish batch of [`DEFAULT_BATCH_ROWS`] block rows at a
+//!   time, column by column, each column's share of the batch one band
+//!   computed straight into the live buses, and deliver each block right
+//!   after its band. Blocks then arrive in walk order;
+//!   [`BlockCoords::frontier`] tells the observer which diagonals are
+//!   complete.
 //!
-//! A local run that takes the banded walk at one lane (no watch,
+//! Checkpoints and resume do not pick the schedule. A snapshot
+//! ([`EngineState`]) holds a *cut*, the completed block rows of each
+//! block column; any prefix of any schedule's delivery order that ends on
+//! a band boundary is one. Every schedule skips the blocks of a resumed
+//! cut and offers snapshots at band boundaries ([`Launch::checkpoint_every`]),
+//! so a snapshot from one schedule or worker count resumes under any other.
+//!
+//! A fresh local run that takes the banded walk at one lane (no watch,
 //! checkpoints or resume, an order-free observer) also *prunes* when its
 //! observer allows it ([`WavefrontObserver::allows_pruning`]): a band
 //! that no path can carry to the best score found up and to its left is
@@ -113,9 +120,10 @@ pub trait WavefrontObserver {
         right: &[CellHE],
     ) -> ControlFlow<()>;
 
-    /// Called between external diagonals at the cadence configured by
+    /// Called at a band boundary at the cadence configured by
     /// [`Launch::checkpoint_every`], with a snapshot the observer may
-    /// persist. Default: ignore.
+    /// persist: every block delivered before the call is in its cut, no
+    /// later one is. Default: ignore.
     fn on_checkpoint(&mut self, _state: &EngineState) {}
 
     /// Called for strip-scheduler protocol events (claims, steals, border
@@ -128,8 +136,8 @@ pub trait WavefrontObserver {
     /// `false` only when its results do not depend on the order blocks
     /// arrive in (beyond each block following its upper and left
     /// neighbours) and it reads progress from [`BlockCoords::frontier`].
-    /// A serial run without a watch, checkpoints or resume then takes the
-    /// banded walk (see the module docs). Default: `true`.
+    /// A serial run without a watch then takes the banded walk (see the
+    /// module docs). Default: `true`.
     fn needs_diagonal_order(&self) -> bool {
         true
     }
@@ -349,15 +357,14 @@ pub struct RegionResult {
     /// Of [`RegionResult::cells`], the cells of pruned blocks, which no
     /// kernel computed.
     pub pruned_cells: u64,
-    /// External diagonals executed. On an aborted banded walk, the
-    /// completed-diagonal frontier ([`BlockCoords::frontier`]) instead:
-    /// the walk starts diagonals out of order, so only the count of
-    /// fully delivered ones means anything.
+    /// External diagonals this launch completed: how far it moved the
+    /// completed-diagonal frontier ([`BlockCoords::frontier`]) past the
+    /// resumed cut's ([`EngineState::next_diagonal`], 0 on a fresh run).
     pub diagonals_run: usize,
     /// True when an observer aborted the launch.
     pub aborted: bool,
-    /// Number of block executions (busy block-slots summed over
-    /// diagonals). See [`RegionResult::utilization`].
+    /// Blocks completed, restored ones included (busy block-slots summed
+    /// over diagonals). See [`RegionResult::utilization`].
     pub busy_slots: u64,
     /// Final horizontal bus: frontier `H`/`F` per column (row `m` for every
     /// column when the launch ran to completion).
@@ -398,15 +405,26 @@ impl RegionResult {
     }
 }
 
-/// Serializable execution state between two external diagonals — the
+/// Serializable execution state at a completed *cut* — the
 /// checkpoint/resume support an 18-hour Stage 1 needs (the real CUDAlign
 /// gained incremental execution in its follow-on versions).
+///
+/// The cut is the set of completed blocks: the first `cut[c]` block rows
+/// of each block column `c`. It never increases from left to right, so
+/// every block in it has its upper and left neighbours in it too, and
+/// the buses hold exactly the borders the blocks outside it read next.
+/// Any schedule resumes any cut; see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// Fingerprint of the job this state belongs to: `(m, n, B, T, alpha)`.
     pub fingerprint: (u64, u64, u64, u64, u64),
-    /// Next external diagonal to execute.
+    /// The cut's frontier: the lowest external diagonal that still holds
+    /// a block outside the cut.
     pub next_diagonal: usize,
+    /// Completed block rows per block column, never increasing from left
+    /// to right. Empty in a blob an earlier build wrote (magic `CKPT`):
+    /// those hold the diagonal cut at [`EngineState::next_diagonal`].
+    pub cut: Vec<usize>,
     /// Horizontal bus contents.
     pub hbus: Vec<CellHF>,
     /// Vertical bus contents.
@@ -417,40 +435,61 @@ pub struct EngineState {
     pub best: Option<(Score, usize, usize)>,
     /// Cells processed so far.
     pub cells: u64,
-    /// Busy block-slots so far.
+    /// Blocks in the cut.
     pub busy_slots: u64,
 }
 
 impl EngineState {
-    /// The state of `job` between its diagonals `< next_diagonal` and the
-    /// rest. Every schedule builds its snapshots here, so a blob does not
-    /// depend on the schedule (or worker count) that wrote it.
+    /// The state of `job` at `progress`'s cut. Every schedule builds its
+    /// snapshots here, so a blob does not depend on the schedule (or
+    /// worker count) that wrote it.
     fn snapshot(
         job: &RegionJob<'_>,
-        next_diagonal: usize,
         hbus: &[CellHF],
         vbus: &[CellHE],
         corners: &[Score],
         totals: &Totals,
-        busy_slots: u64,
+        progress: &Progress,
     ) -> Self {
         EngineState {
             fingerprint: Self::fingerprint_of(job),
-            next_diagonal,
+            next_diagonal: progress.front,
+            cut: progress.cut.clone(),
             hbus: hbus.to_vec(),
             vbus: vbus.to_vec(),
             corners: corners.to_vec(),
             best: totals.best,
             cells: totals.cells,
-            busy_slots,
+            busy_slots: progress.blocks_done(),
         }
     }
 
-    /// Does this snapshot belong to `job`? Callers should check before
-    /// resuming; [`launch`] returns [`ExecError::ForeignCheckpoint`] on a
-    /// mismatch.
+    /// Does this snapshot belong to `job`, and is it well formed: buses
+    /// and corners of the job's shape, and a cut of its grid whose
+    /// frontier is `next_diagonal`? Callers should check before resuming;
+    /// [`launch`] returns [`ExecError::ForeignCheckpoint`] otherwise.
     pub fn matches(&self, job: &RegionJob<'_>) -> bool {
+        let layout = job.grid.layout(job.a.len(), job.b.len());
+        let (br, bc) = (layout.block_rows, layout.block_cols);
+        let cut = self.cut_on(&layout);
         self.fingerprint == Self::fingerprint_of(job)
+            && self.hbus.len() == layout.n
+            && self.vbus.len() == layout.m
+            && self.corners.len() == (br + 1) * (bc + 1)
+            && cut.len() == bc
+            && cut.first().is_some_and(|&k| k <= br)
+            && cut.windows(2).all(|w| w[0] >= w[1])
+            && Progress::new(&layout, cut).front == self.next_diagonal
+    }
+
+    /// The cut on `layout`, reading an empty one as the diagonal cut at
+    /// `next_diagonal`.
+    fn cut_on(&self, layout: &GridLayout) -> Vec<usize> {
+        if !self.cut.is_empty() {
+            return self.cut.clone();
+        }
+        let d = self.next_diagonal;
+        (0..layout.block_cols).map(|c| d.saturating_sub(c).min(layout.block_rows)).collect()
     }
 
     fn fingerprint_of(job: &RegionJob<'_>) -> (u64, u64, u64, u64, u64) {
@@ -494,12 +533,14 @@ impl EngineState {
         )
     }
 
-    /// Serialize (little-endian, self-describing lengths).
+    /// Serialize (little-endian, self-describing lengths). The layout is
+    /// that of earlier builds' `CKPT` blobs with the cut appended, under
+    /// the magic `CKPC`, which those builds reject.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
-            64 + 8 * (self.hbus.len() + self.vbus.len()) + 4 * self.corners.len(),
+            72 + 8 * (self.hbus.len() + self.vbus.len() + self.cut.len()) + 4 * self.corners.len(),
         );
-        out.extend_from_slice(b"CKPT");
+        out.extend_from_slice(b"CKPC");
         for v in [
             self.fingerprint.0,
             self.fingerprint.1,
@@ -535,12 +576,17 @@ impl EngineState {
         for &c in &self.corners {
             out.extend_from_slice(&c.to_le_bytes());
         }
+        out.extend_from_slice(&(self.cut.len() as u64).to_le_bytes());
+        for &k in &self.cut {
+            out.extend_from_slice(&(k as u64).to_le_bytes());
+        }
         out
     }
 
-    /// Deserialize; `None` on any structural mismatch. Trailing bytes are
-    /// ignored, so blobs that earlier builds wrote with a `STRP` schedule
-    /// tailer still decode.
+    /// Deserialize; `None` on any structural mismatch. A `CKPT` blob from
+    /// an earlier build decodes with an empty cut (its diagonal cut).
+    /// Trailing bytes are ignored, so blobs that earlier builds wrote with
+    /// a `STRP` schedule tailer still decode.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, k: usize| -> Option<&[u8]> {
@@ -548,11 +594,16 @@ impl EngineState {
             *pos += k;
             Some(s)
         };
-        if take(&mut pos, 4)? != b"CKPT" {
-            return None;
-        }
+        let has_cut = match take(&mut pos, 4)? {
+            b"CKPC" => true,
+            b"CKPT" => false,
+            _ => return None,
+        };
         let u = |pos: &mut usize| -> Option<u64> {
             Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
+        };
+        let s = |pos: &mut usize| -> Option<Score> {
+            Some(Score::from_le_bytes(take(pos, 4)?.try_into().ok()?))
         };
         let fp = (u(&mut pos)?, u(&mut pos)?, u(&mut pos)?, u(&mut pos)?, u(&mut pos)?);
         let next_diagonal = u(&mut pos)? as usize;
@@ -573,32 +624,19 @@ impl EngineState {
         }
         let best = match take(&mut pos, 1)?[0] {
             0 => None,
-            _ => {
-                let s = Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-                let i = u(&mut pos)? as usize;
-                let j = u(&mut pos)? as usize;
-                Some((s, i, j))
-            }
+            _ => Some((s(&mut pos)?, u(&mut pos)? as usize, u(&mut pos)? as usize)),
         };
-        let mut hbus = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            let h = Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            let f = Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            hbus.push(CellHF { h, f });
-        }
-        let mut vbus = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            let h = Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            let e = Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            vbus.push(CellHE { h, e });
-        }
-        let mut corners = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            corners.push(Score::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?));
-        }
+        let hbus = (0..nh).map(|_| Some(CellHF { h: s(&mut pos)?, f: s(&mut pos)? }));
+        let hbus = hbus.collect::<Option<Vec<_>>>()?;
+        let vbus = (0..nv).map(|_| Some(CellHE { h: s(&mut pos)?, e: s(&mut pos)? }));
+        let vbus = vbus.collect::<Option<Vec<_>>>()?;
+        let corners = (0..nc).map(|_| s(&mut pos)).collect::<Option<Vec<_>>>()?;
+        let nk = if has_cut { u(&mut pos)? } else { 0 };
+        let cut = (0..nk).map(|_| Some(u(&mut pos)? as usize)).collect::<Option<Vec<_>>>()?;
         Some(EngineState {
             fingerprint: fp,
             next_diagonal,
+            cut,
             hbus,
             vbus,
             corners,
@@ -614,11 +652,15 @@ impl EngineState {
 /// picks — what [`run_pooled`] runs.
 #[derive(Debug, Default)]
 pub struct Launch<'t> {
-    /// Resume from this snapshot instead of the region's borders. It must
-    /// belong to the job ([`EngineState::matches`]).
+    /// Resume from this snapshot instead of the region's borders: skip
+    /// the blocks of its cut. It must belong to the job
+    /// ([`EngineState::matches`]).
     pub resume: Option<EngineState>,
-    /// Offer [`WavefrontObserver::on_checkpoint`] a snapshot every this
-    /// many external diagonals.
+    /// Offer [`WavefrontObserver::on_checkpoint`] a snapshot at the first
+    /// band boundary where the completed-diagonal frontier has moved this
+    /// many external diagonals past the last offer (or the launch's
+    /// start), while blocks remain. Neither this nor `resume` changes the
+    /// schedule; both turn pruning off.
     pub checkpoint_every: Option<usize>,
     /// Run the column-strip scheduler on this plan, including ragged
     /// plans with more strips than workers (whole-strip work stealing).
@@ -626,16 +668,15 @@ pub struct Launch<'t> {
     /// derives the schedule from the worker count.
     pub plan: Option<StripPlan>,
     /// Supervision token, polled cooperatively by every schedule: the
-    /// diagonal loop between external diagonals, the banded walk between
-    /// bands, the strip engine in its delivery loop (which in turn wakes
-    /// parked runners through the protocol condvars). A cancelled launch
-    /// first emits one final [`WavefrontObserver::on_checkpoint`] with the
-    /// state at the last completed diagonal boundary (when checkpointing
-    /// is enabled), so cancellation is always resumable, then returns
-    /// with [`RegionResult::aborted`] set. Workers bump the token's
-    /// heartbeat on every computed block / published border, which is
-    /// what the stall watchdog observes — no clock is read anywhere in
-    /// here.
+    /// serial ones between bands, the strip engine in its delivery loop
+    /// (which in turn wakes parked runners through the protocol
+    /// condvars). A cancelled launch first emits one final
+    /// [`WavefrontObserver::on_checkpoint`] with its current cut (when
+    /// checkpointing is enabled), so cancellation is always resumable,
+    /// then returns with [`RegionResult::aborted`] set. Workers bump the
+    /// token's heartbeat on every computed block / published border,
+    /// which is what the stall watchdog observes — no clock is read
+    /// anywhere in here.
     pub token: Option<&'t CancelToken>,
 }
 
@@ -666,7 +707,7 @@ pub fn run_pooled(
 /// and stages 2-3 size `workers` with [`region_workers`].
 ///
 /// # Errors
-/// [`ExecError::ForeignCheckpoint`] when `opts.resume` belongs to another
+/// [`ExecError::ForeignCheckpoint`] when `opts.resume` does not match the
 /// job and [`ExecError::PlanMismatch`] when `opts.plan` does not cover the
 /// grid, both before any block runs; [`ExecError::WorkerPanic`] when a
 /// worker panics.
@@ -712,42 +753,41 @@ pub fn launch(
 
     let workers = pool.lanes_for(job.workers);
 
-    // A launch needs diagonal order when its observer reads it, when it
-    // is watched (stage 2 breaks at the first hit in diagonal order), or
-    // when it checkpoints or resumes (both are diagonal boundaries).
-    // Without any of these, one lane takes the banded walk, and a local
-    // run whose observer allows it prunes on every schedule.
-    let order_free = resume.is_none()
+    // A launch needs diagonal order when its observer reads it or when it
+    // is watched (stage 2 breaks at the first hit in diagonal order).
+    // Otherwise one lane takes the banded walk. A fresh local run without
+    // checkpoints whose observer allows it also prunes, on every schedule.
+    let order_free = job.watch.is_none() && !observer.needs_diagonal_order();
+    let prune = order_free
+        && resume.is_none()
         && checkpoint_every.is_none()
-        && job.watch.is_none()
-        && !observer.needs_diagonal_order();
-    let prune = order_free && job.mode.is_local() && observer.allows_pruning();
+        && job.mode.is_local()
+        && observer.allows_pruning();
     let cone = prune.then(|| vec![0 as Score; (br + 1) * (bc + 1)]);
 
     let mut totals = Totals::default();
-    let mut busy_slots = 0u64;
-    let mut first_diagonal = 0usize;
+    let mut cut = vec![0; bc];
     if let Some(state) = resume {
+        cut = state.cut_on(&layout);
         hbus = state.hbus;
         vbus = state.vbus;
         corners = state.corners;
         totals.best = state.best;
         totals.cells = state.cells;
-        busy_slots = state.busy_slots;
-        first_diagonal = state.next_diagonal;
     }
+    let progress = Progress::new(&layout, cut);
 
     // One detector session per engine run: shadow last-writer state for
     // every bus cell, checked against the grid's scheduled producers.
     #[cfg(feature = "race-check")]
-    let race_session = crate::race::Session::new(m, n, br, bc, first_diagonal);
+    let race_session = crate::race::Session::new(m, n, br, &progress.cut);
 
     // Column-strip dispatch: an explicit plan forces the strip engine;
     // otherwise it engages whenever more than one worker meets more than
     // one block column (the only shape where scheduling matters). The
     // serial fallback below also covers resume-at-end, which has no work.
     let strip_plan = match plan {
-        None if workers > 1 && bc > 1 && first_diagonal < layout.diagonals() => {
+        None if workers > 1 && bc > 1 && !progress.finished() => {
             Some(StripPlan::balanced(bc, workers))
         }
         plan => plan,
@@ -759,11 +799,9 @@ pub fn launch(
             layout: &layout,
             plan: &plan,
             workers,
-            first_diagonal,
             checkpoint_every,
-            init_best: totals.best,
-            init_cells: totals.cells,
-            init_busy: busy_slots,
+            totals,
+            progress,
             token,
             #[cfg(feature = "race-check")]
             race: &race_session,
@@ -779,26 +817,23 @@ pub fn launch(
         corners,
         cone,
         totals,
-        busy_slots,
+        progress,
+        checkpoint_every,
         // One run-wide profile cache: consecutive bands share query rows.
         bands: BandState::default(),
         token,
         #[cfg(feature = "race-check")]
         race: &race_session,
     };
-    let (diagonals_run, aborted) = if order_free {
-        serial.walk(observer)
-    } else {
-        serial.diagonals(observer, first_diagonal, checkpoint_every)
-    };
+    let aborted = if order_free { serial.walk(observer) } else { serial.diagonals(observer) };
 
     Ok(RegionResult {
         best: serial.totals.best,
         cells: serial.totals.cells,
         pruned_cells: serial.totals.pruned_cells,
-        diagonals_run,
+        diagonals_run: serial.progress.front - serial.progress.start,
         aborted,
-        busy_slots: serial.busy_slots,
+        busy_slots: serial.progress.blocks_done(),
         hbus: serial.hbus,
         vbus: serial.vbus,
         layout,
@@ -833,6 +868,72 @@ impl Totals {
     }
 }
 
+/// Which blocks of a launch are complete: the cut ([`EngineState::cut`])
+/// and the completed-diagonal frontier it implies. Every schedule keeps
+/// one over the blocks it delivers, so resume, checkpoints, progress and
+/// [`RegionResult::diagonals_run`] follow one rule on all of them.
+struct Progress {
+    /// Completed block rows per block column.
+    cut: Vec<usize>,
+    /// Per external diagonal: its blocks outside the cut.
+    open: Vec<usize>,
+    /// The lowest diagonal with a block outside the cut (`open.len()`
+    /// when none is left): the completed-diagonal frontier.
+    front: usize,
+    /// The frontier at launch.
+    start: usize,
+    /// The frontier at the last checkpoint offer, or at launch.
+    offered: usize,
+}
+
+impl Progress {
+    fn new(layout: &GridLayout, cut: Vec<usize>) -> Progress {
+        let mut open = vec![0; layout.diagonals()];
+        for (c, &done) in cut.iter().enumerate() {
+            for r in done..layout.block_rows {
+                open[r + c] += 1;
+            }
+        }
+        let front = open.iter().position(|&k| k > 0).unwrap_or(open.len());
+        Progress { cut, open, front, start: front, offered: front }
+    }
+
+    /// Is block `(r, c)` in the cut?
+    fn done(&self, r: usize, c: usize) -> bool {
+        r < self.cut[c]
+    }
+
+    /// Add block `(r, c)`, the next block of its column, to the cut.
+    /// Returns the frontier it is delivered at (before it completes).
+    fn complete(&mut self, r: usize, c: usize) -> usize {
+        let at = self.front;
+        self.cut[c] = r + 1;
+        self.open[r + c] -= 1;
+        while self.open.get(self.front) == Some(&0) {
+            self.front += 1;
+        }
+        at
+    }
+
+    /// Is a snapshot due under `every`: blocks remain, and the frontier
+    /// has moved `every` diagonals past the last offer? Records the offer.
+    fn checkpoint_due(&mut self, every: Option<usize>) -> bool {
+        let due = every.is_some_and(|e| !self.finished() && self.front >= self.offered + e.max(1));
+        self.offered = if due { self.front } else { self.offered };
+        due
+    }
+
+    /// Is every block in the cut?
+    fn finished(&self) -> bool {
+        self.front == self.open.len()
+    }
+
+    /// Blocks in the cut.
+    fn blocks_done(&self) -> u64 {
+        self.cut.iter().sum::<usize>() as u64
+    }
+}
+
 /// One lane's reusable kernel state for [`compute_band`]: its query-profile
 /// cache, and the cut rows of a band with the bus rows reported at them.
 #[derive(Default)]
@@ -847,8 +948,7 @@ struct BandState {
 /// horizontal-bus segment, and `vseg`, the vertical bus over the band's
 /// rows. Then hand each block to `each`, in row order, with its outcome,
 /// its bottom border (the cut row, or `hseg` for the last block) and its
-/// right border (its share of `vseg`). Stops at the first `Break` and
-/// returns the block row that broke.
+/// right border (its share of `vseg`). Stops at the first `Break`.
 ///
 /// A band commits all its blocks on one rung. Its best (and watch hit)
 /// goes to the block whose rows hold it, which is enough for the region's
@@ -886,7 +986,7 @@ fn compute_band(
     vseg: &mut [CellHE],
     st: &mut BandState,
     mut each: impl FnMut(usize, &TileOutcome, &[CellHF], &[CellHE]) -> ControlFlow<()>,
-) -> ControlFlow<usize> {
+) -> ControlFlow<()> {
     let (r0, r_last) = (rows.start, rows.end - 1);
     let (rs, _) = layout.row_range(r0);
     let (_, re) = layout.row_range(r_last);
@@ -949,9 +1049,7 @@ fn compute_band(
             cells: (height * width) as u64,
             path: out.path,
         };
-        if each(k, &outcome, bottom, &vseg[brs - rs..brs - rs + height]).is_break() {
-            return ControlFlow::Break(k);
-        }
+        each(k, &outcome, bottom, &vseg[brs - rs..brs - rs + height])?;
     }
     ControlFlow::Continue(())
 }
@@ -1039,25 +1137,6 @@ fn band_end(layout: &GridLayout, watched: bool, c: usize, r: usize, batch_end: u
     (r + 1..batch_end).find(|&k| !tall(k)).unwrap_or(batch_end)
 }
 
-/// The banded walk's completed-diagonal frontier when block `(r, c)` of
-/// the publish batch `batch` is the next to deliver: the lowest diagonal
-/// that still holds an undelivered block (rows `r..` of column `c`, the
-/// batch's rows right of `c`, every later batch), or `layout.diagonals()`
-/// when none is left.
-fn walk_frontier(layout: &GridLayout, batch: Range<usize>, r: usize, c: usize) -> usize {
-    let mut front = layout.diagonals();
-    if r < batch.end {
-        front = front.min(r + c);
-    }
-    if c + 1 < layout.block_cols {
-        front = front.min(batch.start + c + 1);
-    }
-    if batch.end < layout.block_rows {
-        front = front.min(batch.end);
-    }
-    front
-}
-
 /// The bus segments block `(r, c)` reads and writes, 0-based: `(first
 /// column, width)` of the horizontal bus and `(first row, height)` of the
 /// vertical bus.
@@ -1105,8 +1184,8 @@ fn replay_phantom(race: &crate::race::Session, layout: &GridLayout, r: usize, c:
     race_writes(race, layout, r, c, true);
 }
 
-/// The serial schedules' state: live buses, corners and totals, on the
-/// calling thread.
+/// The serial schedules' state: live buses, corners, totals and cut, on
+/// the calling thread.
 struct Serial<'r, 'j> {
     job: &'r RegionJob<'j>,
     layout: GridLayout,
@@ -1116,7 +1195,8 @@ struct Serial<'r, 'j> {
     /// The cone table of a pruning launch ([`cone_bound`]).
     cone: Option<Vec<Score>>,
     totals: Totals,
-    busy_slots: u64,
+    progress: Progress,
+    checkpoint_every: Option<usize>,
     bands: BandState,
     token: Option<&'r CancelToken>,
     #[cfg(feature = "race-check")]
@@ -1125,101 +1205,92 @@ struct Serial<'r, 'j> {
 
 impl Serial<'_, '_> {
     /// The canonical schedule: external diagonals in order, each
-    /// diagonal's blocks in ascending column, one block per band. Polls
-    /// the token and offers checkpoints between diagonals. Returns
-    /// `(diagonals run, aborted)`.
-    fn diagonals(
-        &mut self,
-        observer: &mut dyn WavefrontObserver,
-        first_diagonal: usize,
-        checkpoint_every: Option<usize>,
-    ) -> (usize, bool) {
+    /// diagonal's blocks outside the cut in ascending column, one block
+    /// per band. Returns whether the launch aborted.
+    fn diagonals(&mut self, observer: &mut dyn WavefrontObserver) -> bool {
         let layout = self.layout;
-        let mut diagonals_run = 0usize;
-        for d in first_diagonal..layout.diagonals() {
-            if self.token.is_some_and(CancelToken::is_cancelled) {
-                // Flush the boundary state (diagonals < d are complete, d
-                // has not started — a valid resume point) before stopping,
-                // so a cancelled run is always resumable.
-                if checkpoint_every.is_some() {
-                    observer.on_checkpoint(&self.snapshot(d));
-                }
-                return (diagonals_run, true);
-            }
-            if let Some(every) = checkpoint_every {
-                if d > first_diagonal && (d - first_diagonal).is_multiple_of(every.max(1)) {
-                    observer.on_checkpoint(&self.snapshot(d));
-                }
-            }
+        for d in self.progress.front..layout.diagonals() {
             // Seeded reorder fault: replay the target block's bus reads
             // and writes one diagonal EARLY — before the diagonal boundary
             // that orders its neighbours' diagonal-d writes.
             #[cfg(feature = "race-check")]
             if let Some((pr, pc)) = reorder_fault(&layout) {
-                if d + 1 == pr + pc {
+                if d + 1 == pr + pc && !self.progress.done(pr, pc) {
                     replay_phantom(self.race, &layout, pr, pc);
                 }
             }
-            diagonals_run += 1;
-            self.busy_slots += layout.diagonal_blocks(d).count() as u64;
             for (r, c) in layout.diagonal_blocks(d) {
-                if self.band(observer, r..r + 1, c, |_| d).is_break() {
-                    return (diagonals_run, true);
+                if !self.progress.done(r, c) && self.step(observer, r..r + 1, c).is_break() {
+                    return true;
                 }
             }
         }
-        (diagonals_run, false)
+        false
     }
 
     /// The banded walk: one publish batch of [`DEFAULT_BATCH_ROWS`] block
     /// rows at a time, column by column, each column's share of the batch
-    /// one band on the live buses (split by [`band_end`], as a strip
-    /// runner splits it). Polls the token per band. Returns `(diagonals
-    /// run, aborted)`; an abort reports the completed-diagonal frontier.
-    fn walk(&mut self, observer: &mut dyn WavefrontObserver) -> (usize, bool) {
+    /// outside the cut one band on the live buses (split by [`band_end`],
+    /// as a strip runner splits it). Returns whether the launch aborted.
+    fn walk(&mut self, observer: &mut dyn WavefrontObserver) -> bool {
         let layout = self.layout;
         // The walk's analogue of running the armed block one diagonal
         // early: replay it before any block has run.
         #[cfg(feature = "race-check")]
         if let Some((pr, pc)) = reorder_fault(&layout) {
-            replay_phantom(self.race, &layout, pr, pc);
+            if !self.progress.done(pr, pc) {
+                replay_phantom(self.race, &layout, pr, pc);
+            }
         }
-        let mut r0 = 0;
-        while r0 < layout.block_rows {
-            let batch = r0..(r0 + DEFAULT_BATCH_ROWS).min(layout.block_rows);
+        for r0 in (0..layout.block_rows).step_by(DEFAULT_BATCH_ROWS) {
+            let batch_end = (r0 + DEFAULT_BATCH_ROWS).min(layout.block_rows);
             for c in 0..layout.block_cols {
-                let mut r = r0;
-                while r < batch.end {
-                    if self.token.is_some_and(CancelToken::is_cancelled) {
-                        return (walk_frontier(&layout, batch, r, c), true);
-                    }
+                let mut r = r0.max(self.progress.cut[c]);
+                while r < batch_end {
                     // The walk never runs watched jobs.
-                    let end = band_end(&layout, false, c, r, batch.end);
-                    self.busy_slots += (end - r) as u64;
-                    let front = |k: usize| walk_frontier(&layout, batch.clone(), k, c);
-                    if let ControlFlow::Break(k) = self.band(observer, r..end, c, front) {
-                        return (walk_frontier(&layout, batch, k + 1, c), true);
+                    let end = band_end(&layout, false, c, r, batch_end);
+                    if self.step(observer, r..end, c).is_break() {
+                        return true;
                     }
                     r = end;
                 }
             }
-            r0 = batch.end;
         }
-        (layout.diagonals(), false)
+        false
+    }
+
+    /// One band between two band boundaries: poll the token (a cancel
+    /// flushes the current cut when checkpointing, then aborts), run the
+    /// band, and offer a snapshot when one is due.
+    fn step(
+        &mut self,
+        observer: &mut dyn WavefrontObserver,
+        rows: Range<usize>,
+        c: usize,
+    ) -> ControlFlow<()> {
+        if self.token.is_some_and(CancelToken::is_cancelled) {
+            if self.checkpoint_every.is_some() {
+                observer.on_checkpoint(&self.snapshot());
+            }
+            return ControlFlow::Break(());
+        }
+        self.band(observer, rows, c)?;
+        if self.progress.checkpoint_due(self.checkpoint_every) {
+            observer.on_checkpoint(&self.snapshot());
+        }
+        ControlFlow::Continue(())
     }
 
     /// Compute block rows `rows` of column `c` as one band on the live
     /// buses and commit each block: its corner and cone entry, the totals,
-    /// the race detector's records, a heartbeat, then the observer, which sees
-    /// `frontier(k)` as block row `k`'s frontier. Returns the block row at
-    /// which the observer broke.
+    /// the cut, the race detector's records, a heartbeat, then the
+    /// observer.
     fn band(
         &mut self,
         observer: &mut dyn WavefrontObserver,
         rows: Range<usize>,
         c: usize,
-        frontier: impl Fn(usize) -> usize,
-    ) -> ControlFlow<usize> {
+    ) -> ControlFlow<()> {
         let layout = self.layout;
         let (br, bc) = (layout.block_rows, layout.block_cols);
         let r0 = rows.start;
@@ -1231,7 +1302,7 @@ impl Serial<'_, '_> {
         #[cfg(feature = "race-check")]
         race_reads(self.race, &layout, r0, c);
         let corner = self.corners[r0 * (bc + 1) + c];
-        let Serial { job, hbus, vbus, corners, cone, totals, bands, token, .. } = self;
+        let Serial { job, hbus, vbus, corners, cone, totals, progress, bands, token, .. } = self;
         let cone_best = cone.as_ref().map(|t| cone_bound(|i| t[i], bc, &rows, c));
         #[cfg(feature = "race-check")]
         let race = self.race;
@@ -1259,7 +1330,7 @@ impl Serial<'_, '_> {
                 r: k,
                 c,
                 diagonal: k + c,
-                frontier: frontier(k),
+                frontier: progress.complete(k, c),
                 rows: layout.row_range(k),
                 cols,
                 last_block_row: k + 1 == br,
@@ -1270,17 +1341,10 @@ impl Serial<'_, '_> {
         compute_band(job, &layout, rows, c, corner, cone_best, hseg, vseg, bands, commit)
     }
 
-    /// The state between diagonals `< next_diagonal` and the rest.
-    fn snapshot(&self, next_diagonal: usize) -> EngineState {
-        EngineState::snapshot(
-            self.job,
-            next_diagonal,
-            &self.hbus,
-            &self.vbus,
-            &self.corners,
-            &self.totals,
-            self.busy_slots,
-        )
+    /// The state at the current cut.
+    fn snapshot(&self) -> EngineState {
+        let Serial { job, hbus, vbus, corners, totals, progress, .. } = self;
+        EngineState::snapshot(job, hbus, vbus, corners, totals, progress)
     }
 }
 
@@ -1339,11 +1403,10 @@ mod strip {
         pub layout: &'a GridLayout,
         pub plan: &'a StripPlan,
         pub workers: usize,
-        pub first_diagonal: usize,
         pub checkpoint_every: Option<usize>,
-        pub init_best: Option<(Score, usize, usize)>,
-        pub init_cells: u64,
-        pub init_busy: u64,
+        /// Totals and cut at launch (a resumed snapshot's, or empty).
+        pub totals: Totals,
+        pub progress: Progress,
         /// Supervision token polled by the delivery loop; runners bump
         /// its heartbeat on every computed block / published border.
         pub token: Option<&'a CancelToken>,
@@ -1425,7 +1488,8 @@ mod strip {
         job: &'a RegionJob<'j>,
         layout: &'a GridLayout,
         plan: &'a StripPlan,
-        first_diagonal: usize,
+        /// The resumed cut: runners skip its blocks.
+        restored: &'a [usize],
         /// Max diagonals a runner may lead the delivery frontier once all
         /// strips are claimed (bounds undelivered-border memory).
         lead: usize,
@@ -1604,14 +1668,11 @@ mod strip {
                 cur.r = batch_end;
                 continue;
             }
+            // Rows restored from a checkpoint: nothing to compute.
+            cur.r = cur.r.max(sh.restored[cur.c]).min(batch_end);
             if cur.r == batch_end {
                 cur.c += 1;
                 cur.r = cur.r0;
-                continue;
-            }
-            if cur.r + cur.c < sh.first_diagonal {
-                // Restored from a checkpoint: nothing to compute.
-                cur.r += 1;
                 continue;
             }
             let end = cur.band_end(sh);
@@ -1795,14 +1856,105 @@ mod strip {
         race_reads(sh.race, layout, r, c);
     }
 
-    /// The deliverer's walk through the canonical (serial) block order.
-    struct DeliverCursor {
+    /// The deliverer: its place in canonical (serial) block order, and
+    /// the shadow buses, corners, totals and cut of every block it has
+    /// delivered.
+    struct Deliverer<'a, 'j> {
+        job: &'a RegionJob<'j>,
+        checkpoint_every: Option<usize>,
+        /// Diagonal and column right after the last delivered block.
         d: usize,
-        total_diagonals: usize,
-        blocks: Vec<(usize, usize)>,
-        i: usize,
-        /// Blocks of diagonals `>= first_diagonal` not yet delivered.
-        remaining: usize,
+        c: usize,
+        hbus: Vec<CellHF>,
+        vbus: Vec<CellHE>,
+        corners: Vec<Score>,
+        totals: Totals,
+        progress: Progress,
+    }
+
+    impl Deliverer<'_, '_> {
+        /// The state at the delivered cut: in canonical order every block
+        /// boundary is a band boundary.
+        fn snapshot(&self) -> EngineState {
+            let Deliverer { job, hbus, vbus, corners, totals, progress, .. } = self;
+            EngineState::snapshot(job, hbus, vbus, corners, totals, progress)
+        }
+
+        /// The next block in canonical order: on the frontier diagonal,
+        /// the lowest-column block outside the cut (right of the last
+        /// delivered one while the frontier stays on its diagonal).
+        fn next(&self, layout: &GridLayout) -> Option<(usize, usize)> {
+            let p = &self.progress;
+            let from = if p.front == self.d { self.c } else { 0 };
+            let open = |&c: &usize| p.cut[c] < layout.block_rows && p.cut[c] + c == p.front;
+            (from..layout.block_cols).find(open).map(|c| (p.front - c, c))
+        }
+
+        /// Deliver every finished block at the canonical frontier: apply
+        /// it to the shadow buses, update counters and the cut, notify the
+        /// observer, and offer a snapshot when one is due. Returns `Break`
+        /// when the observer aborts the launch.
+        fn deliver_ready(
+            &mut self,
+            sh: &Shared<'_, '_>,
+            observer: &mut dyn WavefrontObserver,
+        ) -> ControlFlow<()> {
+            let layout = sh.layout;
+            let (br, bc) = (layout.block_rows, layout.block_cols);
+            // lint: allow(cancel-coverage): delivers only already-completed blocks and returns Continue when one is not
+            // ready; the caller's delivery loop polls the cancel token every round
+            loop {
+                // Forward protocol events as they surface.
+                let events = std::mem::take(&mut sh.lock().events);
+                for ev in &events {
+                    observer.on_strip_event(ev);
+                }
+                let Some((r, c)) = self.next(layout) else {
+                    return ControlFlow::Continue(());
+                };
+                let Some(done) = sh.lock().done.remove(&(r, c)) else {
+                    return ControlFlow::Continue(());
+                };
+                let (rs, re) = layout.row_range(r);
+                let (cs, ce) = layout.col_range(c);
+                let width = (ce + 1).saturating_sub(cs);
+                let height = (re + 1).saturating_sub(rs);
+                let bottom = &mut self.hbus[cs - 1..cs - 1 + width];
+                let right = &mut self.vbus[rs - 1..rs - 1 + height];
+                match &done.borders {
+                    Some((b, r)) => {
+                        bottom.copy_from_slice(b);
+                        right.copy_from_slice(r);
+                    }
+                    None => super::write_floor(bottom, right),
+                }
+                self.corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
+                self.totals.add(&done.outcome);
+                let frontier = self.progress.complete(r, c);
+                if self.progress.front > frontier {
+                    // A diagonal completed: runners may lead further.
+                    sh.lock().front = self.progress.front;
+                    sh.cv_work.notify_all();
+                }
+                (self.d, self.c) = (r + c, c + 1);
+                let coords = BlockCoords {
+                    r,
+                    c,
+                    diagonal: r + c,
+                    frontier,
+                    rows: (rs, re),
+                    cols: (cs, ce),
+                    last_block_row: r + 1 == br,
+                    last_block_col: c + 1 == bc,
+                };
+                let (bottom, right) =
+                    (&self.hbus[cs - 1..cs - 1 + width], &self.vbus[rs - 1..rs - 1 + height]);
+                observer.on_block(&coords, &done.outcome, bottom, right)?;
+                if self.progress.checkpoint_due(self.checkpoint_every) {
+                    observer.on_checkpoint(&self.snapshot());
+                }
+            }
+        }
     }
 
     pub(super) fn run(
@@ -1814,18 +1966,18 @@ mod strip {
         mut cone: Option<Vec<Score>>,
     ) -> Result<RegionResult, ExecError> {
         let layout = *p.layout;
-        let (br, bc) = (layout.block_rows, layout.block_cols);
+        let bc = layout.block_cols;
         let strips = p.plan.strips();
-        let fd = p.first_diagonal;
-        let total_diagonals = layout.diagonals();
         // One runner per strip at most; the caller is runner 0.
         let runners = p.workers.min(strips).max(1);
+        let restored = p.progress.cut.clone();
+        let front = p.progress.front;
 
         // Resume frontier: rows of each strip already covered by the
-        // checkpoint count as published (row `r` of strip `s` is restored
-        // iff even its last column's diagonal precedes the resume point).
+        // checkpoint count as published (the cut of the strip's last
+        // column, the smallest in the strip).
         let published: Vec<usize> =
-            (0..strips).map(|s| fd.saturating_sub(p.plan.bounds[s + 1] - 1).min(br)).collect();
+            (0..strips).map(|s| restored[p.plan.bounds[s + 1] - 1]).collect();
 
         #[cfg(feature = "race-check")]
         p.race.set_strip_plan(&p.plan.bounds, &published);
@@ -1835,42 +1987,30 @@ mod strip {
         // analogue of running it one diagonal early.
         #[cfg(feature = "race-check")]
         if let Some((pr, pc)) = reorder_fault(&layout) {
-            if pr + pc > fd {
+            if pr + pc > front && !p.progress.done(pr, pc) {
                 replay_phantom(p.race, &layout, pr, pc);
             }
         }
 
         // Shadow buses: the deliverer's diagonal-ordered view (see the
         // module docs). Cloned before the raw views are taken.
-        let mut ck_hbus = hbus.clone();
-        let mut ck_vbus = vbus.clone();
-        let mut ck_corners = corners.clone();
-
-        let mut totals = Totals { best: p.init_best, cells: p.init_cells, ..Totals::default() };
-        let mut busy_slots = p.init_busy;
-
-        // Cancellation checkpoint: the ck buses are a valid resume point
-        // only *between* diagonals (mid-diagonal they hold a partially
-        // applied frontier), so the deliverer refreshes this snapshot at
-        // every diagonal boundary and flushes it when a cancel lands.
-        let mut cancel_snap: Option<EngineState> = match (p.token, p.checkpoint_every) {
-            (Some(_), Some(_)) => Some(EngineState::snapshot(
-                p.job,
-                fd,
-                &ck_hbus,
-                &ck_vbus,
-                &ck_corners,
-                &totals,
-                busy_slots,
-            )),
-            _ => None,
+        let mut dl = Deliverer {
+            job: p.job,
+            checkpoint_every: p.checkpoint_every,
+            d: front,
+            c: 0,
+            hbus: hbus.clone(),
+            vbus: vbus.clone(),
+            corners: corners.clone(),
+            totals: p.totals,
+            progress: p.progress,
         };
 
         let shared = Shared {
             job: p.job,
             layout: &layout,
             plan: p.plan,
-            first_diagonal: fd,
+            restored: &restored,
             lead: bc + 8 * p.plan.batch_rows,
             strips,
             hbus: RawBus::new(&mut hbus),
@@ -1890,7 +2030,7 @@ mod strip {
                 batches: 0,
                 profile_hits: 0,
                 profile_misses: 0,
-                front: fd,
+                front,
                 cancel: false,
                 done: HashMap::new(),
                 events: (0..runners)
@@ -1904,26 +2044,11 @@ mod strip {
             race: p.race,
         };
 
-        let mut diagonals_run = 0usize;
         let mut aborted = false;
         // The calling thread is runner 0; its kernel state lives out here
         // so its profile-cache traffic can be folded in after the scope
         // settles.
         let mut bands0 = BandState::default();
-
-        let remaining: usize =
-            (fd..total_diagonals).map(|d| layout.diagonal_blocks(d).count()).sum();
-        let mut dc = DeliverCursor {
-            d: fd,
-            total_diagonals,
-            blocks: if fd < total_diagonals {
-                layout.diagonal_blocks(fd).collect()
-            } else {
-                Vec::new()
-            },
-            i: 0,
-            remaining,
-        };
 
         let sh = &shared;
         let scope_result = p.pool.scope(|scope| {
@@ -1936,36 +2061,23 @@ mod strip {
             // so catch, cancel, then re-raise.
             let body = catch_unwind(AssertUnwindSafe(|| {
                 let mut cur: Option<Cursor> = Some(Cursor::new(sh, 0));
-                while dc.remaining > 0 {
-                    // 0) Cancellation: flush the boundary snapshot so the
-                    //    run stays resumable, then tear down (the scope
+                while !dl.progress.finished() {
+                    // 0) Cancellation: flush the delivered cut so the run
+                    //    stays resumable, then tear down (the scope
                     //    epilogue below wakes every parked runner).
                     if p.token.is_some_and(CancelToken::is_cancelled) {
-                        if let Some(snap) = cancel_snap.take() {
-                            observer.on_checkpoint(&snap);
+                        if p.checkpoint_every.is_some() {
+                            observer.on_checkpoint(&dl.snapshot());
                         }
                         aborted = true;
                         break;
                     }
                     // 1) Deliver everything ready, in canonical order.
-                    let flow = deliver_ready(
-                        sh,
-                        &p,
-                        observer,
-                        &mut dc,
-                        &mut ck_hbus,
-                        &mut ck_vbus,
-                        &mut ck_corners,
-                        &mut totals,
-                        &mut busy_slots,
-                        &mut diagonals_run,
-                        &mut cancel_snap,
-                    );
-                    if flow.is_break() {
+                    if dl.deliver_ready(sh, observer).is_break() {
                         aborted = true;
                         break;
                     }
-                    if dc.remaining == 0 {
+                    if dl.progress.finished() {
                         break;
                     }
                     if scope.panicked() {
@@ -1982,7 +2094,7 @@ mod strip {
                     //    completions (timeout bounds the wait so runner
                     //    panics and publish-only progress are noticed).
                     let co = sh.lock();
-                    let next_ready = dc.blocks.get(dc.i).is_some_and(|rc| co.done.contains_key(rc));
+                    let next_ready = dl.next(&layout).is_some_and(|rc| co.done.contains_key(&rc));
                     if !next_ready && co.events.is_empty() && !co.cancel {
                         drop(
                             sh.cv_done
@@ -2040,137 +2152,20 @@ mod strip {
         drop(co);
 
         Ok(RegionResult {
-            best: totals.best,
-            cells: totals.cells,
-            pruned_cells: totals.pruned_cells,
-            diagonals_run,
+            best: dl.totals.best,
+            cells: dl.totals.cells,
+            pruned_cells: dl.totals.pruned_cells,
+            diagonals_run: dl.progress.front - dl.progress.start,
             aborted,
-            busy_slots,
-            hbus: ck_hbus,
-            vbus: ck_vbus,
+            busy_slots: dl.progress.blocks_done(),
+            hbus: dl.hbus,
+            vbus: dl.vbus,
             layout,
-            paths: totals.paths,
+            paths: dl.totals.paths,
             profile_hits,
             profile_misses,
             strip: Some(stats),
         })
-    }
-
-    /// Deliver every finished block at the canonical frontier: apply it
-    /// to the shadow buses, update counters, notify the observer.
-    /// Returns `Break` when the observer aborts the launch.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_ready(
-        sh: &Shared<'_, '_>,
-        p: &Params<'_, '_>,
-        observer: &mut dyn WavefrontObserver,
-        dc: &mut DeliverCursor,
-        ck_hbus: &mut [CellHF],
-        ck_vbus: &mut [CellHE],
-        ck_corners: &mut [Score],
-        totals: &mut Totals,
-        busy_slots: &mut u64,
-        diagonals_run: &mut usize,
-        cancel_snap: &mut Option<EngineState>,
-    ) -> ControlFlow<()> {
-        let layout = sh.layout;
-        let (br, bc) = (layout.block_rows, layout.block_cols);
-        // lint: allow(cancel-coverage): delivers only already-completed blocks and returns Continue when one is not
-        // ready; the caller's delivery loop polls the cancel token every round
-        loop {
-            // Forward protocol events as they surface.
-            let events = std::mem::take(&mut sh.lock().events);
-            for ev in &events {
-                observer.on_strip_event(ev);
-            }
-            if dc.remaining == 0 {
-                return ControlFlow::Continue(());
-            }
-            if dc.i == dc.blocks.len() {
-                // Diagonal complete: advance the frontier and refill.
-                dc.d += 1;
-                if dc.d >= dc.total_diagonals {
-                    return ControlFlow::Continue(());
-                }
-                dc.blocks = layout.diagonal_blocks(dc.d).collect();
-                dc.i = 0;
-                let mut co = sh.lock();
-                co.front = dc.d;
-                drop(co);
-                sh.cv_work.notify_all();
-                continue;
-            }
-            let (r, c) = dc.blocks[dc.i];
-            let Some(done) = sh.lock().done.remove(&(r, c)) else {
-                return ControlFlow::Continue(());
-            };
-            if dc.i == 0 {
-                // First delivery of this diagonal: checkpoint (state
-                // through the previous diagonal), then count it — the
-                // exact order of the serial engine.
-                if let Some(every) = p.checkpoint_every {
-                    if dc.d > p.first_diagonal
-                        && (dc.d - p.first_diagonal).is_multiple_of(every.max(1))
-                    {
-                        observer.on_checkpoint(&EngineState::snapshot(
-                            p.job,
-                            dc.d,
-                            ck_hbus,
-                            ck_vbus,
-                            ck_corners,
-                            totals,
-                            *busy_slots,
-                        ));
-                    }
-                }
-                // The ck buses hold exactly the state through diagonal
-                // `dc.d - 1` right now — the last valid resume boundary.
-                // Refresh the cancellation snapshot from it.
-                if let Some(snap) = cancel_snap.as_mut() {
-                    snap.next_diagonal = dc.d;
-                    snap.hbus.copy_from_slice(ck_hbus);
-                    snap.vbus.copy_from_slice(ck_vbus);
-                    snap.corners.copy_from_slice(ck_corners);
-                    snap.best = totals.best;
-                    snap.cells = totals.cells;
-                    snap.busy_slots = *busy_slots;
-                }
-                *diagonals_run += 1;
-                *busy_slots += dc.blocks.len() as u64;
-            }
-            let (rs, re) = layout.row_range(r);
-            let (cs, ce) = layout.col_range(c);
-            let width = (ce + 1).saturating_sub(cs);
-            let height = (re + 1).saturating_sub(rs);
-            let bottom = &mut ck_hbus[cs - 1..cs - 1 + width];
-            let right = &mut ck_vbus[rs - 1..rs - 1 + height];
-            match &done.borders {
-                Some((b, r)) => {
-                    bottom.copy_from_slice(b);
-                    right.copy_from_slice(r);
-                }
-                None => super::write_floor(bottom, right),
-            }
-            ck_corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
-            totals.add(&done.outcome);
-            let coords = BlockCoords {
-                r,
-                c,
-                diagonal: dc.d,
-                frontier: dc.d,
-                rows: (rs, re),
-                cols: (cs, ce),
-                last_block_row: r + 1 == br,
-                last_block_col: c + 1 == bc,
-            };
-            dc.i += 1;
-            dc.remaining -= 1;
-            let (bottom, right) =
-                (&ck_hbus[cs - 1..cs - 1 + width], &ck_vbus[rs - 1..rs - 1 + height]);
-            if observer.on_block(&coords, &done.outcome, bottom, right).is_break() {
-                return ControlFlow::Break(());
-            }
-        }
     }
 }
 
@@ -2627,6 +2622,9 @@ mod resume_tests {
 
     /// A snapshot taken under one worker count must resume under any
     /// other: the strip plan is derived at launch, not persisted state.
+    /// The snapshots come from the strip engine (diagonal cuts) and from
+    /// a one-lane banded walk (cuts at its band boundaries, most of them
+    /// not diagonal).
     #[test]
     fn resume_with_different_worker_count_is_byte_identical() {
         let a = dna(11, 280);
@@ -2641,18 +2639,56 @@ mod resume_tests {
         assert!(snapshots.len() >= 2, "expected several checkpoints");
         let mid = snapshots[snapshots.len() / 2].clone();
 
-        for workers in [1usize, 2, 3, 8] {
-            let j = RegionJob { workers, ..j4 };
-            let resumed = launch_alone(
-                &j,
-                &mut NoObserver,
-                Launch { resume: Some(mid.clone()), ..Launch::default() },
-            );
-            assert_eq!(resumed.best, full.best, "workers={workers}");
-            assert_eq!(resumed.hbus, full.hbus, "workers={workers}");
-            assert_eq!(resumed.vbus, full.vbus, "workers={workers}");
-            assert_eq!(resumed.cells, full.cells, "workers={workers}");
-            assert_eq!(resumed.busy_slots, full.busy_slots, "workers={workers}");
+        let mut walk = OrderFree::default();
+        let every = Launch { checkpoint_every: Some(3), ..Launch::default() };
+        let walked = launch_alone(&RegionJob { workers: 1, ..j4 }, &mut walk, every);
+        assert!(walked.strip.is_none(), "one lane walks");
+        let off_diagonal = |s: &EngineState| s.cut != diagonal_cut(&walked.layout, s.next_diagonal);
+        assert!(walk.snaps.iter().any(off_diagonal), "no cut off the diagonals");
+
+        for snap in std::iter::once(mid).chain(walk.snaps) {
+            for workers in [1usize, 2, 3, 8] {
+                assert_resumes(&j4, &snap, &full, workers);
+            }
+        }
+    }
+
+    /// The cut of every block on the diagonals below `d`.
+    fn diagonal_cut(layout: &GridLayout, d: usize) -> Vec<usize> {
+        (0..layout.block_cols).map(|c| d.saturating_sub(c).min(layout.block_rows)).collect()
+    }
+
+    /// Records every checkpoint like [`Snapshots`], and the delivery
+    /// order, but reads no delivery order, so a one-lane launch with it
+    /// takes the banded walk. With a token, it cancels the token once
+    /// `countdown` blocks arrived.
+    #[derive(Default)]
+    struct OrderFree<'t> {
+        countdown: usize,
+        token: Option<&'t crate::ctrl::CancelToken>,
+        snaps: Vec<EngineState>,
+        order: Vec<(usize, usize)>,
+    }
+    impl WavefrontObserver for OrderFree<'_> {
+        fn on_block(
+            &mut self,
+            b: &BlockCoords,
+            _: &TileOutcome,
+            _: &[CellHF],
+            _: &[CellHE],
+        ) -> ControlFlow<()> {
+            self.order.push((b.r, b.c));
+            self.countdown = self.countdown.saturating_sub(1);
+            if let Some(t) = self.token.filter(|_| self.countdown == 0) {
+                t.cancel(crate::ctrl::CancelCause::Requested);
+            }
+            ControlFlow::Continue(())
+        }
+        fn on_checkpoint(&mut self, state: &EngineState) {
+            self.snaps.push(state.clone());
+        }
+        fn needs_diagonal_order(&self) -> bool {
+            false
         }
     }
 
@@ -2817,6 +2853,153 @@ mod resume_tests {
             let mut huge = bytes.clone();
             huge[at..at + 8].copy_from_slice(&n.to_le_bytes());
             assert!(EngineState::decode(&huge).is_none(), "length field at byte {at}");
+        }
+    }
+
+    /// Resume `snap` on `j` at `workers` lanes without an observer (one
+    /// lane walks) and check the result against the uninterrupted `full`.
+    fn assert_resumes(j: &RegionJob<'_>, snap: &EngineState, full: &RegionResult, workers: usize) {
+        let j = RegionJob { workers, ..*j };
+        let opts = Launch { resume: Some(snap.clone()), ..Launch::default() };
+        let resumed = launch_alone(&j, &mut NoObserver, opts);
+        let what = format!("workers={workers}, cut {:?}", snap.cut);
+        assert!(!resumed.aborted, "{what}");
+        assert_eq!(resumed.best, full.best, "{what}");
+        assert_eq!(resumed.hbus, full.hbus, "{what}");
+        assert_eq!(resumed.vbus, full.vbus, "{what}");
+        assert_eq!(resumed.cells, full.cells, "{what}");
+        assert_eq!(resumed.busy_slots, full.busy_slots, "{what}");
+    }
+
+    /// Cancelling a one-lane banded walk flushes its current cut, a band
+    /// boundary off the diagonals, which resumes byte-identically at one
+    /// and two lanes. A resumed walk cancelled again counts only the
+    /// diagonals it completed itself: its flush's frontier is the first
+    /// flush's plus its `diagonals_run`.
+    #[test]
+    fn cancelled_walk_flushes_a_resumable_cut() {
+        let a = dna(27, 300);
+        let b = dna(28, 260);
+        let j = RegionJob { workers: 1, ..job(&a, &b) };
+        let full = plain(&j);
+        let pool = WorkerPool::new(1);
+        let cancel_after = |countdown: usize, resume: Option<EngineState>| {
+            let token = crate::ctrl::CancelToken::new();
+            let mut obs = OrderFree { countdown, token: Some(&token), ..OrderFree::default() };
+            let opts = Launch {
+                resume,
+                checkpoint_every: Some(10_000),
+                token: Some(&token),
+                ..Launch::default()
+            };
+            let res = launch(&pool, &j, &mut obs, opts).expect("no worker panic");
+            assert!(res.aborted && res.strip.is_none(), "a cancelled walk");
+            assert_eq!(obs.snaps.len(), 1, "exactly one flush per cancel");
+            (res, obs.snaps.remove(0))
+        };
+        let (_, first) = cancel_after(30, None);
+        assert_ne!(first.cut, diagonal_cut(&full.layout, first.next_diagonal), "a diagonal cut");
+        let (again, second) = cancel_after(30, Some(first.clone()));
+        assert!(again.diagonals_run > 0);
+        assert_eq!(second.next_diagonal, first.next_diagonal + again.diagonals_run);
+        for snap in [first, second] {
+            for workers in [1, 2] {
+                assert_resumes(&j, &snap, &full, workers);
+            }
+        }
+    }
+
+    /// A `CKPT` blob of a build before cuts has no cut after the corners.
+    /// It decodes with an empty cut, read as the diagonal cut at its
+    /// `next_diagonal`, and resumes byte-identically on the walk and on
+    /// strips.
+    #[test]
+    fn ckpt_blobs_of_earlier_builds_resume_byte_identically() {
+        let a = dna(29, 260);
+        let b = dna(30, 240);
+        let j = job(&a, &b);
+        let full = plain(&j);
+        let mut obs = Snapshots(Vec::new());
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(4), ..Launch::default() });
+        let snap = obs.0.swap_remove(obs.0.len() / 2);
+        assert_eq!(snap.cut, diagonal_cut(&full.layout, snap.next_diagonal));
+        let bytes = snap.encode();
+        let mut old = b"CKPT".to_vec();
+        old.extend_from_slice(&bytes[4..bytes.len() - 8 * (1 + snap.cut.len())]);
+        let decoded = EngineState::decode(&old).expect("a CKPT blob decodes");
+        assert_eq!(decoded, EngineState { cut: Vec::new(), ..snap.clone() });
+        assert!(decoded.matches(&j));
+        for workers in [1, 2] {
+            assert_resumes(&j, &decoded, &full, workers);
+        }
+    }
+
+    /// Checkpoints do not pick the schedule: a one-lane launch with an
+    /// order-free observer walks in the same bands with and without them
+    /// (64-row blocks, so a band spans several), so it delivers in the
+    /// same order, and its kernel paths, profile traffic, buses and
+    /// totals are the same.
+    #[test]
+    fn checkpoints_keep_the_banded_walk() {
+        let a = dna(33, 900);
+        let b = dna(34, 300);
+        let grid = GridSpec { blocks: 3, threads: 16, alpha: 4 };
+        let j = RegionJob { workers: 1, grid, ..job(&a, &b) };
+        let mut obs = OrderFree::default();
+        let every = Launch { checkpoint_every: Some(2), ..Launch::default() };
+        let ckpt = launch_alone(&j, &mut obs, every);
+        let mut plain_walk = OrderFree::default();
+        let walk = launch_alone(&j, &mut plain_walk, Launch::default());
+        assert!(obs.snaps.len() > 2, "checkpoints offered");
+        assert_eq!(obs.order, plain_walk.order, "delivery order");
+        assert!(obs.order.windows(2).any(|w| w[0].0 + w[0].1 > w[1].0 + w[1].1), "walk order");
+        assert!(ckpt.strip.is_none() && walk.strip.is_none(), "one lane walks");
+        assert_eq!(ckpt.paths, walk.paths);
+        assert_eq!(ckpt.profile_hits, walk.profile_hits);
+        assert_eq!(ckpt.profile_misses, walk.profile_misses);
+        assert_eq!(ckpt.best, walk.best);
+        assert_eq!(ckpt.cells, walk.cells);
+        assert_eq!(ckpt.hbus, walk.hbus);
+        assert_eq!(ckpt.vbus, walk.vbus);
+    }
+
+    /// A snapshot of the job in the wrong shape — a bus or the corner
+    /// table cut short, a cut of the wrong length, one that increases or
+    /// runs past the block rows, a frontier that is not its cut's — does
+    /// not match, and a launch refuses it as foreign at one and two lanes
+    /// before any block runs.
+    #[test]
+    fn resume_rejects_malformed_states() {
+        let a = dna(35, 120);
+        let b = dna(36, 130);
+        let j = job(&a, &b);
+        let mut obs = Snapshots(Vec::new());
+        let _ =
+            launch_alone(&j, &mut obs, Launch { checkpoint_every: Some(3), ..Launch::default() });
+        let snap = obs.0.pop().expect("have a snapshot");
+        let layout = j.grid.layout(a.len(), b.len());
+        let (br, end) = (layout.block_rows, layout.diagonals());
+        assert_eq!(snap.cut.len(), 3);
+        let bad = [
+            EngineState { hbus: snap.hbus[..10].to_vec(), ..snap.clone() },
+            EngineState { vbus: snap.vbus[..10].to_vec(), ..snap.clone() },
+            EngineState { corners: snap.corners[1..].to_vec(), ..snap.clone() },
+            EngineState { cut: snap.cut[1..].to_vec(), ..snap.clone() },
+            EngineState { cut: vec![0, 0, 1], next_diagonal: 0, ..snap.clone() },
+            EngineState { cut: vec![br + 1, br, br], next_diagonal: end, ..snap.clone() },
+            EngineState { next_diagonal: snap.next_diagonal + 1, ..snap.clone() },
+            EngineState { cut: Vec::new(), next_diagonal: end + 1, ..snap.clone() },
+        ];
+        for state in bad {
+            assert!(!state.matches(&j), "cut {:?} at {}", state.cut, state.next_diagonal);
+            for workers in [1usize, 2] {
+                let mut obs = OrderFree::default();
+                let opts = Launch { resume: Some(state.clone()), ..Launch::default() };
+                let pool = WorkerPool::new(workers);
+                let res = launch(&pool, &RegionJob { workers, ..j }, &mut obs, opts);
+                assert_eq!(res.err(), Some(ExecError::ForeignCheckpoint), "workers={workers}");
+            }
         }
     }
 }

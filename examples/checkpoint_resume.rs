@@ -44,12 +44,8 @@ fn main() {
         println!("full stage 1: {:.2}s", t.elapsed().as_secs_f64());
         std::mem::forget(rows); // crash: leave the special-row files behind
     }
-    let (snap, row_bytes) = stage1::load_checkpoint(&dir, fp).expect("snapshot parses");
-    println!(
-        "simulated crash; surviving snapshot at external diagonal {} ({} in-flight row bytes)",
-        snap.next_diagonal,
-        row_bytes.len()
-    );
+    let (snap, _) = stage1::load_checkpoint(&dir, fp).expect("snapshot parses");
+    println!("simulated crash; surviving snapshot at external diagonal {}", snap.next_diagonal);
 
     // --- The recovery run: Pipeline::align picks the snapshot up itself.
     let t = Instant::now();

@@ -282,6 +282,45 @@ fn corrupted_checkpoint_falls_back_to_a_fresh_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Plant partial rows that do not parse inside a checkpoint whose
+/// checksum and engine state are intact: the checkpoint does not load,
+/// so the run starts fresh (no half-restored rows, no I/O error) and
+/// still produces the optimal alignment.
+#[test]
+fn malformed_partials_in_a_valid_checkpoint_start_fresh() {
+    let _guard = fault::test_guard();
+    let _disarm = Disarm;
+    let (a, b) = edited_pair(45, 400, 9);
+
+    let dir = fresh_dir("bad-partials");
+    let cfg = ckpt_cfg(&dir);
+    fault::arm_stage1_kill(14);
+    Pipeline::new(cfg.clone()).align(&a, &b).expect_err("armed kill must interrupt");
+    fault::disarm_all();
+
+    let fp = cfg.job_fingerprint(a.len(), b.len());
+    let ckpt = dir.join("stage1.ckpt");
+    let bytes = cudalign::storage::read_checksummed(&ckpt, fp).expect("intact checkpoint");
+    let (state, _) = cudalign::stage1::decode_checkpoint(&bytes).expect("checkpoint parses");
+    let engine = state.encode();
+    let mut planted = b"CKS1".to_vec();
+    planted.extend_from_slice(&(engine.len() as u64).to_le_bytes());
+    planted.extend_from_slice(&engine);
+    // One in-flight row of 4 cells (index 8, origin 0) whose bytes run out.
+    planted.extend_from_slice(b"SRAP");
+    for v in [1u64, 8, 0, 4] {
+        planted.extend_from_slice(&v.to_le_bytes());
+    }
+    planted.extend_from_slice(&[1, 0, 0]);
+    cudalign::storage::write_checksummed(&ckpt, fp, &planted).expect("plant the checkpoint");
+    assert!(cudalign::stage1::load_checkpoint(&dir, fp).is_none(), "malformed partials load");
+
+    let res = Pipeline::new(cfg).align(&a, &b).expect("fresh start after malformed partials");
+    assert_optimal(&res, &a, &b, "malformed partials");
+    assert_eq!(res.stats.resumed_from_diagonal, 0, "malformed partials must not resume");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Injected disk faults during a plain (no-checkpoint) disk-backed run:
 /// ENOSPC drops the affected row and continues; a transient error is
 /// retried transparently; a torn write the OS acknowledged is caught by
