@@ -74,10 +74,20 @@ pub fn repro_config(w: &Workload) -> PipelineConfig {
     // blocks); GPU-sized blocks on scaled strips would leave Stage 2 no
     // column boundaries to flush and starve Stage 3.
     cfg.grid23 = gpu_sim::GridSpec { blocks: 60, threads: 8, alpha: 2 };
-    cfg.backend = cudalign::config::SraBackend::Disk(
-        std::env::temp_dir().join(format!("cudalign-repro-{}", std::process::id())),
-    );
+    cfg.backend = cudalign::config::SraBackend::Disk(repro_dir());
     cfg
+}
+
+/// The directory [`repro_config`] puts this process's special rows and
+/// columns in. Each run deletes its own files, not the directory.
+pub fn repro_dir() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("cudalign-repro-{}", std::process::id()))
+}
+
+/// Remove [`repro_dir`] and anything left in it, once no run of this
+/// process still uses it.
+pub fn remove_repro_dir() {
+    let _ = std::fs::remove_dir_all(repro_dir());
 }
 
 /// Run the full pipeline on a workload.
@@ -140,6 +150,9 @@ mod tests {
         let w = Workload::new(reg.get("162Kx172K").unwrap(), 1000, 1);
         let cfg = repro_config(&w);
         let res = run_pipeline(&w, &cfg);
+        assert!(repro_dir().is_dir(), "the run stored its special rows on disk");
+        remove_repro_dir();
+        assert!(!repro_dir().exists());
         // Unrelated pair: short alignment, but machinery must succeed.
         assert!(res.best_score >= 0);
     }

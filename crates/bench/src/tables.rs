@@ -5,7 +5,8 @@
 
 use crate::report::{big, sci, secs, Report};
 use crate::runs::{
-    paper_sra_bytes, project_seconds, repro_config, run_pipeline, scaled_sra_bytes, Workload,
+    paper_sra_bytes, project_seconds, remove_repro_dir, repro_config, run_pipeline,
+    scaled_sra_bytes, Workload,
 };
 use crate::{repro_scale, repro_seed};
 use cudalign::sra::LineStore;
@@ -36,7 +37,8 @@ pub const ALL: &[&str] = &[
     "ablation-multigpu",
 ];
 
-/// Run one experiment by id; returns `false` for unknown ids.
+/// Run one experiment by id, then remove its special-row directory
+/// ([`remove_repro_dir`]); returns `false` for unknown ids.
 pub fn run(name: &str) -> bool {
     match name {
         "table1" => table1(),
@@ -58,6 +60,7 @@ pub fn run(name: &str) -> bool {
         "ablation-multigpu" => ablation_multigpu(),
         _ => return false,
     }
+    remove_repro_dir();
     true
 }
 

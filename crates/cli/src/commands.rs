@@ -213,6 +213,7 @@ pub fn align(args: &AlignArgs) -> Result<String, String> {
             st.kernel_profile_hits, st.kernel_profile_misses
         )
         .unwrap();
+        writeln!(out, "  stage-1 strips: peak {} blocks parked", st.stage1_parked_peak).unwrap();
         writeln!(out, "  total: {:.3}s", st.total_seconds).unwrap();
     }
     Ok(out)

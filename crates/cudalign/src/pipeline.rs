@@ -342,6 +342,9 @@ pub struct PipelineStats {
     pub binary_bytes: usize,
     /// External diagonal Stage 1 resumed from (0 = fresh run).
     pub resumed_from_diagonal: usize,
+    /// Most finished stage-1 blocks the strip engine held undelivered
+    /// at once, with their border copies (0 on one lane).
+    pub stage1_parked_peak: usize,
     /// DP cells a resumed Stage 1 did *not* recompute because the
     /// restored snapshot already covered them. `stage_cells[0]` counts
     /// only the recomputed cells, so throughput divides matching work by
@@ -657,6 +660,7 @@ impl Pipeline {
         obs.metrics.inc("sra.special_rows", s1r.special_rows.len() as u64);
         obs.metrics.inc("sra.bytes_used", s1r.flushed_bytes);
         obs.metrics.inc("storage.checkpoint_failures", s1r.checkpoint_failures);
+        obs.metrics.set("stage1.parked_peak", s1r.parked_peak as u64);
         stats.crosspoints[0] = 1;
         stats.flush_interval_blocks = s1r.flush_interval_blocks;
         stats.vram_bytes[0] = s1r.vram_bytes;
@@ -939,6 +943,7 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
     stats.stage5_cells = m.get("stage5.cells");
     stats.resumed_cells_skipped = m.get("stage1.resumed_cells_skipped");
     stats.resumed_from_diagonal = m.get("stage1.resumed_from_diagonal") as usize;
+    stats.stage1_parked_peak = m.get("stage1.parked_peak") as usize;
     stats.special_rows = m.get("sra.special_rows") as usize;
     stats.sra_bytes_used = m.get("sra.bytes_used");
     stats.special_columns = m.get("sca.special_columns") as usize;

@@ -55,6 +55,9 @@ pub struct Stage1Result {
     pub profile_hits: u64,
     /// Query-profile cache misses (profile bands built) during this stage.
     pub profile_misses: u64,
+    /// Most finished blocks the strip engine held undelivered at once
+    /// (`gpu_sim::StripStats::parked_peak`); 0 on one lane.
+    pub parked_peak: usize,
 }
 
 struct Stage1Observer<'s, 'o> {
@@ -375,6 +378,7 @@ pub fn run(
         paths: res.paths,
         profile_hits: res.profile_hits,
         profile_misses: res.profile_misses,
+        parked_peak: res.strip.map_or(0, |st| st.parked_peak),
     })
 }
 

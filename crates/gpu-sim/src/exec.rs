@@ -749,6 +749,7 @@ pub mod fault {
     /// Disarm the hook.
     pub fn disarm() {
         BUDGET.store(-1, Ordering::SeqCst);
+        release_strip_runners();
         #[cfg(feature = "race-check")]
         disarm_reorder();
     }
@@ -925,6 +926,61 @@ pub mod fault {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+    }
+
+    /// Strip-delivery hook state: pooled strip runners held at their
+    /// start, runner waits on the bound of undelivered blocks, and pooled
+    /// runners that finished.
+    static HOLD_RUNNERS: AtomicBool = AtomicBool::new(false);
+    static DELIVERY_WAITS: super::AtomicU64 = super::AtomicU64::new(0);
+    static RUNNER_EXITS: super::AtomicU64 = super::AtomicU64::new(0);
+
+    /// Arm the strip-delivery hook: pooled strip runners (not the calling
+    /// thread) that start a launch from now on hold before their first
+    /// band until [`release_strip_runners`] or the launch is cancelled,
+    /// and [`delivery_waits`] and [`strip_runner_exits`] restart from 0. A
+    /// test uses it to let the calling thread get ahead, then stall
+    /// delivery until a runner waits on the delivery bound (or, were the
+    /// bound broken, finishes without waiting).
+    pub fn hold_strip_runners() {
+        DELIVERY_WAITS.store(0, Ordering::SeqCst);
+        RUNNER_EXITS.store(0, Ordering::SeqCst);
+        HOLD_RUNNERS.store(true, Ordering::SeqCst);
+    }
+
+    /// Let held strip runners go.
+    pub fn release_strip_runners() {
+        HOLD_RUNNERS.store(false, Ordering::SeqCst);
+    }
+
+    /// Times a strip runner waited on the bound of undelivered blocks
+    /// since [`hold_strip_runners`].
+    pub fn delivery_waits() -> u64 {
+        DELIVERY_WAITS.load(Ordering::SeqCst)
+    }
+
+    /// Pooled strip runners that finished their launch since
+    /// [`hold_strip_runners`].
+    pub fn strip_runner_exits() -> u64 {
+        RUNNER_EXITS.load(Ordering::SeqCst)
+    }
+
+    /// Called by a pooled strip runner as it finishes its launch.
+    pub(crate) fn note_runner_exit() {
+        RUNNER_EXITS.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Called by a pooled strip runner before its first band: hold while
+    /// armed and `cancelled()` is false.
+    pub(crate) fn hold_strip_runner(cancelled: impl Fn() -> bool) {
+        while HOLD_RUNNERS.load(Ordering::Relaxed) && !cancelled() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Called by a strip runner about to wait on the delivery bound.
+    pub(crate) fn note_delivery_wait() {
+        DELIVERY_WAITS.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Called by the pool before each job.

@@ -244,7 +244,7 @@ impl PathCounts {
 pub const MIN_LADDER_ROWS: usize = 64;
 
 /// Result of one tile computation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileOutcome {
     /// `H` at the tile's bottom-right cell (the corner for the block at
     /// `(r + 1, c + 1)`).

@@ -24,25 +24,29 @@
 //!   plan has more strips than workers (ragged grids), runners that
 //!   finish a strip steal the next unclaimed one, in ascending column
 //!   order. The calling thread runs strip 0 and *delivers* finished
-//!   blocks in canonical diagonal order, so observers see exactly the
-//!   event stream of the serial engine and results are bit-identical to
-//!   it.
+//!   blocks: in canonical diagonal order, so observers see exactly the
+//!   event stream of the diagonal loop, or, for an order-free launch, in
+//!   the order they finish (see the `strip` module). Results are
+//!   bit-identical to the serial engine's either way.
 //!
 //! Every completed block is reported, sequentially and on the calling
 //! thread, to the caller's [`WavefrontObserver`], which is how the
 //! pipeline flushes special rows (Stage 1) and runs goal-based matching
-//! with early abort (Stages 2-3). Both schedulers above deliver in
-//! canonical diagonal order. A serial run whose observer does not read
-//! that order ([`WavefrontObserver::needs_diagonal_order`]) takes a third
-//! schedule instead:
+//! with early abort (Stages 2-3). A launch is *order-free* when it has no
+//! watch and its observer does not read canonical diagonal order
+//! ([`WavefrontObserver::needs_diagonal_order`]). Ordered launches run
+//! the two schedulers above in canonical order. An order-free launch on
+//! strips delivers in completion order, and on one lane it takes a third
+//! schedule:
 //!
-//! * **Banded walk** (order-free serial runs without a watch): walk the
-//!   grid one publish batch of [`DEFAULT_BATCH_ROWS`] block rows at a
-//!   time, column by column, each column's share of the batch one band
-//!   computed straight into the live buses, and deliver each block right
-//!   after its band. Blocks then arrive in walk order;
-//!   [`BlockCoords::frontier`] tells the observer which diagonals are
-//!   complete.
+//! * **Banded walk** (order-free serial runs): walk the grid one publish
+//!   batch of [`DEFAULT_BATCH_ROWS`] block rows at a time, column by
+//!   column, each column's share of the batch one band computed straight
+//!   into the live buses, and deliver each block right after its band.
+//!
+//! Order-free blocks arrive in walk or completion order, each after the
+//! blocks above it and to its left; [`BlockCoords::frontier`] tells the
+//! observer which diagonals are complete.
 //!
 //! Checkpoints and resume do not pick the schedule. A snapshot
 //! ([`EngineState`]) holds a *cut*, the completed block rows of each
@@ -104,8 +108,11 @@ pub struct BlockCoords {
 ///
 /// Blocks arrive in canonical diagonal order (ascending block column
 /// within a diagonal) unless [`WavefrontObserver::needs_diagonal_order`]
-/// returns `false`. Either way a block arrives after the blocks above it
-/// and to its left.
+/// returns `false` on an unwatched launch: then they arrive in the banded
+/// walk's order on one lane and in the order strip runners finish them
+/// on several. Either way a block arrives after the blocks above it and
+/// to its left, so each block row arrives left to right and every prefix
+/// of the stream is a cut.
 pub trait WavefrontObserver {
     /// `bottom` is the block's last row (`H`/`F` per column — the
     /// horizontal-bus segment it just wrote, i.e. the special-row
@@ -136,8 +143,9 @@ pub trait WavefrontObserver {
     /// `false` only when its results do not depend on the order blocks
     /// arrive in (beyond each block following its upper and left
     /// neighbours) and it reads progress from [`BlockCoords::frontier`].
-    /// A serial run without a watch then takes the banded walk (see the
-    /// module docs). Default: `true`.
+    /// A launch without a watch then takes the banded walk on one lane
+    /// and delivers in completion order on strips (see the module docs).
+    /// Default: `true`.
     fn needs_diagonal_order(&self) -> bool {
         true
     }
@@ -325,6 +333,11 @@ pub struct StripStats {
     pub batches_published: u64,
     /// Blocks computed per runner (index 0 = the calling thread).
     pub runner_blocks: Vec<u64>,
+    /// Most finished blocks parked at once, awaiting delivery with their
+    /// border copies. An order-free launch keeps it at most
+    /// `batch_rows` × block columns; an ordered one bounds it by the
+    /// lead window.
+    pub parked_peak: usize,
 }
 
 /// One engine launch over a DP region.
@@ -670,13 +683,15 @@ pub struct Launch<'t> {
     /// Supervision token, polled cooperatively by every schedule: the
     /// serial ones between bands, the strip engine in its delivery loop
     /// (which in turn wakes parked runners through the protocol
-    /// condvars). A cancelled launch first emits one final
+    /// condvars), and all of them once more after the last block. A
+    /// cancelled launch first emits one final
     /// [`WavefrontObserver::on_checkpoint`] with its current cut (when
     /// checkpointing is enabled), so cancellation is always resumable,
-    /// then returns with [`RegionResult::aborted`] set. Workers bump the
-    /// token's heartbeat on every computed block / published border,
-    /// which is what the stall watchdog observes — no clock is read
-    /// anywhere in here.
+    /// then returns with [`RegionResult::aborted`] set, even when the
+    /// cancel landed during its last band and every block completed.
+    /// Workers bump the token's heartbeat on every computed block /
+    /// published border, which is what the stall watchdog observes — no
+    /// clock is read anywhere in here.
     pub token: Option<&'t CancelToken>,
 }
 
@@ -687,8 +702,9 @@ pub struct Launch<'t> {
 /// schedule, and an observer that asks for it
 /// ([`WavefrontObserver::needs_diagonal_order`], the default) is notified
 /// on the calling thread in canonical diagonal order, so its event stream
-/// is identical too. An order-free observer on a serial run sees the same
-/// blocks and borders in banded-walk order.
+/// is identical too. An order-free observer sees the same blocks and
+/// borders in banded-walk order on one lane and in completion order on
+/// strips.
 pub fn run_pooled(
     pool: &WorkerPool,
     job: &RegionJob<'_>,
@@ -755,8 +771,9 @@ pub fn launch(
 
     // A launch needs diagonal order when its observer reads it or when it
     // is watched (stage 2 breaks at the first hit in diagonal order).
-    // Otherwise one lane takes the banded walk. A fresh local run without
-    // checkpoints whose observer allows it also prunes, on every schedule.
+    // Otherwise one lane takes the banded walk and strips deliver in
+    // completion order. A fresh local run without checkpoints whose
+    // observer allows it also prunes, on every schedule.
     let order_free = job.watch.is_none() && !observer.needs_diagonal_order();
     let prune = order_free
         && resume.is_none()
@@ -800,6 +817,7 @@ pub fn launch(
             plan: &plan,
             workers,
             checkpoint_every,
+            order_free,
             totals,
             progress,
             token,
@@ -825,7 +843,10 @@ pub fn launch(
         #[cfg(feature = "race-check")]
         race: &race_session,
     };
-    let aborted = if order_free { serial.walk(observer) } else { serial.diagonals(observer) };
+    // A cancel that lands during the last band has no band left to be
+    // polled before, so the token is polled once more at the end.
+    let aborted = if order_free { serial.walk(observer) } else { serial.diagonals(observer) }
+        || cancel_flush(serial.token, serial.checkpoint_every, observer, || serial.snapshot());
 
     Ok(RegionResult {
         best: serial.totals.best,
@@ -842,6 +863,22 @@ pub fn launch(
         profile_misses: serial.bands.cache.misses(),
         strip: None,
     })
+}
+
+/// Is `token` cancelled? Then offer the observer `snapshot`'s cut when
+/// checkpointing, so the cancel stays resumable. Every schedule polls
+/// this at its band boundaries and once more after its last band.
+fn cancel_flush(
+    token: Option<&CancelToken>,
+    checkpoint_every: Option<usize>,
+    observer: &mut dyn WavefrontObserver,
+    snapshot: impl FnOnce() -> EngineState,
+) -> bool {
+    let cancelled = token.is_some_and(CancelToken::is_cancelled);
+    if cancelled && checkpoint_every.is_some() {
+        observer.on_checkpoint(&snapshot());
+    }
+    cancelled
 }
 
 /// Running totals over delivered blocks.
@@ -1260,18 +1297,14 @@ impl Serial<'_, '_> {
     }
 
     /// One band between two band boundaries: poll the token (a cancel
-    /// flushes the current cut when checkpointing, then aborts), run the
-    /// band, and offer a snapshot when one is due.
+    /// aborts), run the band, and offer a snapshot when one is due.
     fn step(
         &mut self,
         observer: &mut dyn WavefrontObserver,
         rows: Range<usize>,
         c: usize,
     ) -> ControlFlow<()> {
-        if self.token.is_some_and(CancelToken::is_cancelled) {
-            if self.checkpoint_every.is_some() {
-                observer.on_checkpoint(&self.snapshot());
-            }
+        if cancel_flush(self.token, self.checkpoint_every, observer, || self.snapshot()) {
             return ControlFlow::Break(());
         }
         self.band(observer, rows, c)?;
@@ -1372,25 +1405,41 @@ impl Serial<'_, '_> {
 ///   the same mutex, so the lock's release/acquire pair is the
 ///   happens-before edge that orders the producer's bus writes before the
 ///   consumer's reads.
-/// * The calling thread is runner 0 *and* the deliverer: it drains
-///   finished blocks in canonical diagonal order, applies them to shadow
-///   ("checkpoint") buses, and invokes the observer — byte-identically to
-///   the serial engine. Runners may race ahead of delivery only within a
-///   bounded lead window (checked at a band's last block) once every
-///   strip is claimed, which caps the memory held by
-///   finished-but-undelivered borders.
+/// * The calling thread is runner 0 *and* the deliverer: it takes
+///   finished blocks, applies them to shadow ("checkpoint") buses, and
+///   invokes the observer. How it takes them depends on the launch:
+///   - *Ordered* (watched, or an observer that needs diagonal order):
+///     runners park their blocks by coordinates and the deliverer takes
+///     them in canonical diagonal order, so the stream is
+///     byte-identical to the diagonal loop's. Runners may race ahead of
+///     delivery only within a bounded lead window (checked at a band's
+///     last block) once every strip is claimed.
+///   - *Order-free*: runners push their blocks onto a FIFO and the
+///     deliverer pops it. A runner finishes a block after the block
+///     above it (its own strip) and after the block to its left (its
+///     own strip, or the left strip's, pushed before the publish the
+///     runner waited for), so push order is a cut order and every prefix
+///     of the stream is a cut. The caller delivers its own bands inline,
+///     right after draining the FIFO, and never parks them. Pooled
+///     runners may hold at most [`StripPlan::batch_rows`] × block
+///     columns undelivered blocks (computing or parked) between them: a
+///     band that would pass that cap waits until the deliverer drains.
+///     The caller never waits on the cap, so the FIFO always drains.
+///
+///   Either bound caps the memory held by finished-but-undelivered
+///   borders ([`StripStats::parked_peak`]).
 ///
 /// # Why the shadow buses
 ///
-/// Runners mutate the live buses out of diagonal order (that is the
-/// point), so on abort the live buses would reflect blocks *past* the
-/// abort point. The deliverer therefore maintains its own copies, updated
+/// Runners mutate the live buses ahead of delivery (that is the point),
+/// so on abort the live buses would reflect blocks *past* the abort
+/// point. The deliverer therefore maintains its own copies, updated
 /// strictly in delivery order; results and checkpoints are built from
-/// those, making aborted and checkpointed states bit-identical to the
-/// serial engine's.
+/// those, so an aborted or checkpointed state holds exactly the
+/// delivered cut.
 mod strip {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::{Condvar, Mutex, MutexGuard};
     use std::time::Duration;
@@ -1404,6 +1453,8 @@ mod strip {
         pub plan: &'a StripPlan,
         pub workers: usize,
         pub checkpoint_every: Option<usize>,
+        /// Deliver in completion order (see the module docs).
+        pub order_free: bool,
         /// Totals and cut at launch (a resumed snapshot's, or empty).
         pub totals: Totals,
         pub progress: Progress,
@@ -1452,6 +1503,33 @@ mod strip {
         borders: Option<(Vec<CellHF>, Vec<CellHE>)>,
     }
 
+    /// A finished block and its coordinates `(r, c)`.
+    type Finished = ((usize, usize), BlockDone);
+
+    /// Finished, undelivered blocks (see the module docs).
+    enum Parked {
+        /// Ordered launches: by coordinates, taken in canonical order.
+        ByBlock(HashMap<(usize, usize), BlockDone>),
+        /// Order-free launches: in push order, a cut order.
+        Fifo(VecDeque<Finished>),
+    }
+
+    impl Parked {
+        fn len(&self) -> usize {
+            match self {
+                Parked::ByBlock(done) => done.len(),
+                Parked::Fifo(queue) => queue.len(),
+            }
+        }
+
+        fn extend(&mut self, blocks: Vec<Finished>) {
+            match self {
+                Parked::ByBlock(done) => done.extend(blocks),
+                Parked::Fifo(queue) => queue.extend(blocks),
+            }
+        }
+    }
+
     /// Mutable coordination state, under the one strip mutex.
     struct Coord {
         /// Per strip: block rows published to the right neighbour.
@@ -1478,7 +1556,15 @@ mod strip {
         /// panic). Runners exit at the next wait or block boundary.
         cancel: bool,
         /// Finished, undelivered blocks.
-        done: HashMap<(usize, usize), BlockDone>,
+        parked: Parked,
+        /// Order-free launches: blocks of pooled runners' bands admitted
+        /// under the cap ([`Shared::cap`]) and not yet delivered,
+        /// computing or parked.
+        queued: usize,
+        /// Most blocks parked at once.
+        parked_peak: usize,
+        /// Runners waiting on the bound of undelivered blocks.
+        held: usize,
         /// Protocol events awaiting delivery to the observer.
         events: Vec<StripEvent>,
     }
@@ -1490,9 +1576,14 @@ mod strip {
         plan: &'a StripPlan,
         /// The resumed cut: runners skip its blocks.
         restored: &'a [usize],
-        /// Max diagonals a runner may lead the delivery frontier once all
-        /// strips are claimed (bounds undelivered-border memory).
+        /// Ordered launches: max diagonals a runner may lead the delivery
+        /// frontier once all strips are claimed (bounds undelivered-border
+        /// memory).
         lead: usize,
+        /// Order-free launches: max blocks pooled runners may hold
+        /// undelivered ([`Coord::queued`]), one publish batch per block
+        /// column. At least one band, so an empty queue admits any band.
+        cap: usize,
         strips: usize,
         hbus: RawBus<CellHF>,
         vbus: RawBus<CellHE>,
@@ -1555,28 +1646,47 @@ mod strip {
             super::band_end(sh.layout, watched, self.c, self.r, self.batch_end(sh))
         }
 
-        /// Must the band ending before row `end` wait? On the strip's
-        /// first column it consumes the left strip's border, so that
-        /// strip's publish must cover `end` (publishes land on batch ends,
-        /// so this is the per-block rule). Once every strip is claimed,
-        /// the band's last block must also sit inside the lead window.
-        fn blocked(&self, sh: &Shared<'_, '_>, co: &Coord, end: usize) -> bool {
+        /// Must `runner`'s band ending before row `end` wait? On the
+        /// strip's first column it consumes the left strip's border, so
+        /// that strip's publish must cover `end` (publishes land on batch
+        /// ends, so this is the per-block rule). It also waits while it
+        /// would pass the bound on undelivered blocks ([`Cursor::held`]).
+        fn blocked(&self, sh: &Shared<'_, '_>, co: &Coord, runner: usize, end: usize) -> bool {
             let waits_left = self.c == self.c0 && self.s > 0 && co.published[self.s - 1] < end;
-            let leads = co.next_strip >= sh.strips && end - 1 + self.c >= co.front + sh.lead;
-            waits_left || leads
+            waits_left || self.held(sh, co, runner, end)
+        }
+
+        /// Would the band pass the bound on undelivered blocks? Ordered:
+        /// once every strip is claimed, its last block must sit inside the
+        /// lead window. Order-free: a pooled runner's band must fit under
+        /// the cap; the caller delivers its bands inline and never waits.
+        fn held(&self, sh: &Shared<'_, '_>, co: &Coord, runner: usize, end: usize) -> bool {
+            match co.parked {
+                Parked::ByBlock(_) => {
+                    co.next_strip >= sh.strips && end - 1 + self.c >= co.front + sh.lead
+                }
+                Parked::Fifo(_) => runner > 0 && co.queued + (end - self.r) > sh.cap,
+            }
         }
     }
 
     enum Step {
         /// Computed one band.
         Computed,
-        /// The next band is publish- or lead-blocked.
+        /// The next band is publish-blocked or held by the delivery bound.
         Blocked,
         /// No strip left to claim.
         Idle,
         /// Cancellation observed.
         Cancelled,
+        /// The observer aborted the launch during an inline delivery.
+        Aborted,
     }
+
+    /// The caller's inline delivery of one of its own blocks: `(r, c)`,
+    /// its outcome and its bottom and right borders. `Break` aborts.
+    type Inline<'d> =
+        dyn FnMut((usize, usize), &TileOutcome, &[CellHF], &[CellHE]) -> ControlFlow<()> + 'd;
 
     /// Claim the next unclaimed strip for `runner`, if any. Home strips
     /// are pre-claimed, so anything claimed here counts as a steal.
@@ -1633,12 +1743,14 @@ mod strip {
     /// `bands` is the calling runner's private kernel state — a strip is
     /// walked one publish batch at a time, column by column within the
     /// batch, so consecutive bands share a query band and its profile
-    /// cache pays off.
+    /// cache pays off. With `inline`, the band's blocks are delivered
+    /// through it instead of parked.
     fn step(
         sh: &Shared<'_, '_>,
         runner: usize,
         cur_slot: &mut Option<Cursor>,
         bands: &mut BandState,
+        inline: Option<&mut Inline<'_>>,
     ) -> Step {
         let br = sh.layout.block_rows;
         loop {
@@ -1677,32 +1789,41 @@ mod strip {
             }
             let end = cur.band_end(sh);
             {
-                let co = sh.lock();
+                let mut co = sh.lock();
                 if co.cancel {
                     return Step::Cancelled;
                 }
-                if cur.blocked(sh, &co, end) {
+                if cur.blocked(sh, &co, runner, end) {
                     return Step::Blocked;
                 }
+                if matches!(co.parked, Parked::Fifo(_)) && inline.is_none() {
+                    co.queued += end - cur.r;
+                }
             }
-            let alive = compute_band(sh, runner, cur.r..end, cur.c, bands);
+            let step = compute_band(sh, runner, cur.r..end, cur.c, bands, inline);
             cur.r = end;
-            return if alive { Step::Computed } else { Step::Cancelled };
+            return step;
         }
     }
 
     /// Park until the blocked condition of `cur` clears; false = cancel.
-    fn wait_progress(sh: &Shared<'_, '_>, cur: &Cursor) -> bool {
+    fn wait_progress(sh: &Shared<'_, '_>, runner: usize, cur: &Cursor) -> bool {
         let end = cur.band_end(sh);
         let mut co = sh.lock();
         loop {
             if co.cancel {
                 return false;
             }
-            if !cur.blocked(sh, &co, end) {
+            if !cur.blocked(sh, &co, runner, end) {
                 return true;
             }
+            let held = cur.held(sh, &co, runner, end);
+            if held {
+                crate::exec::fault::note_delivery_wait();
+            }
+            co.held += usize::from(held);
             co = sh.cv_work.wait(co).unwrap_or_else(|e| e.into_inner());
+            co.held -= usize::from(held);
         }
     }
 
@@ -1710,17 +1831,18 @@ mod strip {
     fn runner_loop(sh: &Shared<'_, '_>, runner: usize) {
         let mut bands = BandState::default();
         let mut cur: Option<Cursor> = Some(Cursor::new(sh, runner));
+        crate::exec::fault::hold_strip_runner(|| sh.lock().cancel);
         'work: loop {
-            match step(sh, runner, &mut cur, &mut bands) {
+            match step(sh, runner, &mut cur, &mut bands, None) {
                 Step::Computed => {}
                 Step::Blocked => {
                     // `cur` is Some whenever step returns Blocked.
                     let Some(c) = cur.as_ref() else { break 'work };
-                    if !wait_progress(sh, c) {
+                    if !wait_progress(sh, runner, c) {
                         break 'work;
                     }
                 }
-                Step::Idle | Step::Cancelled => break 'work,
+                Step::Idle | Step::Cancelled | Step::Aborted => break 'work,
             }
         }
         // Fold this runner's cache traffic into the shared counters on
@@ -1728,18 +1850,20 @@ mod strip {
         let mut co = sh.lock();
         co.profile_hits += bands.cache.hits();
         co.profile_misses += bands.cache.misses();
+        crate::exec::fault::note_runner_exit();
     }
 
     /// Compute the band of block rows `rows` of column `c` as one kernel
-    /// call against the live buses, and park one result per block for the
-    /// deliverer. Returns false when cancellation was observed.
+    /// call against the live buses, and hand each block to `inline` or,
+    /// without it, park one result per block for the deliverer.
     fn compute_band(
         sh: &Shared<'_, '_>,
         runner: usize,
         rows: std::ops::Range<usize>,
         c: usize,
         bands: &mut BandState,
-    ) -> bool {
+        mut inline: Option<&mut Inline<'_>>,
+    ) -> Step {
         let layout = sh.layout;
         let bc = layout.block_cols;
         let r0 = rows.start;
@@ -1789,8 +1913,9 @@ mod strip {
         // `(br+1)*(bc+1)` table.
         let read = |t: &RawBus<Score>, i| unsafe { *t.at(i) };
         let cone_best = sh.cone.as_ref().map(|t| cone_bound(|i| read(t, i), bc, &rows, c));
-        let mut parked = Vec::with_capacity(rows.len());
-        let _ = super::compute_band(
+        let blocks = rows.len() as u64;
+        let mut parked = Vec::with_capacity(if inline.is_some() { 0 } else { rows.len() });
+        let flow = super::compute_band(
             sh.job,
             layout,
             rows,
@@ -1816,6 +1941,9 @@ mod strip {
                     }
                     race_writes(sh.race, layout, k, c, false);
                 }
+                if let Some(deliver) = inline.as_deref_mut() {
+                    return deliver((k, c), outcome, bottom, right);
+                }
                 // A pruned block parks no border copies.
                 let borders =
                     (outcome.path != KernelPath::Pruned).then(|| (bottom.to_vec(), right.to_vec()));
@@ -1825,15 +1953,27 @@ mod strip {
         );
 
         let mut co = sh.lock();
-        co.blocks[runner] += parked.len() as u64;
-        co.done.extend(parked);
-        let alive = !co.cancel;
+        co.blocks[runner] += blocks;
+        let parks = !parked.is_empty();
+        if parks {
+            co.parked.extend(parked);
+            co.parked_peak = co.parked_peak.max(co.parked.len());
+        }
+        let cancelled = co.cancel;
         drop(co);
         if let Some(t) = sh.token {
             t.beat();
         }
-        sh.cv_done.notify_all();
-        alive
+        if parks {
+            sh.cv_done.notify_all();
+        }
+        if flow.is_break() {
+            Step::Aborted
+        } else if cancelled {
+            Step::Cancelled
+        } else {
+            Step::Computed
+        }
     }
 
     /// Report the bus reads of block `(r, c)` to the race detector, one
@@ -1873,8 +2013,9 @@ mod strip {
     }
 
     impl Deliverer<'_, '_> {
-        /// The state at the delivered cut: in canonical order every block
-        /// boundary is a band boundary.
+        /// The state at the delivered cut. The shadow buses hold exactly
+        /// its borders after any delivered block, so every block boundary
+        /// is a band boundary here.
         fn snapshot(&self) -> EngineState {
             let Deliverer { job, hbus, vbus, corners, totals, progress, .. } = self;
             EngineState::snapshot(job, hbus, vbus, corners, totals, progress)
@@ -1890,70 +2031,109 @@ mod strip {
             (from..layout.block_cols).find(open).map(|c| (p.front - c, c))
         }
 
-        /// Deliver every finished block at the canonical frontier: apply
-        /// it to the shadow buses, update counters and the cut, notify the
-        /// observer, and offer a snapshot when one is due. Returns `Break`
-        /// when the observer aborts the launch.
+        /// Take the next parked block the delivery order allows, if it is
+        /// finished: the canonical next block of an ordered launch, the
+        /// FIFO's head of an order-free one (releasing its place under
+        /// the cap).
+        fn take(&self, sh: &Shared<'_, '_>) -> Option<Finished> {
+            let mut co = sh.lock();
+            let co = &mut *co;
+            match &mut co.parked {
+                Parked::ByBlock(done) => {
+                    let at = self.next(sh.layout)?;
+                    done.remove(&at).map(|block| (at, block))
+                }
+                Parked::Fifo(queue) => {
+                    let head = queue.pop_front()?;
+                    co.queued -= 1;
+                    Some(head)
+                }
+            }
+        }
+
+        /// Deliver every parked block the delivery order allows, and
+        /// forward protocol events as they surface. Returns `Break` when
+        /// the observer aborts the launch.
         fn deliver_ready(
             &mut self,
             sh: &Shared<'_, '_>,
             observer: &mut dyn WavefrontObserver,
         ) -> ControlFlow<()> {
-            let layout = sh.layout;
-            let (br, bc) = (layout.block_rows, layout.block_cols);
+            let mut drained = false;
             // lint: allow(cancel-coverage): delivers only already-completed blocks and returns Continue when one is not
             // ready; the caller's delivery loop polls the cancel token every round
             loop {
-                // Forward protocol events as they surface.
                 let events = std::mem::take(&mut sh.lock().events);
                 for ev in &events {
                     observer.on_strip_event(ev);
                 }
-                let Some((r, c)) = self.next(layout) else {
-                    return ControlFlow::Continue(());
+                let Some(((r, c), done)) = self.take(sh) else {
+                    break;
                 };
-                let Some(done) = sh.lock().done.remove(&(r, c)) else {
-                    return ControlFlow::Continue(());
-                };
-                let (rs, re) = layout.row_range(r);
-                let (cs, ce) = layout.col_range(c);
-                let width = (ce + 1).saturating_sub(cs);
-                let height = (re + 1).saturating_sub(rs);
-                let bottom = &mut self.hbus[cs - 1..cs - 1 + width];
-                let right = &mut self.vbus[rs - 1..rs - 1 + height];
-                match &done.borders {
-                    Some((b, r)) => {
-                        bottom.copy_from_slice(b);
-                        right.copy_from_slice(r);
-                    }
-                    None => super::write_floor(bottom, right),
-                }
-                self.corners[(r + 1) * (bc + 1) + (c + 1)] = done.outcome.corner_out;
-                self.totals.add(&done.outcome);
-                let frontier = self.progress.complete(r, c);
-                if self.progress.front > frontier {
-                    // A diagonal completed: runners may lead further.
-                    sh.lock().front = self.progress.front;
-                    sh.cv_work.notify_all();
-                }
-                (self.d, self.c) = (r + c, c + 1);
-                let coords = BlockCoords {
-                    r,
-                    c,
-                    diagonal: r + c,
-                    frontier,
-                    rows: (rs, re),
-                    cols: (cs, ce),
-                    last_block_row: r + 1 == br,
-                    last_block_col: c + 1 == bc,
-                };
-                let (bottom, right) =
-                    (&self.hbus[cs - 1..cs - 1 + width], &self.vbus[rs - 1..rs - 1 + height]);
-                observer.on_block(&coords, &done.outcome, bottom, right)?;
-                if self.progress.checkpoint_due(self.checkpoint_every) {
-                    observer.on_checkpoint(&self.snapshot());
-                }
+                drained = true;
+                let borders = done.borders.as_ref().map(|(b, v)| (&b[..], &v[..]));
+                self.deliver(sh, observer, (r, c), &done.outcome, borders)?;
             }
+            // Runners held by the cap may fit their next band now.
+            if drained && sh.lock().held > 0 {
+                sh.cv_work.notify_all();
+            }
+            ControlFlow::Continue(())
+        }
+
+        /// Deliver block `(r, c)`: apply its borders (`None`: a pruned
+        /// block's floor) to the shadow buses, update counters and the
+        /// cut, notify the observer, and offer a snapshot when one is due.
+        /// Returns `Break` when the observer aborts the launch.
+        fn deliver(
+            &mut self,
+            sh: &Shared<'_, '_>,
+            observer: &mut dyn WavefrontObserver,
+            (r, c): (usize, usize),
+            outcome: &TileOutcome,
+            borders: Option<(&[CellHF], &[CellHE])>,
+        ) -> ControlFlow<()> {
+            let layout = sh.layout;
+            let (br, bc) = (layout.block_rows, layout.block_cols);
+            let (rs, re) = layout.row_range(r);
+            let (cs, ce) = layout.col_range(c);
+            let width = (ce + 1).saturating_sub(cs);
+            let height = (re + 1).saturating_sub(rs);
+            let bottom = &mut self.hbus[cs - 1..cs - 1 + width];
+            let right = &mut self.vbus[rs - 1..rs - 1 + height];
+            match borders {
+                Some((b, v)) => {
+                    bottom.copy_from_slice(b);
+                    right.copy_from_slice(v);
+                }
+                None => super::write_floor(bottom, right),
+            }
+            self.corners[(r + 1) * (bc + 1) + (c + 1)] = outcome.corner_out;
+            self.totals.add(outcome);
+            let frontier = self.progress.complete(r, c);
+            if self.progress.front > frontier {
+                // A diagonal completed: runners may lead further.
+                sh.lock().front = self.progress.front;
+                sh.cv_work.notify_all();
+            }
+            (self.d, self.c) = (r + c, c + 1);
+            let coords = BlockCoords {
+                r,
+                c,
+                diagonal: r + c,
+                frontier,
+                rows: (rs, re),
+                cols: (cs, ce),
+                last_block_row: r + 1 == br,
+                last_block_col: c + 1 == bc,
+            };
+            let (bottom, right) =
+                (&self.hbus[cs - 1..cs - 1 + width], &self.vbus[rs - 1..rs - 1 + height]);
+            observer.on_block(&coords, outcome, bottom, right)?;
+            if self.progress.checkpoint_due(self.checkpoint_every) {
+                observer.on_checkpoint(&self.snapshot());
+            }
+            ControlFlow::Continue(())
         }
     }
 
@@ -1992,7 +2172,7 @@ mod strip {
             }
         }
 
-        // Shadow buses: the deliverer's diagonal-ordered view (see the
+        // Shadow buses: the deliverer's view, in delivery order (see the
         // module docs). Cloned before the raw views are taken.
         let mut dl = Deliverer {
             job: p.job,
@@ -2012,6 +2192,7 @@ mod strip {
             plan: p.plan,
             restored: &restored,
             lead: bc + 8 * p.plan.batch_rows,
+            cap: p.plan.batch_rows * bc,
             strips,
             hbus: RawBus::new(&mut hbus),
             vbus: RawBus::new(&mut vbus),
@@ -2032,7 +2213,14 @@ mod strip {
                 profile_misses: 0,
                 front,
                 cancel: false,
-                done: HashMap::new(),
+                parked: if p.order_free {
+                    Parked::Fifo(VecDeque::new())
+                } else {
+                    Parked::ByBlock(HashMap::new())
+                },
+                queued: 0,
+                parked_peak: 0,
+                held: 0,
                 events: (0..runners)
                     .map(|r| StripEvent::Claimed { runner: r, strip: r, stolen: false })
                     .collect(),
@@ -2061,41 +2249,63 @@ mod strip {
             // so catch, cancel, then re-raise.
             let body = catch_unwind(AssertUnwindSafe(|| {
                 let mut cur: Option<Cursor> = Some(Cursor::new(sh, 0));
-                while !dl.progress.finished() {
-                    // 0) Cancellation: flush the delivered cut so the run
-                    //    stays resumable, then tear down (the scope
-                    //    epilogue below wakes every parked runner).
-                    if p.token.is_some_and(CancelToken::is_cancelled) {
-                        if p.checkpoint_every.is_some() {
-                            observer.on_checkpoint(&dl.snapshot());
-                        }
-                        aborted = true;
-                        break;
-                    }
-                    // 1) Deliver everything ready, in canonical order.
-                    if dl.deliver_ready(sh, observer).is_break() {
+                loop {
+                    // 0) Cancellation, polled after the last block too (a
+                    //    cancel that lands during the last band has no
+                    //    band left to be polled before): flush the
+                    //    delivered cut so the run stays resumable, then
+                    //    tear down (the scope epilogue below wakes every
+                    //    parked runner).
+                    if cancel_flush(p.token, p.checkpoint_every, observer, || dl.snapshot()) {
                         aborted = true;
                         break;
                     }
                     if dl.progress.finished() {
                         break;
                     }
+                    // 1) Deliver everything ready.
+                    if dl.deliver_ready(sh, observer).is_break() {
+                        aborted = true;
+                        break;
+                    }
+                    if dl.progress.finished() {
+                        continue;
+                    }
                     if scope.panicked() {
                         // A runner died; the scope will surface the panic
                         // as WorkerPanic once we release the others.
                         break;
                     }
-                    // 2) Advance the caller's own strip by one block.
-                    match step(sh, 0, &mut cur, &mut bands0) {
+                    // 2) Advance the caller's own strip by one band. On an
+                    //    order-free launch it delivers the band's blocks
+                    //    itself, each right after draining what is ready:
+                    //    the blocks left of the band were pushed before
+                    //    the publish it waited for.
+                    let mut inline =
+                        |at, out: &TileOutcome, bottom: &[CellHF], right: &[CellHE]| {
+                            dl.deliver_ready(sh, observer)?;
+                            dl.deliver(sh, observer, at, out, Some((bottom, right)))
+                        };
+                    let inline = p.order_free.then_some(&mut inline as &mut Inline<'_>);
+                    match step(sh, 0, &mut cur, &mut bands0, inline) {
                         Step::Computed => continue,
+                        Step::Aborted => {
+                            aborted = true;
+                            break;
+                        }
                         Step::Blocked | Step::Idle | Step::Cancelled => {}
                     }
                     // 3) Nothing to compute: park briefly for runner
                     //    completions (timeout bounds the wait so runner
                     //    panics and publish-only progress are noticed).
                     let co = sh.lock();
-                    let next_ready = dl.next(&layout).is_some_and(|rc| co.done.contains_key(&rc));
-                    if !next_ready && co.events.is_empty() && !co.cancel {
+                    let ready = match &co.parked {
+                        Parked::ByBlock(done) => {
+                            dl.next(&layout).is_some_and(|at| done.contains_key(&at))
+                        }
+                        Parked::Fifo(queue) => !queue.is_empty(),
+                    };
+                    if !ready && co.events.is_empty() && !co.cancel {
                         drop(
                             sh.cv_done
                                 .wait_timeout(co, Duration::from_millis(1))
@@ -2130,6 +2340,7 @@ mod strip {
             steals: co.steals,
             batches_published: co.batches,
             runner_blocks: co.blocks.clone(),
+            parked_peak: co.parked_peak,
         };
         // Fold the pooled runners' cache traffic (deposited by each
         // `runner_loop` on exit) with runner 0's own cache, which lives in
@@ -2622,9 +2833,10 @@ mod resume_tests {
 
     /// A snapshot taken under one worker count must resume under any
     /// other: the strip plan is derived at launch, not persisted state.
-    /// The snapshots come from the strip engine (diagonal cuts) and from
-    /// a one-lane banded walk (cuts at its band boundaries, most of them
-    /// not diagonal).
+    /// The snapshots come from the strip engine in canonical order
+    /// (diagonal cuts), from a one-lane banded walk (cuts at its band
+    /// boundaries, most of them not diagonal) and from the strip engine
+    /// in completion order (prefixes of its delivery FIFO).
     #[test]
     fn resume_with_different_worker_count_is_byte_identical() {
         let a = dna(11, 280);
@@ -2646,7 +2858,13 @@ mod resume_tests {
         let off_diagonal = |s: &EngineState| s.cut != diagonal_cut(&walked.layout, s.next_diagonal);
         assert!(walk.snaps.iter().any(off_diagonal), "no cut off the diagonals");
 
-        for snap in std::iter::once(mid).chain(walk.snaps) {
+        let mut strips = OrderFree::default();
+        let every = Launch { checkpoint_every: Some(3), ..Launch::default() };
+        let freed = launch_alone(&j4, &mut strips, every);
+        assert!(freed.strip.is_some(), "four lanes run strips");
+        assert!(strips.snaps.len() >= 2, "expected several checkpoints");
+
+        for snap in std::iter::once(mid).chain(walk.snaps).chain(strips.snaps) {
             for workers in [1usize, 2, 3, 8] {
                 assert_resumes(&j4, &snap, &full, workers);
             }
@@ -2762,6 +2980,43 @@ mod resume_tests {
                 assert_eq!(resumed.cells, full.cells, "workers={workers}");
                 assert_eq!(resumed.busy_slots, full.busy_slots, "workers={workers}");
             }
+        }
+    }
+
+    /// A cancel that lands during the last band finds no band boundary
+    /// left to be polled at. The launch still aborts, with one flush of
+    /// its final cut (every block), which resumes to the uninterrupted
+    /// result: ordered and order-free, on one lane and on strips.
+    #[test]
+    fn a_cancel_in_the_last_band_aborts_and_flushes() {
+        let a = dna(37, 260);
+        let b = dna(38, 300);
+        for workers in [1usize, 4] {
+            let j = RegionJob { workers, ..job(&a, &b) };
+            let full = plain(&j);
+            let blocks = full.layout.block_rows * full.layout.block_cols;
+            let pool = WorkerPool::new(workers);
+            let opts = |token| Launch {
+                checkpoint_every: Some(10_000),
+                token: Some(token),
+                ..Launch::default()
+            };
+            let check = |res: RegionResult, mut snaps: Vec<EngineState>, what: &str| {
+                assert!(res.aborted, "{what}");
+                assert_eq!(snaps.len(), 1, "one flush, {what}");
+                let snap = snaps.remove(0);
+                assert_eq!(snap.next_diagonal, full.layout.diagonals(), "the final cut, {what}");
+                assert_resumes(&j, &snap, &full, workers);
+            };
+            let token = crate::ctrl::CancelToken::new();
+            let mut ordered = CancelAfter { countdown: blocks, token: &token, snaps: vec![] };
+            let res = launch(&pool, &j, &mut ordered, opts(&token)).expect("no worker panic");
+            check(res, ordered.snaps, &format!("ordered, workers={workers}"));
+            let token = crate::ctrl::CancelToken::new();
+            let mut free =
+                OrderFree { countdown: blocks, token: Some(&token), ..OrderFree::default() };
+            let res = launch(&pool, &j, &mut free, opts(&token)).expect("no worker panic");
+            check(res, free.snaps, &format!("order-free, workers={workers}"));
         }
     }
 

@@ -734,3 +734,93 @@ fn walk_abort_mid_batch_reports_the_frontier() {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An order-free strip launch delivers in completion order. Against
+    /// an ordered launch of the same plan (canonical diagonal order, the
+    /// same bands), on random shapes, 2-8 workers and plans with more
+    /// strips than workers: the stream meets the delivery contract and
+    /// each row's blocks arrive left to right; every block's coordinates
+    /// (up to the frontier), outcome and borders match; the buses, best,
+    /// cells and busy slots match; and an abort at any block reports the
+    /// frontier as `diagonals_run`.
+    #[test]
+    fn order_free_strips_equal_canonical_order(
+        seed in any::<u64>(),
+        rows in 40usize..300,
+        cols in 40usize..300,
+        threads in 2usize..9,
+        alpha in 2usize..5,
+        blocks in 1usize..9,
+        workers in 2usize..9,
+        ragged in any::<bool>(),
+        batch_rows in 1usize..6,
+        local in any::<bool>(),
+        stop_knob in any::<u64>(),
+    ) {
+        let a = generate::dna(seed, rows);
+        let b = generate::dna(seed.rotate_left(23) ^ 0x3C, cols);
+        let mode = if local { Mode::Local } else { Mode::global(EdgeState::Diagonal) };
+        let job = RegionJob {
+            a: &a, b: &b, scoring: Scoring::paper(), mode,
+            grid: GridSpec { blocks, threads, alpha }, workers, watch: None,
+        };
+        let layout = job.grid.layout(a.len(), b.len());
+        let bc = layout.block_cols;
+        let plan = if ragged {
+            StripPlan { bounds: (0..=bc).collect(), batch_rows }
+        } else {
+            StripPlan { batch_rows, ..StripPlan::balanced(bc, workers) }
+        };
+        let pool = WorkerPool::new(workers);
+        let run = |log: &mut BlockLog| {
+            let opts = Launch { plan: Some(plan.clone()), ..Launch::default() };
+            launch(&pool, &job, log, opts).expect("no worker panic")
+        };
+        let mut canon = BlockLog::new(true, 0);
+        let canonical = run(&mut canon);
+        let mut free = BlockLog::new(false, 0);
+        let freed = run(&mut free);
+        let what = format!("workers={workers}, plan {:?}", plan.bounds);
+
+        prop_assert!(!freed.aborted && !canonical.aborted, "{}", what);
+        prop_assert_eq!(freed.best, canonical.best, "best, {}", what);
+        prop_assert_eq!(freed.cells, canonical.cells, "cells, {}", what);
+        prop_assert_eq!(freed.busy_slots, canonical.busy_slots, "busy_slots, {}", what);
+        prop_assert_eq!(freed.diagonals_run, canonical.diagonals_run, "diagonals_run, {}", what);
+        prop_assert_eq!(&freed.hbus, &canonical.hbus, "hbus, {}", what);
+        prop_assert_eq!(&freed.vbus, &canonical.vbus, "vbus, {}", what);
+
+        check_delivery(&free.blocks, &layout)?;
+        let mut next_col = vec![0usize; layout.block_rows];
+        for (coords, ..) in &free.blocks {
+            prop_assert_eq!(coords.c, next_col[coords.r], "row {} out of order, {}", coords.r, what);
+            next_col[coords.r] += 1;
+        }
+        let by_block: std::collections::HashMap<(usize, usize), &Delivered> =
+            canon.blocks.iter().map(|d| ((d.0.r, d.0.c), d)).collect();
+        prop_assert_eq!(by_block.len(), free.blocks.len(), "block count, {}", what);
+        for (coords, out, bottom, right) in &free.blocks {
+            let at = (coords.r, coords.c);
+            let (c2, o2, bottom2, right2) = by_block[&at];
+            prop_assert_eq!(BlockCoords { frontier: c2.frontier, ..*coords }, *c2, "coords {:?}", at);
+            prop_assert_eq!(out, o2, "outcome {:?}, {}", at, what);
+            prop_assert!(bottom == bottom2 && right == right2, "borders {:?}, {}", at, what);
+        }
+
+        // Abort at any block: the run reports the lowest diagonal that
+        // still holds an undelivered block.
+        let stop = 1 + (stop_knob % free.blocks.len() as u64) as usize;
+        let mut cut = BlockLog::new(false, stop);
+        let aborted = run(&mut cut);
+        prop_assert!(aborted.aborted, "abort at block {}, {}", stop, what);
+        prop_assert_eq!(cut.blocks.len(), stop, "blocks before the abort, {}", what);
+        check_delivery(&cut.blocks, &layout)?;
+        let order = walk_order(layout.block_rows, bc);
+        let seen = cut.order().into_iter().collect();
+        let front = lowest_open_diagonal(&order, &seen, layout.diagonals());
+        prop_assert_eq!(aborted.diagonals_run, front, "diagonals_run at abort {}, {}", stop, what);
+    }
+}
