@@ -213,6 +213,19 @@ pub fn align(args: &AlignArgs) -> Result<String, String> {
             st.kernel_profile_hits, st.kernel_profile_misses
         )
         .unwrap();
+        let p4 = &st.stage4_paths;
+        writeln!(
+            out,
+            "  stage-4 kernel: tiles i8/i8→i16/i16/fallback/scalar {}/{}/{}/{}/{}, profile cache {} hits, {} misses",
+            p4.striped8,
+            p4.striped8_fb16,
+            p4.striped16,
+            p4.fallback,
+            p4.scalar,
+            st.stage4_profile_hits,
+            st.stage4_profile_misses
+        )
+        .unwrap();
         writeln!(out, "  stage-1 strips: peak {} blocks parked", st.stage1_parked_peak).unwrap();
         writeln!(out, "  total: {:.3}s", st.total_seconds).unwrap();
     }

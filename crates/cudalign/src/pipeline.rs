@@ -10,6 +10,7 @@ use crate::storage::{self, StorageError};
 use crate::supervise::RunControl;
 use crate::{stage1, stage2, stage3, stage4, stage5};
 use gpu_sim::{ExecError, PoolStats, WorkerPool};
+use std::ops::Range;
 use std::sync::Arc;
 use sw_core::scoring::Score;
 use sw_core::transcript::Transcript;
@@ -18,8 +19,9 @@ use sw_core::transcript::Transcript;
 ///
 /// Every stage entry point returns this; the pipeline maps it onto
 /// [`PipelineError`]. The split matters because the two variants demand
-/// different reactions: a [`StageError::Logic`] means the stage's own
-/// invariants failed (goal not found, chain validation), while a
+/// different reactions: a [`StageError::Logic`] or
+/// [`StageError::GoalNotReached`] means the stage's own invariants failed
+/// (chain validation, a matching goal missed), while a
 /// [`StageError::Worker`] means a job panicked on the shared
 /// [`WorkerPool`] — the pool itself survives and the run can be retried.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +29,20 @@ use sw_core::transcript::Transcript;
 pub enum StageError {
     /// A stage invariant failed (a bug or corrupted store).
     Logic(String),
+    /// A matching procedure never reached its goal score inside the region
+    /// the optimal path must cross: goal-based matching in stages 2-3,
+    /// the Myers-Miller split of a stage-4 partition. The goal is the
+    /// known optimum, so this is a bug or a corrupted special line.
+    GoalNotReached {
+        /// Pipeline stage (2, 3 or 4).
+        stage: u8,
+        /// The score the matching had to reach.
+        goal: Score,
+        /// DP rows of the searched region.
+        rows: Range<usize>,
+        /// DP columns of the searched region.
+        cols: Range<usize>,
+    },
     /// A worker-pool job panicked; the payload is the panic message.
     Worker(String),
     /// The storage layer failed in a way the stage could not degrade
@@ -82,6 +98,9 @@ impl std::fmt::Display for StageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StageError::Logic(s) => write!(f, "{s}"),
+            StageError::GoalNotReached { stage, goal, rows, cols } => {
+                write!(f, "stage {stage}: goal {goal} not reached in rows {rows:?} cols {cols:?}")
+            }
             StageError::Worker(s) => write!(f, "worker panicked: {s}"),
             StageError::Storage(e) => write!(f, "{e}"),
             StageError::Interrupted { diagonal } => {
@@ -286,6 +305,7 @@ impl From<StageError> for PipelineError {
     fn from(e: StageError) -> Self {
         match e {
             StageError::Logic(s) => PipelineError::Internal(s),
+            e @ StageError::GoalNotReached { .. } => PipelineError::Internal(e.to_string()),
             StageError::Worker(s) => PipelineError::Worker(s),
             StageError::Storage(e) => PipelineError::Io(e.to_string()),
             StageError::Interrupted { diagonal } => PipelineError::Interrupted { diagonal },
@@ -400,6 +420,13 @@ pub struct PipelineStats {
     /// Query-profile cache misses (profile bands built) across the
     /// engine-driven stages.
     pub kernel_profile_misses: u64,
+    /// Stage-4 kernel tiles (both halves of every Myers-Miller split) per
+    /// precision-ladder outcome; not part of the `kernel_*` counters.
+    pub stage4_paths: gpu_sim::kernel::PathCounts,
+    /// Stage-4 query-profile cache hits.
+    pub stage4_profile_hits: u64,
+    /// Stage-4 query-profile cache misses.
+    pub stage4_profile_misses: u64,
     /// Supervised interruptions (cancel / deadline / stall) recorded on
     /// this run's metrics registry. Non-zero only when the caller reuses
     /// one [`Obs`] across an interrupted run and its resume — the
@@ -733,7 +760,24 @@ impl Pipeline {
         stats.effective_blocks[2] = s3r.min_blocks;
 
         // Stage 4: Myers-Miller until partitions fit.
-        let s4r = stage_span(cx, 4, |cx| stage4::run(cx, &s3r.chain), |_, r| r.cells)?;
+        let s4r = stage_span(
+            cx,
+            4,
+            |cx| stage4::run(cx, &s3r.chain),
+            |obs, r| {
+                // Metrics only: the `kernel` trace record stays with the
+                // engine-driven stages 1-3.
+                let m = &mut obs.metrics;
+                m.inc("stage4.striped8_tiles", r.paths.striped8);
+                m.inc("stage4.striped8_fb16_tiles", r.paths.striped8_fb16);
+                m.inc("stage4.striped16_tiles", r.paths.striped16);
+                m.inc("stage4.fallback_tiles", r.paths.fallback);
+                m.inc("stage4.scalar_tiles", r.paths.scalar);
+                m.inc("stage4.profile_hits", r.profile_hits);
+                m.inc("stage4.profile_misses", r.profile_misses);
+                r.cells
+            },
+        )?;
         stats.crosspoints[3] = s4r.chain.len();
         stats.stage4_iterations = s4r.iterations.clone();
 
@@ -968,6 +1012,16 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
     stats.pruned_cells = m.get("stage1.pruned_cells");
     stats.kernel_profile_hits = m.get("kernel.profile_hits");
     stats.kernel_profile_misses = m.get("kernel.profile_misses");
+    stats.stage4_paths = gpu_sim::kernel::PathCounts {
+        striped8: m.get("stage4.striped8_tiles"),
+        striped8_fb16: m.get("stage4.striped8_fb16_tiles"),
+        striped16: m.get("stage4.striped16_tiles"),
+        fallback: m.get("stage4.fallback_tiles"),
+        scalar: m.get("stage4.scalar_tiles"),
+        pruned: 0,
+    };
+    stats.stage4_profile_hits = m.get("stage4.profile_hits");
+    stats.stage4_profile_misses = m.get("stage4.profile_misses");
     stats.binary_bytes = m.get("binary.bytes") as usize;
     stats.interruptions = m.get("supervise.interrupts");
     stats.cancel_latency_ms = m.gauge("supervise.cancel_latency_ms");

@@ -389,8 +389,6 @@ mod tests {
     use gpu_sim::WorkerPool;
     use seqio::generate::{dna, edited_pair};
     use sw_core::full::sw_local_score;
-    use sw_core::linear::RowDp;
-    use sw_core::transcript::EdgeState;
     use sw_core::Scoring;
 
     #[test]
@@ -471,8 +469,6 @@ mod tests {
                 }
             }
         }
-        // silence unused warning for EdgeState/RowDp imports used elsewhere
-        let _ = RowDp::new(0, sc, EdgeState::Diagonal);
     }
 
     #[test]

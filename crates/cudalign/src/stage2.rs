@@ -367,10 +367,12 @@ pub fn run(
                 cur = cp;
             }
             None => {
-                return Err(StageError::Logic(format!(
-                    "stage 2: goal {} not found in strip rows {}..{} cols 0..{}",
-                    cur.score, r, cur.i, cur.j
-                )));
+                return Err(StageError::GoalNotReached {
+                    stage: 2,
+                    goal: cur.score,
+                    rows: r..cur.i,
+                    cols: 0..cur.j,
+                });
             }
         }
         // Columns that survived the crosspoint-side pruning are complete

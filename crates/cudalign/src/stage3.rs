@@ -201,10 +201,12 @@ fn refine_partition(
                 cur = cp;
             }
             None => {
-                return Err(StageError::Logic(format!(
-                    "stage 3: goal {goal_rel} not found on column {c} of partition {:?}",
-                    (p.start, p.end)
-                )));
+                return Err(StageError::GoalNotReached {
+                    stage: 3,
+                    goal: goal_rel,
+                    rows: cur.i..p.end.i,
+                    cols: cur.j..c,
+                });
             }
         }
     }

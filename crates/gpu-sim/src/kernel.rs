@@ -612,6 +612,18 @@ pub fn global_borders(
 ) -> (Vec<CellHF>, Vec<CellHE>, Score) {
     let mut top = vec![CellHF::UNREACHABLE; n];
     let mut left = vec![CellHE::UNREACHABLE; m];
+    let corner = fill_global_borders(&mut top, &mut left, scoring, origin);
+    (top, left, corner)
+}
+
+/// [`global_borders`] into caller-owned buffers (`top.len()` columns,
+/// `left.len()` rows); returns the corner.
+pub fn fill_global_borders(
+    top: &mut [CellHF],
+    left: &mut [CellHE],
+    scoring: &Scoring,
+    origin: GlobalOrigin,
+) -> Score {
     // Row 0: E-run from the origin; F is unreachable along row 0.
     let mut e = origin.e0;
     let mut h_prev = origin.h0;
@@ -628,7 +640,7 @@ pub fn global_borders(
         h_prev = f;
         *cell = CellHE { h: f, e: NEG_INF };
     }
-    (top, left, origin.h0)
+    origin.h0
 }
 
 /// Border values for a local-mode region: all zeros.
