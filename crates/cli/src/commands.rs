@@ -172,6 +172,12 @@ pub fn align(args: &AlignArgs) -> Result<String, String> {
             st.special_rows, st.sra_bytes_used, st.special_columns, st.sca_bytes_used
         )
         .unwrap();
+        writeln!(
+            out,
+            "  in-flight special rows: peak {} ({} bytes)",
+            st.sra_inflight_peak_rows, st.sra_inflight_peak_bytes
+        )
+        .unwrap();
         writeln!(out, "  stage-4 iterations: {}", st.stage4_iterations.len()).unwrap();
         writeln!(
             out,

@@ -347,7 +347,8 @@ events! {
             /// Bytes the line occupies in the store.
             bytes: u64 = Num,
         },
-        /// A stored line was dropped (e.g. a corrupt row rejected on read).
+        /// A line was dropped: a corrupt row rejected on read, or a special
+        /// row whose disk write failed after retries.
         StorageDrop("storage_drop", AnyStage) {
             /// Which store: `"sra"` or `"sca"`.
             store: &'static str = OneOf(&["sra", "sca"]),

@@ -340,6 +340,12 @@ pub struct PipelineStats {
     pub flush_interval_blocks: usize,
     /// Bytes written to the SRA by Stage 1.
     pub sra_bytes_used: u64,
+    /// Most special rows in flight (begun, not yet complete) at once in
+    /// Stage 1.
+    pub sra_inflight_peak_rows: u64,
+    /// Most SRA bytes those in-flight rows held at once (8 per cell, the
+    /// capacity their buffers reserve).
+    pub sra_inflight_peak_bytes: u64,
     /// Special columns kept for Stage 3.
     pub special_columns: usize,
     /// Bytes of special columns kept.
@@ -894,7 +900,7 @@ fn note_interruption(cx: &mut StageContext<'_, '_>, stage: u8, e: StageError) ->
 
 /// Fold the storage-health counters of the row and column stores into the
 /// metrics registry (dropped lines are attributed per store, the rest
-/// merged).
+/// merged; the in-flight peaks are the row store's).
 fn record_store_stats(m: &mut Metrics, rows: StoreStats, cols: StoreStats) {
     m.inc("storage.dropped_rows", rows.dropped_lines);
     m.inc("storage.dropped_cols", cols.dropped_lines);
@@ -902,6 +908,8 @@ fn record_store_stats(m: &mut Metrics, rows: StoreStats, cols: StoreStats) {
     m.inc("storage.retries", merged.write_retries);
     m.inc("storage.rejected_files", merged.rejected_files);
     m.inc("storage.swept_files", merged.swept_files);
+    m.set("sra.inflight_peak_rows", rows.peak_inflight_lines);
+    m.set("sra.inflight_peak_bytes", rows.peak_inflight_bytes);
 }
 
 /// Fold the difference between two pool snapshots into the metrics
@@ -990,6 +998,8 @@ fn fill_scalar_stats(stats: &mut PipelineStats, m: &Metrics) {
     stats.stage1_parked_peak = m.get("stage1.parked_peak") as usize;
     stats.special_rows = m.get("sra.special_rows") as usize;
     stats.sra_bytes_used = m.get("sra.bytes_used");
+    stats.sra_inflight_peak_rows = m.get("sra.inflight_peak_rows");
+    stats.sra_inflight_peak_bytes = m.get("sra.inflight_peak_bytes");
     stats.special_columns = m.get("sca.special_columns") as usize;
     stats.sca_bytes_used = m.get("sca.bytes_used");
     stats.stage2_strips = m.get("stage2.strips") as usize;
@@ -1090,6 +1100,8 @@ mod tests {
 
     #[test]
     fn end_to_end_disk_backend() {
+        // Writes storage frames: serialized with the fault-arming tests.
+        let _guard = crate::storage::fault::test_guard();
         let (a, b) = edited_pair(4, 300, 29);
         let dir = std::env::temp_dir().join(format!("cudalign-e2e-{}", std::process::id()));
         let mut cfg = PipelineConfig::for_tests();
@@ -1390,6 +1402,8 @@ mod checkpoint_tests {
     /// still produces the full optimal alignment.
     #[test]
     fn pipeline_resumes_from_planted_checkpoint() {
+        // Writes storage frames: serialized with the fault-arming tests.
+        let _guard = crate::storage::fault::test_guard();
         let a = dna(51, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(17) {
@@ -1438,6 +1452,8 @@ mod checkpoint_tests {
     /// separately in `resumed_cells_skipped`.
     #[test]
     fn resumed_run_counts_only_recomputed_cells() {
+        // Writes storage frames: serialized with the fault-arming tests.
+        let _guard = crate::storage::fault::test_guard();
         let a = dna(54, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(17) {

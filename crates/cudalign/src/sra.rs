@@ -11,6 +11,21 @@
 //! blocks of an external diagonal and becomes whole only after several
 //! diagonals); a line becomes readable once every cell has arrived.
 //!
+//! # Line layout: the budget is the RAM
+//!
+//! A line lives in its final `Vec<T>` (8 bytes per cell, the paper's
+//! layout) from [`LineStore::try_begin_line`] until it is dropped. The
+//! buffer is reserved at the line's exact length and filled as segments
+//! land (in-order segments append; one landing past the filled end pads
+//! the gap); a per-line coverage bitmap (one bit per cell) records which cells
+//! have arrived, so segments may come in any order, overlap, or be
+//! replayed from a checkpoint. Completion moves the buffer as it is into
+//! [`LineStore`]'s memory index (no copy, no slack capacity) or encodes it
+//! in one pass into its disk frame; memory lines are read by borrowing
+//! ([`LineStore::get`] returns a [`Cow`]). So the bytes charged to the
+//! budget, 8 per cell of every begun or stored memory line, are the bytes
+//! the cell buffers hold; the bitmaps (1/64 of that) are the only extra.
+//!
 //! Disk persistence goes through [`crate::storage`]: every line file is a
 //! checksummed frame carrying the job fingerprint, written atomically.
 //! Failures *degrade* instead of panicking — an unwritable line is
@@ -22,6 +37,7 @@
 use crate::config::SraBackend;
 use crate::storage::{self, FrameMeta, StorageError};
 use gpu_sim::{CellHE, CellHF};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use sw_core::scoring::Score;
@@ -111,18 +127,40 @@ pub struct StoreStats {
     /// Orphaned files swept by [`LineStore::new`] (left behind by a
     /// crashed prior run) plus stale tmp siblings removed on reopen.
     pub swept_files: u64,
+    /// Most lines in flight (begun or restored, not yet complete) at once.
+    pub peak_inflight_lines: u64,
+    /// Most budget bytes held by in-flight lines at once (8 per cell).
+    pub peak_inflight_bytes: u64,
 }
 
 impl StoreStats {
-    /// Element-wise sum (for aggregating the row and column stores).
+    /// Counters summed and peaks maximized (for aggregating the row and
+    /// column stores).
     pub fn merged(self, other: StoreStats) -> StoreStats {
         StoreStats {
             dropped_lines: self.dropped_lines + other.dropped_lines,
             write_retries: self.write_retries + other.write_retries,
             rejected_files: self.rejected_files + other.rejected_files,
             swept_files: self.swept_files + other.swept_files,
+            peak_inflight_lines: self.peak_inflight_lines.max(other.peak_inflight_lines),
+            peak_inflight_bytes: self.peak_inflight_bytes.max(other.peak_inflight_bytes),
         }
     }
+}
+
+/// What [`LineStore::put_segment`] did with a segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Put {
+    /// Not applied: the line is not in flight (never begun, refused by the
+    /// budget, already complete) or the segment does not fit inside it.
+    Ignored,
+    /// Applied; the line still misses cells.
+    Pending,
+    /// Applied, and the line is now complete and stored.
+    Stored,
+    /// Applied and complete, but its disk write failed after retries: the
+    /// line is dropped and its budget refunded.
+    Dropped,
 }
 
 enum Stored<T> {
@@ -136,10 +174,86 @@ struct Line<T> {
     data: Stored<T>,
 }
 
+/// Which cells of an in-flight line have arrived: one bit per cell.
+struct Coverage {
+    words: Vec<u64>,
+    filled: usize,
+}
+
+impl Coverage {
+    fn new(len: usize) -> Self {
+        Coverage { words: vec![0; len.div_ceil(64)], filled: 0 }
+    }
+
+    fn has(&self, k: usize) -> bool {
+        self.words[k / 64] >> (k % 64) & 1 != 0
+    }
+
+    /// Mark cells `lo..hi` as arrived, counting the newly covered ones.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let mut k = lo;
+        while k < hi {
+            let (w, b) = (k / 64, k % 64);
+            let n = (64 - b).min(hi - k);
+            let mask = if n == 64 { !0 } else { ((1u64 << n) - 1) << b };
+            self.filled += (mask & !self.words[w]).count_ones() as usize;
+            self.words[w] |= mask;
+            k += n;
+        }
+    }
+}
+
+/// A line being assembled. `cells` has capacity for the whole line and
+/// grows as segments land: cells at or past `cells.len()` have not
+/// arrived, and cells below it count only where `have` says so (a
+/// segment landing past the end pads the gap with [`filler`]).
 struct Partial<T> {
     origin: usize,
-    filled: usize,
-    cells: Vec<Option<T>>,
+    len: usize,
+    cells: Vec<T>,
+    have: Coverage,
+}
+
+/// The placeholder a gap cell holds until its segment arrives; never read
+/// as data (the coverage bitmap says which cells are real).
+fn filler<T: BusCell>() -> T {
+    T::decode([0; 8])
+}
+
+impl<T: BusCell> Partial<T> {
+    fn new(origin: usize, len: usize) -> Self {
+        Partial { origin, len, cells: Vec::with_capacity(len), have: Coverage::new(len) }
+    }
+
+    /// Write `src` at line offset `base`; `false` (and nothing written)
+    /// when it does not fit.
+    fn write(&mut self, base: usize, mut src: impl ExactSizeIterator<Item = T>) -> bool {
+        let end = match base.checked_add(src.len()) {
+            Some(end) if end <= self.len => end,
+            _ => return false,
+        };
+        if base > self.cells.len() {
+            self.cells.resize(base, filler());
+        }
+        let overlap = self.cells.len().min(end) - base;
+        for (d, s) in self.cells[base..base + overlap].iter_mut().zip(&mut src) {
+            *d = s;
+        }
+        // `take` keeps an iterator whose `len` lies within the line.
+        let rest = end.saturating_sub(self.cells.len());
+        self.cells.extend(src.take(rest));
+        self.have.cover(base, end.min(self.cells.len()));
+        true
+    }
+
+    fn is_complete(&self) -> bool {
+        self.have.filled == self.len
+    }
+
+    /// Budget bytes this line holds.
+    fn cost(&self) -> u64 {
+        CELL_BYTES * self.len as u64
+    }
 }
 
 /// In-flight lines parsed from [`LineStore::encode_partials`] output, for
@@ -168,17 +282,22 @@ impl<T: BusCell> Partials<T> {
             if bytes.len() - pos < len {
                 return None; // at least 1 byte per cell must remain
             }
-            let mut cells: Vec<Option<T>> = Vec::with_capacity(len);
-            for _ in 0..len {
-                cells.push(match take(&mut pos, 1)?[0] {
-                    0 => None,
-                    _ => Some(T::decode(cell8(take(&mut pos, 8)?))),
-                });
+            let mut p = Partial::new(origin, len);
+            for k in 0..len {
+                if take(&mut pos, 1)?[0] != 0 {
+                    let cell = T::decode(cell8(take(&mut pos, 8)?));
+                    p.write(k, std::iter::once(cell));
+                }
             }
-            let filled = cells.iter().filter(|c| c.is_some()).count();
-            lines.push((index, Partial { origin, filled, cells }));
+            lines.push((index, p));
         }
         Some(Partials(lines))
+    }
+
+    /// Indices of the parsed lines, in snapshot order.
+    #[cfg(test)]
+    pub(crate) fn indices(&self) -> Vec<usize> {
+        self.0.iter().map(|(index, _)| *index).collect()
     }
 }
 
@@ -358,7 +477,8 @@ impl<T: BusCell> LineStore<T> {
 
     /// Begin accepting segments for line `index`, covering coordinates
     /// `origin .. origin + len`. Returns `false` (and tracks nothing) when
-    /// the line would exceed the budget.
+    /// the line would exceed the budget. The line's buffer is reserved at
+    /// its exact length here and touched only as segments land.
     pub fn try_begin_line(&mut self, index: usize, origin: usize, len: usize) -> bool {
         let bytes = CELL_BYTES * len as u64;
         if self.used + bytes > self.budget {
@@ -368,54 +488,67 @@ impl<T: BusCell> LineStore<T> {
             return false;
         }
         self.used += bytes;
-        self.partial.insert(index, Partial { origin, filled: 0, cells: vec![None; len] });
+        self.track(index, Partial::new(origin, len));
         true
     }
 
+    /// Add an in-flight line (already charged to `used`) and update the
+    /// in-flight peaks.
+    fn track(&mut self, index: usize, p: Partial<T>) {
+        self.partial.insert(index, p);
+        let bytes = self.partial.values().map(Partial::cost).sum();
+        let st = &mut self.stats;
+        st.peak_inflight_lines = st.peak_inflight_lines.max(self.partial.len() as u64);
+        st.peak_inflight_bytes = st.peak_inflight_bytes.max(bytes);
+    }
+
     /// Store a segment of line `index` starting at absolute coordinate
-    /// `at`. Segments for untracked lines are ignored (returns `false`).
-    /// Returns `true` when this segment completed the line.
+    /// `at`: the cells land in place, with one bounds check per segment.
+    /// A segment for a line not in flight, or one that does not fit inside
+    /// the line (possible via a corrupted restored checkpoint), is
+    /// [`Put::Ignored`] and writes nothing. Rewriting cells that already
+    /// arrived (a replayed segment) overwrites them.
     ///
-    /// On the disk backend a completed line is persisted through
+    /// The segment that completes the line stores it: in memory the
+    /// buffer moves into the index as is; on the disk backend it is
+    /// encoded into one frame and persisted through
     /// [`storage::write_frame`] (atomic, retried). If the write still
-    /// fails — disk full, persistent I/O error — the line is *dropped*:
-    /// its budget is refunded, [`StoreStats::dropped_lines`] grows, and
-    /// the store carries on. The pipeline is correct with any subset of
-    /// special lines; a panic here would cost an 18-hour Stage 1.
-    pub fn put_segment(&mut self, index: usize, at: usize, cells: impl Iterator<Item = T>) -> bool {
+    /// fails — disk full, persistent I/O error — the line is
+    /// [`Put::Dropped`]: its budget is refunded,
+    /// [`StoreStats::dropped_lines`] grows, and the store carries on. The
+    /// pipeline is correct with any subset of special lines; a panic here
+    /// would cost an 18-hour Stage 1.
+    pub fn put_segment<I>(&mut self, index: usize, at: usize, cells: I) -> Put
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let Some(p) = self.partial.get_mut(&index) else {
-            return false;
+            return Put::Ignored;
         };
-        // Out-of-range segments (possible via a corrupted restored
-        // checkpoint) are rejected rather than panicking mid-resume.
         let Some(base) = at.checked_sub(p.origin) else {
-            return false;
+            return Put::Ignored;
         };
-        for (k, cell) in cells.enumerate() {
-            let Some(slot) = p.cells.get_mut(base + k) else {
-                return false;
-            };
-            if slot.is_none() {
-                p.filled += 1;
-            }
-            *slot = Some(cell);
+        if !p.write(base, cells.into_iter()) {
+            return Put::Ignored;
         }
-        if p.filled != p.cells.len() {
-            return false;
+        if !p.is_complete() {
+            return Put::Pending;
         }
-        let Some(p) = self.partial.remove(&index) else { return false };
-        let origin = p.origin;
-        let len = p.cells.len();
-        let data: Vec<T> = p.cells.into_iter().flatten().collect();
-        debug_assert_eq!(data.len(), len, "filled == len guarantees no None cells");
+        let Some(p) = self.partial.remove(&index) else { return Put::Ignored };
+        let (origin, len) = (p.origin, p.len);
+        let mut cells = p.cells;
+        debug_assert_eq!(cells.len(), len, "full coverage means every cell landed");
+        cells.shrink_to_fit();
         let stored = match &self.dir {
-            None => Stored::Memory(data),
+            None => Stored::Memory(cells),
             Some(dir) => {
                 let path = dir.join(format!("{}-{index}-{origin}.bin", self.prefix));
                 let mut buf = Vec::with_capacity(len * CELL_BYTES as usize);
-                for c in &data {
+                for c in &cells {
                     buf.extend_from_slice(&c.encode());
                 }
+                drop(cells);
                 let meta = FrameMeta {
                     fingerprint: self.fingerprint,
                     index: index as u64,
@@ -431,13 +564,13 @@ impl<T: BusCell> LineStore<T> {
                         // Degrade: drop this line, refund its budget.
                         self.used -= CELL_BYTES * len as u64;
                         self.stats.dropped_lines += 1;
-                        return false;
+                        return Put::Dropped;
                     }
                 }
             }
         };
         self.lines.insert(index, Line { origin, len, data: stored });
-        true
+        Put::Stored
     }
 
     /// Completed line indices, ascending.
@@ -458,14 +591,16 @@ impl<T: BusCell> LineStore<T> {
         self.lines.range(lo + 1..hi).map(|(k, _)| *k).collect()
     }
 
-    /// Read a completed line: `Ok(Some((origin, cells)))`. Unknown indices
-    /// are `Ok(None)`; a disk line that fails validation (truncated,
-    /// bit-flipped, foreign) is a typed error — the caller decides whether
-    /// to drop the line and degrade or abort the stage.
-    pub fn get(&self, index: usize) -> Result<Option<(usize, Vec<T>)>, StorageError> {
+    /// Read a completed line: `Ok(Some((origin, cells)))`. Memory lines
+    /// are borrowed, disk lines decoded into an owned buffer. Unknown
+    /// indices are `Ok(None)`; a disk line that fails validation
+    /// (truncated, bit-flipped, foreign) is a typed error — the caller
+    /// decides whether to drop the line and degrade or abort the stage.
+    #[allow(clippy::type_complexity)]
+    pub fn get(&self, index: usize) -> Result<Option<(usize, Cow<'_, [T]>)>, StorageError> {
         let Some(line) = self.lines.get(&index) else { return Ok(None) };
         let cells = match &line.data {
-            Stored::Memory(v) => v.clone(),
+            Stored::Memory(v) => Cow::Borrowed(v.as_slice()),
             Stored::Disk(path) => {
                 let (meta, payload) = storage::read_frame(path, self.fingerprint)?;
                 if meta.index != index as u64 || meta.origin != line.origin as u64 {
@@ -477,7 +612,7 @@ impl<T: BusCell> LineStore<T> {
                         ),
                     });
                 }
-                payload.chunks_exact(8).map(|c| T::decode(cell8(c))).collect()
+                Cow::Owned(payload.chunks_exact(8).map(|c| T::decode(cell8(c))).collect())
             }
         };
         Ok(Some((line.origin, cells)))
@@ -501,14 +636,13 @@ impl<T: BusCell> LineStore<T> {
             let p = &self.partial[&index];
             out.extend_from_slice(&(index as u64).to_le_bytes());
             out.extend_from_slice(&(p.origin as u64).to_le_bytes());
-            out.extend_from_slice(&(p.cells.len() as u64).to_le_bytes());
-            for cell in &p.cells {
-                match cell {
-                    None => out.push(0),
-                    Some(c) => {
-                        out.push(1);
-                        out.extend_from_slice(&c.encode());
-                    }
+            out.extend_from_slice(&(p.len as u64).to_le_bytes());
+            for k in 0..p.len {
+                if p.have.has(k) {
+                    out.push(1);
+                    out.extend_from_slice(&p.cells[k].encode());
+                } else {
+                    out.push(0);
                 }
             }
         }
@@ -520,11 +654,11 @@ impl<T: BusCell> LineStore<T> {
     /// lines over the budget, are skipped; budget accounting is preserved.
     pub fn restore_partials(&mut self, partials: Partials<T>) {
         for (index, p) in partials.0 {
-            let cost = CELL_BYTES * p.cells.len() as u64;
+            let cost = p.cost();
             let tracked = self.lines.contains_key(&index) || self.partial.contains_key(&index);
             if !tracked && self.used + cost <= self.budget {
                 self.used += cost;
-                self.partial.insert(index, p);
+                self.track(index, p);
             }
         }
     }
@@ -534,7 +668,7 @@ impl<T: BusCell> LineStore<T> {
     /// columns past the abort point will never complete.
     pub fn abort_partials(&mut self) {
         for (_, p) in self.partial.drain() {
-            self.used -= CELL_BYTES * p.cells.len() as u64;
+            self.used -= p.cost();
         }
     }
 
@@ -577,6 +711,19 @@ impl<T: BusCell> LineStore<T> {
     /// True when no line has been completed.
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
+    }
+
+    /// Heap bytes the cell buffers of in-flight and memory lines hold
+    /// (capacities, not lengths); coverage bitmaps are not counted.
+    #[cfg(test)]
+    fn cell_buffer_bytes(&self) -> u64 {
+        let size = std::mem::size_of::<T>() as u64;
+        let inflight = self.partial.values().map(|p| p.cells.capacity() as u64);
+        let stored = self.lines.values().map(|l| match &l.data {
+            Stored::Memory(v) => v.capacity() as u64,
+            Stored::Disk(_) => 0,
+        });
+        inflight.chain(stored).sum::<u64>() * size
     }
 }
 
@@ -629,9 +776,9 @@ mod tests {
         let mut store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "row", FP).unwrap();
         assert!(store.try_begin_line(8, 0, 5));
-        assert!(!store.put_segment(8, 0, [hf(1), hf(2)].into_iter()));
-        assert!(!store.put_segment(8, 3, [hf(4), hf(5)].into_iter()));
-        assert!(store.put_segment(8, 2, [hf(3)].into_iter()));
+        assert_eq!(store.put_segment(8, 0, [hf(1), hf(2)]), Put::Pending);
+        assert_eq!(store.put_segment(8, 3, [hf(4), hf(5)]), Put::Pending);
+        assert_eq!(store.put_segment(8, 2, [hf(3)]), Put::Stored);
         let (origin, cells) = store.get(8).unwrap().unwrap();
         assert_eq!(origin, 0);
         assert_eq!(cells.iter().map(|c| c.h).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
@@ -656,7 +803,7 @@ mod tests {
     fn segments_for_untracked_lines_are_ignored() {
         let mut store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 64, "row", FP).unwrap();
-        assert!(!store.put_segment(3, 0, [hf(1)].into_iter()));
+        assert_eq!(store.put_segment(3, 0, [hf(1)]), Put::Ignored);
         assert!(store.get(3).unwrap().is_none());
     }
 
@@ -674,7 +821,7 @@ mod tests {
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         for idx in [4usize, 8, 12] {
             store.try_begin_line(idx, 0, 1);
-            store.put_segment(idx, 0, [hf(idx as Score)].into_iter());
+            store.put_segment(idx, 0, [hf(idx as Score)]);
         }
         assert_eq!(store.indices(), vec![4, 8, 12]);
         assert_eq!(store.previous_line(12), Some(8));
@@ -701,8 +848,7 @@ mod tests {
                     CellHE { h: -2, e: 5 },
                     CellHE { h: 3, e: 4 },
                     CellHE { h: 9, e: 9 },
-                ]
-                .into_iter(),
+                ],
             );
             let (origin, cells) = store.get(7).unwrap().unwrap();
             assert_eq!(origin, 3);
@@ -725,7 +871,7 @@ mod tests {
             let mut store: LineStore<CellHF> =
                 LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
             store.try_begin_line(5, 0, 2);
-            store.put_segment(5, 0, [hf(1), hf(2)].into_iter());
+            store.put_segment(5, 0, [hf(1), hf(2)]);
             store.persist_on_drop(true);
         }
         // A stale tmp sibling and an unrelated-prefix file join the orphan.
@@ -788,7 +934,7 @@ mod tests {
             let mut store: LineStore<CellHF> =
                 LineStore::new(&backend, 1 << 20, "row", FP + 1).unwrap();
             store.try_begin_line(8, 0, 2);
-            store.put_segment(8, 0, [hf(1), hf(2)].into_iter());
+            store.put_segment(8, 0, [hf(1), hf(2)]);
             store.persist_on_drop(true);
         }
         let reopened: LineStore<CellHF> = LineStore::reopen(&backend, 1 << 20, "row", FP).unwrap();
@@ -806,7 +952,7 @@ mod tests {
             let mut store: LineStore<CellHF> =
                 LineStore::new(&backend, 1 << 20, "row", FP).unwrap();
             store.try_begin_line(5, 0, 2);
-            store.put_segment(5, 0, [hf(1), hf(2)].into_iter());
+            store.put_segment(5, 0, [hf(1), hf(2)]);
             store.persist_on_drop(true);
         }
         // A valid frame copied under the wrong name: header says line 5,
@@ -827,15 +973,15 @@ mod tests {
         assert!(store.try_begin_line(4, 0, 2));
         let used = store.bytes_used();
         fault::arm_write(0, fault::WriteFault::Enospc, 1);
-        let completed = store.put_segment(4, 0, [hf(1), hf(2)].into_iter());
+        let put = store.put_segment(4, 0, [hf(1), hf(2)]);
         fault::disarm_all();
-        assert!(!completed, "line did not complete");
+        assert_eq!(put, Put::Dropped, "line completed but was not stored");
         assert!(store.get(4).unwrap().is_none(), "line is gone, not half-stored");
         assert_eq!(store.stats().dropped_lines, 1);
         assert_eq!(store.bytes_used(), used - 16, "budget refunded");
         // The store still works for the next line.
         assert!(store.try_begin_line(8, 0, 1));
-        assert!(store.put_segment(8, 0, [hf(9)].into_iter()));
+        assert_eq!(store.put_segment(8, 0, [hf(9)]), Put::Stored);
         assert!(store.get(8).unwrap().is_some());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -848,7 +994,7 @@ mod tests {
             LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
         assert!(store.try_begin_line(2, 0, 1));
         fault::arm_write(0, fault::WriteFault::Transient, 1);
-        assert!(store.put_segment(2, 0, [hf(5)].into_iter()));
+        assert_eq!(store.put_segment(2, 0, [hf(5)]), Put::Stored);
         fault::disarm_all();
         assert_eq!(store.stats().write_retries, 1);
         assert_eq!(store.stats().dropped_lines, 0);
@@ -863,7 +1009,7 @@ mod tests {
         let mut store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
         store.try_begin_line(6, 0, 2);
-        store.put_segment(6, 0, [hf(1), hf(2)].into_iter());
+        store.put_segment(6, 0, [hf(1), hf(2)]);
         // Corrupt the file behind the store's back.
         let path = dir.join("row-6-0.bin");
         let mut b = fs::read(&path).unwrap();
@@ -887,7 +1033,7 @@ mod tests {
         let mut store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Disk(dir.clone()), 1 << 20, "row", FP).unwrap();
         store.try_begin_line(1, 0, 2);
-        store.put_segment(1, 0, [hf(1), hf(2)].into_iter());
+        store.put_segment(1, 0, [hf(1), hf(2)]);
         store.try_begin_line(3, 0, 4);
         store.persist_on_drop(true);
         store.clear();
@@ -922,25 +1068,25 @@ mod partial_snapshot_tests {
         let mut store: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         store.try_begin_line(8, 0, 5);
-        store.put_segment(8, 1, [hf(10), hf(11)].into_iter());
+        store.put_segment(8, 1, [hf(10), hf(11)]);
         store.try_begin_line(16, 2, 3);
-        store.put_segment(16, 3, [hf(20)].into_iter());
+        store.put_segment(16, 3, [hf(20)]);
         let bytes = store.encode_partials();
 
         let mut fresh: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         fresh.restore_partials(Partials::decode(&bytes).expect("partials parse"));
         // Completing the restored partials yields identical lines.
-        fresh.put_segment(8, 0, [hf(9)].into_iter());
-        fresh.put_segment(8, 3, [hf(12), hf(13)].into_iter());
+        fresh.put_segment(8, 0, [hf(9)]);
+        fresh.put_segment(8, 3, [hf(12), hf(13)]);
         let (origin, cells) = fresh.get(8).unwrap().unwrap();
         assert_eq!(origin, 0);
         assert_eq!(cells.iter().map(|c| c.h).collect::<Vec<_>>(), vec![9, 10, 11, 12, 13]);
         // Idempotence: re-putting a segment present in the snapshot is fine.
-        fresh.put_segment(16, 3, [hf(20)].into_iter());
-        fresh.put_segment(16, 2, [hf(19)].into_iter());
+        fresh.put_segment(16, 3, [hf(20)]);
+        fresh.put_segment(16, 2, [hf(19)]);
         assert!(fresh.get(16).unwrap().is_none(), "still missing index 4");
-        fresh.put_segment(16, 4, [hf(21)].into_iter());
+        fresh.put_segment(16, 4, [hf(21)]);
         assert!(fresh.get(16).unwrap().is_some());
     }
 
@@ -963,16 +1109,287 @@ mod partial_snapshot_tests {
         let mut a: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         a.try_begin_line(4, 0, 2);
-        a.put_segment(4, 0, [hf(1)].into_iter());
+        a.put_segment(4, 0, [hf(1)]);
         let bytes = a.encode_partials();
         // The target already completed line 4.
         let mut b: LineStore<CellHF> =
             LineStore::new(&SraBackend::Memory, 1 << 20, "r", FP).unwrap();
         b.try_begin_line(4, 0, 2);
-        b.put_segment(4, 0, [hf(7), hf(8)].into_iter());
+        b.put_segment(4, 0, [hf(7), hf(8)]);
         let used = b.bytes_used();
         b.restore_partials(Partials::decode(&bytes).expect("partials parse"));
         assert_eq!(b.bytes_used(), used, "no double accounting");
         assert_eq!(b.get(4).unwrap().unwrap().1[0].h, 7, "completed line untouched");
+    }
+}
+
+/// [`LineStore`] against a reference model that keeps one `Option` per
+/// cell, on random operation sequences.
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    const FP: u64 = 0x5EED;
+
+    fn hf(h: Score) -> CellHF {
+        CellHF { h, f: h - 3 }
+    }
+
+    /// The reference: what a store must hold, one `Option` per cell.
+    #[derive(Clone, Default)]
+    struct Model {
+        budget: u64,
+        used: u64,
+        lines: BTreeMap<usize, (usize, Vec<CellHF>)>,
+        partial: BTreeMap<usize, (usize, Vec<Option<CellHF>>)>,
+        peak_lines: u64,
+        peak_bytes: u64,
+    }
+
+    impl Model {
+        fn new(budget: u64) -> Self {
+            Model { budget, ..Model::default() }
+        }
+
+        fn track(&mut self, index: usize, origin: usize, cells: Vec<Option<CellHF>>) {
+            self.used += CELL_BYTES * cells.len() as u64;
+            self.partial.insert(index, (origin, cells));
+            let bytes: usize = self.partial.values().map(|(_, c)| c.len()).sum();
+            self.peak_lines = self.peak_lines.max(self.partial.len() as u64);
+            self.peak_bytes = self.peak_bytes.max(CELL_BYTES * bytes as u64);
+        }
+
+        fn tracked(&self, index: usize) -> bool {
+            self.lines.contains_key(&index) || self.partial.contains_key(&index)
+        }
+
+        fn begin(&mut self, index: usize, origin: usize, len: usize) -> bool {
+            if self.used + CELL_BYTES * len as u64 > self.budget || self.tracked(index) {
+                return false;
+            }
+            self.track(index, origin, vec![None; len]);
+            true
+        }
+
+        fn put(&mut self, index: usize, at: usize, seg: &[CellHF]) -> Put {
+            let Some((origin, cells)) = self.partial.get_mut(&index) else { return Put::Ignored };
+            let Some(base) = at.checked_sub(*origin) else { return Put::Ignored };
+            if base + seg.len() > cells.len() {
+                return Put::Ignored;
+            }
+            for (k, c) in seg.iter().enumerate() {
+                cells[base + k] = Some(*c);
+            }
+            if cells.iter().any(Option::is_none) {
+                return Put::Pending;
+            }
+            let (origin, cells) = self.partial.remove(&index).unwrap();
+            self.lines.insert(index, (origin, cells.into_iter().flatten().collect()));
+            Put::Stored
+        }
+
+        fn restore(&mut self, snapshot: &BTreeMap<usize, (usize, Vec<Option<CellHF>>)>) {
+            for (&index, (origin, cells)) in snapshot {
+                let cost = CELL_BYTES * cells.len() as u64;
+                if !self.tracked(index) && self.used + cost <= self.budget {
+                    self.track(index, *origin, cells.clone());
+                }
+            }
+        }
+
+        fn abort(&mut self) {
+            for (_, (_, cells)) in std::mem::take(&mut self.partial) {
+                self.used -= CELL_BYTES * cells.len() as u64;
+            }
+        }
+
+        fn remove(&mut self, index: usize) {
+            if let Some((_, cells)) = self.lines.remove(&index) {
+                self.used -= CELL_BYTES * cells.len() as u64;
+            }
+        }
+
+        /// The `SRAP` bytes of the model's in-flight lines, written out
+        /// field by field from the format's definition.
+        fn encode_partials(&self) -> Vec<u8> {
+            let mut out = b"SRAP".to_vec();
+            out.extend_from_slice(&(self.partial.len() as u64).to_le_bytes());
+            for (&index, (origin, cells)) in &self.partial {
+                for v in [index, *origin, cells.len()] {
+                    out.extend_from_slice(&(v as u64).to_le_bytes());
+                }
+                for c in cells {
+                    match c {
+                        None => out.push(0),
+                        Some(c) => {
+                            out.push(1);
+                            out.extend_from_slice(&c.h.to_le_bytes());
+                            out.extend_from_slice(&c.f.to_le_bytes());
+                        }
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    fn agree(store: &LineStore<CellHF>, model: &Model, step: usize) -> Result<(), TestCaseError> {
+        prop_assert_eq!(store.bytes_used(), model.used, "used bytes, step {}", step);
+        prop_assert_eq!(store.indices(), model.lines.keys().copied().collect::<Vec<_>>());
+        for (&index, (origin, cells)) in &model.lines {
+            let (o, got) = store.get(index).unwrap().expect("completed line readable");
+            prop_assert!(matches!(got, Cow::Borrowed(_)), "memory lines are borrowed");
+            prop_assert_eq!(o, *origin);
+            prop_assert_eq!(&got[..], &cells[..], "line {} cells, step {}", index, step);
+        }
+        prop_assert_eq!(store.encode_partials(), model.encode_partials(), "SRAP, step {}", step);
+        prop_assert!(store.cell_buffer_bytes() <= store.budget(), "cell buffers over budget");
+        prop_assert_eq!(store.cell_buffer_bytes(), model.used, "budget = RAM, step {}", step);
+        let st = store.stats();
+        prop_assert_eq!(st.peak_inflight_lines, model.peak_lines, "peak lines, step {}", step);
+        prop_assert_eq!(st.peak_inflight_bytes, model.peak_bytes, "peak bytes, step {}", step);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random begin / put / replay / abort / remove / snapshot /
+        /// restore / crash sequences, with segments in any order,
+        /// overlapping, out of range or for lines refused by the budget.
+        /// After every step the store and the model agree on each put's
+        /// report (so on the completion point), the stored cells, the
+        /// budget bytes, the `SRAP` bytes and the in-flight peaks, and the
+        /// cell buffers hold exactly the budget bytes charged.
+        #[test]
+        fn line_store_matches_option_model(seed in any::<u64>(), steps in 1usize..120) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let budget = rng.gen_range(0..4000u64);
+            let mut store: LineStore<CellHF> =
+                LineStore::new(&SraBackend::Memory, budget, "row", FP).unwrap();
+            let mut model = Model::new(budget);
+            let mut history: Vec<(usize, usize, Vec<CellHF>)> = Vec::new();
+            let mut snapshot = (store.encode_partials(), model.partial.clone());
+            for step in 0..steps {
+                let index = rng.gen_range(0..8usize);
+                match rng.gen_range(0..16u32) {
+                    0..=2 => {
+                        let origin = rng.gen_range(0..5usize);
+                        let len = rng.gen_range(0..150usize);
+                        let began = store.try_begin_line(index, origin, len);
+                        prop_assert_eq!(began, model.begin(index, origin, len), "begin, step {}", step);
+                    }
+                    3..=10 => {
+                        // Mostly in range: positions just past either end
+                        // and lengths just past the line's are rejected.
+                        let origin = model.partial.get(&index).map_or(0, |(o, _)| *o);
+                        let len = model.partial.get(&index).map_or(8, |(_, c)| c.len());
+                        let at = (origin + rng.gen_range(0..len + 3)).saturating_sub(1);
+                        let n = rng.gen_range(0..(len / 2).max(1) + 3);
+                        let seg: Vec<CellHF> =
+                            (0..n).map(|_| hf(rng.gen_range(-50..50i32))).collect();
+                        let put = store.put_segment(index, at, seg.iter().copied());
+                        prop_assert_eq!(put, model.put(index, at, &seg), "put, step {}", step);
+                        history.push((index, at, seg));
+                    }
+                    11 => {
+                        if !history.is_empty() {
+                            let (index, at, seg) = &history[rng.gen_range(0..history.len())];
+                            let put = store.put_segment(*index, *at, seg.iter().copied());
+                            prop_assert_eq!(put, model.put(*index, *at, seg), "replay, step {}", step);
+                        }
+                    }
+                    12 => {
+                        store.abort_partials();
+                        model.abort();
+                    }
+                    13 => {
+                        store.remove(index);
+                        model.remove(index);
+                    }
+                    14 => {
+                        snapshot = (store.encode_partials(), model.partial.clone());
+                        if rng.gen_bool(0.5) {
+                            // Restore into the live store: every line is
+                            // tracked already, so nothing changes.
+                            store.restore_partials(Partials::decode(&snapshot.0).unwrap());
+                            model.restore(&snapshot.1);
+                        }
+                    }
+                    _ => {
+                        // Crash: a fresh store resumes from the snapshot.
+                        store = LineStore::new(&SraBackend::Memory, budget, "row", FP).unwrap();
+                        model = Model::new(budget);
+                        store.restore_partials(Partials::decode(&snapshot.0).unwrap());
+                        model.restore(&snapshot.1);
+                    }
+                }
+                agree(&store, &model, step)?;
+            }
+        }
+    }
+
+    /// The bytes the cell buffers hold never exceed the budget: lines are
+    /// begun until the budget refuses one, filled out of order, completed
+    /// and restored from a snapshot, and at every point the buffers'
+    /// capacities are exactly the bytes charged.
+    #[test]
+    fn cell_buffers_never_exceed_the_budget() {
+        let budget = 8 * 1000;
+        let mut store: LineStore<CellHF> =
+            LineStore::new(&SraBackend::Memory, budget, "row", FP).unwrap();
+        let mut index = 0;
+        while store.try_begin_line(index, 0, 130) {
+            index += 1;
+        }
+        assert_eq!(index, 7, "seven 130-cell lines fit in 1000 cells");
+        assert_eq!(store.cell_buffer_bytes(), store.bytes_used());
+        for i in 0..index {
+            // Right half first, then the left: the gap is padded, not grown.
+            assert_eq!(store.put_segment(i, 65, (65..130).map(hf)), Put::Pending);
+            assert!(store.cell_buffer_bytes() <= budget);
+            if i % 2 == 0 {
+                assert_eq!(store.put_segment(i, 0, (0..65).map(hf)), Put::Stored);
+            }
+            assert_eq!(store.cell_buffer_bytes(), store.bytes_used());
+        }
+        let snapshot = Partials::decode(&store.encode_partials()).unwrap();
+        let mut fresh: LineStore<CellHF> =
+            LineStore::new(&SraBackend::Memory, budget, "row", FP).unwrap();
+        fresh.restore_partials(snapshot);
+        assert_eq!(fresh.cell_buffer_bytes(), fresh.bytes_used());
+        assert_eq!(fresh.bytes_used(), 3 * 130 * 8, "the three odd lines are in flight");
+        assert_eq!(fresh.stats().peak_inflight_lines, 3);
+        assert_eq!(fresh.stats().peak_inflight_bytes, 3 * 130 * 8);
+        assert!(store.cell_buffer_bytes() <= budget);
+    }
+
+    /// The `SRAP` bytes of one partial line, pinned: magic, line count,
+    /// then per line its index, origin and length (u64 LE) and per cell a
+    /// presence byte followed, when present, by `H` and `F` (i32 LE).
+    #[test]
+    fn srap_bytes_of_one_partial_line_are_pinned() {
+        let mut store: LineStore<CellHF> =
+            LineStore::new(&SraBackend::Memory, 1 << 10, "row", FP).unwrap();
+        assert!(store.try_begin_line(8, 2, 3));
+        assert_eq!(store.put_segment(8, 3, [CellHF { h: 10, f: -2 }]), Put::Pending);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            b'S', b'R', b'A', b'P',
+            1, 0, 0, 0, 0, 0, 0, 0,
+            8, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            0,
+            1, 10, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF,
+            0,
+        ];
+        assert_eq!(store.encode_partials(), want);
+        let mut back: LineStore<CellHF> =
+            LineStore::new(&SraBackend::Memory, 1 << 10, "row", FP).unwrap();
+        back.restore_partials(Partials::decode(want).unwrap());
+        assert_eq!(back.encode_partials(), want, "decode then encode is the identity");
     }
 }

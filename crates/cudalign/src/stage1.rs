@@ -80,9 +80,6 @@ struct Stage1Observer<'s, 'o> {
     /// Last completed-diagonal frontier seen by `on_block` — a change
     /// means every diagonal below the new frontier is complete.
     last_frontier: Option<usize>,
-    /// Special rows begun in this run whose final segment has not landed
-    /// yet (segments arrive over `B` external diagonals — Figure 5).
-    inflight: std::collections::BTreeSet<usize>,
 }
 
 impl Stage1Observer<'_, '_> {
@@ -149,18 +146,19 @@ impl gpu_sim::WavefrontObserver for Stage1Observer<'_, '_> {
             // which case the row is silently skipped) and write the
             // border column 0 cell.
             if self.rows.try_begin_line(row, 0, self.n + 1) {
-                self.rows.put_segment(row, 0, std::iter::once(CellHF { h: 0, f: NEG_INF }));
-                self.inflight.insert(row);
+                self.rows.put_segment(row, 0, [CellHF { h: 0, f: NEG_INF }]);
             }
         }
-        self.rows.put_segment(row, block.cols.0, bottom.iter().copied());
-        if block.cols.1 == self.n && self.inflight.remove(&row) {
-            // Last segment landed: the special row is whole in the SRA.
-            self.obs.emit(Event::StorageFlush {
+        // The store reports the segment that completes a row, whichever
+        // run began it (a row restored from a checkpoint's partials too).
+        match self.rows.put_segment(row, block.cols.0, bottom.iter().copied()) {
+            sra::Put::Stored => self.obs.emit(Event::StorageFlush {
                 store: "sra",
                 index: row,
-                bytes: (self.n as u64 + 1) * std::mem::size_of::<CellHF>() as u64,
-            });
+                bytes: (self.n as u64 + 1) * sra::CELL_BYTES,
+            }),
+            sra::Put::Dropped => self.obs.emit(Event::StorageDrop { store: "sra", index: row }),
+            sra::Put::Ignored | sra::Put::Pending => {}
         }
         ControlFlow::Continue(())
     }
@@ -271,16 +269,20 @@ pub fn load_checkpoint(
 ///   wavefront continues from its cut. Special rows completed before
 ///   the checkpoint survive when `rows` was reopened from a disk backend
 ///   ([`LineStore::reopen`]); rows that were mid-flight at the checkpoint
-///   are lost and simply not stored (the pipeline tolerates any subset of
-///   special rows by design — fewer rows only mean more Stage-2 work).
+///   complete when the caller restored the checkpoint's partials
+///   ([`LineStore::restore_partials`]) and are otherwise not stored (the
+///   pipeline tolerates any subset of special rows by design — fewer rows
+///   only mean more Stage-2 work).
 /// * `checkpoint` — `(directory, cadence in external diagonals)`;
 ///   combined snapshots (engine state + in-flight rows) land in
 ///   `<dir>/stage1.ckpt` atomically.
 ///
 /// Per-external-diagonal [`Event::Diagonal`] ticks,
-/// [`Event::Checkpoint`] outcomes and [`Event::StorageFlush`] records for
-/// completed special rows are emitted through `cx.obs` from the caller
-/// thread (never from pool workers). The control's cancel token is
+/// [`Event::Checkpoint`] outcomes, [`Event::StorageFlush`] records for
+/// special rows the store completed (restored partials included) and
+/// [`Event::StorageDrop`] records for rows whose disk write failed are
+/// emitted through `cx.obs` from the caller thread (never from pool
+/// workers). The control's cancel token is
 /// threaded into the wavefront engine (both schedulers poll it
 /// and beat its heartbeat), the cancel-after-diagonal trigger fires from
 /// the observer, and an interrupted run surfaces as the typed
@@ -336,7 +338,6 @@ pub fn run(
         ckpt_failures: 0,
         total_diagonals,
         last_frontier: None,
-        inflight: std::collections::BTreeSet::new(),
     };
     let opts =
         wavefront::Launch { resume, checkpoint_every, token: Some(ctrl.token()), plan: None };
@@ -513,6 +514,8 @@ mod resume_tests {
     /// full pipeline must then still produce the optimal alignment.
     #[test]
     fn stage1_crash_resume_end_to_end() {
+        // Writes storage frames: serialized with the fault-arming tests.
+        let _guard = crate::storage::fault::test_guard();
         let a = dna(41, 400);
         let mut b = a.clone();
         for i in (5..b.len()).step_by(31) {
@@ -588,6 +591,8 @@ mod stale_checkpoint_tests {
     /// resumed (stale buses would corrupt the result) and not panic.
     #[test]
     fn stale_checkpoint_is_ignored() {
+        // Writes storage frames: serialized with the fault-arming tests.
+        let _guard = crate::storage::fault::test_guard();
         let a = dna(91, 200);
         let b = dna(92, 200);
         let dir = std::env::temp_dir().join(format!("cudalign-stale-{}", std::process::id()));
@@ -615,6 +620,124 @@ mod stale_checkpoint_tests {
         let (ref_score, ref_end) = sw_core::full::sw_local_score(&a, &b, &cfg2.scoring);
         assert_eq!(res.best_score, ref_score);
         assert_eq!(res.end, ref_end);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Stage 1's `storage_flush` / `storage_drop` records follow the store's
+/// own report of each row's fate.
+#[cfg(test)]
+mod trace_tests {
+    use super::*;
+    use crate::config::{PipelineConfig, SraBackend};
+    use crate::obs::Recorder;
+    use crate::storage::fault;
+    use gpu_sim::WorkerPool;
+    use seqio::generate::edited_pair;
+    use std::time::Duration;
+
+    /// The special-row indices of `storage_flush` and `storage_drop`.
+    #[derive(Default)]
+    struct RowFates {
+        flushed: Vec<usize>,
+        dropped: Vec<usize>,
+    }
+
+    impl Recorder for RowFates {
+        fn record(&mut self, _t: Duration, ev: &Event) {
+            match ev {
+                Event::StorageFlush { store: "sra", index, .. } => self.flushed.push(*index),
+                Event::StorageDrop { store: "sra", index } => self.dropped.push(*index),
+                _ => {}
+            }
+        }
+    }
+
+    fn traced_run(
+        a: &[u8],
+        b: &[u8],
+        cfg: &PipelineConfig,
+        rows: &mut LineStore<CellHF>,
+        resume: Option<gpu_sim::wavefront::EngineState>,
+        checkpoint: Option<(&std::path::Path, usize)>,
+    ) -> (Result<Stage1Result, StageError>, RowFates) {
+        let pool = WorkerPool::new(cfg.workers);
+        let mut fates = RowFates::default();
+        let res = {
+            let mut cx = StageContext::new(a, b, cfg, &pool);
+            cx.obs.add_recorder(&mut fates);
+            run(&mut cx, rows, resume, checkpoint)
+        };
+        (res, fates)
+    }
+
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("cudalign-stage1-trace-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A row whose disk write hits ENOSPC is traced as dropped and not as
+    /// flushed; every stored row is traced as flushed exactly once.
+    #[test]
+    fn enospc_row_is_traced_as_dropped_not_flushed() {
+        let _guard = fault::test_guard();
+        let dir = fresh_dir("enospc");
+        let (a, b) = edited_pair(5, 300, 13);
+        let mut cfg = PipelineConfig::for_tests();
+        cfg.backend = SraBackend::Disk(dir.clone());
+        let mut rows = LineStore::new(&cfg.backend, cfg.sra_bytes, "row", 7).unwrap();
+        fault::arm_write(0, fault::WriteFault::Enospc, 1);
+        let (res, fates) = traced_run(&a, &b, &cfg, &mut rows, None, None);
+        fault::disarm_all();
+        res.unwrap();
+        assert_eq!(rows.stats().dropped_lines, 1);
+        assert_eq!(fates.dropped.len(), 1, "one row dropped");
+        assert!(!fates.flushed.contains(&fates.dropped[0]), "a dropped row is not flushed");
+        assert!(!rows.indices().contains(&fates.dropped[0]));
+        let mut flushed = fates.flushed.clone();
+        flushed.sort_unstable();
+        assert_eq!(flushed, rows.indices(), "each stored row flushed once");
+        drop(rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rows in flight at a checkpoint, restored from its `SRAP` partials
+    /// and completed after the resume, are traced as flushed.
+    #[test]
+    fn restored_partial_rows_are_traced_when_completed() {
+        let _guard = fault::test_guard();
+        let dir = fresh_dir("restored");
+        let (a, b) = edited_pair(6, 300, 13);
+        let mut cfg = PipelineConfig::for_tests();
+        // Room for every row, so rows are in flight up to the last band.
+        cfg.sra_bytes = 1 << 20;
+        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
+        // One snapshot, at diagonal 25 of the grid's 41: mid-run, with
+        // rows in flight (a later one would find every row complete).
+        let (res, _) = traced_run(&a, &b, &cfg, &mut rows, None, Some((dir.as_path(), 25)));
+        res.unwrap();
+        let all = rows.indices();
+
+        // Resume from the last snapshot into a fresh store, as a crashed
+        // run with a memory SRA would.
+        let (snap, partials) = load_checkpoint(&dir, 7).expect("checkpoint written");
+        let restored = partials.indices();
+        assert!(!restored.is_empty(), "the snapshot must hold rows in flight");
+        let mut rows = LineStore::new(&SraBackend::Memory, cfg.sra_bytes, "row", 7).unwrap();
+        rows.restore_partials(partials);
+        let (res, fates) = traced_run(&a, &b, &cfg, &mut rows, Some(snap), None);
+        assert!(res.unwrap().resumed_from_diagonal > 0);
+        for r in &restored {
+            assert!(all.contains(r) && rows.indices().contains(r), "row {r} completes");
+            assert!(fates.flushed.contains(r), "restored row {r} traced as flushed");
+        }
+        let mut flushed = fates.flushed.clone();
+        flushed.sort_unstable();
+        assert_eq!(flushed, rows.indices(), "each row stored after the resume flushed once");
+        assert!(fates.dropped.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -264,7 +264,7 @@ pub fn run(
         } else {
             None
         };
-        let fwd_cells = fwd.as_ref().map(|(_, c)| c.as_slice());
+        let fwd_cells = fwd.as_ref().map(|(_, c)| &**c);
 
         // Upfront border check: the path may cross row `r` at column
         // `cur.j` via a pure vertical gap run (the view's row-0 border,

@@ -174,8 +174,12 @@ pub fn file_len(path: &Path) -> Option<u64> {
 // CRC32 (ISO-HDLC, the zlib polynomial)
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table of
+/// the reflected polynomial `0xEDB88320`, and `CRC_TABLES[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes, so eight table lookups
+/// advance the CRC by eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -184,10 +188,20 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 /// CRC-32/ISO-HDLC of `bytes`.
@@ -198,13 +212,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// CRC-32/ISO-HDLC of the concatenation of `parts`, without materializing
 /// it. Frames checksum header-fields-plus-payload this way.
 fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for part in parts {
-        for &b in *part {
-            crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
+    !parts.iter().fold(0xFFFF_FFFF, |crc, part| crc32_update(crc, part))
+}
+
+/// Advance a (pre-inverted) CRC register over `bytes`, eight bytes per
+/// step through [`CRC_TABLES`], then bytewise over the tail.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 // ---------------------------------------------------------------------------
@@ -673,6 +704,40 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// Slicing-by-8 against the bytewise table CRC, on random inputs
+    /// split into parts at random points (parts of any length, empty ones
+    /// included, so every alignment of the 8-byte steps is exercised).
+    #[test]
+    fn sliced_crc_matches_bytewise_on_random_parts() {
+        use rand::{Rng, SeedableRng};
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+            }
+            !crc
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3);
+        for case in 0..300 {
+            let len = rng.gen_range(0..600usize);
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let cuts = rng.gen_range(0..6usize);
+            let mut cuts: Vec<usize> = (0..cuts).map(|_| rng.gen_range(0..len + 1)).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for &cut in cuts.iter().chain([len].iter()) {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(
+                crc32_parts(&parts),
+                bytewise(&data),
+                "case {case}: len {len}, cuts {cuts:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! shapes and SRA budgets.
 
 use cudalign::config::SraBackend;
-use cudalign::sra::LineStore;
+use cudalign::sra::{LineStore, Put};
 use cudalign::{storage, Pipeline, PipelineConfig};
 use gpu_sim::{CellHF, GridSpec};
 use proptest::prelude::*;
@@ -188,7 +188,7 @@ proptest! {
             for i in 0..n_lines {
                 let idx = (i + 1) * 3;
                 prop_assert!(store.try_begin_line(idx, i, line_len));
-                prop_assert!(store.put_segment(idx, i, (0..line_len).map(|k| cell(i, k))));
+                prop_assert_eq!(store.put_segment(idx, i, (0..line_len).map(|k| cell(i, k))), Put::Stored);
             }
             store.persist_on_drop(true);
         }
