@@ -4,8 +4,8 @@
 //!
 //! CUDAlign's correctness rests on structural invariants that `rustc`
 //! cannot see: all persistence flows through the checksummed
-//! [`cudalign::storage`] layer, all parallelism through
-//! [`gpu_sim::exec::WorkerPool`], supervised loops stay interruptible,
+//! `cudalign::storage` layer, all parallelism through
+//! `gpu_sim::exec::WorkerPool`, supervised loops stay interruptible,
 //! condvars re-check their predicates, locks nest in one documented
 //! order, and public failures surface as typed error enums. This crate
 //! is a source-level lint pass over the whole workspace — run as
@@ -68,7 +68,7 @@ pub const THREAD_ISOLATION: &str = "thread-isolation";
 pub const SAFETY_COMMENT: &str = "safety-comment";
 /// Identifier of the "no wall-clock reads in hot paths" rule.
 pub const NO_WALLCLOCK: &str = "no-wallclock";
-/// Identifier of the "public error enums are #[non_exhaustive]" rule.
+/// Identifier of the "public error enums are `#[non_exhaustive]`" rule.
 pub const NON_EXHAUSTIVE_ERRORS: &str = "non-exhaustive-errors";
 /// Identifier of the "wall-clock only via the injected obs::Clock" rule.
 pub const CLOCK_INJECTION: &str = "clock-injection";

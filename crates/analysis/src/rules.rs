@@ -26,7 +26,6 @@ const VENDORED: &[&str] = &["crates/rand/", "crates/proptest/", "crates/criterio
 const HOT_PATHS: &[&str] = &[
     "crates/gpu-sim/src/kernel.rs",
     "crates/gpu-sim/src/striped.rs",
-    "crates/gpu-sim/src/striped8.rs",
     "crates/gpu-sim/src/wavefront.rs",
     "crates/gpu-sim/src/multi.rs",
     "crates/gpu-sim/src/exec.rs",
@@ -905,4 +904,20 @@ pub(crate) fn per_file(m: &FileModel, out: &mut Vec<Raw>) {
     cancel_coverage(m, out);
     typed_errors(m, out);
     hot_loop(m, out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The path-scoped rules compare `rel_path` against these lists, so an
+    /// entry naming a deleted or renamed file would silently narrow
+    /// `no-wallclock` or `cancel-coverage` instead of failing.
+    #[test]
+    fn scoped_paths_exist() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for path in HOT_PATHS.iter().chain(SUPERVISED) {
+            assert!(root.join(path).is_file(), "{path} is listed in rules.rs but does not exist");
+        }
+    }
 }

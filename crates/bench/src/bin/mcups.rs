@@ -290,16 +290,16 @@ fn wavefront_case(m: usize, n: usize, workers: usize, budget: f64, entries: &mut
     }
     // The dominant path label: i8 commits when most tiles ran it.
     let path = if paths.striped8 >= paths.striped8_fb16 + paths.striped16 {
-        "striped8"
+        KernelPath::Striped8
     } else {
-        "striped16"
+        KernelPath::Striped16
     };
     entries.push(Entry {
         bench: "wavefront",
         shape: format!("local_{m}x{n}"),
         entry: "engine",
-        path,
-        lanes: if path == "striped8" { 32 } else { 16 },
+        path: path.label(),
+        lanes: path.lanes(),
         workers,
         cells,
         seconds,

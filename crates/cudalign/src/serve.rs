@@ -20,7 +20,7 @@
 //!   therefore executes it length-sorted, which keeps the striped
 //!   i8/i16 kernels' lanes full (the inter-task batching trick of the
 //!   SSW library and AnySeq/GPU): similar-length jobs run back-to-back,
-//!   and each job's bands fit the per-engine [`gpu_sim::ProfileCache`]
+//!   and each job's bands fit the per-engine [`gpu_sim::striped::ProfileCache`]
 //!   (keyed by `(scoring, band)`, so interleaved tenants don't thrash).
 //! - **Per-job supervision.** Every [`JobRequest`] carries its own
 //!   [`RunControl`] (cancel / deadline / stall watchdog — the PR 7

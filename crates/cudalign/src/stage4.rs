@@ -23,7 +23,7 @@
 //!   half is processed, a ~25 % saving overall (Table IX).
 //!
 //! Partitions are independent and processed in parallel; each lane keeps
-//! one [`Lane`] of buffers and query profiles across its partitions.
+//! one `Lane` of buffers and query profiles across its partitions.
 
 use crate::crosspoint::{Crosspoint, CrosspointChain, Partition};
 use crate::obs::Event;
@@ -268,7 +268,7 @@ fn split_partition(
 ///
 /// Oversized partitions of one iteration are independent, so each
 /// iteration fans them out on the shared `pool` (one scope per iteration,
-/// one [`Lane`] per task, kept across iterations; results land in
+/// one `Lane` per task, kept across iterations; results land in
 /// pre-chunked slots and are merged in partition order, so the outcome is
 /// independent of the pool width). Each refinement iteration emits an
 /// [`Event::Iteration`] record, with per-iteration seconds from the

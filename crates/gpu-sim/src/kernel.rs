@@ -7,8 +7,7 @@
 //! its own last row / last column — exactly the bus hand-off of the paper
 //! (Section III-C).
 
-use crate::striped::{self, ProfileCache, QueryProfile, StripedColumns};
-use crate::striped8;
+use crate::striped::{self, ProfileCache, QueryProfile, StripedColumns, LANES, LANES8};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
 use sw_core::transcript::EdgeState;
@@ -134,20 +133,21 @@ impl Mode {
 /// non-scalar") say so with a deliberate `_` arm and a comment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// 32-lane saturating-`i8` kernel committed the tile (plus a scalar
-    /// sliver for the `height % LANES8` remainder rows).
+    /// 32-lane saturating-`i8` rung committed the tile (plus a scalar
+    /// sliver for the `height % 32` remainder rows).
     Striped8,
     /// The `i8` attempt left its safe window; the tile was escalated to
-    /// and committed by the `i16` kernel (results identical).
+    /// and committed by the `i16` rung (results identical).
     Striped8Fallback16,
-    /// Lane-striped saturating-`i16` kernel (plus a scalar sliver for the
-    /// `height % LANES` remainder rows). The `i8` rung was not attempted:
-    /// the tile shape or scoring failed [`striped8::eligible`], or the
+    /// 16-lane saturating-`i16` rung (plus a scalar sliver for the
+    /// `height % 16` remainder rows). The `i8` rung was not attempted:
+    /// the tile shape or scoring is outside the `i8` rung's bounds, or the
     /// caller asked for the i16 path directly ([`Rung::I16`]).
     Striped16,
     /// Scalar `i32` kernel chosen up front — the tile was shorter than
     /// [`MIN_LADDER_ROWS`], or too small or the scoring too wide for any
-    /// striped path ([`striped::eligible`]).
+    /// striped rung (narrower than [`striped::LANES`] or parameters past
+    /// the `i16` rung's bound).
     Scalar,
     /// Every striped attempt left its safe window; the tile was
     /// transparently re-run on the scalar kernel (results identical).
@@ -175,8 +175,8 @@ impl KernelPath {
     /// (`1` for the scalar paths, `0` for a pruned tile).
     pub fn lanes(self) -> usize {
         match self {
-            KernelPath::Striped8 => striped8::LANES8,
-            KernelPath::Striped8Fallback16 | KernelPath::Striped16 => striped::LANES,
+            KernelPath::Striped8 => LANES8,
+            KernelPath::Striped8Fallback16 | KernelPath::Striped16 => LANES,
             KernelPath::Scalar | KernelPath::StripedFallback => 1,
             KernelPath::Pruned => 0,
         }
@@ -335,9 +335,9 @@ pub enum Rung {
 /// tiles count zero cells and never produce `best`/`watch_hit`.
 ///
 /// `rung` picks where the tile enters the ladder ([`Rung`]). Eligible
-/// tiles attempt the 32-lane `i8` kernel first ([`striped8::eligible`]),
-/// escalating on window overflow to the 16-lane `i16` kernel
-/// ([`striped::eligible`]) and finally to the scalar `i32` loop; results
+/// tiles attempt the 32-lane `i8` rung of the striped kernel
+/// ([`striped`]) first, escalating on window overflow to its 16-lane
+/// `i16` rung and finally to the scalar `i32` loop; results
 /// are bit-identical on every rung, and [`TileOutcome::path`] records
 /// where the tile committed. The rung is chosen for a band as a whole (a
 /// band that overflows `i8` re-runs whole on `i16`, then on the scalar
@@ -397,14 +397,15 @@ pub(crate) struct Cuts<'c> {
     pub out: &'c mut [CellHF],
 }
 
-/// Route a tile down the precision ladder from `rung`: attempt the i8
-/// kernel first (unless the rung starts lower or the tile fails
-/// [`striped8::eligible`]), escalate to the i16 kernel on window overflow
-/// — always possible, since i8 eligibility is a strict subset of i16
-/// eligibility — and finally re-run the whole tile on the scalar `i32`
-/// kernel. Whichever striped rung commits, the `height % lanes` bottom
-/// sliver is stitched with the scalar kernel by [`finish_striped`]. A
-/// failed rung leaves the buses and `cuts` untouched.
+/// Route a tile down the precision ladder from `rung`: attempt the
+/// striped kernel's `i8` instantiation first (unless the rung starts
+/// lower or the tile is outside the `i8` rung's bounds), escalate to its
+/// `i16` instantiation on window overflow — always possible, since i8
+/// eligibility is a strict subset of i16 eligibility — and finally re-run
+/// the whole tile on the scalar `i32` kernel. Whichever striped rung
+/// commits, the `height % lanes` bottom sliver is stitched with the
+/// scalar kernel by [`finish_striped`]. A failed rung leaves the buses
+/// and `cuts` untouched.
 fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     tile: &Tile<'_>,
     rung: Rung,
@@ -420,11 +421,11 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
     if rung == Rung::Scalar || (rung == Rung::Auto && height < MIN_LADDER_ROWS) {
         return compute_tile_impl::<LOCAL, WATCH>(tile, top, left, cuts, 0);
     }
-    let attempted8 = rung != Rung::I16 && striped8::eligible(height, width, scoring);
+    let attempted8 = rung != Rung::I16 && striped::eligible::<i8, LANES8>(height, width, scoring);
     if attempted8 {
-        if let Some(part) =
-            striped8::compute_striped8_columns::<LOCAL, WATCH>(tile, top, left, cache, cuts)
-        {
+        if let Some(part) = striped::compute_striped_columns::<i8, LANES8, LOCAL, WATCH>(
+            tile, top, left, cache, cuts,
+        ) {
             return finish_striped::<LOCAL, WATCH>(
                 part,
                 KernelPath::Striped8,
@@ -436,10 +437,10 @@ fn dispatch_tile<const LOCAL: bool, const WATCH: bool>(
         }
         // i8 window overflow: buses untouched, escalate to the i16 rung.
     }
-    let path = if striped::eligible(height, width, scoring) {
-        if let Some(part) =
-            striped::compute_striped_columns::<LOCAL, WATCH>(tile, top, left, cache, cuts)
-        {
+    let path = if striped::eligible::<i16, LANES>(height, width, scoring) {
+        if let Some(part) = striped::compute_striped_columns::<i16, LANES, LOCAL, WATCH>(
+            tile, top, left, cache, cuts,
+        ) {
             let path =
                 if attempted8 { KernelPath::Striped8Fallback16 } else { KernelPath::Striped16 };
             return finish_striped::<LOCAL, WATCH>(part, path, tile, top, left, cuts);
@@ -1216,33 +1217,62 @@ mod tests {
     /// Early escalation, overflow in the first column: a bias of 92 from
     /// one top-border cell puts local zero at -92 (rebased) while the
     /// other borders sit at 3. A mismatching column then drives F to
-    /// zero - gap_first = -97, below the i8 window, in column 0.
+    /// zero - gap_first = -97, below the i8 window, in column 0. Scaled by
+    /// 204 (gap_first 1020, near P_MAX) with a bias of 137, the same tile
+    /// leaves the i16 window in column 0: zero sits at -27948, inside
+    /// [-28672, 28671], and F at -28968 below it.
     #[test]
     fn i8_overflow_in_first_column_escalates() {
         let a = vec![b'A'; 96];
         let mut b = vec![b'A'; 96];
         b[0] = b'C';
-        let (mut top, mut left, _) = local_borders(a.len(), b.len());
-        top.iter_mut().for_each(|c| c.h = 3);
-        left.iter_mut().for_each(|c| c.h = 3);
-        top[95].h = 92;
+        let borders = |k: Score, bias: Score| {
+            let (mut top, mut left, _) = local_borders(a.len(), b.len());
+            top.iter_mut().for_each(|c| c.h = 3 * k);
+            left.iter_mut().for_each(|c| c.h = 3 * k);
+            top[95].h = bias * k;
+            (top, left)
+        };
+        let (top, left) = borders(1, 92);
         let (p16, ladder) = local_paths_match_scalar(&a, &b, &top, &left, 3, "first column");
         assert_eq!(p16, KernelPath::Striped16);
         assert_eq!(ladder, KernelPath::Striped8Fallback16);
+        let tile = Tile { local: true, corner: 3, ..Tile::new(&a, &b, &SC) };
+        leaves_window_in_column_0::<i8, LANES8>(&tile, &top, &left);
 
-        // The i8 attempt stops in band 0 of 3 (test BAND = 32): only that
-        // band's profile is built, and the buses are untouched.
-        let (mut top_v, mut left_v) = (top.clone(), left.clone());
+        let k = 204;
+        let scaled = Scoring {
+            match_score: SC.match_score * k,
+            mismatch_score: SC.mismatch_score * k,
+            gap_first: SC.gap_first * k,
+            gap_ext: SC.gap_ext * k,
+        };
+        let (top, left) = borders(k, 137);
+        let tile = Tile { local: true, corner: 3 * k, ..Tile::new(&a, &b, &scaled) };
+        leaves_window_in_column_0::<i16, LANES>(&tile, &top, &left);
+    }
+
+    /// Run one rung alone on a local tile that leaves its window in column
+    /// 0: it must stop in band 0 of 3 (test BAND = 32), so only that band's
+    /// profile is looked up, and leave the buses untouched.
+    fn leaves_window_in_column_0<T: striped::Lane<N>, const N: usize>(
+        tile: &Tile,
+        top: &[CellHF],
+        left: &[CellHE],
+    ) {
+        let (mut top_v, mut left_v) = (top.to_vec(), left.to_vec());
         let mut cache = ProfileCache::new();
-        let part = striped8::compute_striped8_columns::<true, false>(
-            &Tile { local: true, corner: 3, ..Tile::new(&a, &b, &SC) },
+        let part = striped::compute_striped_columns::<T, N, true, false>(
+            tile,
             &mut top_v,
             &mut left_v,
             &mut cache,
             &mut Cuts { rows: &[], out: &mut [] },
         );
-        assert!(part.is_none(), "the i8 window is left in column 0");
-        assert_eq!(cache.misses(), 1, "no band after the first was streamed");
+        assert!(part.is_none(), "the {N}-lane window is left in column 0");
+        // The three bands hold the same bytes, so a later band would hit.
+        let lookups = (cache.hits(), cache.misses());
+        assert_eq!(lookups, (0, 1), "{N} lanes: no band after the first was streamed");
         assert_eq!(top_v, top);
         assert_eq!(left_v, left);
     }

@@ -1,16 +1,33 @@
-//! Lane-striped, auto-vectorizable `i16` tile kernel.
+//! Lane-striped, auto-vectorizable tile kernel: one generic kernel, two
+//! rungs of the precision ladder.
 //!
 //! The scalar kernel in [`crate::kernel`] updates one `i32` cell at a time.
 //! This module is the CPU analogue of the paper's internal-diagonal kernel,
 //! organised like Farrar's striped SIMD layout (the scheme SSW uses): the
-//! tile's rows are cut into [`LANES`] contiguous chunks and lane `l` of a
+//! tile's rows are cut into `N` contiguous chunks and lane `l` of a
 //! vector owns one row of chunk `l`, so vector `s` holds rows
-//! `{l * seg + s}` for a band of `seg * LANES` rows. Columns of the tile
+//! `{l * seg + s}` for a band of `seg * N` rows. Columns of the tile
 //! are streamed one at a time; all per-column state lives in fixed-size
-//! `[i16; LANES]` arrays combined with saturating arithmetic and
-//! `min`/`max` only — the exact shape LLVM's auto-vectorizer turns into
-//! `psubsw` / `paddsw` / `pmaxsw` packed ops on any x86-64 baseline
-//! target, with no nightly `std::simd` and no `unsafe`.
+//! `[T; N]` arrays combined with saturating arithmetic and `min`/`max`
+//! only — the exact shape LLVM's auto-vectorizer turns into packed ops
+//! (`paddsb`/`psubsb`/`pmaxsb` for `i8`, `paddsw`/`psubsw`/`pmaxsw` for
+//! `i16`) on any x86-64 baseline target, with no nightly `std::simd` and
+//! no `unsafe`.
+//!
+//! The kernel is written once over a `Lane` element type and its lane
+//! count; the ladder's rungs are two instantiations, like SSW's byte and
+//! word kernels:
+//!
+//! * `i8` × 32 lanes, scoring magnitudes ≤ `P8_MAX` = 8:
+//!   one `[i8; 32]` array is two 128-bit vectors on baseline x86-64 (one
+//!   256-bit vector with AVX2), twice the rows per op of the word rung,
+//!   inside the narrow window `[-96, 95]` around the border bias;
+//! * `i16` × [`LANES`] = 16 lanes, magnitudes ≤ `P_MAX` = 1024, window
+//!   `[i16::MIN + 4096, i16::MAX - 4096]`.
+//!
+//! The dispatcher in [`crate::kernel`] tries `i8` first and escalates a
+//! tile that leaves the window: **i8 → i16 → scalar i32**, each rung
+//! bit-identical to the scalar recurrence whenever it commits.
 //!
 //! # Why striped and not skewed
 //!
@@ -30,10 +47,10 @@
 //!    element improves. Early exit is sound because the partial pass
 //!    guarantees `F[s+1] >= F[s] - g_ext`; the `H`-opened term never
 //!    needs re-propagation because `gap_first >= gap_ext` (checked by
-//!    [`eligible`]) makes `F - g_ext` dominate `H - g_first` whenever `H`
+//!    `eligible`) makes `F - g_ext` dominate `H - g_first` whenever `H`
 //!    was itself raised to `F`.
 //! 3. **Finalize** — `H = max(H, F)`, the next column's
-//!    `E = max(E - g_ext, H - g_first)`, overflow trackers, and the
+//!    `E = max(E - g_ext, H - g_first)`, the window check, and the
 //!    local-best / watch trackers.
 //!
 //! # Local-best gate
@@ -61,14 +78,15 @@
 //! # Narrow-score overflow protocol
 //!
 //! Scores are rebased to `bias` (the largest finite `H` on the tile's
-//! borders) and carried as saturating `i16`. Every finalized `H` feeds a
-//! running lane-wise maximum and every finalized `E`/`F` a running
-//! minimum; if either ever leaves the safe window `[i16::MIN + 4·P_MAX,
-//! i16::MAX - 4·P_MAX]`, the tile *overflowed*: the kernel returns `None`
-//! without touching the `i32` buses and the dispatcher re-runs the whole
-//! tile on the scalar kernel. Inside the window no saturating op can clip
-//! (each recurrence moves a checked value by at most `2·P_MAX`), so the
-//! `i16` arithmetic is an exact shifted image of the `i32` recurrence and
+//! borders) and carried as saturating `T`. Every finalized `E`/`F` feeds
+//! a running lane-wise minimum and every column's finalized `H` a lane
+//! maximum; the first column where either leaves the rung's safe window
+//! `[T::MIN + 4·P, T::MAX - 4·P]` (`P` the rung's parameter bound) means
+//! the tile *overflowed*: the kernel returns `None` without touching the
+//! `i32` buses, skipping the rest of the tile, and the dispatcher re-runs
+//! the whole tile on the next rung. Inside the window no saturating op can
+//! clip (each recurrence moves a checked value by at most `2·P`), so the
+//! narrow arithmetic is an exact shifted image of the `i32` recurrence and
 //! committed tiles are bit-identical to the scalar kernel. Rail-valued
 //! partial-`F` lanes are below the window and can only *lose* a `max`
 //! against checked values, so they never leak into a committed result:
@@ -93,38 +111,34 @@
 //! with the tile's bias alongside the buses. The window checks already
 //! cover those cells, so a committed cut row is exact.
 //!
-//! The kernel covers the leading `height - height % LANES` rows over the
+//! The kernel covers the leading `height - height % N` rows over the
 //! full tile width; the dispatcher finishes the remaining bottom sliver
-//! (at most `LANES - 1` rows) with the scalar kernel, stitched through
+//! (at most `N - 1` rows) with the scalar kernel, stitched through
 //! the updated horizontal bus exactly like a vertically split tile pair.
 
 use crate::kernel::{CellHE, CellHF, Cuts, Tile};
-use crate::striped8::{LANES8, V8};
 use sw_core::full::better_endpoint;
 use sw_core::scoring::{Score, Scoring, NEG_INF};
 
-/// Vector width: 16 `i16` lanes = two 128-bit vectors on baseline x86-64,
-/// one 256-bit vector with AVX2.
+/// Vector width of the `i16` rung: 16 lanes = two 128-bit vectors on
+/// baseline x86-64, one 256-bit vector with AVX2. Also the least tile
+/// side any striped rung accepts.
 pub const LANES: usize = 16;
 
-/// Largest scoring-parameter magnitude the striped kernel accepts. One
-/// recurrence step moves a value by at most `2 * P_MAX`, which sizes the
-/// saturation margin below.
-pub const P_MAX: Score = 1024;
+/// Vector width of the `i8` rung: 32 lanes, double the rows per op.
+pub(crate) const LANES8: usize = 32;
 
-/// Rail margin: no intermediate of a chain rooted at an in-window value
-/// can reach `i16::MIN`/`i16::MAX`, so saturating ops behave exactly.
-const MARGIN: i32 = 4 * P_MAX;
-const WIN_LO: i32 = i16::MIN as i32 + MARGIN;
-const WIN_HI: i32 = i16::MAX as i32 - MARGIN;
+/// Largest scoring-parameter magnitude the `i16` rung accepts.
+pub(crate) const P_MAX: Score = 1024;
 
-/// Sentinel for unreachable partial-`F` lanes: pinned at the saturation
-/// rail, below the window, so it loses every `max` against real values.
-const RAIL: i16 = i16::MIN;
+/// Largest scoring-parameter magnitude the `i8` rung accepts: the paper's
+/// DNA scoring (`1 / -3 / 5 / 2`) fits with room to spare, BLOSUM-scale
+/// protein matrices do not and start the ladder at `i16`.
+pub(crate) const P8_MAX: Score = 8;
 
 /// Rows per band: bounds the striped working set (four state arrays plus
 /// the profile) to the L1/L2 cache while columns stream across the band.
-/// Must be a multiple of [`LANES`].
+/// Must be a multiple of every rung's lane count.
 ///
 /// Unit-test builds shrink this (and [`JCHUNK`]) so small tiles cross
 /// several band/chunk boundaries; the production values are exercised by
@@ -143,19 +157,88 @@ pub(crate) const JCHUNK: usize = 32_000;
 #[cfg(test)]
 pub(crate) const JCHUNK: usize = 64;
 
-/// One striped vector: lane `l` holds a row of chunk `l`.
-pub(crate) type V = [i16; LANES];
+/// The element type of one ladder rung, striped `N` lanes wide.
+///
+/// Each type implements it for exactly one `N` (`i8: Lane<32>`,
+/// `i16: Lane<16>`), which ties the lane count to the type without
+/// `[T; T::LANES]` array lengths.
+pub(crate) trait Lane<const N: usize>: Copy + Ord + Into<Score> {
+    /// Largest scoring-parameter magnitude the rung accepts. One
+    /// recurrence step moves a value by at most `2 * P_MAX`, which sizes
+    /// the saturation margin of the window.
+    const P_MAX: Score;
+    /// The type's lower saturation rail, as a score.
+    const MIN: Score;
+    /// The type's upper saturation rail, as a score.
+    const MAX: Score;
+    /// Lowest in-window (rebased) value: no chain rooted at an in-window
+    /// value can reach a rail, so saturating ops behave exactly.
+    const WIN_LO: Score = Self::MIN + 4 * Self::P_MAX;
+    /// Highest in-window (rebased) value.
+    const WIN_HI: Score = Self::MAX - 4 * Self::P_MAX;
+    /// Sentinel for unreachable partial-`F` lanes: pinned at the
+    /// saturation rail, below the window, so it loses every `max`
+    /// against real values.
+    const RAIL: Self;
+    /// `v` narrowed to the lane type; the caller keeps it in range.
+    fn narrow(v: Score) -> Self;
+    /// Saturating addition.
+    fn sat_add(self, rhs: Self) -> Self;
+    /// Saturating subtraction.
+    fn sat_sub(self, rhs: Self) -> Self;
+    /// This rung's striped profile inside a cache entry.
+    fn profile(entry: &mut CacheEntry) -> &mut Profile<Self, N>;
+    /// `self` as a score.
+    #[inline(always)]
+    fn wide(self) -> Score {
+        self.into()
+    }
+}
 
-/// Can `compute_striped_columns` handle this tile shape and scoring?
+macro_rules! lane {
+    ($t:ty, $n:expr, $p_max:expr, $field:ident) => {
+        impl Lane<$n> for $t {
+            const P_MAX: Score = $p_max;
+            const MIN: Score = <$t>::MIN as Score;
+            const MAX: Score = <$t>::MAX as Score;
+            const RAIL: Self = <$t>::MIN;
+            #[inline(always)]
+            fn narrow(v: Score) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn sat_add(self, rhs: Self) -> Self {
+                self.saturating_add(rhs)
+            }
+            #[inline(always)]
+            fn sat_sub(self, rhs: Self) -> Self {
+                self.saturating_sub(rhs)
+            }
+            fn profile(entry: &mut CacheEntry) -> &mut Profile<Self, $n> {
+                &mut entry.$field
+            }
+        }
+    };
+}
+lane!(i8, LANES8, P8_MAX, p8);
+lane!(i16, LANES, P_MAX, p16);
+
+/// Can the `T` rung handle this tile shape and scoring?
 ///
 /// The dispatcher in [`crate::kernel::compute`] consults this before
-/// attempting the striped path; ineligible tiles go straight to the scalar
+/// attempting a rung; a tile no rung accepts goes straight to the scalar
 /// kernel (`KernelPath::Scalar`). `gap_first >= gap_ext` is required for
-/// the lazy-F early exit to be exact (see the module docs).
-pub fn eligible(height: usize, width: usize, scoring: &Scoring) -> bool {
-    let fits = |v: Score| (-P_MAX..=P_MAX).contains(&v);
-    height >= LANES
-        && width >= LANES
+/// the lazy-F early exit to be exact (see the module docs). The `i8`
+/// rung's bounds nest inside the `i16` rung's, so a tile the `i8` rung
+/// attempted can always escalate to `i16`.
+pub(crate) fn eligible<T: Lane<N>, const N: usize>(
+    height: usize,
+    width: usize,
+    scoring: &Scoring,
+) -> bool {
+    let fits = |v: Score| (-T::P_MAX..=T::P_MAX).contains(&v);
+    height >= N
+        && width >= N
         && fits(scoring.match_score)
         && fits(scoring.mismatch_score)
         && fits(scoring.gap_first)
@@ -164,9 +247,9 @@ pub fn eligible(height: usize, width: usize, scoring: &Scoring) -> bool {
 }
 
 /// Result of the striped portion of a tile: the first `rows` rows
-/// (`rows` is the largest multiple of [`LANES`] ≤ the tile height) over
-/// the full width. The dispatcher finishes the `height % LANES` bottom
-/// sliver on the scalar kernel.
+/// (`rows` is the largest multiple of the lane count ≤ the tile height)
+/// over the full width. The dispatcher finishes the bottom sliver on the
+/// scalar kernel.
 pub(crate) struct StripedColumns {
     /// Rows computed and committed to the buses.
     pub rows: usize,
@@ -183,9 +266,9 @@ pub(crate) struct StripedColumns {
 }
 
 #[inline(always)]
-fn lane_shift(v: V, insert: i16) -> V {
-    let mut out = [insert; LANES];
-    out[1..].copy_from_slice(&v[..LANES - 1]);
+fn lane_shift<T: Copy, const N: usize>(v: [T; N], insert: T) -> [T; N] {
+    let mut out = [insert; N];
+    out[1..].copy_from_slice(&v[..N - 1]);
     out
 }
 
@@ -193,13 +276,13 @@ fn lane_shift(v: V, insert: i16) -> V {
 /// lane `l - 1`'s last row, given that row's stored `F` and partial `H`.
 /// Lane 0 receives nothing (rail).
 #[inline(always)]
-fn lane_carry(fl: V, hl: V, ge16: i16, gf16: i16) -> V {
-    let fl_sh = lane_shift(fl, RAIL);
-    let hl_sh = lane_shift(hl, RAIL);
-    let mut carry = [RAIL; LANES];
-    for l in 0..LANES {
+fn lane_carry<T: Lane<N>, const N: usize>(fl: [T; N], hl: [T; N], ge: T, gf: T) -> [T; N] {
+    let fl_sh = lane_shift(fl, T::RAIL);
+    let hl_sh = lane_shift(hl, T::RAIL);
+    let mut carry = [T::RAIL; N];
+    for l in 0..N {
         let hf = hl_sh[l].max(fl_sh[l]);
-        carry[l] = fl_sh[l].saturating_sub(ge16).max(hf.saturating_sub(gf16));
+        carry[l] = fl_sh[l].sat_sub(ge).max(hf.sat_sub(gf));
     }
     carry
 }
@@ -211,7 +294,8 @@ fn lane_carry(fl: V, hl: V, ge16: i16, gf16: i16) -> V {
 /// local-best gate calls it only with the column's own maximum, which is
 /// always present.
 #[allow(clippy::needless_range_loop)] // lane-indexed like the kernel loops
-pub(crate) fn first_row_at<T: Copy + PartialEq, const N: usize>(col: &[[T; N]], v: T) -> usize {
+#[inline(always)] // see band_columns
+fn first_row_at<T: Copy + PartialEq, const N: usize>(col: &[[T; N]], v: T) -> usize {
     let mut hit = [false; N];
     for x in col {
         for l in 0..N {
@@ -225,7 +309,7 @@ pub(crate) fn first_row_at<T: Copy + PartialEq, const N: usize>(col: &[[T; N]], 
 /// The cut rows that fall in one internal band: each cut's striped
 /// position `(segment, lane)`, and the narrow-score scratch rows (`width`
 /// cells per cut) its `H` and `F` are copied into column by column.
-pub(crate) struct CutTaps<'a, T> {
+struct CutTaps<'a, T> {
     at: Vec<(usize, usize)>,
     h: &'a mut [T],
     f: &'a mut [T],
@@ -235,7 +319,7 @@ impl<'a, T: Copy> CutTaps<'a, T> {
     /// The cuts among `rows` (tile-relative, ascending) that fall in the
     /// internal band of `seg` segments covering rows `base..base + band_h`,
     /// over `h`/`f`, the scratch rows of every striped cut of the tile.
-    pub fn new(
+    fn new(
         rows: &[usize],
         (base, band_h, seg): (usize, usize, usize),
         width: usize,
@@ -248,20 +332,9 @@ impl<'a, T: Copy> CutTaps<'a, T> {
         CutTaps { at, h: &mut h[k0 * width..k1 * width], f: &mut f[k0 * width..k1 * width] }
     }
 
-    /// True when no cut falls in this internal band.
-    pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
-    }
-
     /// Copy column `j`'s finalized `H`/`F` at every cut of the band.
     #[inline(always)]
-    pub fn tap<const N: usize>(
-        &mut self,
-        j: usize,
-        width: usize,
-        hstore: &[[T; N]],
-        fcur: &[[T; N]],
-    ) {
+    fn tap<const N: usize>(&mut self, j: usize, width: usize, hstore: &[[T; N]], fcur: &[[T; N]]) {
         for (k, &(s, l)) in self.at.iter().enumerate() {
             self.h[k * width + j] = hstore[s][l];
             self.f[k * width + j] = fcur[s][l];
@@ -269,32 +342,315 @@ impl<'a, T: Copy> CutTaps<'a, T> {
     }
 }
 
-/// Commit the narrow cut rows of a striped tile's first `h.len() / width`
-/// cuts: rebase them to `i32` exactly like the buses.
-pub(crate) fn commit_cut_rows<T: Copy + Into<Score>>(
-    out: &mut [CellHF],
-    h: &[T],
-    f: &[T],
-    bias: Score,
-) {
-    for ((o, &h), &f) in out.iter_mut().zip(h).zip(f) {
-        *o = CellHF { h: bias + h.into(), f: bias + f.into() };
-    }
+/// Striped band state, allocated by [`compute_striped_columns`] and lent
+/// to the allocation-free [`band_columns`]. `wj` (the watch tracker's
+/// first hit column per row, in `i16` so a [`JCHUNK`] index fits) is
+/// empty unless WATCH.
+struct Band<T, const N: usize> {
+    hload: Vec<[T; N]>,
+    hstore: Vec<[T; N]>,
+    ecur: Vec<[T; N]>,
+    fcur: Vec<[T; N]>,
+    wj: Vec<[i16; N]>,
 }
 
-/// Run the striped kernel over the leading `height - height % LANES` rows.
+/// Everything [`band_columns`] reads beyond the striped state and the
+/// bus rows.
+struct Ctx<'a, T, const N: usize> {
+    b_tile: &'a [u8],
+    slot: &'a [u16; 256],
+    prof: &'a [[T; N]],
+    seg: usize,
+    /// Absolute DP row of the band's first row.
+    row0: usize,
+    col_offset: usize,
+    bias: Score,
+    ge: T,
+    gf: T,
+    zero: T,
+    watch: T,
+    band_corner: T,
+}
+
+/// The tile-wide trackers the band loop carries from band to band: the
+/// lane minimum of every window check, the best cell and the local-best
+/// gate, and the first watch hit.
+struct Track<T, const N: usize> {
+    mn: [T; N],
+    best: Option<(Score, usize, usize)>,
+    /// The rebased score a column maximum must reach to be searched for
+    /// an endpoint — `best`'s score once one exists, else the smallest
+    /// positive `H`. Equal scores are searched too, since a tie can still
+    /// win on `better_endpoint`'s anti-diagonal order.
+    gate: T,
+    watch_hit: Option<(usize, usize)>,
+}
+
+// hot-loop
+//
+// Stream every column of one band through the three striped sweeps (see
+// the module docs for the pass-by-pass argument). Kept allocation-free
+// and wallclock-free — enforced by the `hot-loop` analysis rule — so the
+// whole body is straight-line index arithmetic over [T; N] arrays.
+//
+// Returns `false` as soon as a column leaves the window: the tile will
+// be discarded and escalated anyway, so streaming the rest of it would
+// be wasted work. Only `th`/`tf` scratch has been written by then; the
+// caller's buses are untouched.
+//
+// The code shape is measured, not incidental (kernel-only A/B rounds
+// against the two hand-copied kernels this replaced, 2-CPU AVX-512 host):
+// - `mn`, `best` and `gate` live in locals, written back on return, and
+//   the window bounds are associated consts: read through `&mut Track`
+//   or `&Ctx` fields, the i16 rung ran 0.87-0.95x and local i8 0.97x;
+// - the band state is read through `seg`-long local slices: through
+//   `st`'s Vecs, whose pointers and lengths every store reloads and
+//   bounds-checks, the i16 rung ran 0.81-0.97x;
+// - the window is checked per column against the column maximum: an i16
+//   rung that accumulated a max and checked it once per band scalarized
+//   to 0.37-0.49x;
+// - `first_row_at` is inlined: called out of line it spilled the vector
+//   registers each time the local-best gate fired (64-row local i8 tiles
+//   0.93x);
+// - `TAPS` compiles the cut-row copies in only for bands with cuts: even
+//   an empty tap loop cost plain 1024-row i8 tiles ~8 %;
+// - indexed `for s in 0..seg` / `for l in 0..N` loops over plain slices
+//   are the shape LLVM reliably turns into packed ops; the iterator forms
+//   clippy prefers have been observed to scalarize the lane loops (cmov
+//   chains instead of pmaxsw), so keep the index style.
+#[allow(clippy::needless_range_loop)]
+fn band_columns<
+    T: Lane<N>,
+    const N: usize,
+    const LOCAL: bool,
+    const WATCH: bool,
+    const TAPS: bool,
+>(
+    st: &mut Band<T, N>,
+    cx: &Ctx<'_, T, N>,
+    th: &mut [T],
+    tf: &mut [T],
+    track: &mut Track<T, N>,
+    taps: &mut CutTaps<'_, T>,
+) -> bool {
+    let (slot, prof, b_tile) = (cx.slot, cx.prof, cx.b_tile);
+    let width = b_tile.len();
+    let seg = cx.seg;
+    let (ge, gf, zero, watch) = (cx.ge, cx.gf, cx.zero, cx.watch);
+    let (mut mn, mut best, mut gate) = (track.mn, track.best, track.gate);
+    let Band { hload: hload_v, hstore: hstore_v, ecur, fcur, wj } = st;
+    let (mut hload, mut hstore) = (&mut hload_v[..seg], &mut hstore_v[..seg]);
+    let (ecur, fcur) = (&mut ecur[..seg], &mut fcur[..seg]);
+    let wj = &mut wj[..if WATCH { seg } else { 0 }];
+    let jchunk = if WATCH { JCHUNK } else { width };
+    // Lane-0 diagonal seed: the *pre-update* top-border H of the previous
+    // column. Must be carried across chunk boundaries — by the time a
+    // chunk ends, `th` already holds this band's bottom row, so it cannot
+    // be re-read from the bus.
+    let mut prev_top = cx.band_corner;
+    let mut cbase = 0usize;
+    while cbase < width {
+        let clen = (width - cbase).min(jchunk);
+        if WATCH {
+            wj.iter_mut().for_each(|v| *v = [-1; N]);
+        }
+        for jc in 0..clen {
+            let j = cbase + jc;
+            let k = slot[b_tile[j] as usize] as usize;
+            let pr = &prof[k * seg..(k + 1) * seg];
+            let cur_top = th[j];
+            // Band-top F seed for lane 0 (row `base`); the window plus its
+            // margin keeps this saturating form exact.
+            let f0 = tf[j].sat_sub(ge).max(th[j].sat_sub(gf));
+
+            // Pass 1: H with lane-chunk-partial F; store the partial F
+            // *used* at each segment position.
+            let mut v_f = [T::RAIL; N];
+            v_f[0] = f0;
+            let mut v_diag = lane_shift(hload[seg - 1], prev_top);
+            for s in 0..seg {
+                let p = pr[s];
+                let e = ecur[s];
+                let mut h = [T::RAIL; N];
+                for l in 0..N {
+                    let mut x = v_diag[l].sat_add(p[l]).max(e[l]).max(v_f[l]);
+                    if LOCAL {
+                        x = x.max(zero);
+                    }
+                    h[l] = x;
+                }
+                v_diag = hload[s];
+                hstore[s] = h;
+                fcur[s] = v_f;
+                let mut f = [T::RAIL; N];
+                for l in 0..N {
+                    f[l] = v_f[l].sat_sub(ge).max(h[l].sat_sub(gf));
+                }
+                v_f = f;
+            }
+
+            // Pass 2: lazy-F across lane-chunk boundaries. The first sweep
+            // always runs in full — pass 1 leaves rail lanes in every
+            // stored F vector and the carry beats a rail — so it is
+            // unconditional.
+            let mut carry = lane_carry(fcur[seg - 1], hstore[seg - 1], ge, gf);
+            for s in 0..seg {
+                let f = fcur[s];
+                let mut nf = [T::RAIL; N];
+                for l in 0..N {
+                    nf[l] = f[l].max(carry[l]);
+                }
+                fcur[s] = nf;
+                for l in 0..N {
+                    carry[l] = nf[l].sat_sub(ge);
+                }
+            }
+            // Fixpoint tail for F chains crossing several chunk
+            // boundaries. One vector comparison decides convergence: the
+            // partial-F invariant F[s+1] >= F[s] - ge survives every
+            // sweep, so a carry that cannot improve row 0 cannot improve
+            // any later row either.
+            loop {
+                let carry0 = lane_carry(fcur[seg - 1], hstore[seg - 1], ge, gf);
+                let f0 = fcur[0];
+                let mut any = 0u16;
+                for l in 0..N {
+                    any |= (carry0[l] > f0[l]) as u16;
+                }
+                if any == 0 {
+                    break;
+                }
+                let mut carry = carry0;
+                for s in 0..seg {
+                    let f = fcur[s];
+                    let mut improves = 0u16;
+                    for l in 0..N {
+                        improves |= (carry[l] > f[l]) as u16;
+                    }
+                    if improves == 0 {
+                        break;
+                    }
+                    let mut nf = [T::RAIL; N];
+                    for l in 0..N {
+                        nf[l] = f[l].max(carry[l]);
+                    }
+                    fcur[s] = nf;
+                    for l in 0..N {
+                        carry[l] = nf[l].sat_sub(ge);
+                    }
+                }
+            }
+
+            // Pass 3: finalize H, next-column E, trackers.
+            let jc16 = jc as i16;
+            let last_col = j + 1 == width;
+            let mut cmax = [T::RAIL; N];
+            for s in 0..seg {
+                let f = fcur[s];
+                let hp = hstore[s];
+                let mut h = [T::RAIL; N];
+                for l in 0..N {
+                    h[l] = hp[l].max(f[l]);
+                }
+                hstore[s] = h;
+                if !last_col {
+                    let e = ecur[s];
+                    let mut en = [T::RAIL; N];
+                    for l in 0..N {
+                        en[l] = e[l].sat_sub(ge).max(h[l].sat_sub(gf));
+                    }
+                    ecur[s] = en;
+                    for l in 0..N {
+                        mn[l] = mn[l].min(en[l].min(f[l]));
+                    }
+                } else {
+                    for l in 0..N {
+                        mn[l] = mn[l].min(f[l]);
+                    }
+                }
+                for l in 0..N {
+                    cmax[l] = cmax[l].max(h[l]);
+                }
+                if WATCH {
+                    let w = &mut wj[s];
+                    for l in 0..N {
+                        let hit = h[l] == watch && w[l] < 0;
+                        w[l] = if hit { jc16 } else { w[l] };
+                    }
+                }
+            }
+            // Window check, every column: H >= E and H >= F at every
+            // cell, so the max only needs H and the min only needs E/F.
+            let mut out = false;
+            for l in 0..N {
+                out |= mn[l].wide() < T::WIN_LO || cmax[l].wide() > T::WIN_HI;
+            }
+            if out {
+                return false;
+            }
+            if LOCAL {
+                let top = cmax.iter().fold(T::RAIL, |m, &x| m.max(x));
+                if top >= gate {
+                    let cand = (
+                        cx.bias + top.wide(),
+                        cx.row0 + first_row_at(hstore, top),
+                        cx.col_offset + j,
+                    );
+                    if best.is_none_or(|b| better_endpoint(cand, b)) {
+                        best = Some(cand);
+                        gate = top;
+                    }
+                }
+            }
+            if TAPS {
+                taps.tap(j, width, hstore, fcur);
+            }
+            th[j] = hstore[seg - 1][N - 1];
+            tf[j] = fcur[seg - 1][N - 1];
+            prev_top = cur_top;
+            std::mem::swap(&mut hload, &mut hstore);
+        }
+
+        // Per-chunk watch reduction: the first hit in scan order is the
+        // lexicographic (row, col) minimum.
+        if WATCH {
+            for s in 0..seg {
+                for l in 0..N {
+                    if wj[s][l] >= 0 {
+                        let cand =
+                            (cx.row0 + l * seg + s, cx.col_offset + cbase + wj[s][l] as usize);
+                        if track.watch_hit.is_none_or(|cur| cand < cur) {
+                            track.watch_hit = Some(cand);
+                        }
+                    }
+                }
+            }
+        }
+        cbase += clen;
+    }
+    // The last column's H is wherever the final swap left it: hand it
+    // back in `hload`.
+    if width % 2 == 1 {
+        std::mem::swap(hload_v, hstore_v);
+    }
+    (track.mn, track.best, track.gate) = (mn, best, gate);
+    true
+}
+
+/// Run the `T` rung over the leading `height - height % N` rows.
 ///
 /// On success the affected bus segments, and the cut rows above row
 /// `rows`, are overwritten exactly as the scalar kernel would have
 /// (bit-identical), and the remaining sliver is the caller's job. On
 /// overflow returns `None` with `top`/`left`/`cuts` untouched, so the
-/// caller can re-run the scalar kernel on pristine borders.
-// Indexed `for s in 0..seg` / `for l in 0..LANES` loops over plain slices
-// are the shape LLVM reliably turns into packed i16 ops here; the
-// iterator forms clippy prefers have been observed to scalarize the lane
-// loops (cmov chains instead of pmaxsw), so keep the index style.
-#[allow(clippy::needless_range_loop)]
-pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
+/// caller can re-run the next rung on pristine borders.
+#[allow(clippy::needless_range_loop)] // indexed loops vectorize; see band_columns
+pub(crate) fn compute_striped_columns<
+    T: Lane<N>,
+    const N: usize,
+    const LOCAL: bool,
+    const WATCH: bool,
+>(
     tile: &Tile<'_>,
     top: &mut [CellHF],
     left: &mut [CellHE],
@@ -304,13 +660,13 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     let Tile { a: a_tile, b: b_tile, row_offset, col_offset, scoring, watch, corner, .. } = *tile;
     let height = a_tile.len();
     let width = b_tile.len();
-    let rows = height - height % LANES;
-    debug_assert!(rows >= LANES && width >= LANES);
+    let rows = height - height % N;
+    debug_assert!(rows >= N && width >= N);
     debug_assert!(top.len() >= width && left.len() == height);
 
     // Rebase everything to the largest finite border H: upward drift within
     // a tile is bounded by min(height, width) * match, downward drift by the
-    // gap run across the tile, and both must stay inside the i16 window.
+    // gap run across the tile, and both must stay inside the window.
     let mut bias = Score::MIN;
     for v in std::iter::once(corner)
         .chain(top[..width].iter().map(|c| c.h))
@@ -324,24 +680,21 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
         return None;
     }
     let bias64 = bias as i64;
+    let window = T::WIN_LO as i64..=T::WIN_HI as i64;
     // Local mode clamps H at absolute zero, which sits at `-bias` in
     // rebased space; once the borders carry scores past the window, 0 and
-    // the border values no longer fit one i16 range together — genuine
-    // narrow-score overflow, handled by the scalar fallback.
+    // the border values no longer fit one lane range together — genuine
+    // narrow-score overflow, handled by the next rung.
     let zero_rel = -bias64;
-    if LOCAL && !(WIN_LO as i64..=WIN_HI as i64).contains(&zero_rel) {
+    if LOCAL && !window.contains(&zero_rel) {
         return None;
     }
-    let zero16 = if LOCAL { zero_rel as i16 } else { 0 };
+    let zero = T::narrow(if LOCAL { zero_rel as Score } else { 0 });
     let (gf, ge) = (scoring.gap_first, scoring.gap_ext);
 
-    let rel_h = |v: Score| -> Option<i16> {
+    let rel_h = |v: Score| -> Option<T> {
         let r = v as i64 - bias64;
-        if (WIN_LO as i64..=WIN_HI as i64).contains(&r) {
-            Some(r as i16)
-        } else {
-            None
-        }
+        window.contains(&r).then(|| T::narrow(r as Score))
     };
     // Gap-state borders may be unreachable; raise them to the highest value
     // that still produces the same `max(G - ge, H - gf)` on the first
@@ -350,316 +703,126 @@ pub(crate) fn compute_striped_columns<const LOCAL: bool, const WATCH: bool>(
     // The first computed cell derives `tight - ge` from this border (the
     // tightening makes it dominate `H - gf` there) and that value is
     // min-tracked, so a border whose derived gap state already starts
-    // below the window would be guaranteed to fail the final overflow
-    // check — reject it up front so the tile goes straight to the scalar
-    // kernel instead of computing the whole striped tile and discarding it.
-    let rel_gap = |g: Score, h16: i16| -> Option<i16> {
-        let tight = (g as i64 - bias64).max(h16 as i64 - (gf - ge) as i64);
-        if tight > WIN_HI as i64 || tight - (ge as i64) < WIN_LO as i64 {
-            None
-        } else {
-            Some(tight as i16)
-        }
+    // below the window would be guaranteed to fail the window check —
+    // reject it up front so the tile goes straight to the next rung.
+    let rel_gap = |g: Score, h: T| -> Option<T> {
+        let tight = (g as i64 - bias64).max(h.wide() as i64 - (gf - ge) as i64);
+        let fits = tight <= T::WIN_HI as i64 && tight - ge as i64 >= T::WIN_LO as i64;
+        fits.then(|| T::narrow(tight as Score))
     };
 
-    let mut th = vec![0i16; width];
-    let mut tf = vec![0i16; width];
+    let mut th = vec![T::RAIL; width];
+    let mut tf = vec![T::RAIL; width];
     for j in 0..width {
-        let h16 = rel_h(top[j].h)?;
-        th[j] = h16;
-        tf[j] = rel_gap(top[j].f, h16)?;
+        th[j] = rel_h(top[j].h)?;
+        tf[j] = rel_gap(top[j].f, th[j])?;
     }
-    let mut lh = vec![0i16; rows];
-    let mut le = vec![0i16; rows];
+    let mut lh = vec![T::RAIL; rows];
+    let mut le = vec![T::RAIL; rows];
     for i in 0..rows {
-        let h16 = rel_h(left[i].h)?;
-        lh[i] = h16;
-        le[i] = rel_gap(left[i].e, h16)?;
+        lh[i] = rel_h(left[i].h)?;
+        le[i] = rel_gap(left[i].e, lh[i])?;
     }
-    let corner16 = rel_h(corner)?;
+    let mut band_corner = rel_h(corner)?;
     let rem_corner = left[rows - 1].h;
 
-    let gf16 = gf as i16;
-    let ge16 = ge as i16;
     // A watched score outside the window can never equal an in-window H;
-    // i16::MIN is below WIN_LO, so it cannot match in a committed tile
-    // either (sub-window values force an overflow return).
-    let watch16: i16 = match watch {
-        Some(wv) => {
-            let r = wv as i64 - bias64;
-            if (WIN_LO as i64..=WIN_HI as i64).contains(&r) {
-                r as i16
-            } else {
-                i16::MIN
-            }
-        }
-        None => i16::MIN,
+    // the rail is below the window, so it cannot match in a committed
+    // tile either (sub-window values force an overflow return).
+    let watch = watch.and_then(rel_h).unwrap_or(T::RAIL);
+    let mut track = Track {
+        mn: [T::narrow(T::MAX); N],
+        best: None,
+        gate: T::narrow(zero.wide() + 1),
+        watch_hit: None,
     };
-
-    let mut mn = [i16::MAX; LANES];
-    let mut mx = [i16::MIN; LANES];
-    let mut best: Option<(Score, usize, usize)> = None;
-    // Local-best gate: a column is scanned for an endpoint only when its
-    // maximum reaches this (rebased) score — `best`'s score once one
-    // exists, else the smallest positive H. Equal scores are scanned too,
-    // since a tie can still win on better_endpoint's anti-diagonal order.
-    let mut gate = zero16 + 1;
-    let mut watch_hit: Option<(usize, usize)> = None;
 
     // Cuts in the striped rows; the scalar sliver reports the rest.
     let ncut = cuts.rows.partition_point(|&c| c < rows);
-    let mut cut_h = vec![0i16; ncut * width];
-    let mut cut_f = vec![0i16; ncut * width];
+    let mut cut_h = vec![T::RAIL; ncut * width];
+    let mut cut_f = vec![T::RAIL; ncut * width];
 
-    let mut band_corner = corner16;
     let mut base = 0usize;
     while base < rows {
         let band_h = (rows - base).min(BAND);
-        let seg = band_h / LANES;
+        let seg = band_h / N;
         let a_band = &a_tile[base..base + band_h];
         let mut taps = CutTaps::new(cuts.rows, (base, band_h, seg), width, &mut cut_h, &mut cut_f);
 
         // Striped query profile, from the engine-owned cache:
         // prof[k*seg + s][l] = subst(a_band[l*seg + s], c) for slot[c] == k.
-        let (slot, prof) = cache.profile16(a_band, b_tile, scoring);
+        let (slot, prof) = cache.profile::<T, N>(a_band, b_tile, scoring);
 
         // Band state, striped from the vertical-bus scratch. E is
         // pre-advanced one column (E at column 0 is a real cell value, so
         // it is min-tracked here); H loads are the previous column's H.
-        let mut hload: Vec<V> = vec![[0; LANES]; seg];
-        let mut hstore: Vec<V> = vec![[0; LANES]; seg];
-        let mut ecur: Vec<V> = vec![[0; LANES]; seg];
-        let mut fcur: Vec<V> = vec![[RAIL; LANES]; seg];
+        let mut st = Band {
+            hload: vec![[T::RAIL; N]; seg],
+            hstore: vec![[T::RAIL; N]; seg],
+            ecur: vec![[T::RAIL; N]; seg],
+            fcur: vec![[T::RAIL; N]; seg],
+            wj: vec![[-1; N]; if WATCH { seg } else { 0 }],
+        };
         for s in 0..seg {
-            for l in 0..LANES {
+            for l in 0..N {
                 let r = base + l * seg + s;
-                let h = lh[r];
-                hload[s][l] = h;
-                let e0 = (le[r] as i32 - ge).max(h as i32 - gf);
-                ecur[s][l] = e0 as i16;
-                mn[l] = mn[l].min(e0 as i16);
+                st.hload[s][l] = lh[r];
+                let e0 = T::narrow((le[r].wide() - ge).max(lh[r].wide() - gf));
+                st.ecur[s][l] = e0;
+                track.mn[l] = track.mn[l].min(e0);
             }
         }
 
-        let mut wj_: Vec<V> = vec![[-1; LANES]; if WATCH { seg } else { 0 }];
-
-        let jchunk = if WATCH { JCHUNK } else { width };
-        // Lane-0 diagonal seed: the *pre-update* top-border H of the
-        // previous column. Must be carried across chunk boundaries — by
-        // the time a chunk ends, `th` already holds this band's bottom
-        // row, so it cannot be re-read from the bus.
-        let mut prev_top = band_corner;
-        let mut cbase = 0usize;
-        while cbase < width {
-            let clen = (width - cbase).min(jchunk);
-            if WATCH {
-                wj_.iter_mut().for_each(|v| *v = [-1; LANES]);
-            }
-            for jc in 0..clen {
-                let j = cbase + jc;
-                let k = slot[b_tile[j] as usize] as usize;
-                let pr = &prof[k * seg..(k + 1) * seg];
-                let cur_top = th[j];
-                // Band-top F seed for lane 0 (row `base`); the window plus
-                // MARGIN keeps this saturating form exact.
-                let f0 = tf[j].saturating_sub(ge16).max(th[j].saturating_sub(gf16));
-
-                // Pass 1: H with lane-chunk-partial F; store the partial
-                // F *used* at each segment position.
-                let mut v_f = [RAIL; LANES];
-                v_f[0] = f0;
-                let mut v_diag = lane_shift(hload[seg - 1], prev_top);
-                for s in 0..seg {
-                    let p = pr[s];
-                    let e = ecur[s];
-                    let mut h = [0i16; LANES];
-                    for l in 0..LANES {
-                        let mut x = v_diag[l].saturating_add(p[l]).max(e[l]).max(v_f[l]);
-                        if LOCAL {
-                            x = x.max(zero16);
-                        }
-                        h[l] = x;
-                    }
-                    v_diag = hload[s];
-                    hstore[s] = h;
-                    fcur[s] = v_f;
-                    let mut f = [0i16; LANES];
-                    for l in 0..LANES {
-                        f[l] = v_f[l].saturating_sub(ge16).max(h[l].saturating_sub(gf16));
-                    }
-                    v_f = f;
-                }
-
-                // Pass 2: lazy-F across lane-chunk boundaries. The first
-                // sweep always runs in full — pass 1 leaves rail lanes in
-                // every stored F vector and the carry beats a rail — so it
-                // is unconditional.
-                let mut carry = lane_carry(fcur[seg - 1], hstore[seg - 1], ge16, gf16);
-                for s in 0..seg {
-                    let f = fcur[s];
-                    let mut nf = [0i16; LANES];
-                    for l in 0..LANES {
-                        nf[l] = f[l].max(carry[l]);
-                    }
-                    fcur[s] = nf;
-                    for l in 0..LANES {
-                        carry[l] = nf[l].saturating_sub(ge16);
-                    }
-                }
-                // Fixpoint tail for F chains crossing several chunk
-                // boundaries. One vector comparison decides convergence:
-                // the partial-F invariant F[s+1] >= F[s] - ge survives
-                // every sweep, so a carry that cannot improve row 0
-                // cannot improve any later row either.
-                loop {
-                    let carry0 = lane_carry(fcur[seg - 1], hstore[seg - 1], ge16, gf16);
-                    let f0 = fcur[0];
-                    let mut any = 0u16;
-                    for l in 0..LANES {
-                        any |= (carry0[l] > f0[l]) as u16;
-                    }
-                    if any == 0 {
-                        break;
-                    }
-                    let mut carry = carry0;
-                    for s in 0..seg {
-                        let f = fcur[s];
-                        let mut improves = 0u16;
-                        for l in 0..LANES {
-                            improves |= (carry[l] > f[l]) as u16;
-                        }
-                        if improves == 0 {
-                            break;
-                        }
-                        let mut nf = [0i16; LANES];
-                        for l in 0..LANES {
-                            nf[l] = f[l].max(carry[l]);
-                        }
-                        fcur[s] = nf;
-                        for l in 0..LANES {
-                            carry[l] = nf[l].saturating_sub(ge16);
-                        }
-                    }
-                }
-
-                // Pass 3: finalize H, next-column E, trackers.
-                let jc16 = jc as i16;
-                let last_col = j + 1 == width;
-                let mut cmax = [i16::MIN; LANES];
-                for s in 0..seg {
-                    let f = fcur[s];
-                    let hp = hstore[s];
-                    let mut h = [0i16; LANES];
-                    for l in 0..LANES {
-                        h[l] = hp[l].max(f[l]);
-                    }
-                    hstore[s] = h;
-                    if !last_col {
-                        let e = ecur[s];
-                        let mut en = [0i16; LANES];
-                        for l in 0..LANES {
-                            en[l] = e[l].saturating_sub(ge16).max(h[l].saturating_sub(gf16));
-                        }
-                        ecur[s] = en;
-                        for l in 0..LANES {
-                            mn[l] = mn[l].min(en[l].min(f[l]));
-                        }
-                    } else {
-                        for l in 0..LANES {
-                            mn[l] = mn[l].min(f[l]);
-                        }
-                    }
-                    for l in 0..LANES {
-                        cmax[l] = cmax[l].max(h[l]);
-                    }
-                    if WATCH {
-                        let wj = &mut wj_[s];
-                        for l in 0..LANES {
-                            let hit = h[l] == watch16 && wj[l] < 0;
-                            wj[l] = if hit { jc16 } else { wj[l] };
-                        }
-                    }
-                }
-                for l in 0..LANES {
-                    mx[l] = mx[l].max(cmax[l]);
-                }
-                if LOCAL {
-                    let top = cmax.iter().fold(i16::MIN, |m, &x| m.max(x));
-                    if top >= gate {
-                        let cand = (
-                            bias + top as Score,
-                            row_offset + base + first_row_at(&hstore, top),
-                            col_offset + j,
-                        );
-                        if best.is_none_or(|b| better_endpoint(cand, b)) {
-                            best = Some(cand);
-                            gate = top;
-                        }
-                    }
-                }
-                taps.tap(j, width, &hstore, &fcur);
-                th[j] = hstore[seg - 1][LANES - 1];
-                tf[j] = fcur[seg - 1][LANES - 1];
-                prev_top = cur_top;
-                std::mem::swap(&mut hload, &mut hstore);
-            }
-
-            if WATCH {
-                for s in 0..seg {
-                    for l in 0..LANES {
-                        if wj_[s][l] >= 0 {
-                            let cand = (
-                                row_offset + base + l * seg + s,
-                                col_offset + cbase + wj_[s][l] as usize,
-                            );
-                            if watch_hit.is_none_or(|cur| cand < cur) {
-                                watch_hit = Some(cand);
-                            }
-                        }
-                    }
-                }
-            }
-            cbase += clen;
+        let cx = Ctx {
+            b_tile,
+            slot,
+            prof,
+            seg,
+            row0: row_offset + base,
+            col_offset,
+            bias,
+            ge: T::narrow(ge),
+            gf: T::narrow(gf),
+            zero,
+            watch,
+            band_corner,
+        };
+        let columns = if taps.at.is_empty() {
+            band_columns::<T, N, LOCAL, WATCH, false>
+        } else {
+            band_columns::<T, N, LOCAL, WATCH, true>
+        };
+        if !columns(&mut st, &cx, &mut th, &mut tf, &mut track, &mut taps) {
+            return None;
         }
 
         // The next band's lane-0 diagonal seed is this band's original
         // left-border H at its last row — capture before de-striping.
-        let next_corner = lh[base + band_h - 1];
+        band_corner = lh[base + band_h - 1];
         for s in 0..seg {
-            for l in 0..LANES {
+            for l in 0..N {
                 let r = base + l * seg + s;
-                lh[r] = hload[s][l];
-                le[r] = ecur[s][l];
+                lh[r] = st.hload[s][l];
+                le[r] = st.ecur[s][l];
             }
         }
-        band_corner = next_corner;
         base += band_h;
     }
 
-    // Overflow check: any stored value outside the window means some
-    // saturating op may have clipped — discard, the dispatcher re-runs the
-    // tile on the scalar kernel. (H >= E and H >= F at every cell, so the
-    // max only needs H and the min only needs E/F.)
-    let mut lo_seen = i16::MAX;
-    let mut hi_seen = i16::MIN;
-    for l in 0..LANES {
-        lo_seen = lo_seen.min(mn[l]);
-        hi_seen = hi_seen.max(mx[l]);
-    }
-    if (lo_seen as i32) < WIN_LO || (hi_seen as i32) > WIN_HI {
-        return None;
-    }
-
-    // Commit: rebase back to i32 and overwrite the buses exactly as the
-    // scalar kernel would have.
+    // Commit: rebase back to i32 and overwrite the buses and cut rows
+    // exactly as the scalar kernel would have.
+    let abs = |v: T| bias + v.wide();
     for j in 0..width {
-        top[j] = CellHF { h: bias + th[j] as Score, f: bias + tf[j] as Score };
+        top[j] = CellHF { h: abs(th[j]), f: abs(tf[j]) };
     }
     for i in 0..rows {
-        left[i] = CellHE { h: bias + lh[i] as Score, e: bias + le[i] as Score };
+        left[i] = CellHE { h: abs(lh[i]), e: abs(le[i]) };
     }
-    commit_cut_rows(cuts.out, &cut_h, &cut_f, bias);
+    for ((o, &h), &f) in cuts.out.iter_mut().zip(&cut_h).zip(&cut_f) {
+        *o = CellHF { h: abs(h), f: abs(f) };
+    }
 
+    let Track { best, watch_hit, .. } = track;
     Some(StripedColumns { rows, best, watch_hit, corner_out: top[width - 1].h, rem_corner })
 }
 
@@ -712,39 +875,34 @@ impl QueryProfile {
 /// bounds memory while still catching every reuse pattern we schedule.
 const CACHE_CAP: usize = 8;
 
+/// One rung's striped profile rows in a cache entry: symbol → block
+/// index `k` (`u16::MAX` = not yet materialized); block `k` spans
+/// `rows[k*seg..(k+1)*seg]` with `seg = band.len() / N`.
+pub(crate) struct Profile<T, const N: usize> {
+    slot: [u16; 256],
+    rows: Vec<[T; N]>,
+}
+
+impl<T, const N: usize> Default for Profile<T, N> {
+    fn default() -> Self {
+        Profile { slot: [u16::MAX; 256], rows: Vec::new() }
+    }
+}
+
 /// One cached query band: the owned `(scoring, band)` pair is the key
 /// (compared fieldwise/bytewise, so the entry is self-validating and
 /// needs no invalidation protocol), plus the lazily materialized striped
-/// profile rows in both lane widths.
-struct CacheEntry {
+/// profile rows of both rungs.
+pub(crate) struct CacheEntry {
     scoring: Scoring,
     band: Vec<u8>,
-    /// Symbol → i16 profile block index `k` (`u16::MAX` = not yet
-    /// materialized); block `k` spans `rows16[k*seg..(k+1)*seg]` with
-    /// `seg = band.len() / LANES`.
-    slot16: [u16; 256],
-    rows16: Vec<V>,
-    /// Same for the i8×32 profile, with `seg = band.len() / LANES8`.
-    slot8: [u16; 256],
-    rows8: Vec<V8>,
-}
-
-impl CacheEntry {
-    fn new(band: &[u8], scoring: &Scoring) -> Self {
-        CacheEntry {
-            scoring: *scoring,
-            band: band.to_vec(),
-            slot16: [u16::MAX; 256],
-            rows16: Vec::new(),
-            slot8: [u16::MAX; 256],
-            rows8: Vec::new(),
-        }
-    }
+    p8: Profile<i8, LANES8>,
+    p16: Profile<i16, LANES>,
 }
 
 /// Query-profile cache, keyed by the band's query bytes.
 ///
-/// Both striped kernels spend `O(distinct_syms * band_rows)` per band
+/// Both striped rungs spend `O(distinct_syms * band_rows)` per band
 /// rebuilding the striped substitution profile before streaming columns.
 /// Tiles of the same band row (strip runners sweep one batch across their
 /// columns; stage-2/3 re-runs revisit stage-1 bands) share identical
@@ -796,66 +954,43 @@ impl ProfileCache {
             }
         } else {
             self.misses += 1;
-            self.entries.insert(0, CacheEntry::new(band, scoring));
+            let entry = CacheEntry {
+                scoring: *scoring,
+                band: band.to_vec(),
+                p8: Profile::default(),
+                p16: Profile::default(),
+            };
+            self.entries.insert(0, entry);
             self.entries.truncate(CACHE_CAP);
         }
     }
 
-    /// The i16 striped profile for `band`: returns `(slot, rows)` with
-    /// `rows[slot[c]*seg + s][l] == subst(band[l*seg + s], c)` for every
-    /// symbol `c` occurring in `b_tile`, where `seg = band.len() / LANES`.
-    pub(crate) fn profile16(
+    /// The `T` rung's striped profile for `band`: returns `(slot, rows)`
+    /// with `rows[slot[c]*seg + s][l] == subst(band[l*seg + s], c)` for
+    /// every symbol `c` occurring in `b_tile`, where `seg = band.len() / N`.
+    pub(crate) fn profile<T: Lane<N>, const N: usize>(
         &mut self,
         band: &[u8],
         b_tile: &[u8],
         scoring: &Scoring,
-    ) -> (&[u16; 256], &[V]) {
-        debug_assert!(!band.is_empty() && band.len().is_multiple_of(LANES));
+    ) -> (&[u16; 256], &[[T; N]]) {
+        debug_assert!(!band.is_empty() && band.len().is_multiple_of(N));
         self.touch(band, scoring);
-        let e = &mut self.entries[0];
-        let seg = e.band.len() / LANES;
+        let seg = band.len() / N;
+        let p = T::profile(&mut self.entries[0]);
         for &c in b_tile {
-            if e.slot16[c as usize] == u16::MAX {
-                e.slot16[c as usize] = (e.rows16.len() / seg) as u16;
+            if p.slot[c as usize] == u16::MAX {
+                p.slot[c as usize] = (p.rows.len() / seg) as u16;
                 for s in 0..seg {
-                    let mut v = [0i16; LANES];
+                    let mut v = [T::RAIL; N];
                     for (l, x) in v.iter_mut().enumerate() {
-                        *x = scoring.subst(e.band[l * seg + s], c) as i16;
+                        *x = T::narrow(scoring.subst(band[l * seg + s], c));
                     }
-                    e.rows16.push(v);
+                    p.rows.push(v);
                 }
             }
         }
-        let e = &self.entries[0];
-        (&e.slot16, &e.rows16)
-    }
-
-    /// The i8×32 striped profile for `band`; same contract as
-    /// [`ProfileCache::profile16`] with `seg = band.len() / LANES8`.
-    pub(crate) fn profile8(
-        &mut self,
-        band: &[u8],
-        b_tile: &[u8],
-        scoring: &Scoring,
-    ) -> (&[u16; 256], &[V8]) {
-        debug_assert!(!band.is_empty() && band.len().is_multiple_of(LANES8));
-        self.touch(band, scoring);
-        let e = &mut self.entries[0];
-        let seg = e.band.len() / LANES8;
-        for &c in b_tile {
-            if e.slot8[c as usize] == u16::MAX {
-                e.slot8[c as usize] = (e.rows8.len() / seg) as u16;
-                for s in 0..seg {
-                    let mut v = [0i8; LANES8];
-                    for (l, x) in v.iter_mut().enumerate() {
-                        *x = scoring.subst(e.band[l * seg + s], c) as i8;
-                    }
-                    e.rows8.push(v);
-                }
-            }
-        }
-        let e = &self.entries[0];
-        (&e.slot8, &e.rows8)
+        (&p.slot, &p.rows)
     }
 }
 
@@ -892,7 +1027,7 @@ mod tests {
         for round in 0..4 {
             for sc in [&sc_a, &sc_b] {
                 let seg = band.len() / LANES;
-                let (slot, rows) = cache.profile16(&band, b_tile, sc);
+                let (slot, rows) = cache.profile::<i16, LANES>(&band, b_tile, sc);
                 for &c in b_tile.iter() {
                     let k = slot[c as usize] as usize;
                     for s in 0..seg {
@@ -910,14 +1045,42 @@ mod tests {
 
     #[test]
     fn eligibility_gates_shape_and_scoring() {
+        fn check<T: Lane<N>, const N: usize>() {
+            let sc = Scoring::paper();
+            let eligible = eligible::<T, N>;
+            assert!(eligible(N, N, &sc));
+            assert!(!eligible(N - 1, N, &sc));
+            assert!(!eligible(N, N - 1, &sc));
+            // The paper scoring fits both rungs; a wider parameter does not.
+            let wide = Scoring { match_score: T::P_MAX + 1, ..sc };
+            assert!(!eligible(N, N, &wide));
+            // Lazy-F exactness needs gap_first >= gap_ext.
+            let inverted = Scoring { gap_first: 1, gap_ext: 3, ..sc };
+            assert!(!eligible(N, N, &inverted));
+        }
+        check::<i8, LANES8>();
+        check::<i16, LANES>();
+    }
+
+    #[test]
+    fn eligible8_is_subset_of_eligible16() {
+        // The ladder's escalation step relies on this: any tile the i8
+        // rung attempted can be retried on the i16 rung. Both rungs share
+        // the shape and gap-order tests, so it comes down to the lane
+        // counts, the parameter bounds and the windows nesting, all known
+        // at compile time.
+        const {
+            assert!(LANES8 >= LANES);
+            assert!(<i8 as Lane<LANES8>>::P_MAX <= <i16 as Lane<LANES>>::P_MAX);
+            assert!(<i8 as Lane<LANES8>>::WIN_LO >= <i16 as Lane<LANES>>::WIN_LO);
+            assert!(<i8 as Lane<LANES8>>::WIN_HI <= <i16 as Lane<LANES>>::WIN_HI);
+        }
+        assert_eq!((<i8 as Lane<LANES8>>::WIN_LO, <i8 as Lane<LANES8>>::WIN_HI), (-96, 95));
         let sc = Scoring::paper();
-        assert!(eligible(LANES, LANES, &sc));
-        assert!(!eligible(LANES - 1, LANES, &sc));
-        assert!(!eligible(LANES, LANES - 1, &sc));
-        let wide = Scoring { match_score: P_MAX + 1, ..sc };
-        assert!(!eligible(LANES, LANES, &wide));
-        // Lazy-F exactness needs gap_first >= gap_ext.
-        let inverted = Scoring { gap_first: 1, gap_ext: 3, ..sc };
-        assert!(!eligible(LANES, LANES, &inverted));
+        for (h, w) in [(LANES8, LANES8), (100, 200), (32, 5000)] {
+            if eligible::<i8, LANES8>(h, w, &sc) {
+                assert!(eligible::<i16, LANES>(h, w, &sc));
+            }
+        }
     }
 }

@@ -276,7 +276,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a half-open range or an exact size.
+    /// Length specification for [`vec()`]: a half-open range or an exact size.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -296,7 +296,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
