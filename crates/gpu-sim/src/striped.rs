@@ -1043,23 +1043,28 @@ mod tests {
         assert_eq!(cache.hits(), 6, "every interleaved revisit must hit");
     }
 
+    fn check_eligibility_gates<T: Lane<N>, const N: usize>() {
+        let sc = Scoring::paper();
+        let eligible = eligible::<T, N>;
+        assert!(eligible(N, N, &sc));
+        assert!(!eligible(N - 1, N, &sc));
+        assert!(!eligible(N, N - 1, &sc));
+        // The paper scoring fits both rungs; a wider parameter does not.
+        let wide = Scoring { match_score: T::P_MAX + 1, ..sc };
+        assert!(!eligible(N, N, &wide));
+        // Lazy-F exactness needs gap_first >= gap_ext.
+        let inverted = Scoring { gap_first: 1, gap_ext: 3, ..sc };
+        assert!(!eligible(N, N, &inverted));
+    }
+
     #[test]
     fn eligibility_gates_shape_and_scoring() {
-        fn check<T: Lane<N>, const N: usize>() {
-            let sc = Scoring::paper();
-            let eligible = eligible::<T, N>;
-            assert!(eligible(N, N, &sc));
-            assert!(!eligible(N - 1, N, &sc));
-            assert!(!eligible(N, N - 1, &sc));
-            // The paper scoring fits both rungs; a wider parameter does not.
-            let wide = Scoring { match_score: T::P_MAX + 1, ..sc };
-            assert!(!eligible(N, N, &wide));
-            // Lazy-F exactness needs gap_first >= gap_ext.
-            let inverted = Scoring { gap_first: 1, gap_ext: 3, ..sc };
-            assert!(!eligible(N, N, &inverted));
-        }
-        check::<i8, LANES8>();
-        check::<i16, LANES>();
+        check_eligibility_gates::<i16, LANES>();
+    }
+
+    #[test]
+    fn eligibility8_gates_shape_and_scoring() {
+        check_eligibility_gates::<i8, LANES8>();
     }
 
     #[test]
